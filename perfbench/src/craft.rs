@@ -1,6 +1,7 @@
 //! `craft`: one thread crafts one image per `Attack::run` call, cycling
 //! round-robin through EAD and C&W on the MNIST and CIFAR victims.
 
+use crate::host::Probe;
 use crate::outcome::Outcome;
 use crate::setup::{CraftEnv, Result, Rng};
 use crate::trace;
@@ -95,6 +96,7 @@ pub fn run(
     let total = jobs.len();
     let mut crafted = Vec::with_capacity(total);
     let mut out = Outcome::default();
+    let probe = Probe::default();
     let started = Instant::now();
     // A request is one round: one craft under each (victim, attack) pair.
     // Per-craft times mix two victims of very different cost, so their
@@ -111,12 +113,14 @@ pub fn run(
         round.1 &= result.is_ok();
         if i % PAIRS.len() == PAIRS.len() - 1 {
             out.latencies.push(round.1.then(|| round.0.elapsed()));
+            probe.read();
         }
         crafted.push(result);
     }
     out.started = Some(started);
     out.elapsed = started.elapsed();
     out.attempted = total;
+    out.readings = probe.take();
     end_of_timing();
 
     let mut successes = 0usize;

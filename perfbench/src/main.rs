@@ -3,7 +3,7 @@
 //! output a JSON result.
 //!
 //! ```text
-//! perfbench --workload <craft|serve_saturate|serve_paced|wire>
+//! perfbench --workload <craft|serve_saturate|wire>
 //!           --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
@@ -32,7 +32,6 @@ const SETUP_REPS: usize = 3;
 enum Workload {
     Craft,
     ServeSaturate,
-    ServePaced,
     Wire,
 }
 
@@ -41,7 +40,6 @@ impl Workload {
         Some(match name {
             "craft" => Workload::Craft,
             "serve_saturate" => Workload::ServeSaturate,
-            "serve_paced" => Workload::ServePaced,
             "wire" => Workload::Wire,
             _ => return None,
         })
@@ -53,7 +51,6 @@ impl Workload {
         let rate = match self {
             Workload::Craft => craft::NOMINAL_RATE,
             Workload::ServeSaturate => serve::SATURATE_RATE,
-            Workload::ServePaced => serve::PACED_RATE,
             Workload::Wire => serve::WIRE_RATE,
         };
         (rate * seconds as f64) as usize
@@ -67,7 +64,7 @@ struct Args {
     trace: bool,
 }
 
-const USAGE: &str = "usage: perfbench --workload <craft|serve_saturate|serve_paced|wire> \
+const USAGE: &str = "usage: perfbench --workload <craft|serve_saturate|wire> \
                      --seed <n> --seconds <s> --trace <0|1>";
 
 impl Args {
@@ -142,19 +139,21 @@ fn measure(
     end_of_timing: &dyn Fn(),
 ) -> Result<Outcome> {
     let total = args.workload.total(args.seconds);
-    match env {
+    let (out, stolen) = host::stolen_during(|| match env {
         Env::Craft(c) => craft::run(c, args.seed, total, end_of_timing),
         Env::Serve(s) => {
             let order = serve::order(s, args.seed, total);
             let out = match args.workload {
                 Workload::ServeSaturate => serve::saturate(s, expected, &order),
-                Workload::ServePaced => serve::paced(s, expected, &order),
                 _ => serve::wire(s, expected, &order)?,
             };
             end_of_timing();
             Ok(out)
         }
-    }
+    });
+    let mut out = out?;
+    out.stolen = stolen;
+    Ok(out)
 }
 
 /// A metric as printed: name, value, unit.
@@ -172,23 +171,30 @@ fn metric(name: impl Into<String>, value: f64, unit: &'static str) -> Metric {
     }
 }
 
-/// The end-to-end metrics of an untraced phase.
+/// The end-to-end metrics of an untraced phase, scaled to the reference
+/// host's speed by the phase's in-run readings (see [`host::slowdown`]).
 fn end_to_end(setup_s: f64, out: &Outcome) -> Vec<Metric> {
     let ceiling = out.elapsed;
-    let p50 = out
-        .latencies
-        .quantile(500)
-        .map_or(0.0, |q| Latencies::ms(q, ceiling));
-    let tail = out
-        .latencies
-        .sliced_tail(ceiling)
-        .map_or(0.0, |(_, _, ms)| ms);
+    let p50 = |l: &Latencies| l.quantile(500).map_or(0.0, |q| Latencies::ms(q, ceiling));
+    let tail = |l: &Latencies| l.sliced_tail(ceiling).map_or(0.0, |(_, _, ms)| ms);
+    let scaled = out.scaled_latencies();
+    println!(
+        "as measured: throughput_per_s {:.4} p50_ms {:.4} tail_ms {:.4}; \
+         host slowdown {:.4} from {} in-run readings (reference {} ms), stolen share {:.4}",
+        out.throughput(),
+        p50(&out.latencies),
+        tail(&out.latencies),
+        host::slowdown(&out.readings),
+        out.readings.len(),
+        host::NOMINAL_READ_MS,
+        out.stolen
+    );
     vec![
         metric("setup_s", setup_s, "s"),
         metric("peak_rss_mb", host::peak_rss_mb().unwrap_or(0.0), "MB"),
-        metric("throughput_per_s", out.throughput(), "1/s"),
-        metric("p50_ms", p50, "ms"),
-        metric("tail_ms", tail, "ms"),
+        metric("throughput_per_s", out.scaled_throughput(), "1/s"),
+        metric("p50_ms", p50(&scaled), "ms"),
+        metric("tail_ms", tail(&scaled), "ms"),
     ]
 }
 
@@ -348,12 +354,17 @@ fn per_layer(
 
     m.push(metric("eval.train_s", setup.train.as_secs_f64(), "s"));
     m.push(metric("eval.corpus_s", setup.corpus.as_secs_f64(), "s"));
-    m.push(metric("gen.late_ms", extra("gen.late_ms"), "ms"));
+    m.push(metric(
+        "host.slowdown",
+        host::slowdown(&out.readings),
+        "ratio",
+    ));
+    m.push(metric("host.stolen_share", out.stolen, "share"));
     m.push(metric("host.ref_ms", refs.0, "ms"));
     m.push(metric("host.ref_after_ms", refs.1, "ms"));
     m.push(metric(
         "trace.overhead_share",
-        1.0 - out.throughput() / untraced_tput.max(1e-9),
+        1.0 - out.scaled_throughput() / untraced_tput.max(1e-9),
         "share",
     ));
     m
@@ -459,23 +470,32 @@ fn run(args: &Args) -> Result<bool> {
     let ref_before = host::ref_ms();
 
     let reps = if args.trace { 1 } else { SETUP_REPS };
-    let mut setup_s = Vec::with_capacity(reps);
+    let (mut setup_raw, mut setup_s) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
     let mut times = SetupTimes::default();
     let mut env = None;
     for rep in 0..reps {
         // Drop the previous stack first so its threads and memory are gone.
         drop(env.take());
         times = SetupTimes::default();
-        env = Some(set_up(args, &run, rep, &mut times)?);
-        setup_s.push(times.total.as_secs_f64());
+        let ((built, stolen), readings) =
+            host::sampled(|| host::stolen_during(|| set_up(args, &run, rep, &mut times)));
+        env = Some(built?);
+        let raw = times.total.as_secs_f64();
+        setup_raw.push(raw);
+        // The set-up is one long call into the program, so it is scaled
+        // by readings taken alongside it rather than between its steps.
+        setup_s.push(raw * (1.0 - host::clamp_stolen(stolen)) / host::slowdown(&readings));
     }
     let mut env = env.ok_or("no set-up ran")?;
-    println!(
-        "setup: {:?} s (median {:.4})",
-        setup_s
-            .iter()
+    let round = |v: &[f64]| {
+        v.iter()
             .map(|s| (s * 1e4).round() / 1e4)
-            .collect::<Vec<_>>(),
+            .collect::<Vec<_>>()
+    };
+    println!(
+        "setup: as measured {:?} s, at reference speed {:?} s (median {:.4})",
+        round(&setup_raw),
+        round(&setup_s),
         median(&setup_s)
     );
     let expected = expected(&env)?;
@@ -522,7 +542,7 @@ fn run(args: &Args) -> Result<bool> {
         attempted += traced.attempted;
         failed += traced.failed;
         let refs = (ref_before, host::ref_ms());
-        per_layer(&t, &traced, &times, untraced.throughput(), refs)
+        per_layer(&t, &traced, &times, untraced.scaled_throughput(), refs)
     } else {
         drop(env);
         println!(

@@ -1,24 +1,21 @@
-//! The serving workloads: `serve_saturate` (closed loop, fixed window),
-//! `serve_paced` (open loop at a constant rate) and `wire` (closed loop
-//! over TCP through `NetServer`). All replay the corpus through the
-//! `ModelZoo` default variant and check every verdict against serial
-//! `MagnetDefense::classify` on the same input.
+//! The serving workloads: `serve_saturate` (closed loop, fixed window)
+//! and `wire` (closed loop over TCP through `NetServer`). Both replay the
+//! corpus through the `ModelZoo` default variant and check every verdict
+//! against serial `MagnetDefense::classify` on the same input.
 
 use crate::outcome::Outcome;
 use crate::setup::{Result, Rng, ServeEnv, SECRET};
-use crate::stats::{self, closed_window, Latencies, Schedule};
+use crate::stats::{self, closed_window};
 use crate::trace;
 use adv_magnet::Verdict;
 use adv_net::{derived_key, ClientConfig, NetClient, Reply};
 use adv_serve::{PendingVerdict, RequestTag, ServeResponse, VariantRouter, DEFAULT_VARIANT};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Outstanding requests in `serve_saturate`: two full batches.
 pub const WINDOW: usize = 64;
-/// Work counts per second of `--seconds`, and the paced offered rate.
+/// Work counts per second of `--seconds`.
 pub const SATURATE_RATE: f64 = 1000.0;
-pub const PACED_RATE: f64 = 200.0;
 pub const WIRE_RATE: f64 = 400.0;
 /// Client connections of the wire workload.
 pub const CONNECTIONS: usize = 2;
@@ -125,6 +122,8 @@ pub fn warm_up(env: &ServeEnv) -> Result<()> {
 pub fn saturate(env: &ServeEnv, expected: &[Verdict], order: &[usize]) -> Outcome {
     let mut out = Outcome::default();
     let ids: Vec<u64> = order.iter().map(|_| trace::next_id()).collect();
+    // Readings of the warm-up are not this phase's.
+    env.pipeline.probe.take();
     with_engine_counts(env, &mut out, |out| {
         let mut served = Served::default();
         let mut done = Vec::with_capacity(order.len());
@@ -148,81 +147,7 @@ pub fn saturate(env: &ServeEnv, expected: &[Verdict], order: &[usize]) -> Outcom
         tally(out, samples);
         served.finish(out);
     });
-    out
-}
-
-/// A sent open-loop request on its way to the collector.
-struct Sent {
-    i: usize,
-    due: Instant,
-    answer: adv_serve::Result<PendingVerdict>,
-}
-
-/// `serve_paced`: the calling thread submits request `i` when it falls
-/// due at [`PACED_RATE`]; a collector thread waits for the answers.
-/// Latency runs from each request's due time.
-pub fn paced(env: &ServeEnv, expected: &[Verdict], order: &[usize]) -> Outcome {
-    let mut out = Outcome::default();
-    let ids: Vec<u64> = order.iter().map(|_| trace::next_id()).collect();
-    with_engine_counts(env, &mut out, |out| {
-        let (tx, rx) = mpsc::channel::<Sent>();
-        let started = Instant::now();
-        let schedule = Schedule::new(started, PACED_RATE);
-        let mut lateness = Vec::with_capacity(order.len());
-        let collected = std::thread::scope(|scope| {
-            let collector = scope.spawn(|| {
-                let mut out = Outcome::default();
-                let mut served = Served::default();
-                let mut samples = Vec::with_capacity(order.len());
-                for sent in rx {
-                    let _span = trace::span("serve.wait", ids[sent.i]);
-                    let answer = sent.answer.and_then(PendingVerdict::wait);
-                    let ok = settle(
-                        &mut out,
-                        &mut served,
-                        expected[order[sent.i]],
-                        sent.i,
-                        answer,
-                    );
-                    let now = Instant::now();
-                    if ok {
-                        out.done.push(now);
-                    }
-                    samples.push(ok.then(|| stats::latency_from_due(sent.due, now)));
-                }
-                served.finish(&mut out);
-                (out, samples)
-            });
-            for (i, &item) in order.iter().enumerate() {
-                let due = schedule.due(i);
-                let now = Instant::now();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
-                lateness.push(stats::lateness(due, Instant::now()));
-                let answer = submit(env, item, ids[i]);
-                if tx.send(Sent { i, due, answer }).is_err() {
-                    break;
-                }
-            }
-            drop(tx);
-            collector.join().expect("the collector thread panicked")
-        });
-        out.started = Some(started);
-        out.elapsed = started.elapsed();
-        let (collected, samples) = collected;
-        out.done = collected.done;
-        out.mismatches += collected.mismatches;
-        out.examples.extend(collected.examples);
-        out.extra.extend(collected.extra);
-        tally(out, samples);
-        let mut late = Latencies::default();
-        lateness.into_iter().for_each(|d| late.push(Some(d)));
-        let late_tail = late
-            .tail()
-            .map_or(0.0, |(_, q)| Latencies::ms(q, out.elapsed));
-        out.extra.insert("gen.late_ms", late_tail);
-    });
+    out.readings = env.pipeline.probe.take();
     out
 }
 
@@ -246,6 +171,8 @@ pub fn wire(env: &ServeEnv, expected: &[Verdict], order: &[usize]) -> Result<Out
         .ok_or("the wire workload needs a NetServer")?
         .addr();
     let mut out = Outcome::default();
+    // Readings of the warm-up are not this phase's.
+    env.pipeline.probe.take();
     let started = Instant::now();
     let logs: Vec<ClientLog> = std::thread::scope(|scope| {
         let clients: Vec<_> = (0..CONNECTIONS)
@@ -268,6 +195,7 @@ pub fn wire(env: &ServeEnv, expected: &[Verdict], order: &[usize]) -> Result<Out
     });
     out.started = Some(started);
     out.elapsed = started.elapsed();
+    out.readings = env.pipeline.probe.take();
     let mut samples: Vec<(usize, stats::Sample)> = Vec::with_capacity(order.len());
     let mut served = Served::default();
     let mut overhead = Vec::new();

@@ -1,6 +1,6 @@
 //! The benchmark's own arithmetic: latency percentiles under the
-//! ten-samples-beyond rule, failures as missed limits, open-loop due times
-//! and the fixed outstanding window of a saturating closed loop.
+//! ten-samples-beyond rule, failures as missed limits and the fixed
+//! outstanding window of a saturating closed loop.
 //!
 //! Everything here is pure or generic over the calls it drives, so the
 //! unit tests at the bottom pin the arithmetic without a model.
@@ -76,6 +76,7 @@ impl Latencies {
     }
 
     /// The tail point (per mille) this sample supports and its value.
+    #[cfg(test)]
     pub fn tail(&self) -> Option<(u64, Quantile)> {
         let pm = tail_permille(self.samples.len())?;
         Some((pm, self.quantile(pm)?))
@@ -101,6 +102,18 @@ impl Latencies {
             })
             .collect();
         Some((pm, slices, median(&tails)))
+    }
+
+    /// The samples with sample `i` divided by `slowdowns[i]` (unscaled
+    /// past the end of `slowdowns`); failures stay failures.
+    pub fn scaled(&self, slowdowns: &[f64]) -> Latencies {
+        let samples = self
+            .samples
+            .iter()
+            .enumerate()
+            .map(|(i, s)| s.map(|d| d.div_f64(slowdowns.get(i).copied().unwrap_or(1.0))))
+            .collect();
+        Latencies { samples }
     }
 
     /// Milliseconds of a quantile. A missed limit reads as `ceiling`: the
@@ -153,6 +166,32 @@ pub fn slice_rate(started: Instant, done: &[Instant], slices: usize) -> f64 {
     median(&slice_rates(started, done, slices))
 }
 
+/// [`slice_rate`] with each slice's rate multiplied by the median of
+/// `slowdowns` over the completions in that slice (`slowdowns[k]` belongs
+/// to the `k`-th completion in time order).
+pub fn scaled_slice_rate(
+    started: Instant,
+    done: &[Instant],
+    slices: usize,
+    slowdowns: &[f64],
+) -> f64 {
+    let rates = slice_rates(started, done, slices);
+    let k = rates.len();
+    let scaled: Vec<f64> = rates
+        .iter()
+        .enumerate()
+        .map(|(j, r)| {
+            let part = &slowdowns[j * slowdowns.len() / k..(j + 1) * slowdowns.len() / k];
+            if part.is_empty() {
+                *r
+            } else {
+                r * median(part)
+            }
+        })
+        .collect();
+    median(&scaled)
+}
+
 /// The per-slice rates [`slice_rate`] takes the median of.
 pub fn slice_rates(started: Instant, done: &[Instant], slices: usize) -> Vec<f64> {
     let mut done = done.to_vec();
@@ -174,41 +213,6 @@ pub fn slice_rates(started: Instant, done: &[Instant], slices: usize) -> Vec<f64
             rate(hi - lo, from, done[hi - 1])
         })
         .collect()
-}
-
-/// Open-loop schedule: request `i` is due `i / rate` seconds after start.
-/// The rate is a constant of the workload, never derived from measured
-/// capacity, so a faster build sees the same offered load.
-#[derive(Debug, Clone, Copy)]
-pub struct Schedule {
-    start: Instant,
-    period: Duration,
-}
-
-impl Schedule {
-    pub fn new(start: Instant, rate_per_s: f64) -> Schedule {
-        Schedule {
-            start,
-            period: Duration::from_secs_f64(1.0 / rate_per_s),
-        }
-    }
-
-    /// When request `i` is due to be sent.
-    pub fn due(&self, i: usize) -> Instant {
-        self.start + self.period * i as u32
-    }
-}
-
-/// Latency of an open-loop request, measured from when it was *due*, not
-/// from when the generator got round to sending it: a stall that delays
-/// later sends is charged to those requests.
-pub fn latency_from_due(due: Instant, done: Instant) -> Duration {
-    done.saturating_duration_since(due)
-}
-
-/// How late the generator sent a request (zero when on time).
-pub fn lateness(due: Instant, sent: Instant) -> Duration {
-    sent.saturating_duration_since(due)
 }
 
 /// Drives a closed loop that keeps exactly `window` requests outstanding
@@ -384,22 +388,27 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_charges_stalls_to_later_requests() {
-        let start = Instant::now();
-        let s = Schedule::new(start, 200.0);
-        assert_eq!(s.due(0), start);
-        assert_eq!(s.due(200) - start, Duration::from_secs(1));
-        // Request 3 is due at 15 ms. The generator stalled and only sent it
-        // at 40 ms; it completed at 43 ms. It was 25 ms late, and its
-        // latency counts the whole 28 ms from its due time.
-        let due = s.due(3);
-        assert_eq!(due - start, ms(15));
-        let sent = start + ms(40);
-        let done = start + ms(43);
-        assert_eq!(lateness(due, sent), ms(25));
-        assert_eq!(latency_from_due(due, done), ms(28));
-        // Sending early is not negative lateness.
-        assert_eq!(lateness(due, start), Duration::ZERO);
+    fn scaling_divides_times_and_multiplies_rates() {
+        let mut l = Latencies::default();
+        for _ in 0..3 {
+            l.push(Some(ms(10)));
+        }
+        l.push(None);
+        let s = l.scaled(&[1.0, 2.0, 0.5, 2.0]);
+        assert_eq!(s.quantile(1), Some(Quantile::Met(ms(5))));
+        assert_eq!(s.quantile(500), Some(Quantile::Met(ms(10))));
+        assert_eq!(s.quantile(750), Some(Quantile::Met(ms(20))));
+        assert_eq!(s.quantile(1000), Some(Quantile::Missed));
+        // One completion every 10 ms for 100 completions: 100/s. The
+        // second half ran on a host twice as slow as the reference, at
+        // 50/s; scaled, every slice reads 100/s.
+        let t0 = Instant::now();
+        let done: Vec<Instant> = (1..=100u64)
+            .map(|k| t0 + ms(if k <= 50 { 10 * k } else { 500 + 20 * (k - 50) }))
+            .collect();
+        let slow: Vec<f64> = (0..100).map(|k| if k < 50 { 1.0 } else { 2.0 }).collect();
+        assert!((scaled_slice_rate(t0, &done, 10, &slow) - 100.0).abs() < 1e-6);
+        assert!((scaled_slice_rate(t0, &done, 10, &[]) - 75.0).abs() < 1e-6);
     }
 
     #[test]

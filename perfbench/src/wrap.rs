@@ -3,10 +3,12 @@
 //! `DefensePipeline` around MagNet for the serving engine. They add a span
 //! per call while tracing and forward everything unchanged.
 
+use crate::host::Probe;
 use crate::trace;
 use adv_magnet::{DefensePipeline, DefenseScheme, MagnetDefense, StageTimings, Verdict};
 use adv_nn::{Differentiable, Sequential};
 use adv_tensor::Tensor;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The victim as the attacks see it.
@@ -36,11 +38,18 @@ pub struct PipelineTotals {
     pub stages: StageTimings,
 }
 
+/// Items the engine worker serves between two in-run readings.
+const ITEMS_PER_READING: u64 = 64;
+
 /// MagNet as the serving engine sees it.
 #[derive(Debug)]
 pub struct TracedPipeline {
     inner: Arc<MagnetDefense>,
     totals: Mutex<PipelineTotals>,
+    /// Readings taken on the engine worker, the thread that does the
+    /// serving workloads' compute.
+    pub probe: Probe,
+    items: AtomicU64,
 }
 
 impl TracedPipeline {
@@ -48,6 +57,8 @@ impl TracedPipeline {
         TracedPipeline {
             inner,
             totals: Mutex::new(PipelineTotals::default()),
+            probe: Probe::default(),
+            items: AtomicU64::new(0),
         }
     }
 
@@ -76,6 +87,14 @@ impl DefensePipeline for TracedPipeline {
             t.stages.detect += out.1.detect;
             t.stages.reform += out.1.reform;
             t.stages.classify += out.1.classify;
+        }
+        drop(span);
+        // A reading every ITEMS_PER_READING items, on this worker thread
+        // and outside the batch's span.
+        let n = out.0.len() as u64;
+        let before = self.items.fetch_add(n, Ordering::Relaxed);
+        if before / ITEMS_PER_READING != (before + n) / ITEMS_PER_READING {
+            self.probe.read();
         }
         Ok(out)
     }
