@@ -13,7 +13,7 @@ use crate::ead::AttackObs;
 use crate::loss::{adversarial_margins, target_margins, targeted_hinge, untargeted_hinge};
 use crate::{AttackError, Result};
 use adv_nn::Differentiable;
-use adv_obs::Span;
+use adv_profile::StageScope;
 use adv_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -150,7 +150,7 @@ impl CarliniWagnerL2 {
         let obs = AttackObs::resolve("cw", "adam_iterations");
 
         for _step in 0..cfg.binary_search_steps {
-            let _step_span = Span::enter("cw/search_step");
+            let _step_span = StageScope::enter("cw/search_step");
             if let Some(obs) = &obs {
                 obs.search_steps.incr();
             }
@@ -162,7 +162,7 @@ impl CarliniWagnerL2 {
             let mut step_success = vec![false; n];
 
             for k in 0..=cfg.iterations {
-                let _iter_span = Span::enter("cw/adam_iter");
+                let _iter_span = StageScope::enter("cw/adam_iter");
                 if let Some(obs) = &obs {
                     obs.iterations.incr();
                 }

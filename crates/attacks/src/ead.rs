@@ -20,7 +20,7 @@ use crate::attack::{Attack, AttackOutcome};
 use crate::loss::{adversarial_margins, target_margins, targeted_hinge, untargeted_hinge};
 use crate::{AttackError, Result};
 use adv_nn::Differentiable;
-use adv_obs::Span;
+use adv_profile::StageScope;
 use adv_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -250,7 +250,7 @@ impl ElasticNetAttack {
         let obs = AttackObs::resolve("ead", "ista_iterations");
 
         for _step in 0..cfg.binary_search_steps {
-            let _step_span = Span::enter("ead/search_step");
+            let _step_span = StageScope::enter("ead/search_step");
             if let Some(obs) = &obs {
                 obs.search_steps.incr();
             }
@@ -261,7 +261,7 @@ impl ElasticNetAttack {
             let mut step_success = vec![false; n];
 
             for k in 0..=cfg.iterations {
-                let _iter_span = Span::enter("ead/ista_iter");
+                let _iter_span = StageScope::enter("ead/ista_iter");
                 if let Some(obs) = &obs {
                     obs.iterations.incr();
                 }

@@ -1,13 +1,16 @@
-//! Cost of the `adv-obs` instrumentation points at each telemetry level.
+//! Cost of the instrumentation points at each telemetry level.
 //!
-//! The contract the instrumented crates rely on: with `ObsLevel::Off`
-//! (the default), every `Span::enter` and every `metrics_enabled()` gate is
-//! one relaxed atomic load plus a predictable branch — cheap enough to leave
-//! in the EAD ISTA loop and the training batch loop unconditionally. The
-//! `*_off` benchmarks here pin that down; the `*_trace`/`*_metrics`
-//! variants show what turning telemetry on actually buys per event.
+//! The contract the instrumented crates rely on: below `ObsLevel::Trace`
+//! (the default is `Off`), every `adv_profile::StageScope::enter` and every
+//! `metrics_enabled()` gate is one relaxed atomic load plus a predictable
+//! branch — cheap enough to leave in the EAD ISTA loop and the training
+//! batch loop unconditionally. The `*_off` benchmarks here pin that down;
+//! the `*_trace`/`*_metrics` variants show what turning telemetry on
+//! actually costs per event, the trace one through the frame stack and the
+//! span sink that feeds `trace.jsonl`.
 
-use adv_obs::{ObsLevel, Span};
+use adv_obs::ObsLevel;
+use adv_profile::StageScope;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -20,7 +23,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     g.bench_function("span_enter_off_4096", |b| {
         b.iter(|| {
             for _ in 0..CALLS {
-                let _guard = Span::enter(black_box("bench/span"));
+                let _guard = StageScope::enter(black_box("bench/span"));
             }
         })
     });
@@ -52,16 +55,15 @@ fn bench_obs_overhead(c: &mut Criterion) {
     g.bench_function("span_enter_trace_4096", |b| {
         b.iter(|| {
             for _ in 0..CALLS {
-                let _guard = Span::enter(black_box("bench/span"));
+                let _guard = StageScope::enter(black_box("bench/span"));
             }
-            // Keep the global sink from saturating across iterations.
-            adv_obs::trace::flush_current_thread();
-            let _ = adv_obs::trace::drain();
+            // Keep the span sink from saturating across iterations.
+            black_box(adv_profile::take_spans());
         })
     });
 
     adv_obs::set_level(ObsLevel::Off);
-    adv_obs::trace::reset();
+    adv_profile::reset();
     g.finish();
 }
 

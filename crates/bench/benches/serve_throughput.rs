@@ -179,23 +179,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
     recorder.shutdown().expect("recorder.shutdown failed");
     std::fs::remove_dir_all(&tele_dir).ok();
 
-    // Profiler compiled in but switched off: every kernel/stage scope and
-    // the trace-id mint must collapse to one relaxed load each. The budget
-    // is <2% over `server_b32` — the perf-gate CI job holds this line.
-    adv_profile::set_enabled(false);
-    let engine = server(defense.clone(), 32, None);
-    g.bench_function("server_b32_profile_off", |bench| {
-        bench.iter(|| {
-            let pending: Vec<_> = items
-                .iter()
-                .map(|t| engine.submit(t.clone()).expect("engine.submit failed"))
-                .collect();
-            for p in pending {
-                black_box(p.wait().expect("p.wait failed"));
-            }
-        })
-    });
-    engine.shutdown();
     g.finish();
 }
 

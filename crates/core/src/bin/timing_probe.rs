@@ -6,7 +6,7 @@ use adv_eval::config::CliArgs;
 use adv_eval::obs::ObsSession;
 use adv_eval::sweep::{AttackKind, SweepRunner};
 use adv_eval::zoo::{Scenario, Variant, Zoo};
-use adv_obs::Span;
+use adv_profile::StageScope;
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // lint-ok(gated-clocks): wall-clock measurement is this probe's purpose
         let t0 = Instant::now();
         let bundle = {
-            let _span = Span::enter("probe/bundle");
+            let _span = StageScope::enter("probe/bundle");
             zoo.bundle(scenario)?
         };
         println!(
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // lint-ok(gated-clocks): wall-clock measurement is this probe's purpose
         let t0 = Instant::now();
         {
-            let _span = Span::enter("probe/defense");
+            let _span = StageScope::enter("probe/defense");
             let _defense = zoo.defense(scenario, Variant::Default)?;
         }
         println!(
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             beta: 0.01,
         };
         let outcome = {
-            let _span = Span::enter("probe/ead");
+            let _span = StageScope::enter("probe/ead");
             runner.outcome(&kind, 10.0)?
         };
         println!(
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // lint-ok(gated-clocks): wall-clock measurement is this probe's purpose
         let t0 = Instant::now();
         let cw = {
-            let _span = Span::enter("probe/cw");
+            let _span = StageScope::enter("probe/cw");
             runner.outcome(&AttackKind::Cw, 10.0)?
         };
         println!(

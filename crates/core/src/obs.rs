@@ -1,30 +1,25 @@
 //! `--obs` session support for the experiment binaries.
 //!
-//! An [`ObsSession`] turns on full telemetry (metrics + spans) for the
-//! process, and at experiment end dumps three artifacts into the chosen
-//! directory:
+//! An [`ObsSession`] turns on full telemetry ([`adv_obs::ObsLevel::Trace`]:
+//! metrics, stage spans and kernel accounting) for the process, and at
+//! experiment end dumps into the chosen directory:
 //!
-//! * `metrics.json` — the global registry snapshot as JSON;
+//! * `metrics.json` — the global registry snapshot as JSON, including the
+//!   kernel totals published as gauges;
 //! * `metrics.prom` — the same snapshot in Prometheus text format;
-//! * `trace.jsonl` — one span event per line;
-//!
-//! plus a self-time/total-time summary table printed to stderr, with each
-//! span's share of the session's wall-clock.
-//!
-//! When the kernel profiler is on too (`ADV_PROFILE=1` or
-//! [`adv_profile::set_enabled`]), two more artifacts join them:
-//!
+//! * `trace.jsonl` — one span per line from `adv-profile`'s span sink;
 //! * `profile_kernels.txt` — the per-kernel accounting table
 //!   (calls/wall/self/GFLOP/s);
 //! * `profile_collapsed.folded` — collapsed stacks in flamegraph folded
 //!   format (`frame;frame self_ns`);
 //!
-//! and the kernel totals are published into the global registry as gauges
-//! before the snapshot is taken, so `metrics.json` carries them as well.
+//! plus a self-time/total-time/count summary table printed to stderr, with
+//! each frame's share of the session's wall-clock.
 //!
 //! An explicit `ADV_OBS=off|metrics|trace` environment override wins over
 //! the flag, so a run can keep `--obs out/` in its command line while
-//! telemetry is dialed down externally.
+//! telemetry is dialed down externally; below `trace` no spans are
+//! recorded and the two profile artifacts are skipped.
 
 use crate::config::CliArgs;
 use std::path::PathBuf;
@@ -65,8 +60,8 @@ impl ObsSession {
 
     /// Writes `metrics.json`, `metrics.prom` and `trace.jsonl` into the
     /// session directory (plus `profile_kernels.txt` and
-    /// `profile_collapsed.folded` when [`adv_profile::enabled`]), prints
-    /// the span summary table to stderr, and returns the written paths.
+    /// `profile_collapsed.folded` when [`adv_profile::enabled`]), prints the
+    /// frame summary table to stderr, and returns the written paths.
     ///
     /// # Errors
     ///
@@ -74,44 +69,38 @@ impl ObsSession {
     /// artifacts.
     pub fn finish(self) -> std::io::Result<Vec<PathBuf>> {
         let wall = self.started.elapsed();
-        adv_obs::trace::flush_current_thread();
         std::fs::create_dir_all(&self.dir)?;
         let profiled = adv_profile::enabled();
         if profiled {
-            adv_profile::flush_current_thread();
             adv_profile::publish_to(adv_obs::global());
         }
         let snapshot = adv_obs::global().snapshot();
-        let mut written = Vec::with_capacity(5);
-        for (name, content) in [
+        let spans = adv_profile::take_spans();
+        let mut artifacts = vec![
             ("metrics.json", snapshot.to_json()),
             ("metrics.prom", snapshot.to_prometheus()),
-        ] {
+            ("trace.jsonl", adv_profile::spans_to_jsonl(&spans)),
+        ];
+        if profiled {
+            artifacts.extend([
+                ("profile_kernels.txt", adv_profile::kernel_table()),
+                ("profile_collapsed.folded", adv_profile::collapsed()),
+            ]);
+        }
+        let mut written = Vec::with_capacity(artifacts.len());
+        for (name, content) in artifacts {
             let path = self.dir.join(name);
             std::fs::write(&path, content)?;
             written.push(path);
         }
-        let (events, summaries) = adv_obs::trace::drain();
-        let path = self.dir.join("trace.jsonl");
-        std::fs::write(&path, adv_obs::trace::events_to_jsonl(&events))?;
-        written.push(path);
-        if profiled {
-            for (name, content) in [
-                ("profile_kernels.txt", adv_profile::kernel_table()),
-                ("profile_collapsed.folded", adv_profile::collapsed()),
-            ] {
-                let path = self.dir.join(name);
-                std::fs::write(&path, content)?;
-                written.push(path);
-            }
-        }
+        let summaries = adv_profile::frame_summaries();
         if !summaries.is_empty() {
-            eprintln!("\n{}", adv_obs::trace::render_summary(&summaries, wall));
+            eprintln!("\n{}", adv_profile::render_summary(&summaries, wall));
         }
         eprintln!(
-            "observability artifacts written to {} ({} span events)",
+            "observability artifacts written to {} ({} spans)",
             self.dir.display(),
-            events.len()
+            spans.len()
         );
         Ok(written)
     }
@@ -121,9 +110,9 @@ impl ObsSession {
 mod tests {
     use super::*;
 
-    /// Both `finish` tests toggle the process-wide profiler flag, so they
+    /// Both `finish` tests change the process-wide level, so they
     /// serialize on this lock.
-    fn profile_lock() -> std::sync::MutexGuard<'static, ()> {
+    fn level_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -136,51 +125,56 @@ mod tests {
 
     #[test]
     fn finish_writes_all_artifacts() {
-        // Level-changing test: other adv-eval tests don't toggle the level,
-        // and this one only raises it for its own duration.
-        let _serial = profile_lock();
-        adv_profile::set_enabled(false);
+        // Other adv-eval tests don't change the level; this one raises it
+        // only for its own duration.
+        let _serial = level_lock();
         let before = adv_obs::level();
         let dir = std::env::temp_dir().join(format!("adv_obs_session_{}", std::process::id()));
         let session = ObsSession::start(&dir);
         adv_obs::set_level(adv_obs::ObsLevel::Trace);
+        adv_profile::reset();
         {
-            let _span = adv_obs::Span::enter("test/obs_session");
+            let _stage = adv_profile::StageScope::enter("test/obs_session");
+            let _k = adv_profile::KernelScope::enter(adv_profile::KernelKind::MatMul, || {
+                adv_profile::Work::matmul(4, 4, 4)
+            });
             adv_obs::global().counter("test.obs_session").incr();
+        }
+        let written = session.finish().unwrap();
+        adv_obs::set_level(before);
+        assert_eq!(written.len(), 5);
+        let json = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
+        assert!(json.contains("test.obs_session"));
+        assert!(json.contains("profile.kernel.matmul.calls"), "{json}");
+        let trace = std::fs::read_to_string(dir.join("trace.jsonl")).unwrap();
+        assert!(trace.contains("test/obs_session"), "{trace}");
+        let table = std::fs::read_to_string(dir.join("profile_kernels.txt")).unwrap();
+        assert!(table.contains("matmul"), "{table}");
+        let folded = std::fs::read_to_string(dir.join("profile_collapsed.folded")).unwrap();
+        assert!(folded.contains("test/obs_session;matmul "), "{folded}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn finish_below_trace_skips_profile_artifacts() {
+        let _serial = level_lock();
+        let before = adv_obs::level();
+        let dir = std::env::temp_dir().join(format!("adv_obs_session_met_{}", std::process::id()));
+        let session = ObsSession::start(&dir);
+        adv_obs::set_level(adv_obs::ObsLevel::Metrics);
+        adv_profile::reset();
+        {
+            let _stage = adv_profile::StageScope::enter("test/obs_metrics");
+            adv_obs::global().counter("test.obs_metrics").incr();
         }
         let written = session.finish().unwrap();
         adv_obs::set_level(before);
         assert_eq!(written.len(), 3);
         let json = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
-        assert!(json.contains("test.obs_session"));
+        assert!(json.contains("test.obs_metrics"));
         let trace = std::fs::read_to_string(dir.join("trace.jsonl")).unwrap();
-        assert!(trace.contains("test/obs_session"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn finish_adds_profile_artifacts_when_profiling() {
-        let _serial = profile_lock();
-        let before = adv_obs::level();
-        let dir = std::env::temp_dir().join(format!("adv_obs_session_prof_{}", std::process::id()));
-        let session = ObsSession::start(&dir);
-        adv_profile::set_enabled(true);
-        adv_profile::reset();
-        {
-            let _k = adv_profile::KernelScope::enter(adv_profile::KernelKind::MatMul, || {
-                adv_profile::Work::matmul(4, 4, 4)
-            });
-        }
-        let written = session.finish().unwrap();
-        adv_profile::set_enabled(false);
-        adv_obs::set_level(before);
-        assert_eq!(written.len(), 5);
-        let table = std::fs::read_to_string(dir.join("profile_kernels.txt")).unwrap();
-        assert!(table.contains("matmul"), "{table}");
-        let folded = std::fs::read_to_string(dir.join("profile_collapsed.folded")).unwrap();
-        assert!(folded.contains("matmul"), "{folded}");
-        let json = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
-        assert!(json.contains("profile.kernel.matmul.calls"), "{json}");
+        assert!(!trace.contains("test/obs_metrics"), "{trace}");
+        assert!(!dir.join("profile_kernels.txt").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

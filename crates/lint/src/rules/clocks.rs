@@ -4,10 +4,11 @@
 //! `Instant::now()` is cheap but not free (a `clock_gettime` vsyscall), and
 //! a clock read on a per-sample hot path is exactly the overhead the
 //! `ADV_OBS=off` contract promises not to pay. Library code may only read
-//! clocks behind an observability gate (`trace_enabled()` /
-//! `metrics_enabled()`) or where timing *is* the feature (the serving
-//! engine's latency accounting, batch deadlines) — and each such site says
-//! so via `// lint-ok(gated-clocks): <reason>`.
+//! clocks behind the observability level (`adv_profile::enabled()`, which
+//! every `StageScope`/`KernelScope` checks, or `adv_obs::metrics_enabled()`)
+//! or where timing *is* the feature (the serving engine's latency
+//! accounting, batch deadlines) — and each such site says so via
+//! `// lint-ok(gated-clocks): <reason>`.
 //!
 //! Entrypoint targets are covered too, in *every* crate: binaries and
 //! examples must justify each clock read the same way (probes measure wall

@@ -3,7 +3,6 @@ use crate::detector::Detector;
 use crate::fused::InferenceCache;
 use crate::Result;
 use adv_nn::Sequential;
-use adv_obs::Span;
 use adv_profile::StageScope;
 use adv_tensor::Tensor;
 use std::time::Duration;
@@ -300,7 +299,6 @@ impl MagnetDefense {
         let t0 = std::time::Instant::now();
         let detected = match scheme {
             DefenseScheme::DetectorOnly | DefenseScheme::Full => {
-                let _span = Span::enter("magnet/detect");
                 let _stage = StageScope::enter("magnet/detect");
                 let d = self.detect(x)?;
                 timings.detect = t0.elapsed();
@@ -314,7 +312,6 @@ impl MagnetDefense {
         let t1 = std::time::Instant::now();
         let input = match scheme {
             DefenseScheme::ReformerOnly | DefenseScheme::Full => {
-                let _span = Span::enter("magnet/reform");
                 let _stage = StageScope::enter("magnet/reform");
                 let r = self.reform(x)?;
                 timings.reform = t1.elapsed();
@@ -327,7 +324,6 @@ impl MagnetDefense {
         // classify_timed/classify_fused API; the clock read is the feature.
         let t2 = std::time::Instant::now();
         let preds = {
-            let _span = Span::enter("magnet/classify");
             let _stage = StageScope::enter("magnet/classify");
             self.classifier.predict_shared(&input)?
         };
@@ -398,7 +394,6 @@ impl MagnetDefense {
         let mut det_scores: Vec<Vec<f32>> = Vec::new();
         let detected = match scheme {
             DefenseScheme::DetectorOnly | DefenseScheme::Full => {
-                let _span = Span::enter("magnet/detect");
                 let _stage = StageScope::enter("magnet/detect");
                 let mut combined = vec![false; n];
                 for det in &self.detectors {
@@ -428,7 +423,6 @@ impl MagnetDefense {
         let t1 = std::time::Instant::now();
         let input = match scheme {
             DefenseScheme::ReformerOnly | DefenseScheme::Full => {
-                let _span = Span::enter("magnet/reform");
                 let _stage = StageScope::enter("magnet/reform");
                 let r = cache.reconstruction(&self.reformer, x)?;
                 timings.reform = t1.elapsed();
@@ -441,7 +435,6 @@ impl MagnetDefense {
         // classify_timed/classify_fused API; the clock read is the feature.
         let t2 = std::time::Instant::now();
         let preds = {
-            let _span = Span::enter("magnet/classify");
             let _stage = StageScope::enter("magnet/classify");
             let logits = cache.logits(&self.classifier, &input)?;
             logits.argmax_rows()?

@@ -9,7 +9,7 @@ use crate::checkpoint::{self, CheckpointCfg, TrainCheckpoint};
 use crate::loss::{accuracy, softmax_cross_entropy_smoothed, ReconstructionLoss};
 use crate::optim::Optimizer;
 use crate::{Mode, NnError, Result, Sequential};
-use adv_obs::Span;
+use adv_profile::StageScope;
 use adv_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -259,7 +259,7 @@ pub fn fit_classifier(
     let mut order: Vec<usize> = (0..n).collect();
     history.reserve(cfg.epochs.saturating_sub(history.len()));
     for epoch in start_epoch..cfg.epochs {
-        let _epoch_span = Span::enter("train/epoch");
+        let _epoch_span = StageScope::enter("train/epoch");
         // lint-ok(gated-clocks): per-epoch wall time feeds EpochStats, part
         // of the training-history API returned to callers.
         let epoch_start = Instant::now();
@@ -275,7 +275,7 @@ pub fn fit_classifier(
         let mut acc_sum = 0.0f32;
         let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch_size) {
-            let _batch_span = Span::enter("train/batch");
+            let _batch_span = StageScope::enter("train/batch");
             // lint-ok(gated-clocks): batch timing feeds the same
             // EpochStats throughput numbers; measuring it is the feature.
             let batch_start = Instant::now();
@@ -460,7 +460,7 @@ pub fn fit_autoencoder_with(
     let mut order: Vec<usize> = (0..n).collect();
     history.reserve(cfg.epochs.saturating_sub(history.len()));
     for epoch in start_epoch..cfg.epochs {
-        let _epoch_span = Span::enter("train/epoch");
+        let _epoch_span = StageScope::enter("train/epoch");
         // lint-ok(gated-clocks): per-epoch wall time feeds EpochStats, part
         // of the training-history API returned to callers.
         let epoch_start = Instant::now();
@@ -475,7 +475,7 @@ pub fn fit_autoencoder_with(
         let mut loss_sum = 0.0f32;
         let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch_size) {
-            let _batch_span = Span::enter("train/batch");
+            let _batch_span = StageScope::enter("train/batch");
             // lint-ok(gated-clocks): batch timing feeds the same
             // EpochStats throughput numbers; measuring it is the feature.
             let batch_start = Instant::now();

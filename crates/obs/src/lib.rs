@@ -1,29 +1,26 @@
 //! adv-obs: structured observability for the whole reproduction stack.
 //!
-//! The crate has two halves, both dependency-free and safe to leave compiled
-//! into release binaries:
+//! Dependency-free and safe to leave compiled into release binaries, the
+//! crate holds two things every instrumented crate shares:
 //!
 //! * [`registry`] — a lock-light **metrics registry**: named [`Counter`]s,
 //!   [`Gauge`]s and fixed-bucket [`Histogram`]s behind an [`Arc<Registry>`].
 //!   Handles are plain atomics; the registry mutex is touched only at
 //!   registration and snapshot time. A [`Snapshot`] can be exported as
 //!   Prometheus text format or JSON.
-//! * [`trace`] — a **span tracer**: [`Span::enter`] returns an RAII guard
-//!   that records a timing event into a per-thread buffer, drained into a
-//!   global sink. The sink yields a JSON-lines event stream plus a
-//!   self-time/total-time summary table (children's time is subtracted from
-//!   their parent's self time).
+//! * the process-wide **level** — the one gate for all telemetry. Spans,
+//!   kernel accounting and request traces live in `adv-profile`, whose
+//!   scopes record only at [`ObsLevel::Trace`].
 //!
 //! # Enabling telemetry
-//!
-//! Everything is gated on a process-wide [`ObsLevel`]:
 //!
 //! * [`ObsLevel::Off`] (default) — every instrumentation point is a no-op:
 //!   one relaxed atomic load and a predictable branch, verified by the
 //!   `obs_overhead` bench. Numerical results are never affected at any
 //!   level; instrumentation only reads clocks and bumps atomics.
 //! * [`ObsLevel::Metrics`] — counters/gauges/histograms record.
-//! * [`ObsLevel::Trace`] — metrics plus span events.
+//! * [`ObsLevel::Trace`] — metrics plus spans, kernel accounting and
+//!   request traces.
 //!
 //! The level comes from the `ADV_OBS` environment variable
 //! (`off|metrics|trace`, read once on first use) so library users can turn
@@ -37,13 +34,11 @@
 
 pub mod registry;
 pub mod sync;
-pub mod trace;
 
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, DURATION_BOUNDS_NS,
     SCORE_BOUNDS,
 };
-pub use trace::{Span, SpanGuard, SpanSummary, TraceEvent};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -54,9 +49,9 @@ use std::sync::{Arc, OnceLock};
 pub enum ObsLevel {
     /// No telemetry; every instrumentation point is a no-op.
     Off = 0,
-    /// Counters, gauges and histograms record; spans are no-ops.
+    /// Counters, gauges and histograms record; scopes are no-ops.
     Metrics = 1,
-    /// Metrics plus span events.
+    /// Metrics plus spans, kernel accounting and request traces.
     Trace = 2,
 }
 
@@ -139,10 +134,10 @@ pub fn metrics_enabled() -> bool {
     }
 }
 
-/// `true` when spans should record events.
+/// `true` at [`ObsLevel::Trace`]: `adv-profile`'s scopes record.
 ///
 /// Same single-byte fast path as [`metrics_enabled`]: the common
-/// span-off case is one relaxed load and one equality compare.
+/// scope-off case is one relaxed load and one equality compare.
 #[inline]
 pub fn trace_enabled() -> bool {
     // lint-ok(ordering-justified): a momentarily stale level only delays
@@ -161,12 +156,6 @@ pub fn trace_enabled() -> bool {
 pub fn global() -> &'static Arc<Registry> {
     static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
     GLOBAL.get_or_init(|| Arc::new(Registry::new()))
-}
-
-#[cfg(test)]
-pub(crate) fn test_level_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -189,7 +178,7 @@ mod tests {
 
     #[test]
     fn set_level_controls_gates() {
-        let _guard = test_level_lock();
+        // The only test in this crate that changes the level.
         let before = level();
         set_level(ObsLevel::Off);
         assert!(!metrics_enabled() && !trace_enabled());

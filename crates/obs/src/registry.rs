@@ -655,7 +655,7 @@ fn le_label(bound: f64) -> String {
 }
 
 /// JSON-escapes and quotes a string.
-pub(crate) fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {

@@ -1,26 +1,29 @@
-//! Kernel accounting: RAII scopes around hot kernels, aggregated into
-//! process-wide per-kernel slots and a collapsed-stack profile.
+//! Scopes: RAII guards on one per-thread frame stack, aggregated into
+//! process-wide per-kernel slots, a collapsed-stack profile and the span
+//! sink.
 //!
-//! [`KernelScope::enter`] pushes a frame on the current thread's profile
-//! stack; dropping the guard attributes the frame's *self time* (total
-//! minus time inside child scopes) to its [`KernelKind`] slot and to the
-//! collapsed call-path, and — when a trace is active on the thread (see
-//! [`crate::trace::record_into`]) — appends a [`TraceSpan`] for the causal
-//! request trace. [`StageScope`] is the same machinery for non-kernel
-//! frames (defense stages, batch formation): they shape the collapsed
-//! stacks and traces but do not own a kernel slot.
+//! [`StageScope::enter`] and [`KernelScope::enter`] push a frame on the
+//! current thread's stack; dropping the guard attributes the frame's *self
+//! time* (total minus time inside child scopes) to its collapsed call path
+//! and, for a kernel, to its [`KernelKind`] slot. A stage frame always
+//! lands as a [`TraceSpan`] in the span sink; a kernel frame does only
+//! while a request trace is active on the thread (see
+//! [`crate::trace::record_into`]), so the event stream stays at stage
+//! granularity outside traced requests.
 //!
 //! Aggregation is drop-not-block: per-kind counters are plain relaxed
-//! atomics (never contended on a lock), while collapsed stacks and trace
-//! spans buffer per-thread and merge into global sinks under `try_lock` —
-//! a contended flush retries later and, past a hard cap, drops (and
-//! counts) rather than stalls the worker.
+//! atomics (never contended on a lock), while collapsed stacks and spans
+//! buffer per-thread and merge into global sinks under `try_lock` — a
+//! contended flush retries later and, past a hard cap, drops (and counts)
+//! rather than stalls the worker. Explicit flushes and thread exit wait
+//! for the lock, so a joined thread's tail is never lost.
 
 use crate::trace::TraceSpan;
+use adv_obs::sync::lock_unpoisoned;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
 use std::time::Instant;
 
 /// The fixed set of accounted kernels. Each variant owns one process-wide
@@ -198,9 +201,28 @@ pub(crate) fn slots() -> &'static [KindSlot] {
     SLOTS.get_or_init(|| (0..KERNEL_KINDS).map(|_| KindSlot::default()).collect())
 }
 
-/// The global collapsed-stack profile: call path → accumulated self ns.
+/// One call path's accumulated accounting in the collapsed-stack profile.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PathStat {
+    /// Completed frames ending at this path.
+    pub(crate) calls: u64,
+    /// Their summed self time (ns).
+    pub(crate) self_ns: u64,
+}
+
+impl PathStat {
+    fn add(&mut self, other: PathStat) {
+        self.calls = self.calls.saturating_add(other.calls);
+        self.self_ns = self.self_ns.saturating_add(other.self_ns);
+    }
+}
+
+/// Collapsed-stack map: call path → accumulated [`PathStat`].
+pub(crate) type StackMap = HashMap<Box<[&'static str]>, PathStat>;
+
+/// The global collapsed-stack profile.
 pub(crate) struct StackSink {
-    pub(crate) stacks: Mutex<HashMap<Box<[&'static str]>, u64>>,
+    pub(crate) stacks: Mutex<StackMap>,
     pub(crate) dropped: AtomicU64,
 }
 
@@ -212,12 +234,26 @@ pub(crate) fn stack_sink() -> &'static StackSink {
     })
 }
 
-/// The instant all trace-span offsets are measured from (first use wins).
+/// The instant all span offsets are measured from (first use wins).
 pub(crate) fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    // lint-ok(gated-clocks): reached only from frame entry/exit, both
-    // behind the enabled() gate; profiling timestamps are the feature.
+    // lint-ok(gated-clocks): reached only from frame entry/exit and
+    // record_event, all behind the enabled() gate; profiling timestamps
+    // are the feature.
     *EPOCH.get_or_init(Instant::now)
+}
+
+/// Locks `mutex`: waiting when `wait`, otherwise only if uncontended
+/// (poison is recovered either way, see `adv_obs::sync`).
+pub(crate) fn acquire<T>(mutex: &Mutex<T>, wait: bool) -> Option<MutexGuard<'_, T>> {
+    if wait {
+        return Some(lock_unpoisoned(mutex));
+    }
+    match mutex.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
 }
 
 struct Frame {
@@ -233,14 +269,16 @@ const STACK_FLUSH_THRESHOLD: usize = 128;
 /// Hard cap on a thread's local stack map under sink contention; beyond
 /// it, entries are dropped (and counted) instead of growing unboundedly.
 const STACK_LOCAL_CAP: usize = 4096;
-/// Pending trace spans a thread buffers before flushing.
+/// Pending spans a thread buffers before flushing.
 const SPAN_FLUSH_THRESHOLD: usize = 512;
 
 struct ThreadProf {
+    /// Dense per-process thread index stamped on spans (not the OS id).
+    thread: u64,
     frames: Vec<Frame>,
     /// Scratch key for collapsed-stack lookups (avoids an alloc per drop).
     path: Vec<&'static str>,
-    stacks: HashMap<Box<[&'static str]>, u64>,
+    stacks: StackMap,
     spans: Vec<TraceSpan>,
     /// Trace id scope drops record spans into (0 = none active).
     trace: u64,
@@ -248,7 +286,9 @@ struct ThreadProf {
 
 impl ThreadProf {
     fn new() -> ThreadProf {
+        static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
         ThreadProf {
+            thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
             frames: Vec::new(),
             path: Vec::new(),
             stacks: HashMap::new(),
@@ -257,16 +297,19 @@ impl ThreadProf {
         }
     }
 
-    fn flush(&mut self) {
+    /// Merges the thread's buffers into the global sinks. With `wait`
+    /// false a contended sink is skipped (retried at the next flush), so
+    /// the hot path never blocks; explicit flushes and thread exit wait.
+    fn flush(&mut self, wait: bool) {
         if !self.stacks.is_empty() {
             let sink = stack_sink();
-            match sink.stacks.try_lock() {
-                Ok(mut global) => {
-                    for (path, ns) in self.stacks.drain() {
-                        *global.entry(path).or_insert(0) += ns;
+            match acquire(&sink.stacks, wait) {
+                Some(mut global) => {
+                    for (path, stat) in self.stacks.drain() {
+                        global.entry(path).or_default().add(stat);
                     }
                 }
-                Err(_) => {
+                None => {
                     if self.stacks.len() > STACK_LOCAL_CAP {
                         // Drop-not-block: a worker never stalls on the
                         // profile sink; losses are visible in `dropped`.
@@ -280,14 +323,21 @@ impl ThreadProf {
             }
         }
         if !self.spans.is_empty() {
-            crate::trace::flush_spans(&mut self.spans);
+            crate::trace::flush_spans(&mut self.spans, wait);
+        }
+    }
+
+    fn push_span(&mut self, span: TraceSpan) {
+        self.spans.push(span);
+        if self.spans.len() >= SPAN_FLUSH_THRESHOLD {
+            self.flush(false);
         }
     }
 }
 
 impl Drop for ThreadProf {
     fn drop(&mut self) {
-        self.flush();
+        self.flush(true);
     }
 }
 
@@ -308,7 +358,7 @@ fn enter_frame(name: &'static str, kind: Option<KernelKind>, work: Work) -> bool
                 name,
                 kind,
                 // lint-ok(gated-clocks): behind the enabled() gate at every
-                // scope entry; kernel timing IS the feature here.
+                // scope entry; frame timing IS the feature here.
                 start: Instant::now(),
                 child_ns: 0,
                 work,
@@ -354,29 +404,30 @@ fn exit_frame() {
         path.clear();
         path.extend(frames.iter().map(|f| f.name));
         path.push(frame.name);
+        let stat = PathStat { calls: 1, self_ns };
         match stacks.get_mut(path.as_slice()) {
-            Some(ns) => *ns = ns.saturating_add(self_ns),
+            Some(acc) => acc.add(stat),
             None => {
-                stacks.insert(path.clone().into_boxed_slice(), self_ns);
+                stacks.insert(path.clone().into_boxed_slice(), stat);
             }
         }
 
-        if tp.trace != 0 {
-            let start_ns = frame.start.duration_since(epoch()).as_nanos() as u64;
+        // Stage frames always become spans; kernel frames only inside an
+        // active request trace.
+        if frame.kind.is_none() || tp.trace != 0 {
             let span = TraceSpan {
                 trace: tp.trace,
                 name: frame.name,
+                thread: tp.thread,
                 depth: tp.frames.len() as u16,
-                start_ns,
+                start_ns: frame.start.duration_since(epoch()).as_nanos() as u64,
                 dur_ns: total_ns,
             };
-            tp.spans.push(span);
+            tp.push_span(span);
         }
 
-        if tp.spans.len() >= SPAN_FLUSH_THRESHOLD
-            || (tp.frames.is_empty() && tp.stacks.len() >= STACK_FLUSH_THRESHOLD)
-        {
-            tp.flush();
+        if tp.frames.is_empty() && tp.stacks.len() >= STACK_FLUSH_THRESHOLD {
+            tp.flush(false);
         }
     });
 }
@@ -391,24 +442,23 @@ pub(crate) fn swap_thread_trace(trace: u64) -> u64 {
         .unwrap_or(0)
 }
 
-/// Buffers one explicit span (e.g. a queue-wait event) on the thread.
-pub(crate) fn push_span(span: TraceSpan) {
+/// Buffers one explicit span (e.g. a queue-wait event) on the thread,
+/// stamping the thread index.
+pub(crate) fn push_span(mut span: TraceSpan) {
     let _ = THREAD_PROF.try_with(|tp| {
         let mut tp = tp.borrow_mut();
-        tp.spans.push(span);
-        if tp.spans.len() >= SPAN_FLUSH_THRESHOLD {
-            tp.flush();
-        }
+        span.thread = tp.thread;
+        tp.push_span(span);
     });
 }
 
 /// Flushes the calling thread's buffered stacks and spans into the global
-/// sinks. Threads flush automatically at buffer thresholds, whenever the
-/// frame stack unwinds to empty with enough pending entries, and on
-/// thread exit; call this before reading a report on the thread that did
-/// the work (e.g. `main`).
+/// sinks, waiting for the locks. Threads flush automatically at buffer
+/// thresholds, whenever the frame stack unwinds to empty with enough
+/// pending entries, and on thread exit; call this before reading a report
+/// on the thread that did the work (e.g. `main`).
 pub fn flush_current_thread() {
-    let _ = THREAD_PROF.try_with(|tp| tp.borrow_mut().flush());
+    let _ = THREAD_PROF.try_with(|tp| tp.borrow_mut().flush(true));
 }
 
 /// Clears the kernel slots and the collapsed-stack sink (tests/probes).
@@ -424,9 +474,7 @@ pub(crate) fn reset_kernels() {
         slot.bytes.store(0, Ordering::Relaxed); // lint-ok(ordering-justified): reset of independent counter, see loop comment
     }
     let sink = stack_sink();
-    if let Ok(mut stacks) = sink.stacks.lock() {
-        stacks.clear();
-    }
+    lock_unpoisoned(&sink.stacks).clear();
     // lint-ok(ordering-justified): see above — reset of an independent
     // counter.
     sink.dropped.store(0, Ordering::Relaxed);
@@ -442,7 +490,7 @@ pub fn dropped_stacks() -> u64 {
 
 /// RAII guard accounting one kernel invocation; see the module docs.
 ///
-/// The `work` closure is evaluated only when profiling is enabled, so the
+/// The `work` closure is evaluated only when recording is enabled, so the
 /// disabled path never computes volumes:
 ///
 /// ```
@@ -457,8 +505,8 @@ pub struct KernelScope {
 }
 
 impl KernelScope {
-    /// Opens a kernel scope; a no-op (one relaxed load) while profiling is
-    /// off.
+    /// Opens a kernel scope; a no-op (one relaxed load) below
+    /// [`adv_obs::ObsLevel::Trace`].
     #[inline]
     pub fn enter(kind: KernelKind, work: impl FnOnce() -> Work) -> KernelScope {
         if !crate::enabled() {
@@ -478,8 +526,16 @@ impl Drop for KernelScope {
     }
 }
 
-/// RAII guard for a non-kernel frame (defense stage, batch formation):
-/// contributes to collapsed stacks and traces, owns no kernel slot.
+/// RAII guard for a named stage (an attack iteration, a training batch, a
+/// defense stage, batch formation): the span primitive of the stack. It
+/// shapes the collapsed stacks, lands as a [`TraceSpan`] in the span sink
+/// and the frame summary, and owns no kernel slot.
+///
+/// ```
+/// use adv_profile::StageScope;
+/// let _stage = StageScope::enter("ead/ista_iter");
+/// // ... run the stage ...
+/// ```
 #[derive(Debug)]
 #[must_use = "the stage ends when the guard is dropped"]
 pub struct StageScope {
@@ -487,8 +543,8 @@ pub struct StageScope {
 }
 
 impl StageScope {
-    /// Opens a stage frame; a no-op (one relaxed load) while profiling is
-    /// off.
+    /// Opens a stage frame; a no-op (one relaxed load) below
+    /// [`adv_obs::ObsLevel::Trace`].
     #[inline]
     pub fn enter(name: &'static str) -> StageScope {
         if !crate::enabled() {
@@ -521,13 +577,20 @@ mod tests {
     #[test]
     fn disabled_scopes_record_nothing() {
         let _guard = test_enabled_lock();
+        // Disabling wins over a trace level set by `ADV_OBS` or `--obs`.
+        adv_obs::set_level(adv_obs::ObsLevel::Trace);
         crate::set_enabled(false);
         crate::reset();
         {
+            let _stage = StageScope::enter("off/stage");
             let _s = KernelScope::enter(KernelKind::MatMul, || Work::matmul(4, 4, 4));
+            let _rec = crate::record_into(crate::next_trace_id());
         }
         assert_eq!(slot_of(KernelKind::MatMul).calls.load(Ordering::Relaxed), 0);
         assert!(crate::report::collapsed().is_empty());
+        assert!(crate::frame_summaries().is_empty());
+        assert!(crate::take_spans().is_empty());
+        assert!(crate::next_trace_id().is_none());
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! Profile exports: the per-kernel achieved-rate table, the
-//! collapsed-stack (flamegraph-compatible) dump, and gauges published into
-//! an `adv-obs` registry.
+//! Profile exports: the per-kernel achieved-rate table, the per-frame
+//! self/total/count summary, the collapsed-stack (flamegraph-compatible)
+//! dump, and gauges published into an `adv-obs` registry.
 
-use crate::kernel::{self, KernelKind};
+use crate::kernel::{self, KernelKind, StackMap};
+use adv_obs::sync::lock_unpoisoned;
 use adv_obs::Registry;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
+use std::time::Duration;
 
 /// One kernel's accumulated accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,24 +126,119 @@ pub fn kernel_table() -> String {
     out
 }
 
+/// Runs `f` over the collapsed-stack sink after flushing the calling
+/// thread.
+fn with_stacks<R>(f: impl FnOnce(&StackMap) -> R) -> R {
+    kernel::flush_current_thread();
+    f(&lock_unpoisoned(&kernel::stack_sink().stacks))
+}
+
 /// The collapsed-stack dump in the flamegraph "folded" format — one line
 /// per distinct call path, `frame;frame;frame self_ns`, sorted for stable
 /// output. Feed it straight to `flamegraph.pl` or `inferno`.
 pub fn collapsed() -> String {
-    kernel::flush_current_thread();
-    let sink = kernel::stack_sink();
-    let mut lines: Vec<String> = match sink.stacks.lock() {
-        Ok(stacks) => stacks
+    let mut lines: Vec<String> = with_stacks(|stacks| {
+        stacks
             .iter()
-            .map(|(path, ns)| format!("{} {ns}", path.join(";")))
-            .collect(),
-        Err(_) => Vec::new(),
-    };
+            .map(|(path, stat)| format!("{} {}", path.join(";"), stat.self_ns))
+            .collect()
+    });
     lines.sort();
     let mut out = String::new();
     for line in lines {
         out.push_str(&line);
         out.push('\n');
+    }
+    out
+}
+
+/// Aggregated timing of one frame name (stage or kernel).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrameSummary {
+    /// Frame name.
+    pub name: &'static str,
+    /// Completed occurrences.
+    pub count: u64,
+    /// Wall time inside the frame, children included.
+    pub total: Duration,
+    /// Wall time inside the frame minus time inside child frames.
+    pub self_time: Duration,
+}
+
+/// Per-name summary of every frame recorded so far, sorted by self time
+/// descending. Derived from the collapsed stacks: a path's total is its
+/// own self time plus that of every path below it.
+pub fn frame_summaries() -> Vec<FrameSummary> {
+    let by_name = with_stacks(|stacks| {
+        let mut by_name: HashMap<&'static str, (u64, u64, u64)> = HashMap::new();
+        for (path, stat) in stacks {
+            let Some(&name) = path.last() else { continue };
+            let total_ns: u64 = stacks
+                .iter()
+                .filter(|(below, _)| below.starts_with(path))
+                .map(|(_, s)| s.self_ns)
+                .sum();
+            let entry = by_name.entry(name).or_default();
+            entry.0 += stat.calls;
+            entry.1 += total_ns;
+            entry.2 += stat.self_ns;
+        }
+        by_name
+    });
+    let mut summaries: Vec<FrameSummary> = by_name
+        .into_iter()
+        .map(|(name, (count, total_ns, self_ns))| FrameSummary {
+            name,
+            count,
+            total: Duration::from_nanos(total_ns),
+            self_time: Duration::from_nanos(self_ns),
+        })
+        .collect();
+    summaries.sort_by(|a, b| b.self_time.cmp(&a.self_time).then(a.name.cmp(b.name)));
+    summaries
+}
+
+/// Renders the self/total/count summary table printed at experiment end.
+/// `wall` is the experiment's wall-clock time; each row and the footer
+/// report their self time's share of it.
+pub fn render_summary(summaries: &[FrameSummary], wall: Duration) -> String {
+    let share = |d: Duration| {
+        if wall.is_zero() {
+            0.0
+        } else {
+            100.0 * d.as_secs_f64() / wall.as_secs_f64()
+        }
+    };
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<28} {:>10} {:>12} {:>12} {:>8}",
+        "frame", "count", "total", "self", "% wall"
+    );
+    for s in summaries {
+        let _ = writeln!(
+            out,
+            "{:<28} {:>10} {:>12} {:>12} {:>7.1}%",
+            s.name,
+            s.count,
+            format_ns(s.total.as_nanos() as u64),
+            format_ns(s.self_time.as_nanos() as u64),
+            share(s.self_time)
+        );
+    }
+    let self_sum: Duration = summaries.iter().map(|s| s.self_time).sum();
+    let _ = writeln!(
+        out,
+        "{:<28} {:>10} {:>12} {:>12} {:>7.1}%",
+        "TOTAL (self)",
+        "",
+        "",
+        format_ns(self_sum.as_nanos() as u64),
+        share(self_sum)
+    );
+    let dropped = crate::trace::dropped_spans();
+    if dropped > 0 {
+        let _ = writeln!(out, "({dropped} spans dropped at the sink cap)");
     }
     out
 }
@@ -186,7 +284,7 @@ fn format_ns(ns: u64) -> String {
 mod tests {
     use super::*;
     use crate::test_enabled_lock;
-    use crate::{KernelScope, Work};
+    use crate::{KernelScope, StageScope, Work};
 
     #[test]
     fn reports_table_and_registry_cover_recorded_kernels() {
@@ -239,5 +337,71 @@ mod tests {
         let mut parts = line.rsplitn(2, ' ');
         let ns: u64 = parts.next().unwrap_or("x").parse().unwrap_or(u64::MAX);
         assert!(ns < u64::MAX, "numeric self field: {line}");
+    }
+
+    #[test]
+    fn nested_frames_attribute_self_time_to_parent_minus_children() {
+        let _guard = test_enabled_lock();
+        crate::set_enabled(true);
+        crate::reset();
+        {
+            let _outer = StageScope::enter("test/outer");
+            std::thread::sleep(Duration::from_millis(4));
+            for _ in 0..2 {
+                let _inner = StageScope::enter("test/inner");
+                std::thread::sleep(Duration::from_millis(3));
+            }
+        }
+        crate::set_enabled(false);
+        let summaries = frame_summaries();
+        let find = |name: &str| summaries.iter().find(|s| s.name == name).cloned();
+        let (Some(outer), Some(inner)) = (find("test/outer"), find("test/inner")) else {
+            panic!("both frames summarised: {summaries:?}");
+        };
+        assert_eq!(outer.count, 1);
+        assert_eq!(inner.count, 2);
+        assert!(inner.total >= Duration::from_millis(6));
+        assert_eq!(inner.self_time, inner.total, "leaf self time is its total");
+        // Outer self time excludes the inner frames.
+        assert_eq!(outer.self_time, outer.total - inner.total);
+        assert!(outer.self_time >= Duration::from_millis(4));
+
+        let spans = crate::take_spans();
+        assert_eq!(spans.len(), 3, "{spans:?}");
+        let Some(outer_ev) = spans.iter().find(|s| s.name == "test/outer") else {
+            panic!("outer span recorded: {spans:?}");
+        };
+        assert_eq!(outer_ev.depth, 0);
+        let inner_evs: Vec<_> = spans.iter().filter(|s| s.name == "test/inner").collect();
+        assert_eq!(inner_evs.len(), 2);
+        // Children start and end within the parent's interval.
+        for e in &inner_evs {
+            assert_eq!(e.depth, 1);
+            assert!(e.start_ns >= outer_ev.start_ns);
+            assert!(e.start_ns + e.dur_ns <= outer_ev.start_ns + outer_ev.dur_ns + 1_000_000);
+        }
+    }
+
+    #[test]
+    fn summary_table_reports_wall_fraction() {
+        let summaries = [
+            FrameSummary {
+                name: "x",
+                count: 2,
+                total: Duration::from_millis(90),
+                self_time: Duration::from_millis(90),
+            },
+            FrameSummary {
+                name: "y",
+                count: 1,
+                total: Duration::from_millis(5),
+                self_time: Duration::from_millis(5),
+            },
+        ];
+        let table = render_summary(&summaries, Duration::from_millis(100));
+        assert!(table.contains("x"), "{table}");
+        assert!(table.contains("90.0%"), "{table}");
+        assert!(table.contains("TOTAL (self)"), "{table}");
+        assert!(table.contains("95.0%"), "{table}");
     }
 }

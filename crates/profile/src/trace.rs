@@ -1,28 +1,37 @@
-//! Causal request traces: a [`TraceId`] minted at submit time, threaded
-//! through queue wait, batch formation, defense stages and kernel scopes.
+//! The span sink, and causal request traces threaded through it.
+//!
+//! Every stage frame, and every kernel frame inside an active request
+//! trace, lands as a [`TraceSpan`] in one bounded process-wide buffer (see
+//! [`crate::kernel`]). When the buffer is full the oldest spans are
+//! evicted and counted in [`dropped_spans`]. [`take_spans`] drains it as
+//! the `trace.jsonl` event stream ([`spans_to_jsonl`]).
 //!
 //! The serving engine mints one id per request ([`next_trace_id`]) and one
 //! per executed batch; [`link`] ties each request to the batch that served
 //! it. The worker activates the batch id on its thread with
 //! [`record_into`], so every [`KernelScope`](crate::KernelScope) /
-//! [`StageScope`](crate::StageScope) drop during the batch also lands as a
-//! [`TraceSpan`] in a bounded global ring (newest spans win; a contended
-//! flush drops rather than blocks, like the kernel sink). Request-level
-//! events that happen outside the worker — queue wait, total latency — are
-//! recorded explicitly with [`record_event`].
+//! [`StageScope`](crate::StageScope) drop during the batch carries that id.
+//! Request-level events that happen outside the worker — queue wait, total
+//! latency — are recorded explicitly with [`record_event`].
 //!
 //! [`observe_latency`] keeps one exemplar trace id per latency-histogram
 //! bucket (last writer wins), so "what does a 16–32 ms request look like?"
 //! resolves to a concrete span tree via [`spans_for`]/[`render_trace`]
 //! instead of a bucket count.
 
+use adv_obs::sync::lock_unpoisoned;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Hard cap on spans held in the global ring; older spans are evicted.
-pub const MAX_TRACE_SPANS: usize = 1 << 16;
+/// Hard cap on spans held in the sink; older spans are evicted (and
+/// counted as dropped).
+pub const MAX_TRACE_SPANS: usize = 1 << 20;
+
+/// Pending spans a thread keeps while the sink is contended; beyond it
+/// they are dropped (and counted) instead of growing unboundedly.
+const SPAN_LOCAL_CAP: usize = 4096;
 
 /// Hard cap on request→batch links held; older links are evicted.
 pub const MAX_TRACE_LINKS: usize = 1 << 14;
@@ -54,13 +63,15 @@ impl TraceId {
     }
 }
 
-/// One recorded interval inside a trace.
+/// One recorded interval: a completed frame or an explicit event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSpan {
-    /// Owning trace id (a request's or a batch's).
+    /// Owning trace id (a request's or a batch's; 0 = outside any trace).
     pub trace: u64,
     /// Frame name (kernel name, stage name, or an explicit event name).
     pub name: &'static str,
+    /// Dense per-process index of the recording thread (not the OS id).
+    pub thread: u64,
     /// Nesting depth at entry (0 = top level on its thread).
     pub depth: u16,
     /// Start offset in nanoseconds from the process profile epoch.
@@ -94,30 +105,44 @@ fn sink() -> &'static TraceSink {
     })
 }
 
-/// Merges a thread's pending spans into the global ring (newest win).
-/// Drop-not-block: a contended ring drops the batch and counts it.
-pub(crate) fn flush_spans(pending: &mut Vec<TraceSpan>) {
+/// Merges a thread's pending spans into the sink, evicting (and counting)
+/// the oldest past [`MAX_TRACE_SPANS`]. Without `wait` a contended sink
+/// leaves them pending for the next flush, dropping (and counting) them
+/// only past a local cap. The overflow is dropped before the merge, and
+/// growth is clamped to the cap, so the buffer never holds or reserves
+/// more than [`MAX_TRACE_SPANS`] spans.
+pub(crate) fn flush_spans(pending: &mut Vec<TraceSpan>, wait: bool) {
     let sink = sink();
-    match sink.spans.try_lock() {
-        Ok(mut ring) => {
-            for span in pending.drain(..) {
-                if ring.len() >= MAX_TRACE_SPANS {
-                    ring.pop_front();
-                }
-                ring.push_back(span);
-            }
-        }
-        Err(_) => {
+    let Some(mut ring) = crate::kernel::acquire(&sink.spans, wait) else {
+        if pending.len() > SPAN_LOCAL_CAP {
             // lint-ok(ordering-justified): independent overflow counter;
             // readers only report it.
             sink.dropped
                 .fetch_add(pending.len() as u64, Ordering::Relaxed);
             pending.clear();
         }
+        return;
+    };
+    let overflow = (ring.len() + pending.len()).saturating_sub(MAX_TRACE_SPANS);
+    if overflow > 0 {
+        // lint-ok(ordering-justified): independent overflow counter;
+        // readers only report it.
+        sink.dropped.fetch_add(overflow as u64, Ordering::Relaxed);
+        let from_ring = overflow.min(ring.len());
+        ring.drain(..from_ring);
+        pending.drain(..overflow - from_ring);
     }
+    let need = ring.len() + pending.len();
+    if need > ring.capacity() {
+        let target = (ring.capacity() * 2).clamp(need, MAX_TRACE_SPANS);
+        let additional = target - ring.len();
+        ring.reserve_exact(additional);
+    }
+    ring.extend(pending.drain(..));
 }
 
-/// Spans dropped because the span ring stayed contended at flush time.
+/// Spans dropped at the sink: evicted past [`MAX_TRACE_SPANS`] or lost
+/// to prolonged contention.
 pub fn dropped_spans() -> u64 {
     // lint-ok(ordering-justified): reporting-only read of an independent
     // counter; staleness is fine.
@@ -148,6 +173,7 @@ pub fn record_event(trace: TraceId, name: &'static str, dur_ns: u64) {
     crate::kernel::push_span(TraceSpan {
         trace: trace.0,
         name,
+        thread: 0,
         depth: 0,
         start_ns: now_ns.saturating_sub(dur_ns),
         dur_ns,
@@ -245,22 +271,16 @@ pub fn spans_for(trace: TraceId) -> Vec<TraceSpan> {
     }
     crate::kernel::flush_current_thread();
     let sink = sink();
-    let batches: Vec<u64> = match sink.links.lock() {
-        Ok(links) => links
-            .iter()
-            .filter(|(req, _)| *req == trace.0)
-            .map(|(_, batch)| *batch)
-            .collect(),
-        Err(_) => Vec::new(),
-    };
-    let mut spans: Vec<TraceSpan> = match sink.spans.lock() {
-        Ok(ring) => ring
-            .iter()
-            .filter(|s| s.trace == trace.0 || batches.contains(&s.trace))
-            .copied()
-            .collect(),
-        Err(_) => Vec::new(),
-    };
+    let batches: Vec<u64> = lock_unpoisoned(&sink.links)
+        .iter()
+        .filter(|(req, _)| *req == trace.0)
+        .map(|(_, batch)| *batch)
+        .collect();
+    let mut spans: Vec<TraceSpan> = lock_unpoisoned(&sink.spans)
+        .iter()
+        .filter(|s| s.trace == trace.0 || batches.contains(&s.trace))
+        .copied()
+        .collect();
     spans.sort_by_key(|s| (s.start_ns, s.depth));
     spans
 }
@@ -290,15 +310,39 @@ pub fn render_trace(trace: TraceId) -> String {
     out
 }
 
+/// Takes every span out of the sink, sorted by start time — the
+/// `trace.jsonl` export. Flushes the calling thread first; other threads'
+/// tails land once they flush or exit.
+pub fn take_spans() -> Vec<TraceSpan> {
+    crate::kernel::flush_current_thread();
+    let mut spans = Vec::from(std::mem::take(&mut *lock_unpoisoned(&sink().spans)));
+    spans.sort_by_key(|s| s.start_ns);
+    spans
+}
+
+/// Serializes spans as JSON lines, one object per span.
+pub fn spans_to_jsonl(spans: &[TraceSpan]) -> String {
+    let mut out = String::new();
+    for s in spans {
+        let _ = writeln!(
+            out,
+            "{{\"name\":{},\"trace\":{},\"thread\":{},\"depth\":{},\"start_ns\":{},\"duration_ns\":{}}}",
+            adv_obs::registry::json_string(s.name),
+            s.trace,
+            s.thread,
+            s.depth,
+            s.start_ns,
+            s.dur_ns
+        );
+    }
+    out
+}
+
 /// Clears spans, links, exemplars and the drop counter (tests/probes).
 pub(crate) fn reset_traces() {
     let sink = sink();
-    if let Ok(mut spans) = sink.spans.lock() {
-        spans.clear();
-    }
-    if let Ok(mut links) = sink.links.lock() {
-        links.clear();
-    }
+    lock_unpoisoned(&sink.spans).clear();
+    lock_unpoisoned(&sink.links).clear();
     // lint-ok(ordering-justified): test/probe-only reset of an independent
     // counter.
     sink.dropped.store(0, Ordering::Relaxed);
@@ -399,24 +443,135 @@ mod tests {
         assert!(ex.iter().any(|&(_, id)| id == b.as_u64()));
     }
 
+    fn fill(start_ns: u64) -> TraceSpan {
+        TraceSpan {
+            trace: 7,
+            name: "fill",
+            thread: 0,
+            depth: 0,
+            start_ns,
+            dur_ns: 1,
+        }
+    }
+
     #[test]
     fn span_ring_evicts_oldest() {
         let _guard = test_enabled_lock();
         crate::set_enabled(true);
         crate::reset();
-        let mut pending: Vec<TraceSpan> = (0..MAX_TRACE_SPANS + 10)
-            .map(|i| TraceSpan {
-                trace: 7,
-                name: "fill",
-                depth: 0,
-                start_ns: i as u64,
-                dur_ns: 1,
-            })
-            .collect();
-        flush_spans(&mut pending);
+        let mut pending: Vec<TraceSpan> = (0..MAX_TRACE_SPANS as u64 + 10).map(fill).collect();
+        flush_spans(&mut pending, true);
+        // A full sink takes a further batch by evicting, not by growing.
+        let end = MAX_TRACE_SPANS as u64 + 10;
+        let mut pending: Vec<TraceSpan> = (end..end + 5).map(fill).collect();
+        flush_spans(&mut pending, true);
+        assert!(pending.is_empty());
+        let capacity = lock_unpoisoned(&sink().spans).capacity();
+        assert!(capacity <= MAX_TRACE_SPANS, "capacity {capacity}");
         crate::set_enabled(false);
         let spans = spans_for(TraceId::from_u64(7));
         assert_eq!(spans.len(), MAX_TRACE_SPANS);
-        assert_eq!(spans.first().map(|s| s.start_ns), Some(10));
+        assert_eq!(spans.first().map(|s| s.start_ns), Some(15));
+        assert_eq!(spans.last().map(|s| s.start_ns), Some(end + 4));
+        assert_eq!(dropped_spans(), 15);
+        crate::reset();
+    }
+
+    #[test]
+    fn sink_cap_counts_drops() {
+        let _guard = test_enabled_lock();
+        crate::set_enabled(true);
+        crate::reset();
+        let mut pending: Vec<TraceSpan> = (0..MAX_TRACE_SPANS as u64).map(fill).collect();
+        flush_spans(&mut pending, true);
+        {
+            let _s = StageScope::enter("over/cap");
+        }
+        crate::kernel::flush_current_thread();
+        crate::set_enabled(false);
+        assert_eq!(dropped_spans(), 1);
+        let spans = take_spans();
+        assert_eq!(spans.len(), MAX_TRACE_SPANS);
+        assert!(
+            spans.iter().any(|s| s.name == "over/cap"),
+            "newest span kept"
+        );
+        crate::reset();
+    }
+
+    #[test]
+    fn stage_frames_outside_traces_are_exported_and_kernel_frames_are_not() {
+        let _guard = test_enabled_lock();
+        crate::set_enabled(true);
+        crate::reset();
+        {
+            let _stage = StageScope::enter("probe/stage");
+            let _k = KernelScope::enter(KernelKind::MatMul, || Work::matmul(2, 2, 2));
+        }
+        crate::set_enabled(false);
+        let spans = take_spans();
+        let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["probe/stage"]);
+        assert_eq!(spans.first().map(|s| s.trace), Some(0));
+        let jsonl = spans_to_jsonl(&spans);
+        assert!(jsonl.contains("\"name\":\"probe/stage\""), "{jsonl}");
+        assert!(!jsonl.contains("matmul"), "{jsonl}");
+        assert!(take_spans().is_empty(), "taking drains the sink");
+    }
+
+    #[test]
+    fn spans_from_joined_threads_are_drained() {
+        let _guard = test_enabled_lock();
+        crate::set_enabled(true);
+        crate::reset();
+        let threads: Vec<_> = (0..3)
+            .map(|_| {
+                std::thread::spawn(|| {
+                    let _s = StageScope::enter("worker/span");
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("worker thread panicked");
+        }
+        crate::set_enabled(false);
+        let spans = take_spans();
+        assert_eq!(spans.len(), 3);
+        let threads_seen: std::collections::HashSet<u64> = spans.iter().map(|s| s.thread).collect();
+        assert_eq!(threads_seen.len(), 3, "one thread index per worker");
+        let summary = crate::frame_summaries();
+        let worker = summary.iter().find(|s| s.name == "worker/span");
+        assert_eq!(worker.map(|s| s.count), Some(3));
+    }
+
+    #[test]
+    fn jsonl_serialization_is_one_object_per_line() {
+        let spans = [
+            TraceSpan {
+                trace: 0,
+                name: "a/b",
+                thread: 0,
+                depth: 0,
+                start_ns: 5,
+                dur_ns: 10,
+            },
+            TraceSpan {
+                trace: 9,
+                name: "c",
+                thread: 1,
+                depth: 2,
+                start_ns: 7,
+                dur_ns: 1,
+            },
+        ];
+        let jsonl = spans_to_jsonl(&spans);
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(
+            lines.first().copied(),
+            Some(
+                "{\"name\":\"a/b\",\"trace\":0,\"thread\":0,\"depth\":0,\"start_ns\":5,\"duration_ns\":10}"
+            )
+        );
     }
 }

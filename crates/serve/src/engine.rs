@@ -36,7 +36,7 @@ use crate::{DegradePolicy, EngineHealth, RestartPolicy};
 use crate::{Result, ServeError};
 use adv_chaos::FaultInjector;
 use adv_magnet::{DefensePipeline, DefenseScheme, StageTimings, Verdict};
-use adv_obs::Span;
+use adv_profile::StageScope;
 use adv_profile::TraceId;
 use adv_tensor::Tensor;
 use std::collections::{HashMap, VecDeque};
@@ -489,7 +489,7 @@ fn worker_loop(ctx: &WorkerCtx) -> WorkerExit {
         let batch = {
             // Poll time covers both idle waiting and batch coalescing; in a
             // trace it shows up as the worker's non-pipeline time.
-            let _poll = Span::enter("serve/poll");
+            let _poll = StageScope::enter("serve/poll");
             ctx.shared
                 .queue
                 .pop_batch(ctx.cfg.max_batch, ctx.cfg.max_wait)
@@ -541,7 +541,7 @@ fn process_batch(ctx: &WorkerCtx, batch: Vec<Request>) -> WorkerExit {
     }
 
     while let Some(group) = groups.pop_front() {
-        let _batch_span = Span::enter("serve/batch");
+        let _batch_span = StageScope::enter("serve/batch");
         // lint-ok(gated-clocks): batch start time feeds the queue_wait and
         // latency response fields; measuring it is part of the API.
         let started = Instant::now();
@@ -565,11 +565,11 @@ fn process_batch(ctx: &WorkerCtx, batch: Vec<Request>) -> WorkerExit {
         let outcome = loop {
             let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 let stacked = {
-                    let _stack = Span::enter("serve/stack");
+                    let _stack = StageScope::enter("serve/stack");
                     Tensor::stack(&inputs).map_err(|e| ServeError::Pipeline(e.to_string()))
                 };
                 stacked.and_then(|x| {
-                    let _pipeline = Span::enter("serve/pipeline");
+                    let _pipeline = StageScope::enter("serve/pipeline");
                     // The fused pass memoises sub-computations shared
                     // between detectors, reformer, and classifier within
                     // the batch; its verdicts are bit-identical to serial
@@ -608,7 +608,7 @@ fn process_batch(ctx: &WorkerCtx, batch: Vec<Request>) -> WorkerExit {
             Exec::Served((verdicts, det_scores, timings)) => {
                 if shared.breaker.on_success(role) == Some(BreakerEvent::Closed) {
                     shared.metrics.record_breaker_closed();
-                    let _t = Span::enter("serve/breaker/close");
+                    let _t = StageScope::enter("serve/breaker/close");
                 }
                 shared
                     .metrics
@@ -697,7 +697,7 @@ fn record_group_failure(ctx: &WorkerCtx, role: BatchRole) {
         shared.breaker.on_failure(role, shared.health.now_ns())
     {
         shared.metrics.record_breaker_opened();
-        let _t = Span::enter("serve/breaker/open");
+        let _t = StageScope::enter("serve/breaker/open");
     }
 }
 
@@ -766,7 +766,7 @@ fn supervisor_loop(
         history.push_back(now);
         ctx.shared.health.mark_degraded(restart.window);
         ctx.shared.metrics.record_worker_restart();
-        let _respawn = Span::enter("serve/worker/respawn");
+        let _respawn = StageScope::enter("serve/worker/respawn");
         let id = next_id;
         next_id += 1;
         match spawn_worker(id, ctx.clone()) {
