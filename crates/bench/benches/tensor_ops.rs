@@ -1,5 +1,5 @@
 //! Benchmarks of the tensor kernels that dominate runtime: matmul variants,
-//! im2col-based convolution (forward and backward), pooling and norms.
+//! convolution (direct forward, im2col-based backward), pooling and norms.
 
 use adv_bench::image_batch;
 use adv_tensor::ops::{
@@ -49,6 +49,27 @@ fn bench_conv(c: &mut Criterion) {
     g.finish();
 }
 
+/// Forward conv at the shapes the MagNet serving pipeline runs at batch 32.
+fn bench_conv_serving(c: &mut Criterion) {
+    let mut g = c.benchmark_group("conv2d_b32");
+    for (name, ic, oc, hw) in [
+        ("1to3_28x28", 1, 3, 28),
+        ("3to3_28x28", 3, 3, 28),
+        ("8to16_14x14", 8, 16, 14),
+    ] {
+        let x = image_batch(32, ic, hw);
+        let spec = Conv2dSpec::same(ic, oc, 3);
+        let w = Tensor::from_fn(Shape::new(vec![oc, ic, 3, 3]), |i| {
+            (i % 5) as f32 * 0.1 - 0.2
+        });
+        let b = Tensor::zeros(Shape::vector(oc));
+        g.bench_function(name, |bench| {
+            bench.iter(|| conv2d(black_box(&x), &w, &b, &spec).expect("conv2d failed"))
+        });
+    }
+    g.finish();
+}
+
 fn bench_pool_and_norms(c: &mut Criterion) {
     let x = image_batch(8, 3, 16);
     let y = image_batch(8, 3, 16);
@@ -68,5 +89,11 @@ fn bench_pool_and_norms(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_matmul, bench_conv, bench_pool_and_norms);
+criterion_group!(
+    benches,
+    bench_matmul,
+    bench_conv,
+    bench_conv_serving,
+    bench_pool_and_norms
+);
 criterion_main!(benches);

@@ -72,11 +72,11 @@ fn pass1_inventory_matches_the_workspace() {
         "unsafe_policy.txt pre-clears the SIMD lane"
     );
 
-    // Kernel accounting: all fourteen KernelKind slots exist and each one
+    // Kernel accounting: all fifteen KernelKind slots exist and each one
     // is entered by at least one non-test KernelScope::enter site.
     assert_eq!(
         table.kernel_variants.len(),
-        14,
+        15,
         "KernelKind inventory drifted: {:?}",
         table
             .kernel_variants

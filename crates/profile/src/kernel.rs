@@ -35,15 +35,15 @@ pub enum KernelKind {
     MatMul = 0,
     /// `C = Aᵀ·B` (weight-gradient product).
     MatMulAtB = 1,
-    /// `C = A·Bᵀ` (input-gradient product, conv forward inner product).
+    /// `C = A·Bᵀ` (dense input-gradient product).
     MatMulABt = 2,
     /// Convolution patch extraction.
     Im2col = 3,
     /// Patch scatter-accumulate (conv backward).
     Col2im = 4,
-    /// Full conv2d forward (contains im2col + matmul children).
+    /// Full conv2d forward: a direct convolution with no child kernels.
     Conv2d = 5,
-    /// Full conv2d backward.
+    /// Full conv2d backward (contains im2col, matmul and col2im children).
     Conv2dBackward = 6,
     /// Row-wise softmax (with or without temperature).
     Softmax = 7,
@@ -59,10 +59,13 @@ pub enum KernelKind {
     DetectorDistance = 12,
     /// Jensen–Shannon divergence rows (JSD detectors).
     Jsd = 13,
+    /// Spatial resampling: average/max pooling, nearest upsampling and
+    /// their backward passes.
+    Pool2d = 14,
 }
 
 /// Number of kernel kinds ([`KernelKind::ALL`]'s length).
-pub const KERNEL_KINDS: usize = 14;
+pub const KERNEL_KINDS: usize = 15;
 
 impl KernelKind {
     /// Every kind, in slot order.
@@ -81,6 +84,7 @@ impl KernelKind {
         KernelKind::Memcpy,
         KernelKind::DetectorDistance,
         KernelKind::Jsd,
+        KernelKind::Pool2d,
     ];
 
     /// Stable display name (also the collapsed-stack frame name).
@@ -100,6 +104,7 @@ impl KernelKind {
             KernelKind::Memcpy => "memcpy",
             KernelKind::DetectorDistance => "detector_distance",
             KernelKind::Jsd => "jsd",
+            KernelKind::Pool2d => "pool2d",
         }
     }
 }

@@ -1,11 +1,13 @@
-//! 2-D convolution via `im2col` + matrix multiplication, with the exact
-//! backward pass (input, weight and bias gradients).
+//! 2-D convolution: a direct forward pass, and an `im2col`-based backward
+//! pass with the exact input, weight and bias gradients.
 //!
 //! Tensors use NCHW layout. Weights are `[out_channels, in_channels, kh, kw]`.
-//! `im2col` arranges every receptive field as a row so the convolution becomes
-//! one large matrix product — the standard CPU formulation.
+//! The forward pass accumulates each output plane straight from the input
+//! rows and builds no intermediate matrix. The backward pass uses `im2col`,
+//! which arranges every receptive field as a row, so the weight and input
+//! gradients become matrix products.
 
-use crate::ops::matmul::{matmul_a_bt, matmul_at_b};
+use crate::ops::matmul::matmul_at_b;
 use crate::{Result, Shape, Tensor, TensorError};
 use adv_profile::{KernelKind, KernelScope, Work};
 use serde::{Deserialize, Serialize};
@@ -90,6 +92,13 @@ impl Conv2dSpec {
                 self.in_channels
             )));
         }
+        self.validate_geometry(h, w)?;
+        Ok((n, h, w))
+    }
+
+    /// Checks that [`Conv2dSpec::output_hw`] is defined for an `h × w` input:
+    /// a nonzero stride and a kernel no larger than the padded input.
+    fn validate_geometry(&self, h: usize, w: usize) -> Result<()> {
         if self.stride == 0 {
             return Err(TensorError::InvalidArgument("stride must be > 0".into()));
         }
@@ -102,8 +111,7 @@ impl Conv2dSpec {
                 w + 2 * self.padding
             )));
         }
-        let _ = n;
-        Ok((n, h, w))
+        Ok(())
     }
 }
 
@@ -164,9 +172,12 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] when `cols` does not have the
-/// `[n·ho·wo, c·kh·kw]` shape implied by `spec` and the output geometry.
+/// Returns [`TensorError::InvalidArgument`] for a zero stride or a kernel
+/// larger than the padded `h × w` input, and [`TensorError::ShapeMismatch`]
+/// when `cols` does not have the `[n·ho·wo, c·kh·kw]` shape implied by
+/// `spec` and the output geometry.
 pub fn col2im(cols: &Tensor, n: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Result<Tensor> {
+    spec.validate_geometry(h, w)?;
     let (ho, wo) = spec.output_hw(h, w);
     let c = spec.in_channels;
     let patch = spec.patch_len();
@@ -236,6 +247,12 @@ fn check_weight(weight: &Tensor, spec: &Conv2dSpec) -> Result<()> {
 /// `input` is `[n, c, h, w]`, `weight` is `[oc, c, kh, kw]`, `bias` is `[oc]`,
 /// and the result is `[n, oc, ho, wo]`.
 ///
+/// Computed directly, with no patch matrix. Each image is copied into a
+/// zero-padded buffer; each output plane starts at zero, gains one product
+/// per tap in ascending `(c, kh, kw)` order, and gets the bias last. That
+/// is the same sequence of floating-point operations as the `im2col` dot
+/// product formulation, so the result is bit-identical to it.
+///
 /// # Errors
 ///
 /// Returns shape/validation errors when the operands disagree with `spec`.
@@ -249,29 +266,68 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Conv2dSpec)
     }
     let (n, h, w) = spec.validate_input(input)?;
     let (ho, wo) = spec.output_hw(h, w);
+    let (c, oc, pad) = (spec.in_channels, spec.out_channels, spec.padding);
+    let (khw, hp, wp) = (spec.kh * spec.kw, h + 2 * pad, w + 2 * pad);
+    // An output plane accumulates `wp` wide: output `(oh, ow)` sits at
+    // `i = oh·wp + ow` and its tap at padded-input offset `off` reads
+    // `xpad[off + stride·i]`, so each tap is one pass over an evenly strided
+    // run. The `wp − wo` slots past each row's end are scratch.
+    let span = (ho - 1) * wp + wo;
+    let taps: Vec<usize> = (0..khw).map(|t| t / spec.kw * wp + t % spec.kw).collect();
+    let mut xpad = vec![0.0f32; c * hp * wp];
+    let mut acc = vec![0.0f32; span];
+    let mut y = vec![0.0f32; n * oc * ho * wo];
     let _prof = KernelScope::enter(KernelKind::Conv2d, || {
-        // The im2col + matmul children account their own volumes; the
-        // conv2d frame itself owns the bias repack.
-        Work::map(n * spec.out_channels * ho * wo)
+        Work::matmul(n * ho * wo, spec.patch_len(), oc)
     });
-    let cols = im2col(input, spec)?;
-    let wmat = weight.reshape(Shape::matrix(spec.out_channels, spec.patch_len()))?;
-    // rows: [n·ho·wo, oc]
-    let rows = matmul_a_bt(&cols, &wmat)?;
-    let rv = rows.as_slice();
-    let bv = bias.as_slice();
-    let oc = spec.out_channels;
-    let hw = ho * wo;
-    let mut y = vec![0.0f32; n * oc * hw];
+    let (x, wv, bv) = (input.as_slice(), weight.as_slice(), bias.as_slice());
     for b in 0..n {
-        for p in 0..hw {
-            let row = &rv[(b * hw + p) * oc..(b * hw + p + 1) * oc];
-            for (ch, &v) in row.iter().enumerate() {
-                y[(b * oc + ch) * hw + p] = v + bv[ch];
+        for ch in 0..c {
+            let src = &x[(b * c + ch) * h * w..][..h * w];
+            let dst = &mut xpad[ch * hp * wp + pad * wp + pad..];
+            for iy in 0..h {
+                dst[iy * wp..iy * wp + w].copy_from_slice(&src[iy * w..(iy + 1) * w]);
+            }
+        }
+        for o in 0..oc {
+            acc.fill(0.0);
+            for ch in 0..c {
+                let xp = &xpad[ch * hp * wp..(ch + 1) * hp * wp];
+                let wc = &wv[(o * c + ch) * khw..][..khw];
+                for (ws, offs) in wc.chunks(3).zip(taps.chunks(3)) {
+                    add_taps(&mut acc, xp, offs, ws, spec.stride);
+                }
+            }
+            let plane = &mut y[(b * oc + o) * ho * wo..][..ho * wo];
+            for oh in 0..ho {
+                let out = &mut plane[oh * wo..(oh + 1) * wo];
+                for (yv, &a) in out.iter_mut().zip(&acc[oh * wp..]) {
+                    *yv = a + bv[o];
+                }
             }
         }
     }
     Tensor::from_vec(y, Shape::nchw(n, oc, ho, wo))
+}
+
+/// Adds a run of kernel taps to a wide accumulator, in tap order:
+/// `acc[i] += x[off + stride·i] · wt` for each `(off, wt)` of `offs`/`ws`.
+/// A stride-1 run of three taps goes in one pass, keeping `acc[i]` in a
+/// register between its three additions.
+fn add_taps(acc: &mut [f32], x: &[f32], offs: &[usize], ws: &[f32], stride: usize) {
+    let len = acc.len();
+    if let (1, &[w0, w1, w2]) = (stride, ws) {
+        let run = |k: usize| &x[offs[k]..offs[k] + len];
+        for (((a, &x0), &x1), &x2) in acc.iter_mut().zip(run(0)).zip(run(1)).zip(run(2)) {
+            *a = *a + x0 * w0 + x1 * w1 + x2 * w2;
+        }
+        return;
+    }
+    for (&off, &wt) in offs.iter().zip(ws) {
+        for (a, &xv) in acc.iter_mut().zip(x[off..].iter().step_by(stride)) {
+            *a += xv * wt;
+        }
+    }
 }
 
 /// Backward 2-D convolution.
@@ -342,9 +398,104 @@ pub fn conv2d_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::matmul::matmul_a_bt;
 
     fn nchw(data: &[f32], n: usize, c: usize, h: usize, w: usize) -> Tensor {
         Tensor::from_vec(data.to_vec(), Shape::nchw(n, c, h, w)).unwrap()
+    }
+
+    /// The previous forward pass, kept as the oracle: `im2col`, one
+    /// `A·Bᵀ` dot product per output, NCHW repack, then the bias.
+    fn conv2d_im2col_reference(
+        input: &Tensor,
+        weight: &Tensor,
+        bias: &Tensor,
+        spec: &Conv2dSpec,
+    ) -> Tensor {
+        let dims = input.shape().dims();
+        let (n, (ho, wo)) = (dims[0], spec.output_hw(dims[2], dims[3]));
+        let cols = im2col(input, spec).unwrap();
+        let wmat = weight
+            .reshape(Shape::matrix(spec.out_channels, spec.patch_len()))
+            .unwrap();
+        let rows = matmul_a_bt(&cols, &wmat).unwrap();
+        let (oc, hw) = (spec.out_channels, ho * wo);
+        let mut y = vec![0.0f32; n * oc * hw];
+        for (r, row) in rows.as_slice().chunks_exact(oc).enumerate() {
+            let (b, p) = (r / hw, r % hw);
+            for (ch, &v) in row.iter().enumerate() {
+                y[(b * oc + ch) * hw + p] = v + bias.as_slice()[ch];
+            }
+        }
+        Tensor::from_vec(y, Shape::nchw(n, oc, ho, wo)).unwrap()
+    }
+
+    #[test]
+    fn direct_forward_is_bit_identical_to_im2col_reference() {
+        // [batch, in, out, h, w, kh, kw, stride, padding]
+        let table = [
+            [3, 1, 3, 28, 28, 3, 3, 1, 1],
+            [2, 3, 3, 28, 28, 3, 3, 1, 1],
+            [2, 8, 16, 14, 14, 3, 3, 1, 1],
+            [1, 2, 4, 9, 9, 3, 3, 2, 1],
+            [2, 3, 2, 11, 10, 3, 3, 3, 0],
+            [1, 2, 3, 7, 7, 5, 5, 1, 2],
+            [3, 4, 5, 6, 6, 1, 1, 1, 0],
+            [1, 2, 2, 5, 8, 2, 2, 2, 0],
+            [2, 3, 4, 8, 13, 4, 4, 1, 2],
+            [1, 1, 1, 3, 3, 5, 5, 3, 2],
+            [2, 2, 3, 12, 7, 3, 5, 2, 1],
+            [1, 3, 2, 13, 5, 5, 3, 3, 2],
+            [0, 2, 3, 5, 5, 3, 3, 1, 1],
+            [2, 0, 3, 4, 4, 3, 3, 1, 1],
+        ];
+        for [n, c, oc, h, w, kh, kw, stride, padding] in table {
+            let spec = Conv2dSpec {
+                in_channels: c,
+                out_channels: oc,
+                kh,
+                kw,
+                stride,
+                padding,
+            };
+            let x = Tensor::from_fn(Shape::nchw(n, c, h, w), |i| {
+                ((i * 7919 % 211) as f32 - 105.0) * 0.013
+            });
+            let wt = Tensor::from_fn(Shape::new(vec![oc, c, kh, kw]), |i| {
+                ((i * 104729 % 97) as f32 - 48.0) * 0.021
+            });
+            let b = Tensor::from_fn(Shape::vector(oc), |i| (i as f32 - 1.5) * 0.37);
+            let fast = conv2d(&x, &wt, &b, &spec).unwrap();
+            let oracle = conv2d_im2col_reference(&x, &wt, &b, &spec);
+            assert_eq!(fast.shape(), oracle.shape(), "{spec:?}");
+            for (i, (f, r)) in fast.as_slice().iter().zip(oracle.as_slice()).enumerate() {
+                assert_eq!(
+                    f.to_bits(),
+                    r.to_bits(),
+                    "{spec:?} n={n} h={h} w={w} at {i}: {f} vs {r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn col2im_rejects_zero_stride() {
+        let spec = Conv2dSpec::valid(1, 1, 3, 0);
+        let cols = Tensor::zeros(Shape::matrix(1, 9));
+        assert!(matches!(
+            col2im(&cols, 1, 4, 4, &spec),
+            Err(TensorError::InvalidArgument(_))
+        ));
+    }
+
+    #[test]
+    fn col2im_rejects_kernel_larger_than_padded_input() {
+        let spec = Conv2dSpec::valid(1, 1, 5, 1);
+        let cols = Tensor::zeros(Shape::matrix(1, 25));
+        assert!(matches!(
+            col2im(&cols, 1, 4, 3, &spec),
+            Err(TensorError::InvalidArgument(_))
+        ));
     }
 
     #[test]

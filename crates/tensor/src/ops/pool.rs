@@ -6,6 +6,7 @@
 //! NCHW tensors.
 
 use crate::{Result, Shape, Tensor, TensorError};
+use adv_profile::{KernelKind, KernelScope, Work};
 use serde::{Deserialize, Serialize};
 
 /// Geometry of a 2-D pooling window.
@@ -70,6 +71,9 @@ pub fn avg_pool2d(input: &Tensor, spec: &Pool2dSpec) -> Result<Tensor> {
     let x = input.as_slice();
     let win = (spec.kh * spec.kw) as f32;
     let mut y = vec![0.0f32; n * c * ho * wo];
+    let _prof = KernelScope::enter(KernelKind::Pool2d, || {
+        Work::reduce(n * c * ho * wo * spec.kh * spec.kw)
+    });
     for bc in 0..n * c {
         let xp = &x[bc * h * w..(bc + 1) * h * w];
         let yp = &mut y[bc * ho * wo..(bc + 1) * ho * wo];
@@ -116,6 +120,10 @@ pub fn avg_pool2d_backward(input_shape: &Shape, dy: &Tensor, spec: &Pool2dSpec) 
     let g = dy.as_slice();
     let win = (spec.kh * spec.kw) as f32;
     let mut dx = vec![0.0f32; n * c * h * w];
+    let dx_shape = input_shape.clone();
+    let _prof = KernelScope::enter(KernelKind::Pool2d, || {
+        Work::map(n * c * ho * wo * spec.kh * spec.kw)
+    });
     for bc in 0..n * c {
         let gp = &g[bc * ho * wo..(bc + 1) * ho * wo];
         let dp = &mut dx[bc * h * w..(bc + 1) * h * w];
@@ -131,7 +139,7 @@ pub fn avg_pool2d_backward(input_shape: &Shape, dy: &Tensor, spec: &Pool2dSpec) 
             }
         }
     }
-    Tensor::from_vec(dx, input_shape.clone())
+    Tensor::from_vec(dx, dx_shape)
 }
 
 /// Max pooling forward pass. Returns the pooled tensor and the flat index of
@@ -146,6 +154,9 @@ pub fn max_pool2d(input: &Tensor, spec: &Pool2dSpec) -> Result<(Tensor, Vec<usiz
     let x = input.as_slice();
     let mut y = vec![0.0f32; n * c * ho * wo];
     let mut idx = vec![0usize; n * c * ho * wo];
+    let _prof = KernelScope::enter(KernelKind::Pool2d, || {
+        Work::reduce(n * c * ho * wo * spec.kh * spec.kw)
+    });
     for bc in 0..n * c {
         let xp = &x[bc * h * w..(bc + 1) * h * w];
         for oh in 0..ho {
@@ -186,6 +197,8 @@ pub fn max_pool2d_backward(input_shape: &Shape, dy: &Tensor, indices: &[usize]) 
         });
     }
     let mut dx = vec![0.0f32; input_shape.volume()];
+    let dx_shape = input_shape.clone();
+    let _prof = KernelScope::enter(KernelKind::Pool2d, || Work::map(dy.len()));
     for (&i, &g) in indices.iter().zip(dy.as_slice().iter()) {
         if i >= dx.len() {
             return Err(TensorError::IndexOutOfBounds {
@@ -195,7 +208,7 @@ pub fn max_pool2d_backward(input_shape: &Shape, dy: &Tensor, indices: &[usize]) 
         }
         dx[i] += g;
     }
-    Tensor::from_vec(dx, input_shape.clone())
+    Tensor::from_vec(dx, dx_shape)
 }
 
 /// Nearest-neighbour upsampling by an integer factor.
@@ -219,6 +232,7 @@ pub fn upsample2d_nearest(input: &Tensor, factor: usize) -> Result<Tensor> {
     let (ho, wo) = (h * factor, w * factor);
     let x = input.as_slice();
     let mut y = vec![0.0f32; n * c * ho * wo];
+    let _prof = KernelScope::enter(KernelKind::Pool2d, || Work::copy(n * c * ho * wo));
     for bc in 0..n * c {
         let xp = &x[bc * h * w..(bc + 1) * h * w];
         let yp = &mut y[bc * ho * wo..(bc + 1) * ho * wo];
@@ -259,6 +273,7 @@ pub fn upsample2d_nearest_backward(dy: &Tensor, factor: usize) -> Result<Tensor>
     let (h, w) = (ho / factor, wo / factor);
     let g = dy.as_slice();
     let mut dx = vec![0.0f32; n * c * h * w];
+    let _prof = KernelScope::enter(KernelKind::Pool2d, || Work::reduce(n * c * ho * wo));
     for bc in 0..n * c {
         let gp = &g[bc * ho * wo..(bc + 1) * ho * wo];
         let dp = &mut dx[bc * h * w..(bc + 1) * h * w];

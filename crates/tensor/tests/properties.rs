@@ -3,7 +3,7 @@
 //! kernels under random geometry.
 
 use adv_tensor::ops::{
-    avg_pool2d, avg_pool2d_backward, col2im, conv2d, conv2d_backward, im2col, matmul,
+    avg_pool2d, avg_pool2d_backward, col2im, conv2d, conv2d_backward, im2col, matmul, matmul_a_bt,
     upsample2d_nearest, upsample2d_nearest_backward, Conv2dSpec, Pool2dSpec,
 };
 use adv_tensor::{norms, Shape, Tensor};
@@ -11,6 +11,70 @@ use proptest::prelude::*;
 
 fn small_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-10.0f32..10.0, len)
+}
+
+/// A value in `[-1, 1)` hashed from `(seed, i)`, with full mantissas so a
+/// change in summation order shows in the low bits.
+fn noise(seed: u64, i: usize) -> f32 {
+    let mut z = seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z ^= z >> 29;
+    (z >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+}
+
+/// The im2col formulation of the forward conv, from public kernels: patch
+/// rows, one `A·Bᵀ` dot product per output, NCHW repack, then the bias.
+fn conv2d_im2col_reference(x: &Tensor, w: &Tensor, b: &Tensor, spec: &Conv2dSpec) -> Tensor {
+    let dims = x.shape().dims();
+    let (n, (ho, wo)) = (dims[0], spec.output_hw(dims[2], dims[3]));
+    let wmat = w
+        .reshape(Shape::matrix(spec.out_channels, spec.patch_len()))
+        .unwrap();
+    let rows = matmul_a_bt(&im2col(x, spec).unwrap(), &wmat).unwrap();
+    let (oc, hw) = (spec.out_channels, ho * wo);
+    let mut y = vec![0.0f32; n * oc * hw];
+    for (r, row) in rows.as_slice().chunks_exact(oc).enumerate() {
+        for (ch, &v) in row.iter().enumerate() {
+            y[((r / hw) * oc + ch) * hw + r % hw] = v + b.as_slice()[ch];
+        }
+    }
+    Tensor::from_vec(y, Shape::nchw(n, oc, ho, wo)).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn conv_forward_matches_im2col_reference_bitwise(
+        n in 1usize..4,
+        c in 1usize..5,
+        oc in 1usize..5,
+        hw in (1usize..13, 1usize..13),
+        k in (1usize..6, 1usize..6),
+        stride in 1usize..4,
+        padding in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        // Clamp the kernel to the padded input so every draw is valid.
+        let (h, w) = hw;
+        let spec = Conv2dSpec {
+            in_channels: c,
+            out_channels: oc,
+            kh: k.0.min(h + 2 * padding),
+            kw: k.1.min(w + 2 * padding),
+            stride,
+            padding,
+        };
+        let x = Tensor::from_fn(Shape::nchw(n, c, h, w), |i| noise(seed, i) * 4.0);
+        let wt = Tensor::from_fn(Shape::new(vec![oc, c, spec.kh, spec.kw]), |i| noise(seed ^ 1, i));
+        let b = Tensor::from_fn(Shape::vector(oc), |i| noise(seed ^ 2, i));
+        let fast = conv2d(&x, &wt, &b, &spec).unwrap();
+        let oracle = conv2d_im2col_reference(&x, &wt, &b, &spec);
+        prop_assert_eq!(fast.shape(), oracle.shape());
+        for (i, (f, r)) in fast.as_slice().iter().zip(oracle.as_slice()).enumerate() {
+            prop_assert_eq!(f.to_bits(), r.to_bits(), "{:?} n={} h={} w={} at {}: {} vs {}", spec, n, h, w, i, f, r);
+        }
+    }
 }
 
 proptest! {
