@@ -171,7 +171,10 @@ impl Attack for DeepFool {
             .collect();
         // Return originals where the attack failed.
         let mut adv = x;
-        #[allow(clippy::needless_range_loop)] // i indexes success, adv and x0 together
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "i indexes success, adv and x0 together"
+        )]
         for i in 0..n {
             if !success[i] {
                 let oi = &x0.as_slice()[i * item..(i + 1) * item];

@@ -68,8 +68,10 @@ impl DefensePipeline for FaultyDefense {
         let n = x.shape().dim(0);
         let mut timings = StageTimings::default();
 
-        // lint-ok(gated-clocks): StageTimings is part of the pipeline API;
-        // the clock read is the feature (same contract as classify_timed).
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "StageTimings is part of the pipeline API; the clock read is the feature (same contract as classify_timed)."
+        )]
         let t0 = std::time::Instant::now();
         let detected = match scheme {
             DefenseScheme::DetectorOnly | DefenseScheme::Full => {
@@ -81,7 +83,10 @@ impl DefensePipeline for FaultyDefense {
             _ => vec![false; n],
         };
 
-        // lint-ok(gated-clocks): see above — the stage timing is the API.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "see above — the stage timing is the API."
+        )]
         let t1 = std::time::Instant::now();
         let input = match scheme {
             DefenseScheme::ReformerOnly | DefenseScheme::Full => {
@@ -93,7 +98,10 @@ impl DefensePipeline for FaultyDefense {
             _ => x.clone(),
         };
 
-        // lint-ok(gated-clocks): see above — the stage timing is the API.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "see above — the stage timing is the API."
+        )]
         let t2 = std::time::Instant::now();
         self.inject(SITE_CLASSIFY)?;
         let preds = self.inner.classifier().predict_shared(&input)?;

@@ -176,10 +176,11 @@ impl FaultInjector {
                 site: site.to_string(),
                 hit,
             }),
+            #[expect(
+                clippy::panic,
+                reason = "deliberate — injecting panics into supervised code is this crate's purpose; the marker lets handlers distinguish planned faults from real bugs."
+            )]
             (FaultAction::Panic, hit) => {
-                // lint-ok(no-panic-lib): deliberate — injecting panics into
-                // supervised code is this crate's purpose; the marker lets
-                // handlers distinguish planned faults from real bugs.
                 panic!("{} at {site} (hit {hit})", crate::PANIC_MARKER)
             }
         }

@@ -57,7 +57,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             rule: DecisionRule::ElasticNet,
             fista,
         })?;
-        // lint-ok(gated-clocks): attack wall-clock per ISTA configuration is the probe's output
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "attack wall-clock per ISTA configuration is the probe's output"
+        )]
         let t0 = Instant::now();
         let outcome = attack.run(&mut classifier, &set.images, &set.labels)?;
         rows.push(vec![

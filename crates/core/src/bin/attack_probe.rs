@@ -43,7 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 rule: DecisionRule::ElasticNet,
                 fista: false,
             })?;
-            // lint-ok(gated-clocks): attack wall-clock is the probe's output
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "attack wall-clock is the probe's output"
+            )]
             let t0 = std::time::Instant::now();
             let o = attack.run(&mut clf, &set.images, &set.labels)?;
             println!(

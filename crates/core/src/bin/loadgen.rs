@@ -125,7 +125,6 @@ struct PhaseA {
 /// served through a `ModelZoo`'s default variant — the production routing
 /// seam — rather than a bare engine, so the parity checks also cover the
 /// registry's routing-table hop.
-#[allow(clippy::too_many_lines)]
 fn phase_a(
     defense: Arc<MagnetDefense>,
     samples: &[Sample],

@@ -91,7 +91,10 @@ fn drive(
     corpus: &[Sample],
     total: usize,
 ) -> Result<(Duration, TraceId), Box<dyn std::error::Error>> {
-    // lint-ok(gated-clocks): end-to-end request latency is what the probe reports
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "end-to-end request latency is what the probe reports"
+    )]
     let started = Instant::now();
     let mut slowest = (Duration::ZERO, TraceId::NONE);
     let mut next = 0usize;

@@ -44,7 +44,10 @@ fn main() -> Result<(), AnyError> {
     let zoo = Zoo::new(&args.models_dir, args.scale);
     let out = args.out_dir.clone();
     let out = out.as_str();
-    // lint-ok(gated-clocks): total reproduction wall-clock is printed in the final summary
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "total reproduction wall-clock is printed in the final summary"
+    )]
     let t_total = Instant::now();
     let headers = ["panel", "curve", "kappa", "accuracy"];
 
@@ -79,7 +82,10 @@ fn main() -> Result<(), AnyError> {
     for (scenario, name) in [(Scenario::Mnist, "table3"), (Scenario::Cifar, "table6")] {
         let stage = format!("{name}_{}", scenario.name());
         let skipped = manifest.run_stage(&stage, || -> Result<(), AnyError> {
-            // lint-ok(gated-clocks): per-stage wall-clock is part of the reproduction report
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-stage wall-clock is part of the reproduction report"
+            )]
             let t0 = Instant::now();
             println!("=== {} (clean accuracy, {}) ===", name, scenario.name());
             let rows = accuracy_table(&zoo, scenario)?;
@@ -111,7 +117,10 @@ fn main() -> Result<(), AnyError> {
     for scenario in [Scenario::Mnist, Scenario::Cifar] {
         let stage = format!("table1_{}", scenario.name());
         let skipped = manifest.run_stage(&stage, || -> Result<(), AnyError> {
-            // lint-ok(gated-clocks): per-stage wall-clock is part of the reproduction report
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-stage wall-clock is part of the reproduction report"
+            )]
             let t0 = Instant::now();
             println!("=== Table I ({}) ===", scenario.name());
             let rows = table1(&zoo, scenario)?;
@@ -152,7 +161,10 @@ fn main() -> Result<(), AnyError> {
     for (scenario, name) in [(Scenario::Mnist, "table4"), (Scenario::Cifar, "table7")] {
         let stage = format!("{name}_{}", scenario.name());
         let skipped = manifest.run_stage(&stage, || -> Result<(), AnyError> {
-            // lint-ok(gated-clocks): per-stage wall-clock is part of the reproduction report
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-stage wall-clock is part of the reproduction report"
+            )]
             let t0 = Instant::now();
             println!("=== {} (best EAD ASR, {}) ===", name, scenario.name());
             let rows = best_asr_table(&zoo, scenario)?;
@@ -186,7 +198,10 @@ fn main() -> Result<(), AnyError> {
     for (scenario, name) in [(Scenario::Mnist, "fig2"), (Scenario::Cifar, "fig3")] {
         let stage = format!("{name}_{}", scenario.name());
         let skipped = manifest.run_stage(&stage, || -> Result<(), AnyError> {
-            // lint-ok(gated-clocks): per-stage wall-clock is part of the reproduction report
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-stage wall-clock is part of the reproduction report"
+            )]
             let t0 = Instant::now();
             println!("=== {} ({}) ===", name, scenario.name());
             let panels = defense_comparison(&zoo, scenario)?;
@@ -211,7 +226,10 @@ fn main() -> Result<(), AnyError> {
     for (scenario, name) in [(Scenario::Mnist, "fig4"), (Scenario::Cifar, "fig5")] {
         let stage = format!("{name}_{}", scenario.name());
         let skipped = manifest.run_stage(&stage, || -> Result<(), AnyError> {
-            // lint-ok(gated-clocks): per-stage wall-clock is part of the reproduction report
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-stage wall-clock is part of the reproduction report"
+            )]
             let t0 = Instant::now();
             println!(
                 "=== {} (C&W scheme ablation, {}) ===",
@@ -248,7 +266,10 @@ fn main() -> Result<(), AnyError> {
     for (scenario, variant, name) in grid_jobs {
         let stage = format!("{name}_{}", scenario.name());
         let skipped = manifest.run_stage(&stage, || -> Result<(), AnyError> {
-            // lint-ok(gated-clocks): per-stage wall-clock is part of the reproduction report
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-stage wall-clock is part of the reproduction report"
+            )]
             let t0 = Instant::now();
             println!(
                 "=== {} (EAD grid vs schemes, {} {}) ===",
@@ -278,7 +299,10 @@ fn main() -> Result<(), AnyError> {
     for (scenario, name) in [(Scenario::Mnist, "fig12"), (Scenario::Cifar, "fig13")] {
         let stage = format!("{name}_{}", scenario.name());
         let skipped = manifest.run_stage(&stage, || -> Result<(), AnyError> {
-            // lint-ok(gated-clocks): per-stage wall-clock is part of the reproduction report
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-stage wall-clock is part of the reproduction report"
+            )]
             let t0 = Instant::now();
             println!("=== {} (MSE vs MAE, {}) ===", name, scenario.name());
             let panels = loss_ablation(&zoo, scenario)?;

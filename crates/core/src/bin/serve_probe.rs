@@ -83,10 +83,16 @@ fn run_serial(
 ) -> Result<PathReport, Box<dyn std::error::Error>> {
     let mut verdicts = Vec::with_capacity(samples.len());
     let mut latencies = Vec::with_capacity(samples.len());
-    // lint-ok(gated-clocks): serving throughput over wall-clock is what the probe measures
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "serving throughput over wall-clock is what the probe measures"
+    )]
     let started = Instant::now();
     for s in samples {
-        // lint-ok(gated-clocks): per-request latency is what the probe measures
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-request latency is what the probe measures"
+        )]
         let t0 = Instant::now();
         let x = Tensor::stack(std::slice::from_ref(&s.input))?;
         let mut v = defense.classify(&x, DefenseScheme::Full)?;
@@ -119,7 +125,10 @@ fn run_served(
             ..ServeConfig::default()
         },
     )?;
-    // lint-ok(gated-clocks): serving throughput over wall-clock is what the probe measures
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "serving throughput over wall-clock is what the probe measures"
+    )]
     let started = Instant::now();
     let pending: Vec<_> = samples
         .iter()
@@ -158,7 +167,10 @@ fn run_zoo(
     };
     let zoo = ModelZoo::open(Arc::new(NullLoader), cfg)?;
     zoo.install(DEFAULT_VARIANT, defense)?;
-    // lint-ok(gated-clocks): serving throughput over wall-clock is what the probe measures
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "serving throughput over wall-clock is what the probe measures"
+    )]
     let started = Instant::now();
     let pending: Vec<_> = samples
         .iter()

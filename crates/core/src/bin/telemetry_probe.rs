@@ -94,7 +94,10 @@ fn drive(
     keep: bool,
 ) -> Result<(SubmittedInputs, Duration), Box<dyn std::error::Error>> {
     let mut submitted = Vec::with_capacity(if keep { total } else { 0 });
-    // lint-ok(gated-clocks): submission wall-clock feeds the probe's throughput figure
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "submission wall-clock feeds the probe's throughput figure"
+    )]
     let started = Instant::now();
     let mut next = 0usize;
     while next < total {

@@ -16,7 +16,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("scale: {:?}", zoo.scale());
 
     for scenario in [Scenario::Mnist, Scenario::Cifar] {
-        // lint-ok(gated-clocks): wall-clock measurement is this probe's purpose
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock measurement is this probe's purpose"
+        )]
         let t0 = Instant::now();
         let bundle = {
             let _span = StageScope::enter("probe/bundle");
@@ -29,7 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             bundle.clean_accuracy * 100.0
         );
 
-        // lint-ok(gated-clocks): wall-clock measurement is this probe's purpose
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock measurement is this probe's purpose"
+        )]
         let t0 = Instant::now();
         {
             let _span = StageScope::enter("probe/defense");
@@ -41,7 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             t0.elapsed()
         );
 
-        // lint-ok(gated-clocks): wall-clock measurement is this probe's purpose
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock measurement is this probe's purpose"
+        )]
         let t0 = Instant::now();
         let mut runner = SweepRunner::new(&zoo, scenario)?;
         let kind = AttackKind::Ead {
@@ -60,7 +69,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             outcome.success_rate() * 100.0
         );
 
-        // lint-ok(gated-clocks): wall-clock measurement is this probe's purpose
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock measurement is this probe's purpose"
+        )]
         let t0 = Instant::now();
         let cw = {
             let _span = StageScope::enter("probe/cw");

@@ -58,7 +58,10 @@ pub fn content_fingerprint(images: &Tensor) -> u64 {
 }
 
 /// The cache file path for an attack run.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per component of the cache key"
+)]
 pub fn attack_cache_path(
     dir: impl AsRef<Path>,
     scenario: &str,

@@ -43,6 +43,10 @@ impl ObsSession {
     ///
     /// Raises the process level to [`adv_obs::ObsLevel::Trace`] unless the
     /// `ADV_OBS` environment variable is set, which then takes precedence.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the session's wall time is part of the artifacts it writes"
+    )]
     pub fn start(dir: impl Into<PathBuf>) -> ObsSession {
         if std::env::var_os("ADV_OBS").is_none() {
             adv_obs::set_level(adv_obs::ObsLevel::Trace);

@@ -1,8 +1,10 @@
 //! Suppression-debt baseline: `lint_debt.json`.
 //!
-//! Every `// lint-ok(<rule>): <reason>` is technical debt — justified,
+//! Every `// lint-ok(<rule>): <reason>` and every
+//! `#[expect(clippy::<lint>, reason = "..")]` is technical debt — justified,
 //! but debt. The committed `lint_debt.json` at the workspace root records
-//! how much of it the team has consciously accepted, per rule. A check run
+//! how much of it the team has consciously accepted, per rule (clippy
+//! lints keyed by their full `clippy::<lint>` path). A check run
 //! compares the live per-rule allow counts against the baseline and fails
 //! (`lint-debt` findings) when any rule's count *grew*: new suppressions
 //! require either fixing the site or deliberately updating the baseline
@@ -11,6 +13,7 @@
 //! it down.
 
 use crate::diagnostics::Finding;
+use crate::lexer::is_ident_char;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -49,6 +52,28 @@ fn parse_baseline(text: &str) -> BTreeMap<String, usize> {
     out
 }
 
+/// Counts the clippy lints named by `#[expect(..)]` / `#![expect(..)]`
+/// attributes in scrubbed `code`, one per lint per attribute, keyed
+/// `clippy::<lint>`. Literal bodies are blanked in scrubbed code, so a
+/// `reason` string cannot add or hide a lint name.
+pub fn count_clippy_expects(code: &str, counts: &mut BTreeMap<String, usize>) {
+    let mut rest = code;
+    while let Some(pos) = rest.find("expect(") {
+        let attr = rest[..pos].trim_end();
+        rest = &rest[pos + "expect(".len()..];
+        if !(attr.ends_with("#[") || attr.ends_with("#![")) {
+            continue;
+        }
+        let args = &rest[..rest.find(')').unwrap_or(rest.len())];
+        for arg in args.split(',') {
+            if let Some(lint) = arg.trim().strip_prefix("clippy::") {
+                let name: String = lint.chars().take_while(|&c| is_ident_char(c)).collect();
+                *counts.entry(format!("clippy::{name}")).or_insert(0) += 1;
+            }
+        }
+    }
+}
+
 /// Renders live counts as the baseline file's content (sorted, one rule
 /// per line, so diffs are reviewable).
 pub fn render_baseline(counts: &BTreeMap<String, usize>) -> String {
@@ -79,7 +104,7 @@ pub fn check_debt(root: &Path, live: &BTreeMap<String, usize>, out: &mut Vec<Fin
                 column: 1,
                 width: 1,
                 message: format!(
-                    "`lint-ok({rule})` count grew to {count} (baseline {allowed}) — \
+                    "`{rule}` suppression count grew to {count} (baseline {allowed}) — \
                      suppression debt increased without a baseline update"
                 ),
                 snippet: String::new(),
@@ -99,12 +124,12 @@ mod tests {
     fn baseline_roundtrip() {
         let mut counts = BTreeMap::new();
         counts.insert("ordering-justified".to_string(), 40);
-        counts.insert("gated-clocks".to_string(), 28);
+        counts.insert("clippy::disallowed_methods".to_string(), 28);
         counts.insert("never-used".to_string(), 0);
         let text = render_baseline(&counts);
         let parsed = parse_baseline(&text);
         assert_eq!(parsed.get("ordering-justified"), Some(&40));
-        assert_eq!(parsed.get("gated-clocks"), Some(&28));
+        assert_eq!(parsed.get("clippy::disallowed_methods"), Some(&28));
         assert_eq!(parsed.get("never-used"), None, "zero entries are dropped");
     }
 
@@ -114,17 +139,39 @@ mod tests {
         let _ = std::fs::create_dir_all(&dir);
         std::fs::write(
             dir.join(DEBT_FILE),
-            "{\n  \"gated-clocks\": 5,\n  \"no-panic-lib\": 3\n}\n",
+            "{\n  \"clippy::disallowed_methods\": 5,\n  \"ordering-justified\": 3\n}\n",
         )
         .expect("temp baseline must be writable");
         let mut live = BTreeMap::new();
-        live.insert("gated-clocks".to_string(), 6);
-        live.insert("no-panic-lib".to_string(), 2);
+        live.insert("ordering-justified".to_string(), 2);
+        count_clippy_expects(
+            &"#[expect(clippy::disallowed_methods, reason = \"   \")]\n".repeat(6),
+            &mut live,
+        );
         let mut out = Vec::new();
         check_debt(&dir, &live, &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("gated-clocks"));
+        assert!(out[0].message.contains("clippy::disallowed_methods"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn expect_attributes_count_once_per_clippy_lint() {
+        let code = "#![expect(clippy::panic, reason = \"       \")]\n\
+                    #[expect(\n    clippy::too_many_arguments,\n    clippy::expect_used,\n)]\n\
+                    #[expect(dead_code, reason = \"  \")]\n\
+                    let x = y.expect(\"     \");\n";
+        let mut counts = BTreeMap::new();
+        count_clippy_expects(code, &mut counts);
+        let keys: Vec<(&str, usize)> = counts.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        assert_eq!(
+            keys,
+            vec![
+                ("clippy::expect_used", 1),
+                ("clippy::panic", 1),
+                ("clippy::too_many_arguments", 1),
+            ]
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 /// One rule violation at a source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id, e.g. `no-panic-lib`.
+    /// Rule id, e.g. `ordering-justified`.
     pub rule: &'static str,
     /// Path relative to the lint root (`/`-separated).
     pub path: String,
@@ -26,12 +26,12 @@ pub struct Finding {
 /// Renders findings in a rustc-like format:
 ///
 /// ```text
-/// error[no-panic-lib]: `.unwrap()` in library code
-///   --> crates/tensor/src/tensor.rs:42:17
+/// error[ordering-justified]: `Ordering::Relaxed` without a justification comment
+///   --> crates/serve/src/engine.rs:42:24
 ///    |
-/// 42 |         let x = v.unwrap();
-///    |                  ^^^^^^^^
-///    = help: return a typed error, or allow with `// lint-ok(no-panic-lib): <reason>`
+/// 42 |         let x = c.load(Ordering::Relaxed);
+///    |                        ^^^^^^^^^^^^^^^^^
+///    = help: add `// lint-ok(ordering-justified): <why this ordering is sufficient>`
 /// ```
 pub fn render_text(findings: &[Finding]) -> String {
     let mut out = String::new();
@@ -117,34 +117,37 @@ mod tests {
 
     fn sample() -> Finding {
         Finding {
-            rule: "no-panic-lib",
+            rule: "ordering-justified",
             path: "crates/x/src/lib.rs".into(),
             line: 42,
-            column: 19,
-            width: 8,
-            message: "`.unwrap()` in library code".into(),
-            snippet: "        let x = v.unwrap();".into(),
-            help: "return a typed error".into(),
+            column: 24,
+            width: 17,
+            message: "`Ordering::Relaxed` without a justification comment".into(),
+            snippet: "        let x = c.load(Ordering::Relaxed);".into(),
+            help: "justify the ordering".into(),
         }
     }
 
     #[test]
     fn text_format_has_location_snippet_and_caret() {
         let text = render_text(&[sample()]);
-        assert!(text.contains("error[no-panic-lib]:"), "{text}");
-        assert!(text.contains("--> crates/x/src/lib.rs:42:19"), "{text}");
-        assert!(text.contains("42 |         let x = v.unwrap();"), "{text}");
-        assert!(text.contains("^^^^^^^^"), "{text}");
-        // Caret column lines up under the dot before `unwrap`.
+        assert!(text.contains("error[ordering-justified]:"), "{text}");
+        assert!(text.contains("--> crates/x/src/lib.rs:42:24"), "{text}");
+        assert!(
+            text.contains("42 |         let x = c.load(Ordering::Relaxed);"),
+            "{text}"
+        );
+        assert!(text.contains(&"^".repeat(17)), "{text}");
+        // Caret column lines up under `Ordering`.
         let caret_line = text.lines().find(|l| l.contains('^')).unwrap();
-        assert_eq!(caret_line.find('^').unwrap(), " | ".len() + 2 + 18);
+        assert_eq!(caret_line.find('^').unwrap(), " | ".len() + 2 + 23);
     }
 
     #[test]
     fn json_report_shape() {
         let json = render_json(&[sample()], 7, 2, 3);
         assert!(json.contains("\"version\":1"), "{json}");
-        assert!(json.contains("\"rule\":\"no-panic-lib\""), "{json}");
+        assert!(json.contains("\"rule\":\"ordering-justified\""), "{json}");
         assert!(json.contains("\"line\":42"), "{json}");
         assert!(
             json.contains(

@@ -1,23 +1,26 @@
-//! adv-lint: the workspace invariant linter — a two-pass, workspace-wide
-//! analysis.
+//! adv-lint: the workspace invariant linter — the checks clippy cannot
+//! express, as a two-pass, workspace-wide analysis.
 //!
-//! Generic clippy cannot know that this repo promises panic-free library
-//! hot paths, a written rationale for every atomic ordering, clock reads
-//! only where timing is the feature, typed error enums on public fallible
-//! APIs, `SAFETY:` contracts on every `unsafe`, and allocation-free
-//! measured kernel regions. This crate enforces those invariants with a
-//! token-level static analysis in two passes:
+//! Clippy and rustc own the invariants they can see: panic-free library
+//! code in the core crates (`clippy::unwrap_used` and friends, denied in
+//! each core `lib.rs`), no bare `unwrap` in bins, benches and examples,
+//! gated clock reads (`clippy::disallowed_methods`, configured in the root
+//! `clippy.toml`), and `#![forbid(unsafe_code)]` with
+//! `clippy::undocumented_unsafe_blocks` for `unsafe`. This crate enforces
+//! the rest — a written rationale for every atomic ordering, a paired
+//! acquire/release protocol, typed error enums on public fallible APIs,
+//! allocation-free measured kernel regions, and no dead kernel slots or
+//! metrics — with a token-level static analysis in two passes:
 //!
 //! - **Pass 1** ([`table`]) walks every first-party target (library code,
 //!   binaries, benches, examples) and builds a workspace symbol table:
 //!   atomic field declarations and every load/store/RMW site keyed by
-//!   field, `unsafe` occurrences and their `SAFETY:` comments,
-//!   `KernelKind` variants vs `KernelScope::enter` call sites, and metric
-//!   registrations vs the DESIGN.md schema.
+//!   field, `KernelKind` variants vs `KernelScope::enter` call sites, and
+//!   metric registrations vs the DESIGN.md schema.
 //! - **Pass 2** runs the per-file rules ([`rules`]) *and* the cross-file
 //!   rules ([`rules::ws`]) over that table: `atomic-protocol`,
-//!   `unsafe-audit`, `no-alloc-in-kernel`, `dead-slot`, `dead-metric`,
-//!   plus the suppression-debt ratchet ([`debt`]).
+//!   `no-alloc-in-kernel`, `dead-slot`, `dead-metric`, plus the
+//!   suppression-debt ratchet ([`debt`]).
 //!
 //! The building blocks are a comment/string-aware lexer ([`lexer`]), a
 //! per-file model with test-region and allowlist maps ([`source`]), and a
@@ -34,12 +37,14 @@
 //! ```
 //!
 //! Allowlist comments with a missing reason, or naming an unknown rule, are
-//! themselves findings (`lint-ok-syntax`), and the per-rule allow counts
-//! are ratcheted against the committed `lint_debt.json` baseline
-//! (`lint-debt`) — a stale or lazy allowlist fails the build just like the
-//! violation it hides. The symbol table also works *for* the allowlist:
-//! atomic fields whose every access is a `Relaxed` pure counter are proven
-//! benign and need no justification at all (stale ones are flagged).
+//! themselves findings (`lint-ok-syntax`). The per-rule allow counts —
+//! these comments plus every `#[expect(clippy::<lint>)]` suppressing a
+//! clippy-owned invariant — are ratcheted against the committed
+//! `lint_debt.json` baseline (`lint-debt`), so a stale or lazy allowlist
+//! fails the build just like the violation it hides. The symbol table also
+//! works *for* the allowlist: atomic fields whose every access is a
+//! `Relaxed` pure counter are proven benign and need no justification at
+//! all (stale ones are flagged).
 //!
 //! The analysis is deliberately token-level rather than type-aware (the
 //! offline build environment has no `syn`/`rustc` driver): every rule
@@ -50,6 +55,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod debt;
 pub mod diagnostics;
@@ -62,7 +75,7 @@ pub mod workspace;
 pub use diagnostics::{render_json, render_text, Finding};
 pub use table::SymbolTable;
 
-use rules::{all_rule_ids, all_rules, FileCtx};
+use rules::{all_rule_ids, all_rules};
 use source::SourceFile;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -100,73 +113,6 @@ impl std::fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// Which crates each scoped rule covers. The unscoped rules
-/// (`ordering-justified`, `crate-error-types`) run on every discovered
-/// crate.
-#[derive(Debug, Clone)]
-pub struct LintConfig {
-    /// Crates whose library code must be panic-free (`no-panic-lib`).
-    pub no_panic_crates: Vec<String>,
-    /// Subset of crates where bracket indexing is also forbidden (the
-    /// concurrency core, where every index deserves a justification).
-    pub index_check_crates: Vec<String>,
-    /// Crates whose library code may not read clocks ungated
-    /// (`gated-clocks`).
-    pub clock_crates: Vec<String>,
-}
-
-impl LintConfig {
-    /// The workspace policy: the numeric/serving/observability core is
-    /// panic-free and clock-gated; the concurrency core (serve, obs,
-    /// chaos) and the linter itself additionally ban unchecked indexing.
-    pub fn workspace_default() -> LintConfig {
-        let s = |names: &[&str]| names.iter().map(|n| n.to_string()).collect();
-        LintConfig {
-            no_panic_crates: s(&[
-                "adv-tensor",
-                "adv-nn",
-                "adv-serve",
-                "adv-obs",
-                "adv-chaos",
-                "adv-magnet",
-                "adv-lint",
-                "adv-store",
-                "adv-telemetry",
-                "adv-profile",
-                "adv-net",
-                "adv-zoo",
-            ]),
-            index_check_crates: s(&["adv-serve", "adv-obs", "adv-chaos", "adv-net", "adv-zoo"]),
-            clock_crates: s(&[
-                "adv-tensor",
-                "adv-nn",
-                "adv-serve",
-                "adv-obs",
-                "adv-chaos",
-                "adv-magnet",
-                "adv-data",
-                "adv-attacks",
-                "adv-lint",
-                "adv-store",
-                "adv-telemetry",
-                "adv-profile",
-                "adv-net",
-                "adv-zoo",
-            ]),
-        }
-    }
-
-    /// A configuration with every scoped rule disabled (unit tests opt in
-    /// crate by crate).
-    pub fn empty() -> LintConfig {
-        LintConfig {
-            no_panic_crates: Vec::new(),
-            index_check_crates: Vec::new(),
-            clock_crates: Vec::new(),
-        }
-    }
-}
-
 /// The outcome of a lint run.
 #[derive(Debug)]
 pub struct Report {
@@ -177,9 +123,11 @@ pub struct Report {
     /// Number of `.rs` files under the root that the walk did *not* scan
     /// (tests, shims, fixtures) — printed so coverage gaps stay visible.
     pub skipped: usize,
-    /// Number of well-formed allowlist entries seen.
+    /// Number of suppressions seen: well-formed allowlist comments plus
+    /// `#[expect(clippy::..)]` lint names.
     pub allows: usize,
-    /// Distinct allowlist comments per rule (the suppression-debt counts).
+    /// Suppressions per rule or `clippy::<lint>` (the suppression-debt
+    /// counts).
     pub allows_by_rule: BTreeMap<String, usize>,
 }
 
@@ -216,68 +164,40 @@ impl Report {
     }
 }
 
-/// Lints the workspace at `root` with the default policy.
+/// Lints the workspace at `root`.
 ///
 /// # Errors
 ///
 /// Propagates [`LintError`] from discovery and file loading; findings are
 /// data, not errors.
 pub fn run_check(root: &Path) -> Result<Report, LintError> {
-    run_check_with(root, &LintConfig::workspace_default())
-}
-
-/// Lints the workspace at `root` under an explicit configuration.
-///
-/// # Errors
-///
-/// See [`run_check`].
-pub fn run_check_with(root: &Path, config: &LintConfig) -> Result<Report, LintError> {
     let rules = all_rules();
     let known = all_rule_ids();
     let mut findings = Vec::new();
-    let mut files_checked = 0usize;
-    let mut allows = 0usize;
     let mut allows_by_rule: BTreeMap<String, usize> = BTreeMap::new();
 
     // Load everything first: pass 1 (the symbol table) needs the whole
     // workspace in view before any cross-file rule can run.
-    let mut loaded: Vec<(workspace::CrateSrc, Vec<SourceFile>)> = Vec::new();
-    for krate in workspace::discover(root)? {
-        let files = workspace::load_sources(&krate)?;
-        loaded.push((krate, files));
-    }
-    let table_input: Vec<(&str, &[SourceFile])> = loaded
-        .iter()
-        .map(|(k, f)| (k.name.as_str(), f.as_slice()))
-        .collect();
-    let symbols = table::SymbolTable::build(root, &table_input);
+    let files = load_workspace(root)?;
+    let symbols = table::SymbolTable::build(root, &files);
 
     // Pass 2a: per-file rules.
-    for (krate, files) in &loaded {
-        let ctx = FileCtx {
-            crate_name: &krate.name,
-            config,
-        };
-        for file in files {
-            files_checked += 1;
-            // A statement-scoped allow appears once per covered line; count
-            // distinct comments, not coverage.
-            let distinct: std::collections::BTreeSet<(usize, &str)> = file
-                .allows
-                .iter()
-                .flatten()
-                .map(|a| (a.comment_line, a.rule.as_str()))
-                .collect();
-            allows += distinct.len();
-            for (_, rule) in &distinct {
-                *allows_by_rule.entry((*rule).to_string()).or_insert(0) += 1;
-            }
-            check_allow_comments(file, &known, &mut findings);
-            for rule in &rules {
-                if rule.applies(&ctx) {
-                    rule.check(file, &ctx, &mut findings);
-                }
-            }
+    for file in &files {
+        // A statement-scoped allow appears once per covered line; count
+        // distinct comments, not coverage.
+        let distinct: std::collections::BTreeSet<(usize, &str)> = file
+            .allows
+            .iter()
+            .flatten()
+            .map(|a| (a.comment_line, a.rule.as_str()))
+            .collect();
+        for (_, rule) in &distinct {
+            *allows_by_rule.entry((*rule).to_string()).or_insert(0) += 1;
+        }
+        debt::count_clippy_expects(&file.code.join("\n"), &mut allows_by_rule);
+        check_allow_comments(file, &known, &mut findings);
+        for rule in &rules {
+            rule.check(file, &mut findings);
         }
     }
 
@@ -294,11 +214,7 @@ pub fn run_check_with(root: &Path, config: &LintConfig) -> Result<Report, LintEr
 
     // Pass 2b: workspace-wide rules over the symbol table.
     let ws_ctx = rules::WsCtx {
-        files: loaded
-            .iter()
-            .flat_map(|(_, files)| files.iter())
-            .map(|f| (f.rel.as_str(), f))
-            .collect(),
+        files: files.iter().map(|f| (f.rel.as_str(), f)).collect(),
         design_lines: std::fs::read_to_string(root.join("DESIGN.md"))
             .map(|t| t.lines().map(str::to_string).collect())
             .unwrap_or_default(),
@@ -308,16 +224,16 @@ pub fn run_check_with(root: &Path, config: &LintConfig) -> Result<Report, LintEr
     // The suppression-debt ratchet against the committed baseline.
     debt::check_debt(root, &allows_by_rule, &mut findings);
 
-    let skipped = workspace::count_rs_files(root)?.saturating_sub(files_checked);
+    let skipped = workspace::count_rs_files(root)?.saturating_sub(files.len());
 
     findings.sort_by(|a, b| {
         (&a.path, a.line, a.column, a.rule).cmp(&(&b.path, b.line, b.column, b.rule))
     });
     Ok(Report {
         findings,
-        files_checked,
+        files_checked: files.len(),
         skipped,
-        allows,
+        allows: allows_by_rule.values().sum(),
         allows_by_rule,
     })
 }
@@ -330,16 +246,16 @@ pub fn run_check_with(root: &Path, config: &LintConfig) -> Result<Report, LintEr
 ///
 /// Propagates [`LintError`] from discovery and file loading.
 pub fn build_symbol_table(root: &Path) -> Result<table::SymbolTable, LintError> {
-    let mut loaded: Vec<(workspace::CrateSrc, Vec<SourceFile>)> = Vec::new();
+    Ok(table::SymbolTable::build(root, &load_workspace(root)?))
+}
+
+/// Loads every scanned file of every discovered crate.
+fn load_workspace(root: &Path) -> Result<Vec<SourceFile>, LintError> {
+    let mut files = Vec::new();
     for krate in workspace::discover(root)? {
-        let files = workspace::load_sources(&krate)?;
-        loaded.push((krate, files));
+        files.extend(workspace::load_sources(&krate)?);
     }
-    let table_input: Vec<(&str, &[SourceFile])> = loaded
-        .iter()
-        .map(|(k, f)| (k.name.as_str(), f.as_slice()))
-        .collect();
-    Ok(table::SymbolTable::build(root, &table_input))
+    Ok(files)
 }
 
 /// Reports malformed allowlist comments (`lint-ok-syntax`): a missing

@@ -6,7 +6,8 @@
 //! adv-lint rules
 //! ```
 //!
-//! `debt` prints the live per-rule `lint-ok` counts in the baseline format;
+//! `debt` prints the live per-rule suppression counts (`lint-ok` comments
+//! and `#[expect(clippy::..)]` attributes) in the baseline format;
 //! `--write` updates `lint_debt.json` at the root (the conscious act the
 //! `lint-debt` rule requires when suppression debt grows).
 //!

@@ -8,7 +8,7 @@
 //! aware) and flags return types that mention `Box<dyn ..>` or use `String`
 //! as the error arm of a `Result`.
 
-use super::{FileCtx, RawMatch, Rule};
+use super::{RawMatch, Rule};
 use crate::diagnostics::Finding;
 use crate::lexer::is_ident_char;
 use crate::source::{FileKind, SourceFile};
@@ -30,11 +30,7 @@ impl Rule for CrateErrorTypes {
          `Box<dyn Error>` or `Result<_, String>`"
     }
 
-    fn applies(&self, _ctx: &FileCtx<'_>) -> bool {
-        true
-    }
-
-    fn check(&self, file: &SourceFile, _ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
         if file.kind != FileKind::Lib {
             return;
         }
@@ -311,7 +307,6 @@ fn word_at(chars: &[char], i: usize, word: &str) -> bool {
 mod tests {
     use super::*;
     use crate::source::SourceFile;
-    use crate::LintConfig;
     use std::path::PathBuf;
 
     fn run(src: &str) -> Vec<Finding> {
@@ -321,13 +316,8 @@ mod tests {
             FileKind::Lib,
             src,
         );
-        let config = LintConfig::empty();
-        let ctx = FileCtx {
-            crate_name: "any",
-            config: &config,
-        };
         let mut out = Vec::new();
-        CrateErrorTypes.check(&file, &ctx, &mut out);
+        CrateErrorTypes.check(&file, &mut out);
         out
     }
 

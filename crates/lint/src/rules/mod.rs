@@ -1,32 +1,17 @@
 //! The rule engine: a [`Rule`] trait, the built-in rule set, and shared
 //! token-scanning helpers over scrubbed source.
 
-mod clocks;
 mod error_types;
-mod no_panic;
 mod ordering;
 pub mod ws;
 
-pub use clocks::GatedClocks;
 pub use error_types::CrateErrorTypes;
-pub use no_panic::NoPanicLib;
 pub use ordering::OrderingJustified;
 pub use ws::{check_workspace, WsCtx, WS_RULES};
 
 use crate::diagnostics::Finding;
 use crate::lexer::is_ident_char;
 use crate::source::SourceFile;
-use crate::LintConfig;
-
-/// Per-file context a rule sees: which crate the file belongs to and the
-/// workspace configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct FileCtx<'a> {
-    /// Package name from the owning crate's `Cargo.toml`.
-    pub crate_name: &'a str,
-    /// Workspace lint configuration.
-    pub config: &'a LintConfig,
-}
 
 /// One invariant check. Rules scan scrubbed code (comments and literal
 /// bodies blanked), skip test regions, and honor `lint-ok` allowlists via
@@ -36,21 +21,14 @@ pub trait Rule {
     fn id(&self) -> &'static str;
     /// One-line description for `adv-lint rules`.
     fn summary(&self) -> &'static str;
-    /// Whether the rule runs on files of this crate at all.
-    fn applies(&self, ctx: &FileCtx<'_>) -> bool;
     /// Scans `file`, pushing violations into `out`.
-    fn check(&self, file: &SourceFile, ctx: &FileCtx<'_>, out: &mut Vec<Finding>);
+    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>);
 }
 
 /// The built-in per-file rule set, in reporting order. The workspace-wide
 /// pass-2 rules live in [`ws`] and are listed in [`WS_RULES`].
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(NoPanicLib),
-        Box::new(OrderingJustified),
-        Box::new(GatedClocks),
-        Box::new(CrateErrorTypes),
-    ]
+    vec![Box::new(OrderingJustified), Box::new(CrateErrorTypes)]
 }
 
 /// Every rule id the engine knows — per-file, workspace-wide, and the
@@ -123,12 +101,6 @@ pub fn find_word(line: &str, word: &str) -> Vec<usize> {
         }
     }
     out
-}
-
-/// `true` when `c` can end an indexable expression: an identifier char, a
-/// closing paren, or a closing bracket.
-pub fn is_expr_end(c: char) -> bool {
-    is_ident_char(c) || c == ')' || c == ']'
 }
 
 /// After `start` (0-based char index), skips whitespace and returns the

@@ -8,7 +8,7 @@
 //! `// lint-ok(ordering-justified): <why this ordering is sufficient>`,
 //! which doubles as the audit trail for the serve/obs concurrency core.
 
-use super::{emit, find_word, skip_ws, FileCtx, RawMatch, Rule};
+use super::{emit, find_word, skip_ws, RawMatch, Rule};
 use crate::diagnostics::Finding;
 use crate::source::SourceFile;
 
@@ -31,11 +31,7 @@ impl Rule for OrderingJustified {
          must carry a justification comment"
     }
 
-    fn applies(&self, _ctx: &FileCtx<'_>) -> bool {
-        true
-    }
-
-    fn check(&self, file: &SourceFile, _ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
         for (idx, line) in file.code.iter().enumerate() {
             let lineno = idx + 1;
             let chars: Vec<char> = line.chars().collect();
@@ -85,7 +81,6 @@ impl Rule for OrderingJustified {
 mod tests {
     use super::*;
     use crate::source::{FileKind, SourceFile};
-    use crate::LintConfig;
     use std::path::PathBuf;
 
     fn run(src: &str) -> Vec<Finding> {
@@ -95,13 +90,8 @@ mod tests {
             FileKind::Lib,
             src,
         );
-        let config = LintConfig::empty();
-        let ctx = FileCtx {
-            crate_name: "any",
-            config: &config,
-        };
         let mut out = Vec::new();
-        OrderingJustified.check(&file, &ctx, &mut out);
+        OrderingJustified.check(&file, &mut out);
         out
     }
 

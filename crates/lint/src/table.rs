@@ -10,9 +10,6 @@
 //!   the receiver field resolved token-level (`self.state.load(..)` →
 //!   `state`; a call-returning receiver stays unresolved and is treated
 //!   conservatively);
-//! - **unsafe sites** — every `unsafe` block/fn/impl/trait outside test
-//!   code, with whether a `// SAFETY:` contract sits on or directly above
-//!   it, plus which crates still carry `#![forbid(unsafe_code)]`;
 //! - **kernel inventory** — the `KernelKind` enum's variants vs the set of
 //!   variants actually passed to `KernelScope::enter`, and the body extent
 //!   of every function that opens a kernel scope (for the hot-path
@@ -96,36 +93,6 @@ pub struct AtomicSite {
     pub column: usize,
 }
 
-/// What kind of `unsafe` a site is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
-    /// `unsafe { .. }` block.
-    Block,
-    /// `unsafe fn`.
-    Fn,
-    /// `unsafe impl`.
-    Impl,
-    /// `unsafe trait`.
-    Trait,
-}
-
-/// One `unsafe` occurrence outside test code.
-#[derive(Debug, Clone)]
-pub struct UnsafeSite {
-    /// Which syntactic form.
-    pub kind: UnsafeKind,
-    /// Whether a `SAFETY:` comment sits on the line or directly above it.
-    pub has_safety: bool,
-    /// Crate the site lives in.
-    pub crate_name: String,
-    /// Report path.
-    pub path: String,
-    /// 1-based line.
-    pub line: usize,
-    /// 0-based column.
-    pub column: usize,
-}
-
 /// A `KernelKind` enum variant declaration.
 #[derive(Debug, Clone)]
 pub struct KernelVariant {
@@ -165,18 +132,6 @@ pub struct MetricReg {
     pub line: usize,
 }
 
-/// A crate-level summary used by the unsafe audit.
-#[derive(Debug, Clone)]
-pub struct CrateUnsafeStatus {
-    /// Crate package name.
-    pub name: String,
-    /// Report path of the crate's `lib.rs` (empty when the crate has no
-    /// library target).
-    pub lib_path: String,
-    /// Whether `lib.rs` carries `#![forbid(unsafe_code)]`.
-    pub forbids_unsafe: bool,
-}
-
 /// The workspace symbol table — everything pass 2 reasons about.
 #[derive(Debug, Default)]
 pub struct SymbolTable {
@@ -189,13 +144,6 @@ pub struct SymbolTable {
     /// `Ordering` token positions `(path, line, col)` on proven-counter
     /// sites: `ordering-justified` needs no comment there.
     pub exempt_ordering_tokens: BTreeSet<(String, usize, usize)>,
-    /// `unsafe` sites (non-test code).
-    pub unsafe_sites: Vec<UnsafeSite>,
-    /// Per-crate `forbid(unsafe_code)` status.
-    pub crate_unsafe: Vec<CrateUnsafeStatus>,
-    /// Crates cleared for `unsafe` by the committed policy file, with the
-    /// recorded reason.
-    pub unsafe_policy: BTreeMap<String, String>,
     /// `KernelKind` variant declarations.
     pub kernel_variants: Vec<KernelVariant>,
     /// Variants actually passed to `KernelScope::enter(KernelKind::X, ..)`.
@@ -214,42 +162,22 @@ pub struct SymbolTable {
 
 impl SymbolTable {
     /// Builds the table over every scanned file. `root` locates the
-    /// optional side inputs: `unsafe_policy.txt` and `DESIGN.md`.
-    pub fn build(root: &Path, files: &[(&str, &[SourceFile])]) -> SymbolTable {
+    /// optional `DESIGN.md` side input.
+    pub fn build(root: &Path, files: &[SourceFile]) -> SymbolTable {
+        let (doc_metrics, has_metric_schema) = parse_metric_schema(root);
         let mut table = SymbolTable {
-            unsafe_policy: parse_unsafe_policy(root),
+            doc_metrics,
+            has_metric_schema,
             ..SymbolTable::default()
         };
-        let (doc_metrics, has_schema) = parse_metric_schema(root);
-        table.doc_metrics = doc_metrics;
-        table.has_metric_schema = has_schema;
-
-        for (crate_name, crate_files) in files {
-            let mut status = CrateUnsafeStatus {
-                name: (*crate_name).to_string(),
-                lib_path: String::new(),
-                forbids_unsafe: false,
-            };
-            for file in *crate_files {
-                let flat = Flat::new(file);
-                collect_atomic_fields(&flat, &mut table.atomic_fields);
-                collect_atomic_sites(&flat, &mut table.atomic_sites);
-                collect_unsafe(&flat, crate_name, &mut table.unsafe_sites);
-                collect_kernels(&flat, &mut table);
-                if file.kind == FileKind::Lib {
-                    collect_metrics(&flat, &mut table.metric_regs);
-                }
-                if file.rel.ends_with("src/lib.rs") {
-                    status.lib_path = file.rel.clone();
-                    // Scrubbed lines, so the attribute mentioned in a
-                    // comment or string cannot satisfy the audit.
-                    status.forbids_unsafe = file
-                        .code
-                        .iter()
-                        .any(|l| l.contains("#![forbid(unsafe_code)]"));
-                }
+        for file in files {
+            let flat = Flat::new(file);
+            collect_atomic_fields(&flat, &mut table.atomic_fields);
+            collect_atomic_sites(&flat, &mut table.atomic_sites);
+            collect_kernels(&flat, &mut table);
+            if file.kind == FileKind::Lib {
+                collect_metrics(&flat, &mut table.metric_regs);
             }
-            table.crate_unsafe.push(status);
         }
         table.classify_counters();
         table
@@ -656,83 +584,6 @@ fn collect_atomic_sites(flat: &Flat<'_>, out: &mut Vec<AtomicSite>) {
     out.sort_by(|a, b| (&a.path, a.line, a.column).cmp(&(&b.path, b.line, b.column)));
 }
 
-/// Collects `unsafe` sites with their `SAFETY:` status.
-fn collect_unsafe(flat: &Flat<'_>, crate_name: &str, out: &mut Vec<UnsafeSite>) {
-    for site in flat.word_sites("unsafe") {
-        if flat.is_test(site) {
-            continue;
-        }
-        let kind = match fwd_ws(&flat.chars, site + "unsafe".len()) {
-            Some(n) => match flat.chars[n] {
-                '{' => UnsafeKind::Block,
-                _ => match ident_at(&flat.chars, n).as_str() {
-                    "fn" => UnsafeKind::Fn,
-                    "impl" => UnsafeKind::Impl,
-                    "trait" => UnsafeKind::Trait,
-                    // `unsafe extern`, attribute args, etc. — still audit.
-                    _ => UnsafeKind::Block,
-                },
-            },
-            None => UnsafeKind::Block,
-        };
-        let line = flat.line(site);
-        out.push(UnsafeSite {
-            kind,
-            has_safety: has_safety_comment(flat.file, line),
-            crate_name: crate_name.to_string(),
-            path: flat.file.rel.clone(),
-            line,
-            column: flat.col(site),
-        });
-    }
-}
-
-/// `true` when a `SAFETY:` comment sits on `line` or in the contiguous
-/// comment block directly above it.
-fn has_safety_comment(file: &SourceFile, line: usize) -> bool {
-    let has_on = |l: usize| {
-        file.comments
-            .iter()
-            .any(|c| c.line == l && c.text.contains("SAFETY:"))
-    };
-    if has_on(line) {
-        return true;
-    }
-    // Walk up through comment-only lines (scrubbed code blank, original
-    // non-empty).
-    let mut l = line;
-    while l > 1 {
-        l -= 1;
-        let code_blank = file
-            .code
-            .get(l - 1)
-            .map(|c| c.trim().is_empty())
-            .unwrap_or(true);
-        let orig_blank = file
-            .lines
-            .get(l - 1)
-            .map(|c| c.trim().is_empty())
-            .unwrap_or(true);
-        if !code_blank || orig_blank {
-            return false;
-        }
-        if has_on(l) {
-            return true;
-        }
-        // A comment body line (inside a block comment) has blank code but
-        // no comment *start* — keep walking; the start line carries the
-        // text and will be checked when reached.
-        let is_comment_region = file
-            .comments
-            .iter()
-            .any(|c| c.line <= l && c.text.lines().count() + c.line > l);
-        if !is_comment_region && !has_on(l) {
-            return false;
-        }
-    }
-    false
-}
-
 /// Collects the `KernelKind` enum's variants, every variant passed to
 /// `KernelScope::enter`, and the measured region of each entering
 /// function.
@@ -930,26 +781,6 @@ fn collect_metrics(flat: &Flat<'_>, out: &mut Vec<MetricReg>) {
     }
 }
 
-/// Parses `unsafe_policy.txt` at the workspace root: `crate-name: reason`
-/// lines, `#` comments. Missing file = empty policy (no crate may use
-/// `unsafe`).
-fn parse_unsafe_policy(root: &Path) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    let Ok(text) = std::fs::read_to_string(root.join("unsafe_policy.txt")) else {
-        return out;
-    };
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some((name, reason)) = line.split_once(':') {
-            out.insert(name.trim().to_string(), reason.trim().to_string());
-        }
-    }
-    out
-}
-
 /// Parses the metric schema block out of `DESIGN.md`: backticked names
 /// between `<!-- metric-schema:start -->` and `<!-- metric-schema:end -->`.
 fn parse_metric_schema(root: &Path) -> (BTreeMap<String, usize>, bool) {
@@ -1002,7 +833,7 @@ mod tests {
             FileKind::Lib,
             src,
         )];
-        SymbolTable::build(Path::new("/nonexistent-table-root"), &[("x", &files)])
+        SymbolTable::build(Path::new("/nonexistent-table-root"), &files)
     }
 
     #[test]
@@ -1063,16 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_sites_and_safety_comments() {
-        let t = table_for(
-            "fn a() {\n    // SAFETY: bounds checked above\n    unsafe { go(); }\n}\nfn b() {\n    unsafe { go(); }\n}\n",
-        );
-        assert_eq!(t.unsafe_sites.len(), 2);
-        assert!(t.unsafe_sites[0].has_safety);
-        assert!(!t.unsafe_sites[1].has_safety);
-    }
-
-    #[test]
     fn kernel_variants_and_enter_sites() {
         let t = table_for(
             "pub enum KernelKind {\n    MatMul,\n    Ghost,\n}\nfn hot() {\n    let _p = KernelScope::enter(KernelKind::MatMul, || Work::matmul(1, 1, 1));\n}\n",
@@ -1101,9 +922,8 @@ mod tests {
     #[test]
     fn test_code_is_excluded_from_the_table() {
         let t = table_for(
-            "#[cfg(test)]\nmod tests {\n    fn t(a: &AtomicU64) { a.store(1, Ordering::SeqCst); unsafe { x(); } }\n}\n",
+            "#[cfg(test)]\nmod tests {\n    fn t(a: &AtomicU64) { a.store(1, Ordering::SeqCst); }\n}\n",
         );
         assert!(t.atomic_sites.is_empty());
-        assert!(t.unsafe_sites.is_empty());
     }
 }

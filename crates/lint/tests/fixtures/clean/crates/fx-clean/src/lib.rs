@@ -1,6 +1,6 @@
 //! Clean fixture: every rule's pattern appears here in compliant or
-//! allowlisted form, so the linter must report zero findings even with all
-//! scoped rules enabled for this crate.
+//! allowlisted form, so the linter must report zero findings. The
+//! `#[expect(clippy::..)]` suppressions count toward the allow total.
 
 #![forbid(unsafe_code)]
 
@@ -20,8 +20,6 @@ pub enum CleanError {
 /// Fallible API on the crate error type (compliant with
 /// `crate-error-types`).
 pub fn first(values: &[u64]) -> Result<u64, CleanError> {
-    // `.first()` instead of `values[0]` (compliant with `no-panic-lib`,
-    // including the indexing check).
     values.first().copied().ok_or(CleanError::Empty)
 }
 
@@ -44,22 +42,24 @@ pub fn set_level(v: u64) {
     LEVEL.store(v, Ordering::Relaxed);
 }
 
-/// An allowlisted clock read (compliant with `gated-clocks`): timing is
-/// this function's documented purpose.
+/// A clock read suppressed the clippy way: timing is this function's
+/// documented purpose.
 pub fn measure<F: FnOnce()>(f: F) -> std::time::Duration {
-    // lint-ok(gated-clocks): measuring wall time is the feature here
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measuring wall time is the feature here"
+    )]
     let start = Instant::now();
     f();
     start.elapsed()
 }
 
-/// An allowlisted unwrap (compliant with `no-panic-lib`): the value was
-/// checked the line before.
+/// A suppressed unwrap: the value is checked before it is unwrapped.
+#[expect(clippy::unwrap_used, reason = "is_none checked directly above")]
 pub fn double_checked(v: Option<u64>) -> u64 {
     if v.is_none() {
         return 0;
     }
-    // lint-ok(no-panic-lib): is_none checked directly above
     v.unwrap()
 }
 

@@ -1,12 +1,16 @@
-//! Pins the pass-1 symbol-table inventory over the *real* workspace.
+//! Pins the pass-1 symbol-table inventory over the *real* workspace, plus
+//! the crate-level lint policy that rustc and clippy enforce but cannot
+//! check the presence of.
 //!
 //! These assertions are the machine-checked form of DESIGN.md's claims
-//! about the codebase: how many atomic fields exist, that the workspace is
-//! unsafe-free ahead of the SIMD lane, and that every `KernelKind` slot is
-//! actually entered somewhere. When one of these fails, either the code
-//! drifted (update DESIGN.md too) or the table collector regressed.
+//! about the codebase: how many atomic fields exist, that every crate
+//! forbids `unsafe` unless `unsafe_policy.txt` clears it, and that every
+//! `KernelKind` slot is actually entered somewhere. When one of these
+//! fails, either the code drifted (update DESIGN.md too) or the table
+//! collector regressed.
 
 use adv_lint::build_symbol_table;
+use adv_lint::workspace::discover;
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
@@ -48,30 +52,6 @@ fn pass1_inventory_matches_the_workspace() {
         table.relaxed_counters
     );
 
-    // Pre-SIMD baseline: zero `unsafe` anywhere, and every lib.rs carries
-    // the forbid. unsafe_policy.txt pre-clears adv-tensor for the SIMD
-    // lane, but clearance is not use.
-    assert_eq!(
-        table.unsafe_sites.len(),
-        0,
-        "workspace must be unsafe-free before the SIMD lane lands: {:?}",
-        table.unsafe_sites
-    );
-    assert!(
-        table.crate_unsafe.iter().all(|c| c.forbids_unsafe),
-        "every lib.rs must carry #![forbid(unsafe_code)]: {:?}",
-        table
-            .crate_unsafe
-            .iter()
-            .filter(|c| !c.forbids_unsafe)
-            .map(|c| c.name.clone())
-            .collect::<Vec<_>>()
-    );
-    assert!(
-        table.unsafe_policy.contains_key("adv-tensor"),
-        "unsafe_policy.txt pre-clears the SIMD lane"
-    );
-
     // Kernel accounting: all fifteen KernelKind slots exist and each one
     // is entered by at least one non-test KernelScope::enter site.
     assert_eq!(
@@ -111,4 +91,83 @@ fn pass1_inventory_matches_the_workspace() {
             .collect::<std::collections::BTreeSet<&str>>(),
         "DESIGN.md schema and registered metrics must agree"
     );
+}
+
+/// The crates `unsafe_policy.txt` clears to use `unsafe`: `<crate>: <reason>`
+/// lines, `#` comments.
+fn unsafe_policy() -> Vec<String> {
+    let text = std::fs::read_to_string(workspace_root().join("unsafe_policy.txt"))
+        .expect("unsafe_policy.txt sits at the workspace root");
+    text.lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let (name, reason) = l.split_once(':').expect("`<crate>: <reason>` line");
+            assert!(
+                !reason.trim().is_empty(),
+                "{name} is cleared without a reason"
+            );
+            name.trim().to_string()
+        })
+        .collect()
+}
+
+/// `#![forbid(unsafe_code)]` is the crate-level half of the unsafe policy
+/// (clippy's `undocumented_unsafe_blocks` is the per-block half): every
+/// workspace `lib.rs` carries it unless `unsafe_policy.txt` clears the
+/// crate, and every cleared crate exists.
+#[test]
+fn every_lib_forbids_unsafe_unless_the_policy_clears_it() {
+    let crates = discover(&workspace_root()).expect("workspace must be walkable");
+    let cleared = unsafe_policy();
+    for name in &cleared {
+        assert!(
+            crates.iter().any(|c| &c.name == name),
+            "unsafe_policy.txt clears `{name}`, which is not a workspace crate"
+        );
+    }
+    let mut checked = 0;
+    for krate in &crates {
+        let Ok(lib) = std::fs::read_to_string(krate.src_dir.join("lib.rs")) else {
+            continue;
+        };
+        checked += 1;
+        let forbids = lib.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]");
+        assert!(
+            forbids || cleared.contains(&krate.name),
+            "{}/src/lib.rs must carry #![forbid(unsafe_code)], or unsafe_policy.txt \
+             must clear `{}` with a reason",
+            krate.rel_prefix,
+            krate.name
+        );
+    }
+    assert!(checked > 10, "every workspace lib.rs was read");
+}
+
+/// The bare-`unwrap` ban on bins, benches and examples is a package-level
+/// `[lints]` entry, so it reaches a new target of a package that already
+/// has one. A package that gains its first such target must add the entry.
+#[test]
+fn every_package_with_entrypoints_denies_bare_unwrap() {
+    let crates = discover(&workspace_root()).expect("workspace must be walkable");
+    for krate in &crates {
+        let dir = &krate.crate_dir;
+        let has_entrypoint = dir.join("src/main.rs").is_file()
+            || ["src/bin", "benches", "examples"]
+                .iter()
+                .any(|d| dir.join(d).is_dir());
+        if !has_entrypoint {
+            continue;
+        }
+        let manifest =
+            std::fs::read_to_string(dir.join("Cargo.toml")).expect("manifest is readable");
+        assert!(
+            manifest
+                .lines()
+                .any(|l| l.trim() == "unwrap_used = \"deny\""),
+            "package `{}` has bin/bench/example targets, so its [lints.clippy] \
+             table must set `unwrap_used = \"deny\"`",
+            krate.name
+        );
+    }
 }

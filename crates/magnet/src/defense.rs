@@ -294,8 +294,10 @@ impl MagnetDefense {
         let n = x.shape().dim(0);
         let mut timings = StageTimings::default();
 
-        // lint-ok(gated-clocks): StageTimings.detect is part of the
-        // classify_timed/classify_fused API; the clock read is the feature.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "StageTimings.detect is part of the classify_timed/classify_fused API; the clock read is the feature."
+        )]
         let t0 = std::time::Instant::now();
         let detected = match scheme {
             DefenseScheme::DetectorOnly | DefenseScheme::Full => {
@@ -307,8 +309,10 @@ impl MagnetDefense {
             _ => vec![false; n],
         };
 
-        // lint-ok(gated-clocks): StageTimings.reform is part of the
-        // classify_timed/classify_fused API; the clock read is the feature.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "StageTimings.reform is part of the classify_timed/classify_fused API; the clock read is the feature."
+        )]
         let t1 = std::time::Instant::now();
         let input = match scheme {
             DefenseScheme::ReformerOnly | DefenseScheme::Full => {
@@ -320,8 +324,10 @@ impl MagnetDefense {
             _ => x.clone(),
         };
 
-        // lint-ok(gated-clocks): StageTimings.classify is part of the
-        // classify_timed/classify_fused API; the clock read is the feature.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "StageTimings.classify is part of the classify_timed/classify_fused API; the clock read is the feature."
+        )]
         let t2 = std::time::Instant::now();
         let preds = {
             let _stage = StageScope::enter("magnet/classify");
@@ -388,8 +394,10 @@ impl MagnetDefense {
         let mut timings = StageTimings::default();
         let mut cache = InferenceCache::new();
 
-        // lint-ok(gated-clocks): StageTimings.detect is part of the
-        // classify_timed/classify_fused API; the clock read is the feature.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "StageTimings.detect is part of the classify_timed/classify_fused API; the clock read is the feature."
+        )]
         let t0 = std::time::Instant::now();
         let mut det_scores: Vec<Vec<f32>> = Vec::new();
         let detected = match scheme {
@@ -418,8 +426,10 @@ impl MagnetDefense {
             _ => vec![false; n],
         };
 
-        // lint-ok(gated-clocks): StageTimings.reform is part of the
-        // classify_timed/classify_fused API; the clock read is the feature.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "StageTimings.reform is part of the classify_timed/classify_fused API; the clock read is the feature."
+        )]
         let t1 = std::time::Instant::now();
         let input = match scheme {
             DefenseScheme::ReformerOnly | DefenseScheme::Full => {
@@ -431,8 +441,10 @@ impl MagnetDefense {
             _ => x.clone(),
         };
 
-        // lint-ok(gated-clocks): StageTimings.classify is part of the
-        // classify_timed/classify_fused API; the clock read is the feature.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "StageTimings.classify is part of the classify_timed/classify_fused API; the clock read is the feature."
+        )]
         let t2 = std::time::Instant::now();
         let preds = {
             let _stage = StageScope::enter("magnet/classify");

@@ -115,8 +115,6 @@ struct ServerShared {
 impl ServerShared {
     /// Nanoseconds since the server started — the token buckets' time base.
     fn now_ns(&self) -> u64 {
-        // lint-ok(gated-clocks): rate limiting is the feature; the bucket
-        // refill arithmetic runs on this clock.
         self.epoch.elapsed().as_nanos() as u64
     }
 
@@ -156,12 +154,15 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let tenants = TenantTable::new(cfg.tenants.clone());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the epoch anchors every token bucket."
+        )]
         let shared = Arc::new(ServerShared {
             router,
             cfg,
             tenants,
             metrics: NetMetrics::default(),
-            // lint-ok(gated-clocks): the epoch anchors every token bucket.
             epoch: Instant::now(),
             stopping: AtomicBool::new(false),
             active: AtomicUsize::new(0),
@@ -468,7 +469,10 @@ enum RequestEnd {
     Dead,
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one request's connection, frame and reply state, passed by reference rather than bundled"
+)]
 fn handle_request<S: NetStream>(
     shared: &ServerShared,
     stream: &mut S,
@@ -739,8 +743,10 @@ fn read_frame_bounded<S: NetStream>(
     idle_bound: Duration,
 ) -> std::result::Result<Frame, ReadEnd> {
     let _ = stream.set_read_timeout(Some(shared.cfg.read_poll));
-    // lint-ok(gated-clocks): idle/slow-loris eviction deadlines are the
-    // feature of this loop.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "idle/slow-loris eviction deadlines are the feature of this loop."
+    )]
     let idle_start = Instant::now();
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0usize;
@@ -760,8 +766,8 @@ fn read_frame_bounded<S: NetStream>(
             }
             Ok(n) => {
                 filled += n;
+                #[expect(clippy::disallowed_methods, reason = "see above.")]
                 if frame_start.is_none() {
-                    // lint-ok(gated-clocks): see above.
                     frame_start = Some(Instant::now());
                 }
             }
@@ -809,7 +815,7 @@ fn read_frame_bounded<S: NetStream>(
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                // lint-ok(gated-clocks): see above.
+                #[expect(clippy::disallowed_methods, reason = "see above.")]
                 if deadline.is_some_and(|d| Instant::now() >= d) {
                     return Err(ReadEnd::SlowLoris);
                 }

@@ -20,7 +20,6 @@
 //! `NET_CHAOS_METRICS_PATH` set, per-seed metrics JSON is written there for
 //! the CI artifact.
 
-#[allow(dead_code)]
 mod common;
 
 use adv_chaos::NetFaultPlan;

@@ -275,9 +275,10 @@ impl Clone for Sequential {
     /// Rebuilds the network from its specs and copies the parameter values.
     /// Forward/backward caches are not cloned.
     fn clone(&self) -> Self {
-        // lint-ok(no-panic-lib): Clone cannot return Result; from_specs
-        // re-validates specs that already built `self`, so this expect is
-        // provably unreachable (pinned by clone tests over every layer kind).
+        #[expect(
+            clippy::expect_used,
+            reason = "Clone cannot return Result; from_specs re-validates specs that already built `self`, so this expect is provably unreachable (pinned by clone tests over every layer kind)."
+        )]
         let mut net = Sequential::from_specs(&self.specs, self.seed)
             .expect("specs were validated when self was constructed");
         for (dst, src) in net.params_mut().into_iter().zip(self.params()) {

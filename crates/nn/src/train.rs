@@ -260,8 +260,10 @@ pub fn fit_classifier(
     history.reserve(cfg.epochs.saturating_sub(history.len()));
     for epoch in start_epoch..cfg.epochs {
         let _epoch_span = StageScope::enter("train/epoch");
-        // lint-ok(gated-clocks): per-epoch wall time feeds EpochStats, part
-        // of the training-history API returned to callers.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-epoch wall time feeds EpochStats, part of the training-history API returned to callers."
+        )]
         let epoch_start = Instant::now();
         let mut rng = epoch_rng(cfg.seed, epoch);
         // Reset to the identity permutation so the epoch's order depends
@@ -276,8 +278,10 @@ pub fn fit_classifier(
         let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch_size) {
             let _batch_span = StageScope::enter("train/batch");
-            // lint-ok(gated-clocks): batch timing feeds the same
-            // EpochStats throughput numbers; measuring it is the feature.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "batch timing feeds the same EpochStats throughput numbers; measuring it is the feature."
+            )]
             let batch_start = Instant::now();
             let xb = gather0(x, chunk)?;
             let yb: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
@@ -461,8 +465,10 @@ pub fn fit_autoencoder_with(
     history.reserve(cfg.epochs.saturating_sub(history.len()));
     for epoch in start_epoch..cfg.epochs {
         let _epoch_span = StageScope::enter("train/epoch");
-        // lint-ok(gated-clocks): per-epoch wall time feeds EpochStats, part
-        // of the training-history API returned to callers.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-epoch wall time feeds EpochStats, part of the training-history API returned to callers."
+        )]
         let epoch_start = Instant::now();
         let mut rng = epoch_rng(cfg.seed, epoch);
         // Reset to the identity permutation so the epoch's order depends
@@ -476,8 +482,10 @@ pub fn fit_autoencoder_with(
         let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch_size) {
             let _batch_span = StageScope::enter("train/batch");
-            // lint-ok(gated-clocks): batch timing feeds the same
-            // EpochStats throughput numbers; measuring it is the feature.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "batch timing feeds the same EpochStats throughput numbers; measuring it is the feature."
+            )]
             let batch_start = Instant::now();
             let clean = gather0(x, chunk)?;
             let input = corruption.apply(&clean, &mut rng);

@@ -240,11 +240,12 @@ pub(crate) fn stack_sink() -> &'static StackSink {
 }
 
 /// The instant all span offsets are measured from (first use wins).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reached only from frame entry/exit and record_event, all behind the enabled() gate; profiling timestamps are the feature."
+)]
 pub(crate) fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    // lint-ok(gated-clocks): reached only from frame entry/exit and
-    // record_event, all behind the enabled() gate; profiling timestamps
-    // are the feature.
     *EPOCH.get_or_init(Instant::now)
 }
 
@@ -353,6 +354,10 @@ thread_local! {
 /// Pushes a frame; returns `false` when the thread-local is unavailable
 /// (thread teardown) so the guard stays inert.
 #[inline(never)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "behind the enabled() gate at every scope entry; frame timing IS the feature here."
+)]
 fn enter_frame(name: &'static str, kind: Option<KernelKind>, work: Work) -> bool {
     THREAD_PROF
         .try_with(|tp| {
@@ -362,8 +367,6 @@ fn enter_frame(name: &'static str, kind: Option<KernelKind>, work: Work) -> bool
             tp.frames.push(Frame {
                 name,
                 kind,
-                // lint-ok(gated-clocks): behind the enabled() gate at every
-                // scope entry; frame timing IS the feature here.
                 start: Instant::now(),
                 child_ns: 0,
                 work,

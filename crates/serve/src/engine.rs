@@ -337,10 +337,10 @@ impl ServeEngine {
         budget: Option<Duration>,
     ) -> Result<PendingVerdict> {
         let (tx, rx) = mpsc::channel();
-        // lint-ok(gated-clocks): the submission timestamp feeds the
-        // queue-wait/latency fields of ServeResponse and anchors the
-        // server-side deadline — timing is the serving contract, not
-        // incidental instrumentation.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the submission timestamp feeds the queue-wait/latency fields of ServeResponse and anchors the server-side deadline — timing is the serving contract, not incidental instrumentation."
+        )]
         let submitted = Instant::now();
         let request = Request {
             input,
@@ -517,7 +517,10 @@ fn process_batch(ctx: &WorkerCtx, batch: Vec<Request>) -> WorkerExit {
 
     // Shed requests whose server-side deadline expired while queued: they
     // are answered (and counted), never silently dropped.
-    // lint-ok(gated-clocks): deadline enforcement is the feature.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deadline enforcement is the feature."
+    )]
     let now = Instant::now();
     let mut live: Vec<Request> = Vec::with_capacity(batch.len());
     for request in batch {
@@ -542,8 +545,10 @@ fn process_batch(ctx: &WorkerCtx, batch: Vec<Request>) -> WorkerExit {
 
     while let Some(group) = groups.pop_front() {
         let _batch_span = StageScope::enter("serve/batch");
-        // lint-ok(gated-clocks): batch start time feeds the queue_wait and
-        // latency response fields; measuring it is part of the API.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "batch start time feeds the queue_wait and latency response fields; measuring it is part of the API."
+        )]
         let started = Instant::now();
         let (scheme, role) = shared.breaker.scheme_for_batch(shared.health.now_ns());
         let degraded = scheme != cfg.scheme;

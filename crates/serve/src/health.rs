@@ -87,11 +87,12 @@ pub(crate) struct HealthState {
 }
 
 impl HealthState {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the epoch anchors the degradation window and breaker probe timers — health timing is the feature of this module."
+    )]
     pub(crate) fn new() -> HealthState {
         HealthState {
-            // lint-ok(gated-clocks): the epoch anchors the degradation
-            // window and breaker probe timers — health timing is the
-            // feature of this module.
             epoch: Instant::now(),
             failed: AtomicBool::new(false),
             draining: AtomicBool::new(false),
@@ -101,8 +102,11 @@ impl HealthState {
 
     /// Nanoseconds since the engine started; the time base every health and
     /// breaker timestamp uses (fits u64 for ~584 years of uptime).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "see `new` — window timing is the feature."
+    )]
     pub(crate) fn now_ns(&self) -> u64 {
-        // lint-ok(gated-clocks): see `new` — window timing is the feature.
         Instant::now().duration_since(self.epoch).as_nanos() as u64
     }
 

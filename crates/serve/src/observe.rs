@@ -68,7 +68,6 @@ pub struct ServedRecord<'a> {
     pub trace_id: u64,
     /// Per-detector anomaly scores for this input, in the defense's
     /// detector order. Empty when the pipeline does not expose scores.
-    // lint-ok(no-panic-lib): slice *type* in a field declaration, not an index expression.
     pub scores: &'a [f32],
 }
 

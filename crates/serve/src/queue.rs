@@ -115,8 +115,10 @@ impl<T> BoundedQueue<T> {
         }
 
         let mut batch = Vec::with_capacity(max.min(guard.items.len()));
-        // lint-ok(gated-clocks): the batching deadline is the feature —
-        // `max_wait` is measured in wall-clock time by contract.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the batching deadline is the feature — `max_wait` is measured in wall-clock time by contract."
+        )]
         let deadline = Instant::now() + max_wait;
         loop {
             while batch.len() < max {
@@ -128,7 +130,10 @@ impl<T> BoundedQueue<T> {
             if batch.len() >= max || guard.closed {
                 break;
             }
-            // lint-ok(gated-clocks): same deadline contract as above.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "same deadline contract as above."
+            )]
             let now = Instant::now();
             if now >= deadline {
                 break;
@@ -184,6 +189,10 @@ mod tests {
             q.try_push(i).unwrap();
         }
         // max = 4 < queued: must not linger for the deadline.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test asserts the batch did not wait for its deadline"
+        )]
         let t0 = Instant::now();
         let batch = q.pop_batch(4, Duration::from_secs(5)).unwrap();
         assert_eq!(batch.len(), 4);

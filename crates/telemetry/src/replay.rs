@@ -101,7 +101,10 @@ const FLIP_EXAMPLES: usize = 64;
 /// [`TelemetryError::InvalidConfig`] for a zero batch size;
 /// [`TelemetryError::Pipeline`] when a replayed batch fails; query errors
 /// as in [`query`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the source, window, filter, both schemes and batch size are independent inputs"
+)]
 pub fn replay_range(
     reader: &ChunkReader,
     provider: &dyn SampleProvider,

@@ -52,7 +52,7 @@ impl TelemetryRow {
 
     /// Builds a row from loose parts, clamping the score list to
     /// [`MAX_DETECTORS`] columns.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per row column")]
     pub fn new(
         tick: u64,
         tenant: u32,

@@ -740,11 +740,15 @@ impl ModelZoo {
     /// drains and joins it, folding its final counters into the variant's
     /// retired totals.
     fn retire_shard(&self, variant: u32, shard: Arc<Shard>) {
-        // lint-ok(gated-clocks): bounds the reader-release wait — the
-        // retire deadline is part of the hot-swap serving contract, not
-        // incidental instrumentation.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bounds the reader-release wait — the retire deadline is part of the hot-swap serving contract, not incidental instrumentation."
+        )]
         let deadline = Instant::now() + self.cfg.retire_wait;
-        // lint-ok(gated-clocks): polls the same retire deadline as above.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "polls the same retire deadline as above."
+        )]
         while Arc::strong_count(&shard) > 1 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_micros(200));
         }

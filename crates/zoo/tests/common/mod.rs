@@ -3,10 +3,6 @@
 //! byte and the input bytes) so the tests exercise the *promotion* path,
 //! not inference cost.
 
-// Each integration-test binary compiles its own copy of this module and
-// uses a different subset of it.
-#![allow(dead_code)]
-
 use adv_magnet::{DefensePipeline, DefenseScheme, MagnetError, StageTimings, Verdict};
 use adv_tensor::{Shape, Tensor};
 use adv_zoo::{PipelineLoader, WeightBlob};

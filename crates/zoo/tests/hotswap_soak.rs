@@ -4,6 +4,7 @@
 //! variant that stays in the table throughout — plus the per-variant
 //! accounting identity across live and retired shards.
 
+#[expect(dead_code, reason = "this test uses a subset of the shared helpers")]
 mod common;
 
 use adv_serve::{RequestTag, ServeConfig, VariantRouter};

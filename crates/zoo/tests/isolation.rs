@@ -5,6 +5,7 @@
 //! zoo must report Degraded — never Failed — while any healthy shard
 //! remains.
 
+#[expect(dead_code, reason = "this test uses a subset of the shared helpers")]
 mod common;
 
 use adv_chaos::{FaultInjector, FaultPlan, FaultyDefense, PANIC_MARKER, SITE_REFORM};

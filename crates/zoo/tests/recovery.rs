@@ -4,6 +4,7 @@
 //! Aborted and keep the old version), and a blob that no longer matches
 //! its journaled CRC must be quarantined, never routed.
 
+#[expect(dead_code, reason = "this test uses a subset of the shared helpers")]
 mod common;
 
 use adv_serve::{RequestTag, ServeConfig, VariantRouter};

@@ -12,6 +12,10 @@
 //! without inflating suite wall-clock.
 
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a wall-clock benchmark harness times its samples"
+)]
 
 use std::time::{Duration, Instant};
 
