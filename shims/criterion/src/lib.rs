@@ -57,16 +57,27 @@ impl Bencher {
     }
 }
 
-fn report(label: &str, results_ns: &[f64]) {
-    if results_ns.is_empty() {
-        println!("bench {label:<50} smoke-tested (1 iteration)");
-        return;
-    }
+/// Min, median and mean of the samples, `None` when there are none. The
+/// median of an even count is the mean of the middle pair.
+fn summarize(results_ns: &[f64]) -> Option<(f64, f64, f64)> {
     let mut sorted = results_ns.to_vec();
     sorted.sort_by(|a, b| a.total_cmp(b));
-    let min = sorted[0];
-    let median = sorted[sorted.len() / 2];
-    let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
+    let n = sorted.len();
+    let min = *sorted.first()?;
+    let median = if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+    };
+    let mean = sorted.iter().sum::<f64>() / n as f64;
+    Some((min, median, mean))
+}
+
+fn report(label: &str, results_ns: &[f64]) {
+    let Some((min, median, mean)) = summarize(results_ns) else {
+        println!("bench {label:<50} smoke-tested (1 iteration)");
+        return;
+    };
     println!(
         "bench {label:<50} min {:>12} median {:>12} mean {:>12}",
         fmt_ns(min),
@@ -225,6 +236,14 @@ mod tests {
         g.bench_function("probe", |b| b.iter(|| calls += 1));
         g.finish();
         assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn median_of_an_even_count_is_the_mean_of_the_middle_pair() {
+        let samples = [6.0, 1.0, 4.0, 2.0, 3.0, 5.0, 9.0, 7.0, 10.0, 8.0];
+        assert_eq!(summarize(&samples), Some((1.0, 5.5, 5.5)));
+        assert_eq!(summarize(&[3.0, 1.0, 8.0]), Some((1.0, 3.0, 4.0)));
+        assert_eq!(summarize(&[]), None);
     }
 
     #[test]
