@@ -256,7 +256,7 @@ mod tests {
         let files = load_sources(bench).unwrap();
         let b = files
             .iter()
-            .find(|f| f.rel.ends_with("benches/serve_throughput.rs"))
+            .find(|f| f.rel.ends_with("benches/obs_overhead.rs"))
             .expect("bench targets must be scanned");
         assert_eq!(b.kind, FileKind::Bench);
 

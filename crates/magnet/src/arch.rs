@@ -130,7 +130,7 @@ pub fn describe(specs: &[LayerSpec]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adv_nn::{Mode, Sequential};
+    use adv_nn::{Differentiable, Mode, Sequential};
     use adv_tensor::{Shape, Tensor};
 
     #[test]
@@ -179,6 +179,38 @@ mod tests {
         let thin = Sequential::from_specs(&mnist_ae_two(1, 3), 0).unwrap();
         let wide = Sequential::from_specs(&mnist_ae_two(1, 16), 0).unwrap();
         assert!(wide.num_parameters() > thin.num_parameters() * 5);
+    }
+
+    #[test]
+    fn backward_input_is_backward_dx_bit_for_bit_and_writes_no_grad() {
+        // The victims and reformers at the widths the zoo trains.
+        let cases = [
+            (
+                mnist_classifier(28, 1, 8, 16, 64, 10),
+                Shape::nchw(2, 1, 28, 28),
+            ),
+            (
+                cifar_classifier(16, 3, 8, 16, 64, 10),
+                Shape::nchw(2, 3, 16, 16),
+            ),
+            (mnist_ae_one(1, 8), Shape::nchw(2, 1, 28, 28)),
+            (mnist_ae_two(1, 8), Shape::nchw(2, 1, 28, 28)),
+            (cifar_ae(3, 8), Shape::nchw(2, 3, 16, 16)),
+        ];
+        for (specs, shape) in cases {
+            let x = Tensor::from_fn(shape, |i| (i * 7919 % 211) as f32 / 211.0);
+            let mut net = Sequential::from_specs(&specs, 5).unwrap();
+            let y = net.forward(&x, Mode::Eval).unwrap();
+            let dy = Tensor::from_fn(y.shape().clone(), |i| ((i * 31 % 17) as f32 - 8.0) * 0.1);
+            let dx = Differentiable::backward_input(&mut net, &dy).unwrap();
+            let grads = net.params().into_iter().flat_map(|p| p.grad.as_slice());
+            assert!(grads.into_iter().all(|&g| g == 0.0), "{specs:?}");
+            let full = net.backward(&dy).unwrap();
+            assert_eq!(dx.shape(), full.shape());
+            for (i, (a, b)) in dx.as_slice().iter().zip(full.as_slice()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{specs:?} at {i}: {a} vs {b}");
+            }
+        }
     }
 
     #[test]

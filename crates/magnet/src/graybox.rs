@@ -49,8 +49,8 @@ impl Differentiable for ReformedModel {
     }
 
     fn backward_input(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        let d_reformed = self.classifier.backward(grad_output)?;
-        self.reformer.network_mut().backward(&d_reformed)
+        let d_reformed = self.classifier.backward_input(grad_output)?;
+        self.reformer.network_mut().backward_input(&d_reformed)
     }
 }
 
@@ -107,6 +107,17 @@ mod tests {
                 "dx[{i}]: fd {fd} vs analytic {got}"
             );
         }
+    }
+
+    #[test]
+    fn backward_input_writes_no_parameter_gradient() {
+        let mut m = model();
+        let x = Tensor::from_fn(Shape::nchw(1, 1, 8, 8), |i| (i % 9) as f32 / 9.0);
+        let y = m.forward(&x).unwrap();
+        m.backward_input(&Tensor::ones(y.shape().clone())).unwrap();
+        let nets = [m.classifier(), m.reformer().network()];
+        let grads = nets.into_iter().flat_map(|n| n.params());
+        assert!(grads.flat_map(|p| p.grad.as_slice()).all(|&g| g == 0.0));
     }
 
     #[test]

@@ -55,8 +55,9 @@ impl Param {
 ///    [`Param::grad`], and returns `∂L/∂x` — the gradient with respect to the
 ///    layer *input*.
 ///
-/// Returning the input gradient is what allows `adv-attacks` to obtain
-/// `∂loss/∂image` by chaining `backward` calls from the logits to the pixels.
+/// Training chains `backward`. Attacks need only `∂loss/∂image`, so they
+/// chain [`backward_input`](Layer::backward_input) from the logits to the
+/// pixels: the same input gradient, with no parameter gradients.
 ///
 /// Layers additionally expose [`infer`](Layer::infer), a cache-free
 /// evaluation-mode forward taking `&self`. This is the path the serving
@@ -65,8 +66,9 @@ impl Param {
 ///
 /// # Errors
 ///
-/// `backward` must return [`crate::NnError::NoForwardCache`] when invoked
-/// before any `forward` call.
+/// `backward` and `backward_input` must return
+/// [`crate::NnError::NoForwardCache`] when invoked before any `forward`
+/// call.
 pub trait Layer: fmt::Debug + Send + Sync {
     /// Computes the layer output for `input`, caching backward state.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor>;
@@ -84,6 +86,14 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// Back-propagates `grad_out = ∂L/∂output`; returns `∂L/∂input` and
     /// accumulates parameter gradients.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
+
+    /// Back-propagates `grad_out` to the input only: returns the same
+    /// `∂L/∂input` as [`backward`](Layer::backward), bit for bit, and leaves
+    /// every [`Param::grad`] untouched. Layers with parameters override the
+    /// default, which calls `backward`.
+    fn backward_input(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        self.backward(grad_out)
+    }
 
     /// Immutable views of the layer's learnable parameters (empty for
     /// parameter-free layers).

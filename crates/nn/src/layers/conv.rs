@@ -1,6 +1,6 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::{NnError, Result};
-use adv_tensor::ops::{conv2d, conv2d_backward, Conv2dSpec};
+use adv_tensor::ops::{conv2d, conv2d_backward, conv2d_backward_input, Conv2dSpec};
 use adv_tensor::{init, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,6 +71,23 @@ impl Layer for Conv2d {
         Ok(dx)
     }
 
+    fn backward_input(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        let x = self
+            .cache
+            .as_ref()
+            .ok_or(NnError::NoForwardCache { layer: "conv2d" })?;
+        // `forward` accepted `x`, so it is `[n, c, h, w]`.
+        let d = x.shape().dims();
+        Ok(conv2d_backward_input(
+            &self.weight.value,
+            grad_out,
+            d[0],
+            d[2],
+            d[3],
+            &self.spec,
+        )?)
+    }
+
     fn params(&self) -> Vec<&Param> {
         vec![&self.weight, &self.bias]
     }
@@ -104,6 +121,30 @@ mod tests {
             layer.backward(&dy),
             Err(NnError::NoForwardCache { .. })
         ));
+    }
+
+    #[test]
+    fn backward_input_before_forward_errors() {
+        let mut layer = Conv2d::new(Conv2dSpec::same(1, 1, 3), 0);
+        let dy = Tensor::zeros(Shape::nchw(1, 1, 4, 4));
+        assert!(matches!(
+            layer.backward_input(&dy),
+            Err(NnError::NoForwardCache { .. })
+        ));
+    }
+
+    #[test]
+    fn backward_input_returns_backward_dx_and_writes_no_grad() {
+        let mut layer = Conv2d::new(Conv2dSpec::same(2, 3, 3), 4);
+        let x = Tensor::from_fn(Shape::nchw(2, 2, 5, 5), |i| ((i % 7) as f32 - 3.0) * 0.2);
+        let y = layer.forward(&x, Mode::Train).unwrap();
+        let dy = Tensor::from_fn(y.shape().clone(), |i| ((i % 5) as f32 - 2.0) * 0.3);
+        let dx = layer.backward_input(&dy).unwrap();
+        assert!(layer
+            .params()
+            .iter()
+            .all(|p| p.grad.map(f32::abs).sum() == 0.0));
+        assert_eq!(dx, layer.backward(&dy).unwrap());
     }
 
     #[test]

@@ -84,6 +84,13 @@ impl Layer for Dense {
         Ok(matmul_a_bt(grad_out, &self.weight.value)?)
     }
 
+    fn backward_input(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        if self.cache.is_none() {
+            return Err(NnError::NoForwardCache { layer: "dense" });
+        }
+        Ok(matmul_a_bt(grad_out, &self.weight.value)?)
+    }
+
     fn params(&self) -> Vec<&Param> {
         vec![&self.weight, &self.bias]
     }
@@ -122,6 +129,30 @@ mod tests {
             layer.backward(&dy),
             Err(NnError::NoForwardCache { .. })
         ));
+    }
+
+    #[test]
+    fn backward_input_before_forward_errors() {
+        let mut layer = Dense::new(2, 2, 0);
+        let dy = Tensor::zeros(Shape::matrix(1, 2));
+        assert!(matches!(
+            layer.backward_input(&dy),
+            Err(NnError::NoForwardCache { .. })
+        ));
+    }
+
+    #[test]
+    fn backward_input_returns_backward_dx_and_writes_no_grad() {
+        let mut layer = Dense::new(11, 9, 3);
+        let x = Tensor::from_fn(Shape::matrix(2, 11), |i| (i as f32 - 9.0) * 0.1);
+        let y = layer.forward(&x, Mode::Train).unwrap();
+        let dy = Tensor::from_fn(y.shape().clone(), |i| ((i % 5) as f32 - 2.0) * 0.3);
+        let dx = layer.backward_input(&dy).unwrap();
+        assert!(layer
+            .params()
+            .iter()
+            .all(|p| p.grad.map(f32::abs).sum() == 0.0));
+        assert_eq!(dx, layer.backward(&dy).unwrap());
     }
 
     #[test]

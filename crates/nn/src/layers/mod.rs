@@ -1,7 +1,9 @@
 //! Concrete layer implementations.
 //!
 //! All layers obey the [`Layer`](crate::Layer) contract: `forward` caches,
-//! `backward` consumes the cache and returns the input gradient.
+//! `backward` consumes the cache and returns the input gradient, and
+//! `backward_input` returns the same input gradient without touching the
+//! parameter gradients.
 
 mod activation;
 mod conv;

@@ -4,9 +4,10 @@
 //! deep-learning framework, in plain Rust:
 //!
 //! - [`Layer`]: forward/backward with explicit caches; `backward` returns the
-//!   gradient **with respect to the layer input**, which is what lets the
-//!   attack crates differentiate a loss through a whole network down to the
-//!   image pixels,
+//!   gradient **with respect to the layer input**, and `backward_input`
+//!   returns only that, with no parameter gradients. Chained by
+//!   [`Differentiable`], it lets the attack crates differentiate a loss
+//!   through a whole network down to the image pixels,
 //! - layers: dense, 2-D convolution, ReLU/sigmoid/tanh activations, max/avg
 //!   pooling, nearest upsampling, flatten/reshape (in [`layers`]),
 //! - losses: softmax cross-entropy, MSE and MAE (in [`loss`]) — MSE and MAE

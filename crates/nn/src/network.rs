@@ -293,8 +293,14 @@ impl Differentiable for Sequential {
         Sequential::forward(self, input, Mode::Eval)
     }
 
+    /// Chains [`Layer::backward_input`]: the input gradient of
+    /// [`Sequential::backward`], bit for bit, with no parameter gradients.
     fn backward_input(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.backward(grad_output)
+        let mut g = grad_output.clone();
+        for layer in self.layers.iter_mut().rev() {
+            g = layer.backward_input(&g)?;
+        }
+        Ok(g)
     }
 }
 

@@ -6,17 +6,25 @@
 //! differences for every architecture family the paper uses (classifier CNNs
 //! with ReLU + max-pool, and sigmoid auto-encoders with avg-pool + upsample).
 
-use adv_nn::{Activation, LayerSpec, Mode, Sequential};
+use adv_nn::{Activation, Differentiable, LayerSpec, Mode, Sequential};
 use adv_tensor::ops::Conv2dSpec;
 use adv_tensor::{Shape, Tensor};
 
-/// Checks `∂ sum(f(x)) / ∂x` against central differences at probe indices.
+/// Checks `∂ sum(f(x)) / ∂x` against central differences at probe indices,
+/// and that the attacks' input-only backward returns the same bits and
+/// writes no parameter gradient.
 fn check_input_gradient(specs: &[LayerSpec], input_shape: Shape, seed: u64, tol: f32) {
     let x = Tensor::from_fn(input_shape, |i| ((i * 29 % 23) as f32 / 23.0) * 0.8 + 0.1);
     let mut net = Sequential::from_specs(specs, seed).unwrap();
     let y = net.forward(&x, Mode::Train).unwrap();
     let dy = Tensor::ones(y.shape().clone());
+    let dx_only = net.backward_input(&dy).unwrap();
+    let grads = net.params().into_iter().flat_map(|p| p.grad.as_slice());
+    assert!(grads.into_iter().all(|&g| g == 0.0));
     let dx = net.backward(&dy).unwrap();
+    for (i, (a, b)) in dx_only.as_slice().iter().zip(dx.as_slice()).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "backward_input [{i}]: {a} vs {b}");
+    }
 
     let eps = 1e-2f32;
     let probes: Vec<usize> = (0..x.len()).step_by((x.len() / 12).max(1)).collect();

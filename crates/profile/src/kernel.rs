@@ -43,7 +43,9 @@ pub enum KernelKind {
     Col2im = 4,
     /// Full conv2d forward: a direct convolution with no child kernels.
     Conv2d = 5,
-    /// Full conv2d backward (contains im2col, matmul and col2im children).
+    /// Conv2d backward. The input gradient is computed directly in this
+    /// frame; training's weight gradient adds im2col and matmul_at_b
+    /// children.
     Conv2dBackward = 6,
     /// Row-wise softmax (with or without temperature).
     Softmax = 7,

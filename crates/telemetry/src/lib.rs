@@ -22,8 +22,8 @@
 //! * [`recorder`] — [`TelemetryRecorder`] puts a bounded, non-blocking
 //!   channel in front of the writer. A full buffer **drops** rows (counted
 //!   in `telemetry.rows_dropped`); recording must never backpressure
-//!   serving, and the `serve_throughput` bench pins the enabled-vs-disabled
-//!   cost. [`TelemetrySink`] implements `adv_serve::ResponseObserver`, so
+//!   serving, so a response pays one row build and one `try_send`.
+//!   [`TelemetrySink`] implements `adv_serve::ResponseObserver`, so
 //!   plugging telemetry into a `ServeEngine` is one config field.
 //! * [`query`] — time-indexed range queries with chunk pruning via column
 //!   stats, plus streaming windowed aggregation ([`drift_windows`]): row

@@ -4,8 +4,8 @@
 //! The contract is **drop, never block**: [`TelemetrySink::record`] is a
 //! `try_send` — when the buffer is full (or the writer is gone) the row is
 //! dropped and counted (`telemetry.rows_dropped`), and the serving worker
-//! proceeds untouched. The `serve_throughput` bench pins the cost of the
-//! enabled path against the disabled one.
+//! proceeds untouched. Per response, the enabled path costs one
+//! [`TelemetryRow`] build plus that `try_send`.
 //!
 //! The writer thread owns the [`ChunkStore`]. Seal failures (disk full,
 //! injected faults) are logged and retried on later appends; if the open

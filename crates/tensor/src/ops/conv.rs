@@ -1,11 +1,13 @@
-//! 2-D convolution: a direct forward pass, and an `im2col`-based backward
-//! pass with the exact input, weight and bias gradients.
+//! 2-D convolution: a direct forward pass, a direct input-gradient pass,
+//! and an `im2col`-based weight gradient.
 //!
 //! Tensors use NCHW layout. Weights are `[out_channels, in_channels, kh, kw]`.
 //! The forward pass accumulates each output plane straight from the input
-//! rows and builds no intermediate matrix. The backward pass uses `im2col`,
-//! which arranges every receptive field as a row, so the weight and input
-//! gradients become matrix products.
+//! rows and builds no intermediate matrix. The input gradient is a direct
+//! transposed convolution over a zero-padded copy of `dy`
+//! ([`conv2d_backward_input`]). Only the weight gradient still uses
+//! `im2col`, which arranges every receptive field as a row, so `dW` becomes
+//! a matrix product.
 
 use crate::ops::matmul::matmul_at_b;
 use crate::{Result, Shape, Tensor, TensorError};
@@ -330,11 +332,206 @@ fn add_taps(acc: &mut [f32], x: &[f32], offs: &[usize], ws: &[f32], stride: usiz
     }
 }
 
+/// Input gradient of a 2-D convolution: `dx = ∂L/∂x` for an `[n, c, h, w]`
+/// input, given `dy = ∂L/∂y` (`[n, oc, ho, wo]`). Computes no weight or
+/// bias gradient and needs no copy of the input.
+///
+/// A direct transposed convolution, bit-identical to the `col2im` of
+/// `dy·W` (with `dy` repacked to `[n·ho·wo, oc]` rows) for finite weights.
+/// `dy` is copied into a zero-padded buffer, stride > 1 by zero insertion,
+/// so each kernel tap is one contiguous pass. For each tap the oc-sum
+/// `Σ_o dy_o · w[o, c, ky, kx]` is formed in ascending `o` from +0, which
+/// is the `matmul` order, and is then added to the dx accumulator. Taps go
+/// in descending `(ky, kx)` order, which gives every dx element its
+/// contributions in `col2im`'s ascending `(oh, ow)` order. Taps that miss
+/// `dy` add +0, which changes no sum that starts from +0.
+///
+/// # Errors
+///
+/// Returns shape/validation errors when `weight` or `dy` disagree with
+/// `spec` and the `n × h × w` input geometry.
+pub fn conv2d_backward_input(
+    weight: &Tensor,
+    dy: &Tensor,
+    n: usize,
+    h: usize,
+    w: usize,
+    spec: &Conv2dSpec,
+) -> Result<Tensor> {
+    check_weight(weight, spec)?;
+    spec.validate_geometry(h, w)?;
+    check_dy(dy, n, h, w, spec)?;
+    let mut dx = InputGrad::new(n, h, w, spec);
+    let _prof = KernelScope::enter(KernelKind::Conv2dBackward, || dx.work());
+    dx.compute(weight.as_slice(), dy.as_slice());
+    dx.into_tensor()
+}
+
+fn check_dy(dy: &Tensor, n: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Result<()> {
+    let (ho, wo) = spec.output_hw(h, w);
+    let expected = Shape::nchw(n, spec.out_channels, ho, wo);
+    if dy.shape() != &expected {
+        return Err(TensorError::ShapeMismatch {
+            left: expected.dims().to_vec(),
+            right: dy.shape().dims().to_vec(),
+        });
+    }
+    Ok(())
+}
+
+/// Geometry and buffers of the direct input-gradient kernel, allocated by
+/// [`InputGrad::new`] so that [`InputGrad::compute`] allocates nothing.
+///
+/// `dyz` holds one zero-padded plane per output channel, `wz` wide: `dy`
+/// at `(oh, ow)` sits at row `oh·stride + kh − 1`, column
+/// `ow·stride + kw − 1`. The accumulator is `wz` wide too: dx at
+/// `(iy, ix)` is `acc[iy·wz + ix]`, and tap `(ky, kx)` reads its `dy` at
+/// `dyz[offs[ky·kw + kx] + iy·wz + ix]`. The `wz − w` slots past each row's
+/// end, and the tail that rounds `acc` up to whole tiles, are scratch.
+struct InputGrad {
+    spec: Conv2dSpec,
+    n: usize,
+    h: usize,
+    w: usize,
+    ho: usize,
+    wo: usize,
+    wz: usize,
+    plane: usize,
+    offs: Vec<usize>,
+    /// Weights as `[c, kh·kw, oc]`, so one tap's oc weights are contiguous.
+    wt: Vec<f32>,
+    dyz: Vec<f32>,
+    acc: Vec<[f32; TILE]>,
+    dx: Vec<f32>,
+}
+
+impl InputGrad {
+    fn new(n: usize, h: usize, w: usize, spec: &Conv2dSpec) -> InputGrad {
+        let (ho, wo) = spec.output_hw(h, w);
+        let (c, oc, pad, kh, kw) = (
+            spec.in_channels,
+            spec.out_channels,
+            spec.padding,
+            spec.kh,
+            spec.kw,
+        );
+        // A read past the end of a row lands in the next row's first
+        // `kw − 1` columns, which hold no `dy` and stay zero. From width
+        // `w + pad` on, every such read lands there, so the rows share
+        // one margin; `kw + (wo − 1)·stride` fits a row of `dy`. `hz` rows
+        // cover the deepest read and its overrun.
+        let wz = (w + pad).max(kw + (wo - 1) * spec.stride);
+        let hz = h + 2 * pad + kh;
+        let span = if h == 0 || w == 0 {
+            0
+        } else {
+            (h - 1) * wz + w
+        };
+        let offs = (0..kh * kw)
+            .map(|t| (pad + kh - 1 - t / kw) * wz + pad + kw - 1 - t % kw)
+            .collect();
+        InputGrad {
+            spec: *spec,
+            n,
+            h,
+            w,
+            ho,
+            wo,
+            wz,
+            plane: hz * wz,
+            offs,
+            wt: vec![0.0; c * kh * kw * oc],
+            // The last plane's tile tail reads up to `TILE` slots past it.
+            dyz: vec![0.0; oc * hz * wz + TILE],
+            acc: vec![[0.0; TILE]; span.div_ceil(TILE)],
+            dx: vec![0.0; n * c * h * w],
+        }
+    }
+
+    /// The volume of the `dy·W` product this kernel replaces.
+    fn work(&self) -> Work {
+        let spec = &self.spec;
+        Work::matmul(
+            self.n * self.ho * self.wo,
+            spec.out_channels,
+            spec.patch_len(),
+        )
+    }
+
+    fn compute(&mut self, wv: &[f32], dyv: &[f32]) {
+        let (c, oc, stride) = (
+            self.spec.in_channels,
+            self.spec.out_channels,
+            self.spec.stride,
+        );
+        let (khw, kw) = (self.spec.kh * self.spec.kw, self.spec.kw);
+        let (h, w, ho, wo, wz) = (self.h, self.w, self.ho, self.wo, self.wz);
+        for o in 0..oc {
+            for i in 0..c * khw {
+                self.wt[i * oc + o] = wv[o * c * khw + i];
+            }
+        }
+        let origin = (self.spec.kh - 1) * wz + kw - 1;
+        for b in 0..self.n {
+            for o in 0..oc {
+                let src = &dyv[(b * oc + o) * ho * wo..][..ho * wo];
+                let dst = &mut self.dyz[o * self.plane + origin..];
+                for (oh, row) in src.chunks_exact(wo).enumerate() {
+                    let dst = &mut dst[oh * stride * wz..];
+                    for (ow, &v) in row.iter().enumerate() {
+                        dst[ow * stride] = v;
+                    }
+                }
+            }
+            for ch in 0..c {
+                self.acc.fill([0.0; TILE]);
+                for t in (0..khw).rev() {
+                    let ws = &self.wt[(ch * khw + t) * oc..][..oc];
+                    let dyz = &self.dyz[self.offs[t]..];
+                    add_tap_sum(&mut self.acc, dyz, self.plane, ws);
+                }
+                let acc = self.acc.as_flattened();
+                let out = &mut self.dx[(b * c + ch) * h * w..];
+                for iy in 0..h {
+                    out[iy * w..][..w].copy_from_slice(&acc[iy * wz..][..w]);
+                }
+            }
+        }
+    }
+
+    fn into_tensor(self) -> Result<Tensor> {
+        let shape = Shape::nchw(self.n, self.spec.in_channels, self.h, self.w);
+        Tensor::from_vec(self.dx, shape)
+    }
+}
+
+/// Elements per register tile of [`add_tap_sum`].
+const TILE: usize = 32;
+
+/// Adds one tap's channel sum to a wide accumulator, `TILE` elements at a
+/// time: `acc[i] += Σ_o dyz[o·plane + i] · ws[o]`, the sum formed in a
+/// register tile in ascending `o` from +0 before it meets `acc`.
+fn add_tap_sum(acc: &mut [[f32; TILE]], dyz: &[f32], plane: usize, ws: &[f32]) {
+    for (j, a) in acc.iter_mut().enumerate() {
+        let mut t = [0.0f32; TILE];
+        for (o, &wt) in ws.iter().enumerate() {
+            let d = &dyz[o * plane + j * TILE..][..TILE];
+            for (tv, &dv) in t.iter_mut().zip(d) {
+                *tv += dv * wt;
+            }
+        }
+        for (av, tv) in a.iter_mut().zip(t) {
+            *av += tv;
+        }
+    }
+}
+
 /// Backward 2-D convolution.
 ///
-/// Given the upstream gradient `dy = ∂L/∂y` (`[n, oc, ho, wo]`), recomputes
-/// `im2col(input)` and returns `(dx, dweight, dbias)` with the shapes of
-/// `input`, `weight` and the bias vector respectively.
+/// Given the upstream gradient `dy = ∂L/∂y` (`[n, oc, ho, wo]`), returns
+/// `(dx, dweight, dbias)` with the shapes of `input`, `weight` and the bias
+/// vector respectively. `dx` comes from the same kernel as
+/// [`conv2d_backward_input`]; `dweight` from `im2col(input)`.
 ///
 /// # Errors
 ///
@@ -347,23 +544,17 @@ pub fn conv2d_backward(
 ) -> Result<(Tensor, Tensor, Tensor)> {
     check_weight(weight, spec)?;
     let (n, h, w) = spec.validate_input(input)?;
+    check_dy(dy, n, h, w, spec)?;
     let (ho, wo) = spec.output_hw(h, w);
-    let expected_dy = Shape::nchw(n, spec.out_channels, ho, wo);
-    if dy.shape() != &expected_dy {
-        return Err(TensorError::ShapeMismatch {
-            left: expected_dy.dims().to_vec(),
-            right: dy.shape().dims().to_vec(),
-        });
-    }
-
-    let _prof = KernelScope::enter(KernelKind::Conv2dBackward, || {
-        Work::map(n * spec.out_channels * ho * wo)
-    });
-    // Repack dy from NCHW to rows [n·ho·wo, oc] (matching the im2col row order).
     let oc = spec.out_channels;
     let hw = ho * wo;
-    let dyv = dy.as_slice();
     let mut dyrows = vec![0.0f32; n * hw * oc];
+    let mut db = vec![0.0f32; oc];
+    let mut dx = InputGrad::new(n, h, w, spec);
+
+    let _prof = KernelScope::enter(KernelKind::Conv2dBackward, || dx.work());
+    // Repack dy from NCHW to rows [n·ho·wo, oc] (matching the im2col row order).
+    let dyv = dy.as_slice();
     for b in 0..n {
         for ch in 0..oc {
             for p in 0..hw {
@@ -371,34 +562,26 @@ pub fn conv2d_backward(
             }
         }
     }
-    let dyrows = Tensor::from_vec(dyrows, Shape::matrix(n * hw, oc))?;
-
-    let cols = im2col(input, spec)?;
-    // dW = dyrowsᵀ · cols → [oc, patch]
-    let dw = matmul_at_b(&dyrows, &cols)?;
-    let dw = dw.into_reshaped(Shape::new(vec![oc, spec.in_channels, spec.kh, spec.kw]))?;
-
     // db = column sums of dyrows.
-    let mut db = vec![0.0f32; oc];
-    for row in dyrows.as_slice().chunks_exact(oc) {
+    for row in dyrows.chunks_exact(oc) {
         for (d, &v) in db.iter_mut().zip(row.iter()) {
             *d += v;
         }
     }
+    let dyrows = Tensor::from_vec(dyrows, Shape::matrix(n * hw, oc))?;
+
+    // dW = dyrowsᵀ · im2col(input) → [oc, patch]
+    let dw = matmul_at_b(&dyrows, &im2col(input, spec)?)?;
+    let dw = dw.into_reshaped(Shape::new(vec![oc, spec.in_channels, spec.kh, spec.kw]))?;
     let db = Tensor::from_vec(db, Shape::vector(oc))?;
-
-    // dX = col2im(dyrows · W)
-    let wmat = weight.reshape(Shape::matrix(oc, spec.patch_len()))?;
-    let dcols = crate::ops::matmul::matmul(&dyrows, &wmat)?;
-    let dx = col2im(&dcols, n, h, w, spec)?;
-
-    Ok((dx, dw, db))
+    dx.compute(weight.as_slice(), dyv);
+    Ok((dx.into_tensor()?, dw, db))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::matmul::matmul_a_bt;
+    use crate::ops::matmul::{matmul, matmul_a_bt};
 
     fn nchw(data: &[f32], n: usize, c: usize, h: usize, w: usize) -> Tensor {
         Tensor::from_vec(data.to_vec(), Shape::nchw(n, c, h, w)).unwrap()
@@ -430,52 +613,128 @@ mod tests {
         Tensor::from_vec(y, Shape::nchw(n, oc, ho, wo)).unwrap()
     }
 
+    /// The previous input gradient, kept as the oracle: `dy` repacked to
+    /// `[n·ho·wo, oc]` rows, `dy·W` by `matmul`, then `col2im`.
+    fn conv2d_dx_col2im_reference(
+        weight: &Tensor,
+        dy: &Tensor,
+        (n, h, w): (usize, usize, usize),
+        spec: &Conv2dSpec,
+    ) -> Tensor {
+        let (oc, (ho, wo)) = (spec.out_channels, spec.output_hw(h, w));
+        let hw = ho * wo;
+        let mut rows = vec![0.0f32; n * hw * oc];
+        for (i, &v) in dy.as_slice().iter().enumerate() {
+            let (b, o, p) = (i / (oc * hw), i / hw % oc, i % hw);
+            rows[(b * hw + p) * oc + o] = v;
+        }
+        let rows = Tensor::from_vec(rows, Shape::matrix(n * hw, oc)).unwrap();
+        let wmat = weight.reshape(Shape::matrix(oc, spec.patch_len())).unwrap();
+        col2im(&matmul(&rows, &wmat).unwrap(), n, h, w, spec).unwrap()
+    }
+
+    /// `[batch, in, out, h, w, kh, kw, stride, padding]`: stride 1–3,
+    /// padding 0–2, kh ≠ kw, and empty batches and channels.
+    const GEOMETRIES: [[usize; 9]; 14] = [
+        [3, 1, 3, 28, 28, 3, 3, 1, 1],
+        [2, 3, 3, 28, 28, 3, 3, 1, 1],
+        [2, 8, 16, 14, 14, 3, 3, 1, 1],
+        [1, 2, 4, 9, 9, 3, 3, 2, 1],
+        [2, 3, 2, 11, 10, 3, 3, 3, 0],
+        [1, 2, 3, 7, 7, 5, 5, 1, 2],
+        [3, 4, 5, 6, 6, 1, 1, 1, 0],
+        [1, 2, 2, 5, 8, 2, 2, 2, 0],
+        [2, 3, 4, 8, 13, 4, 4, 1, 2],
+        [1, 1, 1, 3, 3, 5, 5, 3, 2],
+        [2, 2, 3, 12, 7, 3, 5, 2, 1],
+        [1, 3, 2, 13, 5, 5, 3, 3, 2],
+        [0, 2, 3, 5, 5, 3, 3, 1, 1],
+        [2, 0, 3, 4, 4, 3, 3, 1, 1],
+    ];
+
+    fn spec_of([_, c, oc, _, _, kh, kw, stride, padding]: [usize; 9]) -> Conv2dSpec {
+        Conv2dSpec {
+            in_channels: c,
+            out_channels: oc,
+            kh,
+            kw,
+            stride,
+            padding,
+        }
+    }
+
+    fn weight_of(spec: &Conv2dSpec) -> Tensor {
+        let dims = vec![spec.out_channels, spec.in_channels, spec.kh, spec.kw];
+        Tensor::from_fn(Shape::new(dims), |i| {
+            ((i * 104729 % 97) as f32 - 48.0) * 0.021
+        })
+    }
+
+    fn assert_bits_eq(fast: &Tensor, oracle: &Tensor, what: &str) {
+        assert_eq!(fast.shape(), oracle.shape(), "{what}");
+        for (i, (f, r)) in fast.as_slice().iter().zip(oracle.as_slice()).enumerate() {
+            assert_eq!(f.to_bits(), r.to_bits(), "{what} at {i}: {f} vs {r}");
+        }
+    }
+
     #[test]
     fn direct_forward_is_bit_identical_to_im2col_reference() {
-        // [batch, in, out, h, w, kh, kw, stride, padding]
-        let table = [
-            [3, 1, 3, 28, 28, 3, 3, 1, 1],
-            [2, 3, 3, 28, 28, 3, 3, 1, 1],
-            [2, 8, 16, 14, 14, 3, 3, 1, 1],
-            [1, 2, 4, 9, 9, 3, 3, 2, 1],
-            [2, 3, 2, 11, 10, 3, 3, 3, 0],
-            [1, 2, 3, 7, 7, 5, 5, 1, 2],
-            [3, 4, 5, 6, 6, 1, 1, 1, 0],
-            [1, 2, 2, 5, 8, 2, 2, 2, 0],
-            [2, 3, 4, 8, 13, 4, 4, 1, 2],
-            [1, 1, 1, 3, 3, 5, 5, 3, 2],
-            [2, 2, 3, 12, 7, 3, 5, 2, 1],
-            [1, 3, 2, 13, 5, 5, 3, 3, 2],
-            [0, 2, 3, 5, 5, 3, 3, 1, 1],
-            [2, 0, 3, 4, 4, 3, 3, 1, 1],
-        ];
-        for [n, c, oc, h, w, kh, kw, stride, padding] in table {
-            let spec = Conv2dSpec {
-                in_channels: c,
-                out_channels: oc,
-                kh,
-                kw,
-                stride,
-                padding,
-            };
+        for g @ [n, c, oc, h, w, ..] in GEOMETRIES {
+            let spec = spec_of(g);
             let x = Tensor::from_fn(Shape::nchw(n, c, h, w), |i| {
                 ((i * 7919 % 211) as f32 - 105.0) * 0.013
             });
-            let wt = Tensor::from_fn(Shape::new(vec![oc, c, kh, kw]), |i| {
-                ((i * 104729 % 97) as f32 - 48.0) * 0.021
-            });
             let b = Tensor::from_fn(Shape::vector(oc), |i| (i as f32 - 1.5) * 0.37);
+            let wt = weight_of(&spec);
             let fast = conv2d(&x, &wt, &b, &spec).unwrap();
             let oracle = conv2d_im2col_reference(&x, &wt, &b, &spec);
-            assert_eq!(fast.shape(), oracle.shape(), "{spec:?}");
-            for (i, (f, r)) in fast.as_slice().iter().zip(oracle.as_slice()).enumerate() {
-                assert_eq!(
-                    f.to_bits(),
-                    r.to_bits(),
-                    "{spec:?} n={n} h={h} w={w} at {i}: {f} vs {r}"
-                );
-            }
+            assert_bits_eq(&fast, &oracle, &format!("{spec:?} n={n} h={h} w={w}"));
         }
+    }
+
+    #[test]
+    fn direct_input_gradient_is_bit_identical_to_col2im_reference() {
+        for g @ [n, c, oc, h, w, ..] in GEOMETRIES {
+            let spec = spec_of(g);
+            let (ho, wo) = spec.output_hw(h, w);
+            let wt = weight_of(&spec);
+            // Every fifth dy is an exact zero, which `matmul` skips.
+            let dy = Tensor::from_fn(Shape::nchw(n, oc, ho, wo), |i| {
+                if i % 5 == 2 {
+                    0.0
+                } else {
+                    ((i * 6007 % 173) as f32 - 86.0) * 0.017
+                }
+            });
+            let oracle = conv2d_dx_col2im_reference(&wt, &dy, (n, h, w), &spec);
+            let what = format!("{spec:?} n={n} h={h} w={w}");
+            let fast = conv2d_backward_input(&wt, &dy, n, h, w, &spec).unwrap();
+            assert_bits_eq(&fast, &oracle, &what);
+            let x = Tensor::from_fn(Shape::nchw(n, c, h, w), |i| i as f32 * 0.01);
+            let (dx, _, _) = conv2d_backward(&x, &wt, &dy, &spec).unwrap();
+            assert_bits_eq(&dx, &oracle, &what);
+        }
+    }
+
+    #[test]
+    fn backward_input_validates_its_operands() {
+        let spec = Conv2dSpec::same(1, 2, 3);
+        let wt = weight_of(&spec);
+        let dy = Tensor::zeros(Shape::nchw(1, 2, 4, 4));
+        assert!(conv2d_backward_input(&wt, &dy, 1, 4, 4, &spec).is_ok());
+        assert!(matches!(
+            conv2d_backward_input(&wt, &dy, 1, 5, 4, &spec),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            conv2d_backward_input(&dy, &dy, 1, 4, 4, &spec),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        let big = Conv2dSpec::valid(1, 2, 5, 1);
+        assert!(matches!(
+            conv2d_backward_input(&weight_of(&big), &dy, 1, 4, 4, &big),
+            Err(TensorError::InvalidArgument(_))
+        ));
     }
 
     #[test]

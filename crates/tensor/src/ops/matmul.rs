@@ -7,8 +7,9 @@
 //! - [`matmul_at_b`]: `C = Aᵀ·B` (weight gradients)
 //! - [`matmul_a_bt`]: `C = A·Bᵀ` (input gradients)
 //!
-//! The kernels are written i-k-j with a fixed block size so the inner loop is
-//! a contiguous axpy the compiler auto-vectorizes.
+//! `matmul` and `matmul_at_b` are written i-k-j with a fixed block size so
+//! the inner loop is a contiguous axpy the compiler auto-vectorizes.
+//! `matmul_a_bt` keeps one dot product per output, eight outputs per pass.
 
 use crate::{Result, Shape, Tensor, TensorError};
 use adv_profile::{KernelKind, KernelScope, Work};
@@ -127,14 +128,20 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             right_rows: kb,
         });
     }
+    let mut c = vec![0.0f32; m * n];
     let _prof = KernelScope::enter(KernelKind::MatMulABt, || Work::matmul(m, ka, n));
     let av = a.as_slice();
     let bv = b.as_slice();
-    let mut c = vec![0.0f32; m * n];
     for i in 0..m {
         let arow = &av[i * ka..(i + 1) * ka];
         let crow = &mut c[i * n..(i + 1) * n];
-        for (j, cij) in crow.iter_mut().enumerate() {
+        let mut blocks = crow.chunks_exact_mut(LANES);
+        for (jb, cblk) in (&mut blocks).enumerate() {
+            let rows = &bv[jb * LANES * ka..][..LANES * ka];
+            cblk.copy_from_slice(&dot_lanes(arow, rows));
+        }
+        let done = n - blocks.into_remainder().len();
+        for (j, cij) in crow.iter_mut().enumerate().skip(done) {
             let brow = &bv[j * ka..(j + 1) * ka];
             let mut acc = 0.0f32;
             for (&x, &y) in arow.iter().zip(brow.iter()) {
@@ -144,6 +151,38 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         }
     }
     Tensor::from_vec(c, Shape::matrix(m, n))
+}
+
+/// Outputs per pass of [`matmul_a_bt`].
+const LANES: usize = 8;
+/// Contraction steps per block load of [`dot_lanes`].
+const KSTEP: usize = 4;
+
+/// `LANES` dot products of `a` with the consecutive `a.len()`-long rows of
+/// `rows`. Each has its own accumulator, summed in ascending `k` from +0
+/// exactly as a lone dot product is, so the lanes are independent chains.
+/// The rows are read in `LANES × KSTEP` blocks, which the compiler turns
+/// into vector registers across the lanes.
+fn dot_lanes(a: &[f32], rows: &[f32]) -> [f32; LANES] {
+    let k = a.len();
+    let r: [&[f32]; LANES] = std::array::from_fn(|l| &rows[l * k..][..k]);
+    let mut acc = [0.0f32; LANES];
+    let whole = k - k % KSTEP;
+    for kk in (0..whole).step_by(KSTEP) {
+        let blk: [[f32; KSTEP]; LANES] =
+            std::array::from_fn(|l| std::array::from_fn(|q| r[l][kk + q]));
+        for (q, &x) in a[kk..kk + KSTEP].iter().enumerate() {
+            for (s, b) in acc.iter_mut().zip(&blk) {
+                *s += x * b[q];
+            }
+        }
+    }
+    for (kk, &x) in a.iter().enumerate().skip(whole) {
+        for (s, row) in acc.iter_mut().zip(&r) {
+            *s += x * row[kk];
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -194,6 +233,30 @@ mod tests {
         let b = t(&[0.5, -1.0, 2.0, 3.0, 1.0, 0.0], 3, 2);
         let expected = matmul(&a, &b.transpose().unwrap()).unwrap();
         assert_eq!(matmul_a_bt(&a, &b).unwrap(), expected);
+    }
+
+    #[test]
+    fn lane_blocked_a_bt_is_bit_identical_to_one_accumulator_dots() {
+        // n covers below, at and past multiples of LANES; k > 64.
+        for (m, n, k) in [(1, 3, 70), (2, 8, 65), (3, 21, 130), (1, 16, 1), (2, 0, 9)] {
+            let a = Tensor::from_fn(Shape::matrix(m, k), |i| {
+                ((i * 7919 % 211) as f32 - 105.0) * 0.013
+            });
+            let b = Tensor::from_fn(Shape::matrix(n, k), |i| {
+                ((i * 104729 % 97) as f32 - 48.0) * 0.021
+            });
+            let c = matmul_a_bt(&a, &b).unwrap();
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for kk in 0..k {
+                        acc += a.as_slice()[i * k + kk] * b.as_slice()[j * k + kk];
+                    }
+                    let got = c.as_slice()[i * n + j];
+                    assert_eq!(got.to_bits(), acc.to_bits(), "({m},{n},{k}) at ({i},{j})");
+                }
+            }
+        }
     }
 
     #[test]

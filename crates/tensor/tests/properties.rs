@@ -3,8 +3,9 @@
 //! kernels under random geometry.
 
 use adv_tensor::ops::{
-    avg_pool2d, avg_pool2d_backward, col2im, conv2d, conv2d_backward, im2col, matmul, matmul_a_bt,
-    upsample2d_nearest, upsample2d_nearest_backward, Conv2dSpec, Pool2dSpec,
+    avg_pool2d, avg_pool2d_backward, col2im, conv2d, conv2d_backward, conv2d_backward_input,
+    im2col, matmul, matmul_a_bt, upsample2d_nearest, upsample2d_nearest_backward, Conv2dSpec,
+    Pool2dSpec,
 };
 use adv_tensor::{norms, Shape, Tensor};
 use proptest::prelude::*;
@@ -41,6 +42,45 @@ fn conv2d_im2col_reference(x: &Tensor, w: &Tensor, b: &Tensor, spec: &Conv2dSpec
     Tensor::from_vec(y, Shape::nchw(n, oc, ho, wo)).unwrap()
 }
 
+/// The `col2im` formulation of the conv input gradient, from public
+/// kernels: `dy` repacked to `[n·ho·wo, oc]` rows, `dy·W`, then `col2im`.
+fn conv2d_dx_col2im_reference(
+    w: &Tensor,
+    dy: &Tensor,
+    h: usize,
+    wd: usize,
+    spec: &Conv2dSpec,
+) -> Tensor {
+    let dims = dy.shape().dims();
+    let (n, oc, hw) = (dims[0], dims[1], dims[2] * dims[3]);
+    let mut rows = vec![0.0f32; n * hw * oc];
+    for (i, &v) in dy.as_slice().iter().enumerate() {
+        rows[(i / (oc * hw) * hw + i % hw) * oc + i / hw % oc] = v;
+    }
+    let rows = Tensor::from_vec(rows, Shape::matrix(n * hw, oc)).unwrap();
+    let wmat = w.reshape(Shape::matrix(oc, spec.patch_len())).unwrap();
+    col2im(&matmul(&rows, &wmat).unwrap(), n, h, wd, spec).unwrap()
+}
+
+/// A convolution geometry whose kernel fits the padded `h × w` input.
+fn conv_spec(
+    c: usize,
+    oc: usize,
+    (h, w): (usize, usize),
+    k: (usize, usize),
+    stride: usize,
+    padding: usize,
+) -> Conv2dSpec {
+    Conv2dSpec {
+        in_channels: c,
+        out_channels: oc,
+        kh: k.0.min(h + 2 * padding),
+        kw: k.1.min(w + 2 * padding),
+        stride,
+        padding,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -55,21 +95,41 @@ proptest! {
         padding in 0usize..3,
         seed in 0u64..1_000_000,
     ) {
-        // Clamp the kernel to the padded input so every draw is valid.
         let (h, w) = hw;
-        let spec = Conv2dSpec {
-            in_channels: c,
-            out_channels: oc,
-            kh: k.0.min(h + 2 * padding),
-            kw: k.1.min(w + 2 * padding),
-            stride,
-            padding,
-        };
+        let spec = conv_spec(c, oc, hw, k, stride, padding);
         let x = Tensor::from_fn(Shape::nchw(n, c, h, w), |i| noise(seed, i) * 4.0);
         let wt = Tensor::from_fn(Shape::new(vec![oc, c, spec.kh, spec.kw]), |i| noise(seed ^ 1, i));
         let b = Tensor::from_fn(Shape::vector(oc), |i| noise(seed ^ 2, i));
         let fast = conv2d(&x, &wt, &b, &spec).unwrap();
         let oracle = conv2d_im2col_reference(&x, &wt, &b, &spec);
+        prop_assert_eq!(fast.shape(), oracle.shape());
+        for (i, (f, r)) in fast.as_slice().iter().zip(oracle.as_slice()).enumerate() {
+            prop_assert_eq!(f.to_bits(), r.to_bits(), "{:?} n={} h={} w={} at {}: {} vs {}", spec, n, h, w, i, f, r);
+        }
+    }
+
+    #[test]
+    fn conv_input_gradient_matches_col2im_reference_bitwise(
+        n in 1usize..4,
+        c in 1usize..5,
+        oc in 1usize..7,
+        hw in (1usize..13, 1usize..13),
+        k in (1usize..6, 1usize..6),
+        stride in 1usize..4,
+        padding in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let (h, w) = hw;
+        let spec = conv_spec(c, oc, hw, k, stride, padding);
+        let (ho, wo) = spec.output_hw(h, w);
+        let wt = Tensor::from_fn(Shape::new(vec![oc, c, spec.kh, spec.kw]), |i| noise(seed, i));
+        // About one dy in eight is an exact zero, which `matmul` skips.
+        let dy = Tensor::from_fn(Shape::nchw(n, oc, ho, wo), |i| {
+            let v = noise(seed ^ 3, i);
+            if v.abs() < 0.125 { 0.0 } else { v * 4.0 }
+        });
+        let fast = conv2d_backward_input(&wt, &dy, n, h, w, &spec).unwrap();
+        let oracle = conv2d_dx_col2im_reference(&wt, &dy, h, w, &spec);
         prop_assert_eq!(fast.shape(), oracle.shape());
         for (i, (f, r)) in fast.as_slice().iter().zip(oracle.as_slice()).enumerate() {
             prop_assert_eq!(f.to_bits(), r.to_bits(), "{:?} n={} h={} w={} at {}: {} vs {}", spec, n, h, w, i, f, r);
