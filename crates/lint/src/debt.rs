@@ -14,6 +14,7 @@
 
 use crate::diagnostics::Finding;
 use crate::lexer::is_ident_char;
+use crate::source::{skip_ws, words};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -56,15 +57,18 @@ fn parse_baseline(text: &str) -> BTreeMap<String, usize> {
 /// attributes in scrubbed `code`, one per lint per attribute, keyed
 /// `clippy::<lint>`. Literal bodies are blanked in scrubbed code, so a
 /// `reason` string cannot add or hide a lint name.
-pub fn count_clippy_expects(code: &str, counts: &mut BTreeMap<String, usize>) {
-    let mut rest = code;
-    while let Some(pos) = rest.find("expect(") {
-        let attr = rest[..pos].trim_end();
-        rest = &rest[pos + "expect(".len()..];
-        if !(attr.ends_with("#[") || attr.ends_with("#![")) {
+pub fn count_clippy_expects(code: &[char], counts: &mut BTreeMap<String, usize>) {
+    for at in words(code, "expect") {
+        let open = skip_ws(code, (0..at).rev()).filter(|&o| code[o] == '[');
+        let is_attr =
+            open.is_some_and(|o| code[..o].ends_with(&['#']) || code[..o].ends_with(&['#', '!']));
+        if !is_attr || code.get(at + "expect".len()) != Some(&'(') {
             continue;
         }
-        let args = &rest[..rest.find(')').unwrap_or(rest.len())];
+        let args: String = code[at + "expect(".len()..]
+            .iter()
+            .take_while(|&&c| c != ')')
+            .collect();
         for arg in args.split(',') {
             if let Some(lint) = arg.trim().strip_prefix("clippy::") {
                 let name: String = lint.chars().take_while(|&c| is_ident_char(c)).collect();
@@ -144,10 +148,8 @@ mod tests {
         .expect("temp baseline must be writable");
         let mut live = BTreeMap::new();
         live.insert("ordering-justified".to_string(), 2);
-        count_clippy_expects(
-            &"#[expect(clippy::disallowed_methods, reason = \"   \")]\n".repeat(6),
-            &mut live,
-        );
+        let code = "#[expect(clippy::disallowed_methods, reason = \"   \")]\n".repeat(6);
+        count_clippy_expects(&code.chars().collect::<Vec<_>>(), &mut live);
         let mut out = Vec::new();
         check_debt(&dir, &live, &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
@@ -162,7 +164,7 @@ mod tests {
                     #[expect(dead_code, reason = \"  \")]\n\
                     let x = y.expect(\"     \");\n";
         let mut counts = BTreeMap::new();
-        count_clippy_expects(code, &mut counts);
+        count_clippy_expects(&code.chars().collect::<Vec<_>>(), &mut counts);
         let keys: Vec<(&str, usize)> = counts.iter().map(|(k, v)| (k.as_str(), *v)).collect();
         assert_eq!(
             keys,

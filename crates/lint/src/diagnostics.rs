@@ -1,4 +1,4 @@
-//! Finding type plus the rustc-style text renderer and the JSON report.
+//! Finding type plus the rustc-style text renderer.
 
 use std::fmt::Write as _;
 
@@ -55,62 +55,6 @@ pub fn render_text(findings: &[Finding]) -> String {
     out
 }
 
-/// Serializes the report as one JSON object (no external deps; same
-/// hand-rolled style as the `adv-obs` exporters).
-pub fn render_json(
-    findings: &[Finding],
-    files_checked: usize,
-    skipped: usize,
-    allows: usize,
-) -> String {
-    let mut out = String::from("{\"version\":1,\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"rule\":{},\"path\":{},\"line\":{},\"column\":{},\"message\":{},\"help\":{}}}",
-            json_string(f.rule),
-            json_string(&f.path),
-            f.line,
-            f.column,
-            json_string(&f.message),
-            json_string(&f.help),
-        );
-    }
-    let _ = write!(
-        out,
-        "],\"summary\":{{\"files_checked\":{},\"skipped\":{},\"findings\":{},\"allows\":{}}}}}",
-        files_checked,
-        skipped,
-        findings.len(),
-        allows
-    );
-    out
-}
-
-/// JSON-escapes and quotes a string.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,25 +85,5 @@ mod tests {
         // Caret column lines up under `Ordering`.
         let caret_line = text.lines().find(|l| l.contains('^')).unwrap();
         assert_eq!(caret_line.find('^').unwrap(), " | ".len() + 2 + 23);
-    }
-
-    #[test]
-    fn json_report_shape() {
-        let json = render_json(&[sample()], 7, 2, 3);
-        assert!(json.contains("\"version\":1"), "{json}");
-        assert!(json.contains("\"rule\":\"ordering-justified\""), "{json}");
-        assert!(json.contains("\"line\":42"), "{json}");
-        assert!(
-            json.contains(
-                "\"summary\":{\"files_checked\":7,\"skipped\":2,\"findings\":1,\"allows\":3}"
-            ),
-            "{json}"
-        );
-    }
-
-    #[test]
-    fn empty_report_is_valid() {
-        let json = render_json(&[], 0, 0, 0);
-        assert!(json.starts_with("{\"version\":1,\"findings\":[]"), "{json}");
     }
 }

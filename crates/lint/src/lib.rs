@@ -9,27 +9,24 @@
 //! `clippy::undocumented_unsafe_blocks` for `unsafe`. This crate enforces
 //! the rest — a written rationale for every atomic ordering, a paired
 //! acquire/release protocol, typed error enums on public fallible APIs,
-//! allocation-free measured kernel regions, and no dead kernel slots or
-//! metrics — with a token-level static analysis in two passes:
+//! allocation-free measured kernel regions, and no dead kernel slots —
+//! with a token-level static analysis in two passes:
 //!
-//! - **Pass 1** ([`table`]) walks every first-party target (library code,
-//!   binaries, benches, examples) and builds a workspace symbol table:
-//!   atomic field declarations and every load/store/RMW site keyed by
-//!   field, `KernelKind` variants vs `KernelScope::enter` call sites, and
-//!   metric registrations vs the DESIGN.md schema.
-//! - **Pass 2** runs the per-file rules ([`rules`]) *and* the cross-file
-//!   rules ([`rules::ws`]) over that table: `atomic-protocol`,
-//!   `no-alloc-in-kernel`, `dead-slot`, `dead-metric`, plus the
-//!   suppression-debt ratchet ([`debt`]).
+//! - **Load**: each first-party target file (library code, binaries,
+//!   benches, examples) becomes one [`source::SourceFile`]: its scrubbed
+//!   text ([`lexer`]) as one flat buffer with a line index, its test
+//!   regions and its allowlist comments.
+//! - **Pass 1** ([`table`]) builds a workspace symbol table over those
+//!   buffers: atomic field declarations and every load/store/RMW site keyed
+//!   by field, and `KernelKind` variants vs `KernelScope::enter` call sites.
+//! - **Pass 2** calls each rule in [`rules`] — plain functions over one
+//!   file or over the table: `ordering-justified`, `crate-error-types`,
+//!   `atomic-protocol`, `no-alloc-in-kernel`, `dead-slot` — plus the
+//!   `lint-ok-syntax` check and the suppression-debt ratchet ([`debt`]).
 //!
-//! The building blocks are a comment/string-aware lexer ([`lexer`]), a
-//! per-file model with test-region and allowlist maps ([`source`]), and a
-//! diagnostics layer producing rustc-style text and a machine-readable
-//! JSON report ([`diagnostics`]).
-//!
-//! Run it over the workspace with `cargo run -p adv-lint -- check`
-//! (`--format json` for the report CI uploads). A finding is suppressed
-//! only by an allowlist comment that names the rule *and* gives a reason:
+//! Findings render rustc-style ([`diagnostics`]). Run it over the workspace
+//! with `cargo run -p adv-lint -- check`. A finding is suppressed only by
+//! an allowlist comment that names the rule *and* gives a reason:
 //!
 //! ```text
 //! // lint-ok(atomic-protocol): cross-thread handoff documented in DESIGN.md
@@ -72,10 +69,9 @@ pub mod source;
 pub mod table;
 pub mod workspace;
 
-pub use diagnostics::{render_json, render_text, Finding};
+pub use diagnostics::{render_text, Finding};
 pub use table::SymbolTable;
 
-use rules::{all_rule_ids, all_rules};
 use source::SourceFile;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -137,16 +133,9 @@ impl Report {
         self.findings.is_empty()
     }
 
-    /// Renders the report as text or JSON.
-    pub fn render(&self, json: bool) -> String {
-        if json {
-            render_json(
-                &self.findings,
-                self.files_checked,
-                self.skipped,
-                self.allows,
-            )
-        } else if self.findings.is_empty() {
+    /// Renders the report: every finding rustc-style, then a summary line.
+    pub fn render(&self) -> String {
+        if self.findings.is_empty() {
             format!(
                 "adv-lint: clean — {} files checked, {} skipped \
                  (tests/shims/fixtures), {} allowlisted sites\n",
@@ -171,55 +160,28 @@ impl Report {
 /// Propagates [`LintError`] from discovery and file loading; findings are
 /// data, not errors.
 pub fn run_check(root: &Path) -> Result<Report, LintError> {
-    let rules = all_rules();
-    let known = all_rule_ids();
-    let mut findings = Vec::new();
-    let mut allows_by_rule: BTreeMap<String, usize> = BTreeMap::new();
-
     // Load everything first: pass 1 (the symbol table) needs the whole
     // workspace in view before any cross-file rule can run.
     let files = load_workspace(root)?;
-    let symbols = table::SymbolTable::build(root, &files);
+    let table = SymbolTable::build(&files);
+    let mut findings = Vec::new();
+    let mut allows_by_rule: BTreeMap<String, usize> = BTreeMap::new();
 
     // Pass 2a: per-file rules.
-    for file in &files {
-        // A statement-scoped allow appears once per covered line; count
-        // distinct comments, not coverage.
-        let distinct: std::collections::BTreeSet<(usize, &str)> = file
-            .allows
-            .iter()
-            .flatten()
-            .map(|a| (a.comment_line, a.rule.as_str()))
-            .collect();
-        for (_, rule) in &distinct {
-            *allows_by_rule.entry((*rule).to_string()).or_insert(0) += 1;
+    for (idx, file) in files.iter().enumerate() {
+        for allow in &file.allows {
+            *allows_by_rule.entry(allow.rule.clone()).or_insert(0) += 1;
         }
-        debt::count_clippy_expects(&file.code.join("\n"), &mut allows_by_rule);
-        check_allow_comments(file, &known, &mut findings);
-        for rule in &rules {
-            rule.check(file, &mut findings);
-        }
+        debt::count_clippy_expects(&file.code, &mut allows_by_rule);
+        rules::lint_ok_syntax(file, &mut findings);
+        rules::ordering_justified(file, idx, &table, &mut findings);
+        rules::crate_error_types(file, &mut findings);
     }
 
-    // The symbol table proves some ordering sites benign: fields whose
-    // every access is a Relaxed pure counter need no justification, so
-    // `ordering-justified` findings on those exact tokens are dropped.
-    findings.retain(|f| {
-        !(f.rule == "ordering-justified"
-            && f.column > 0
-            && symbols
-                .exempt_ordering_tokens
-                .contains(&(f.path.clone(), f.line, f.column - 1)))
-    });
-
     // Pass 2b: workspace-wide rules over the symbol table.
-    let ws_ctx = rules::WsCtx {
-        files: files.iter().map(|f| (f.rel.as_str(), f)).collect(),
-        design_lines: std::fs::read_to_string(root.join("DESIGN.md"))
-            .map(|t| t.lines().map(str::to_string).collect())
-            .unwrap_or_default(),
-    };
-    rules::check_workspace(&symbols, &ws_ctx, &mut findings);
+    rules::atomic_protocol(&table, &files, &mut findings);
+    rules::alloc_in_kernel(&table, &files, &mut findings);
+    rules::dead_slots(&table, &files, &mut findings);
 
     // The suppression-debt ratchet against the committed baseline.
     debt::check_debt(root, &allows_by_rule, &mut findings);
@@ -245,8 +207,8 @@ pub fn run_check(root: &Path) -> Result<Report, LintError> {
 /// # Errors
 ///
 /// Propagates [`LintError`] from discovery and file loading.
-pub fn build_symbol_table(root: &Path) -> Result<table::SymbolTable, LintError> {
-    Ok(table::SymbolTable::build(root, &load_workspace(root)?))
+pub fn build_symbol_table(root: &Path) -> Result<SymbolTable, LintError> {
+    Ok(SymbolTable::build(&load_workspace(root)?))
 }
 
 /// Loads every scanned file of every discovered crate.
@@ -256,49 +218,4 @@ fn load_workspace(root: &Path) -> Result<Vec<SourceFile>, LintError> {
         files.extend(workspace::load_sources(&krate)?);
     }
     Ok(files)
-}
-
-/// Reports malformed allowlist comments (`lint-ok-syntax`): a missing
-/// reason, or a rule id the engine does not know.
-fn check_allow_comments(file: &SourceFile, known: &[&'static str], out: &mut Vec<Finding>) {
-    for &line in &file.malformed_allows {
-        if file.is_test_line(line) {
-            continue;
-        }
-        out.push(Finding {
-            rule: "lint-ok-syntax",
-            path: file.rel.clone(),
-            line,
-            column: 1,
-            width: 1,
-            message: "`lint-ok(..)` comment without a reason".to_string(),
-            snippet: file.lines.get(line - 1).cloned().unwrap_or_default(),
-            help: "write `// lint-ok(<rule>): <reason>` — the reason is mandatory".to_string(),
-        });
-    }
-    let mut reported: std::collections::BTreeSet<(usize, &str)> = std::collections::BTreeSet::new();
-    for (idx, entries) in file.allows.iter().enumerate() {
-        for allow in entries {
-            if !known.contains(&allow.rule.as_str())
-                && !file.is_test_line(allow.comment_line)
-                && reported.insert((allow.comment_line, allow.rule.as_str()))
-            {
-                out.push(Finding {
-                    rule: "lint-ok-syntax",
-                    path: file.rel.clone(),
-                    line: allow.comment_line,
-                    column: 1,
-                    width: 1,
-                    message: format!("`lint-ok({})` names an unknown rule", allow.rule),
-                    snippet: file
-                        .lines
-                        .get(allow.comment_line - 1)
-                        .or_else(|| file.lines.get(idx))
-                        .cloned()
-                        .unwrap_or_default(),
-                    help: "run `adv-lint rules` for the rule list".to_string(),
-                });
-            }
-        }
-    }
 }

@@ -1,20 +1,21 @@
 //! adv-lint CLI.
 //!
 //! ```text
-//! adv-lint check [--root DIR] [--format text|json] [--out FILE]
+//! adv-lint check [--root DIR]
 //! adv-lint debt  [--root DIR] [--write]
 //! adv-lint rules
 //! ```
 //!
-//! `debt` prints the live per-rule suppression counts (`lint-ok` comments
-//! and `#[expect(clippy::..)]` attributes) in the baseline format;
-//! `--write` updates `lint_debt.json` at the root (the conscious act the
-//! `lint-debt` rule requires when suppression debt grows).
+//! `check` prints every finding rustc-style, then a summary line. `debt`
+//! prints the live per-rule suppression counts (`lint-ok` comments and
+//! `#[expect(clippy::..)]` attributes) in the baseline format; `--write`
+//! updates `lint_debt.json` at the root (the conscious act the `lint-debt`
+//! rule requires when suppression debt grows).
 //!
 //! Exit codes: `0` clean, `1` findings, `2` usage or I/O error — so CI can
 //! distinguish "violations" from "the linter itself broke".
 
-use adv_lint::rules::{all_rules, WS_RULES};
+use adv_lint::rules::RULES;
 use adv_lint::{debt, run_check, LintError};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -22,18 +23,14 @@ use std::process::ExitCode;
 struct Args {
     command: String,
     root: PathBuf,
-    json: bool,
     write: bool,
-    out: Option<PathBuf>,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, LintError> {
     let mut args = Args {
         command: String::new(),
         root: PathBuf::from("."),
-        json: false,
         write: false,
-        out: None,
     };
     let mut it = argv.iter();
     args.command = it.next().cloned().unwrap_or_default();
@@ -48,26 +45,6 @@ fn parse_args(argv: &[String]) -> Result<Args, LintError> {
                     .ok_or_else(|| LintError::Usage("--root needs a directory".into()))?;
                 args.root = PathBuf::from(value);
             }
-            "--format" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| LintError::Usage("--format needs text|json".into()))?;
-                match value.as_str() {
-                    "json" => args.json = true,
-                    "text" => args.json = false,
-                    other => {
-                        return Err(LintError::Usage(format!(
-                            "unknown format '{other}' (expected text|json)"
-                        )))
-                    }
-                }
-            }
-            "--out" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| LintError::Usage("--out needs a file path".into()))?;
-                args.out = Some(PathBuf::from(value));
-            }
             other => {
                 return Err(LintError::Usage(format!("unknown argument '{other}'")));
             }
@@ -77,7 +54,7 @@ fn parse_args(argv: &[String]) -> Result<Args, LintError> {
 }
 
 fn usage() -> &'static str {
-    "usage: adv-lint <check|debt|rules> [--root DIR] [--format text|json] [--out FILE] [--write]"
+    "usage: adv-lint <check|debt|rules> [--root DIR] [--write]"
 }
 
 fn main() -> ExitCode {
@@ -91,19 +68,9 @@ fn main() -> ExitCode {
     };
     match args.command.as_str() {
         "rules" => {
-            println!("per-file rules:");
-            for rule in all_rules() {
-                println!("  {:<20} {}", rule.id(), rule.summary());
+            for (id, summary) in RULES {
+                println!("{id:<20} {summary}");
             }
-            println!("workspace-wide rules (two-pass, over the symbol table):");
-            for (id, summary) in WS_RULES {
-                println!("  {id:<20} {summary}");
-            }
-            println!("engine checks:");
-            println!(
-                "  {:<20} allowlist comments must name a known rule and give a reason",
-                "lint-ok-syntax"
-            );
             ExitCode::SUCCESS
         }
         "debt" => match run_check(&args.root) {
@@ -128,24 +95,7 @@ fn main() -> ExitCode {
         },
         "check" => match run_check(&args.root) {
             Ok(report) => {
-                let rendered = report.render(args.json);
-                if let Some(out_path) = &args.out {
-                    if let Err(e) = std::fs::write(out_path, &rendered) {
-                        eprintln!("adv-lint: cannot write {}: {e}", out_path.display());
-                        return ExitCode::from(2);
-                    }
-                    // Keep the human summary on stdout even when the report
-                    // goes to a file.
-                    if args.json {
-                        println!(
-                            "adv-lint: {} finding(s), report written to {}",
-                            report.findings.len(),
-                            out_path.display()
-                        );
-                    }
-                } else {
-                    print!("{rendered}");
-                }
+                print!("{}", report.render());
                 if report.is_clean() {
                     ExitCode::SUCCESS
                 } else {

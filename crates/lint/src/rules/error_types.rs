@@ -8,316 +8,143 @@
 //! aware) and flags return types that mention `Box<dyn ..>` or use `String`
 //! as the error arm of a `Result`.
 
-use super::{RawMatch, Rule};
+use super::emit;
 use crate::diagnostics::Finding;
 use crate::lexer::is_ident_char;
-use crate::source::{FileKind, SourceFile};
+use crate::source::{delim_extent, ident_at, skip_ws, words, SourceFile};
 
 const HELP: &str = "return the crate's error enum (see its `error.rs`), or justify with \
 `// lint-ok(crate-error-types): <reason>` on the `fn` line";
 
-/// See module docs.
-#[derive(Debug)]
-pub struct CrateErrorTypes;
-
-impl Rule for CrateErrorTypes {
-    fn id(&self) -> &'static str {
-        "crate-error-types"
+/// Flags every `pub [const|unsafe|async|extern ".."] fn` of a library file
+/// whose return type is an erased or stringly error. `pub(crate)` /
+/// `pub(super)` are not public API and are skipped.
+pub(crate) fn crate_error_types(file: &SourceFile, out: &mut Vec<Finding>) {
+    if !file.lib {
+        return;
     }
-
-    fn summary(&self) -> &'static str {
-        "public fallible fns return the crate's error type, not \
-         `Box<dyn Error>` or `Result<_, String>`"
-    }
-
-    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if file.kind != FileKind::Lib {
-            return;
-        }
-        let joined = file.code.join("\n");
-        let chars: Vec<char> = joined.chars().collect();
-        // 0-based (line, column) for every char offset.
-        let mut pos = Vec::with_capacity(chars.len() + 1);
-        {
-            let (mut line, mut col) = (0usize, 0usize);
-            for &c in &chars {
-                pos.push((line, col));
-                if c == '\n' {
-                    line += 1;
-                    col = 0;
-                } else {
-                    col += 1;
-                }
-            }
-            pos.push((pos.last().map(|&(l, _)| l).unwrap_or(0), 0));
-        }
-
-        for sig in pub_fn_signatures(&chars) {
-            let Some(ret) = sig.return_type else { continue };
-            let Some(problem) = offending_return_type(&ret) else {
-                continue;
-            };
-            let (line0, col0) = pos[sig.fn_offset];
-            super::emit(
-                self.id(),
-                HELP,
-                file,
-                RawMatch {
-                    line: line0 + 1,
-                    column: col0 + 1,
-                    width: 2 + 1 + sig.name.chars().count(),
-                    message: format!(
-                        "public fn `{}` returns {problem} instead of the crate error type",
-                        sig.name
-                    ),
-                },
-                out,
-            );
-        }
-    }
-}
-
-/// A `pub fn` signature located in scrubbed code.
-struct PubFnSig {
-    /// Char offset of the `fn` keyword.
-    fn_offset: usize,
-    /// Function name.
-    name: String,
-    /// Text of the return type (after `->`, before `{`/`;`/`where`), if any.
-    return_type: Option<String>,
-}
-
-/// Scans for `pub [const|unsafe|async|extern ".."] fn name .. (-> ret)?`.
-/// `pub(crate)` / `pub(super)` are not public API and are skipped.
-fn pub_fn_signatures(chars: &[char]) -> Vec<PubFnSig> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < chars.len() {
-        if !word_at(chars, i, "pub") {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 3;
-        while j < chars.len() && chars[j].is_whitespace() {
-            j += 1;
-        }
-        if chars.get(j) == Some(&'(') {
-            // Restricted visibility: not public API.
-            i = j;
-            continue;
-        }
-        // Skip qualifier keywords up to `fn`.
-        let mut fn_at = None;
-        let mut guard = 0;
-        while j < chars.len() && guard < 6 {
-            guard += 1;
-            if word_at(chars, j, "fn") {
-                fn_at = Some(j);
+    let code = &file.code;
+    for at in words(code, "pub") {
+        // Qualifiers up to `fn` (an ABI string is scrubbed to spaces).
+        let mut fn_at = skip_ws(code, at + "pub".len()..);
+        while let Some(q) = fn_at {
+            let word = ident_at(code, q);
+            if !["const", "unsafe", "async", "extern"].contains(&word.as_str()) {
                 break;
             }
-            let is_qualifier = ["const", "unsafe", "async", "extern"]
-                .iter()
-                .any(|q| word_at(chars, j, q));
-            if !is_qualifier {
-                break;
-            }
-            // Skip the qualifier word (ABI strings are scrubbed to spaces).
-            while j < chars.len() && is_ident_char(chars[j]) {
-                j += 1;
-            }
-            while j < chars.len() && (chars[j].is_whitespace()) {
-                j += 1;
-            }
+            fn_at = skip_ws(code, q + word.len()..);
         }
-        let Some(fn_at) = fn_at else {
-            i = j.max(i + 3);
+        let Some(fn_at) = fn_at.filter(|&f| ident_at(code, f) == "fn") else {
             continue;
         };
-        // Function name.
-        let mut n = fn_at + 2;
-        while n < chars.len() && chars[n].is_whitespace() {
-            n += 1;
-        }
-        let name: String = chars[n..]
-            .iter()
-            .take_while(|c| is_ident_char(**c))
-            .collect();
-        // Signature body: to the first `{` or `;` outside brackets.
-        let mut k = n + name.chars().count();
-        let mut angle = 0i32;
-        let mut paren = 0i32;
-        let mut bracket = 0i32;
-        let mut arrow_at = None;
-        let sig_end;
-        loop {
-            if k >= chars.len() {
-                sig_end = chars.len();
-                break;
-            }
-            let c = chars[k];
-            match c {
-                '<' => angle += 1,
-                '>' => {
-                    if k > 0 && chars[k - 1] == '-' {
-                        // `->` arrow, not a closing angle.
-                        if angle == 0 && paren == 0 && bracket == 0 && arrow_at.is_none() {
-                            arrow_at = Some(k + 1);
-                        }
-                    } else {
-                        angle -= 1;
-                    }
-                }
-                '(' => paren += 1,
-                ')' => paren -= 1,
-                '[' => bracket += 1,
-                ']' => bracket -= 1,
-                '{' | ';' if angle <= 0 && paren == 0 && bracket == 0 => {
-                    sig_end = k;
-                    break;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        let return_type = arrow_at.map(|a| {
-            let ret: String = chars[a..sig_end].iter().collect();
-            // Trim a trailing `where` clause off the return type.
-            match find_top_level_where(&ret) {
-                Some(w) => ret[..w].trim().to_string(),
-                None => ret.trim().to_string(),
-            }
-        });
-        out.push(PubFnSig {
-            fn_offset: fn_at,
-            name,
-            return_type,
-        });
-        i = sig_end.max(i + 3);
+        let name_at = skip_ws(code, fn_at + 2..).unwrap_or(code.len());
+        let name = ident_at(code, name_at);
+        let name_len = name.chars().count();
+        let Some(problem) = return_type(code, name_at + name_len).and_then(offending_return_type)
+        else {
+            continue;
+        };
+        emit(
+            file,
+            "crate-error-types",
+            (
+                file.line(fn_at),
+                file.col(fn_at) + 1,
+                "fn ".len() + name_len,
+            ),
+            format!("public fn `{name}` returns {problem} instead of the crate error type"),
+            HELP,
+            out,
+        );
     }
-    out
 }
 
-/// Byte offset of a top-level `where` keyword in a return-type string.
-fn find_top_level_where(ret: &str) -> Option<usize> {
-    let chars: Vec<char> = ret.chars().collect();
-    let mut depth = 0i32;
-    let mut byte = 0usize;
-    for (i, &c) in chars.iter().enumerate() {
-        match c {
-            '<' | '(' | '[' => depth += 1,
-            // `->` of a nested fn pointer is not a closing bracket.
-            '>' if i > 0 && chars[i - 1] == '-' => {}
-            '>' | ')' | ']' => depth -= 1,
-            'w' if depth == 0 && word_at(&chars, i, "where") => return Some(byte),
-            _ => {}
-        }
-        byte += c.len_utf8();
+/// How `chars[i]` moves the bracket depth of a type: `<`, `(` and `[` open,
+/// `>`, `)` and `]` close, and the `>` of a `->` arrow does neither.
+fn nesting(chars: &[char], i: usize) -> i32 {
+    match chars[i] {
+        '<' | '(' | '[' => 1,
+        '>' if i > 0 && chars[i - 1] == '-' => 0,
+        '>' | ')' | ']' => -1,
+        _ => 0,
     }
-    None
 }
 
-/// Returns a description of the offending pattern in `ret`, if any.
-fn offending_return_type(ret: &str) -> Option<String> {
-    let chars: Vec<char> = ret.chars().collect();
+/// Scans a signature from `start` (past the fn name) to its body `{` or its
+/// `;` and returns the return type: the text after the top-level `->`, cut
+/// at a top-level `where`.
+fn return_type(code: &[char], start: usize) -> Option<&[char]> {
+    let (mut depth, mut arrow, mut cut) = (0, None, None);
+    let mut k = start;
+    while k < code.len() {
+        let c = code[k];
+        if (c == '{' || c == ';') && depth <= 0 {
+            break;
+        }
+        if is_ident_char(c) {
+            let word = ident_at(code, k);
+            if word == "where" && depth == 0 && arrow.is_some() {
+                cut.get_or_insert(k);
+            }
+            k += word.chars().count();
+            continue;
+        }
+        if c == '>' && code[k - 1] == '-' && depth == 0 {
+            arrow.get_or_insert(k + 1);
+        }
+        depth += nesting(code, k);
+        k += 1;
+    }
+    let ret = arrow?;
+    Some(&code[ret..cut.unwrap_or(k)])
+}
+
+/// Describes the offending pattern in the return type `ret`, if any.
+fn offending_return_type(ret: &[char]) -> Option<&'static str> {
+    // The `<` opening each `Box<..>` or `Result<..>` in `ret`.
+    let generics = |word: &'static str| {
+        words(ret, word)
+            .into_iter()
+            .filter_map(move |at| skip_ws(ret, at + word.len()..).filter(|&o| ret[o] == '<'))
+    };
     // `Box<dyn ..Error..>` anywhere in the return type. A plain trait
     // object (`Box<dyn Rule>`) is a legitimate return value; only erased
-    // *errors* defeat the crate's error taxonomy.
-    for i in 0..chars.len() {
-        if word_at(&chars, i, "Box") {
-            let mut j = i + 3;
-            while j < chars.len() && chars[j].is_whitespace() {
-                j += 1;
-            }
-            if chars.get(j) == Some(&'<') {
-                let mut k = j + 1;
-                while k < chars.len() && chars[k].is_whitespace() {
-                    k += 1;
-                }
-                if word_at(&chars, k, "dyn") {
-                    // Capture the boxed path up to the matching `>`.
-                    let mut depth = 1i32;
-                    let mut m = j + 1;
-                    while m < chars.len() && depth > 0 {
-                        match chars[m] {
-                            '<' => depth += 1,
-                            '>' => depth -= 1,
-                            _ => {}
-                        }
-                        m += 1;
-                    }
-                    let boxed: String = chars[k..m.saturating_sub(1)].iter().collect();
-                    if crate::source::contains_word(&boxed, "Error") {
-                        return Some("`Box<dyn Error>`".to_string());
-                    }
-                }
-            }
+    // *errors* defeat the crate's error taxonomy. The boxed path runs to
+    // the `>` matching the `<`.
+    for open in generics("Box") {
+        let boxed = skip_ws(ret, open + 1..)
+            .filter(|&d| ident_at(ret, d) == "dyn")
+            .map(|d| &ret[d..delim_extent(ret, open) - 1]);
+        if boxed.is_some_and(|b| !words(b, "Error").is_empty()) {
+            return Some("`Box<dyn Error>`");
         }
     }
     // `Result<_, String>` (the error arm is the last top-level comma arg).
-    for i in 0..chars.len() {
-        if !word_at(&chars, i, "Result") {
-            continue;
-        }
-        let mut j = i + "Result".len();
-        while j < chars.len() && chars[j].is_whitespace() {
-            j += 1;
-        }
-        if chars.get(j) != Some(&'<') {
-            continue;
-        }
-        let mut depth = 1i32;
-        let mut k = j + 1;
-        let mut last_comma = None;
-        while k < chars.len() && depth > 0 {
-            match chars[k] {
-                '<' => depth += 1,
-                // `->` of a nested fn pointer is not a closing bracket.
-                '>' if k > 0 && chars[k - 1] == '-' => {}
-                '>' => depth -= 1,
-                '(' | '[' => depth += 1,
-                ')' | ']' => depth -= 1,
-                ',' if depth == 1 => last_comma = Some(k),
-                _ => {}
+    for open in generics("Result") {
+        let (mut depth, mut comma, mut k) = (1, None, open + 1);
+        while k < ret.len() && depth > 0 {
+            if ret[k] == ',' && depth == 1 {
+                comma = Some(k);
             }
+            depth += nesting(ret, k);
             k += 1;
         }
-        if let Some(comma) = last_comma {
-            let err_ty: String = chars[comma + 1..k.saturating_sub(1)].iter().collect();
-            if err_ty.trim() == "String" {
-                return Some("`Result<_, String>`".to_string());
-            }
+        let err = comma.map(|c| ret[c + 1..(k - 1).max(c + 1)].iter().collect::<String>());
+        if err.is_some_and(|e| e.trim() == "String") {
+            return Some("`Result<_, String>`");
         }
     }
     None
-}
-
-/// `true` when the identifier `word` starts at char offset `i`.
-fn word_at(chars: &[char], i: usize, word: &str) -> bool {
-    let needle: Vec<char> = word.chars().collect();
-    if i + needle.len() > chars.len() || chars[i..i + needle.len()] != needle[..] {
-        return false;
-    }
-    let before_ok = i == 0 || !is_ident_char(chars[i - 1]);
-    let after = i + needle.len();
-    let after_ok = after >= chars.len() || !is_ident_char(chars[after]);
-    before_ok && after_ok
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::SourceFile;
-    use std::path::PathBuf;
 
     fn run(src: &str) -> Vec<Finding> {
-        let file = SourceFile::from_source(
-            PathBuf::from("mem.rs"),
-            "src/lib.rs".into(),
-            FileKind::Lib,
-            src,
-        );
+        let file = SourceFile::from_source("src/lib.rs".into(), true, src);
         let mut out = Vec::new();
-        CrateErrorTypes.check(&file, &mut out);
+        crate_error_types(&file, &mut out);
         out
     }
 
@@ -375,5 +202,31 @@ mod tests {
     fn lint_ok_on_fn_line_suppresses() {
         let src = "// lint-ok(crate-error-types): binary-style helper kept for scripts\npub fn legacy() -> Result<(), String> { Ok(()) }\n";
         assert!(run(src).is_empty());
+    }
+
+    #[test]
+    fn where_clause_on_its_own_line_ends_the_return_type() {
+        let src = "pub fn f<T>() -> Result<T, String>\nwhere\n    T: Default,\n{\n    todo!()\n}\n";
+        assert_eq!(run(src).len(), 1);
+    }
+
+    #[test]
+    fn string_in_a_where_bound_is_not_the_error_arm() {
+        let src = "pub fn g<T>() -> Result<T, MyError> where T: Into<String> { todo!() }\n";
+        assert!(run(src).is_empty());
+    }
+
+    #[test]
+    fn fn_pointer_bound_in_a_where_clause_is_not_the_return_type() {
+        let src = "pub fn h<F>(f: F) -> Result<(), MyError> where F: Fn() -> Result<(), String> { todo!() }\n";
+        assert!(run(src).is_empty());
+    }
+
+    #[test]
+    fn async_fns_are_scanned() {
+        assert_eq!(
+            run("pub async fn i() -> Result<(), String> { Ok(()) }\n").len(),
+            1
+        );
     }
 }

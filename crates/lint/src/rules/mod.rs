@@ -1,129 +1,115 @@
-//! The rule engine: a [`Rule`] trait, the built-in rule set, and shared
-//! token-scanning helpers over scrubbed source.
+//! The rules: plain functions over one file or over the symbol table, the
+//! rule list, and the one `emit` they all report through.
 
 mod error_types;
 mod ordering;
-pub mod ws;
+mod ws;
 
-pub use error_types::CrateErrorTypes;
-pub use ordering::OrderingJustified;
-pub use ws::{check_workspace, WsCtx, WS_RULES};
+pub(crate) use error_types::crate_error_types;
+pub(crate) use ordering::ordering_justified;
+pub(crate) use ws::{alloc_in_kernel, atomic_protocol, dead_slots};
 
 use crate::diagnostics::Finding;
-use crate::lexer::is_ident_char;
 use crate::source::SourceFile;
 
-/// One invariant check. Rules scan scrubbed code (comments and literal
-/// bodies blanked), skip test regions, and honor `lint-ok` allowlists via
-/// [`emit`].
-pub trait Rule {
-    /// Stable rule id used in diagnostics and `lint-ok(<id>)` comments.
-    fn id(&self) -> &'static str;
-    /// One-line description for `adv-lint rules`.
-    fn summary(&self) -> &'static str;
-    /// Scans `file`, pushing violations into `out`.
-    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>);
-}
+/// `(id, summary)` of every rule: the ids a `lint-ok(<rule>)` comment may
+/// name, and the list `adv-lint rules` prints.
+pub const RULES: &[(&str, &str)] = &[
+    (
+        "ordering-justified",
+        "every `Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}` use site \
+         must carry a justification comment",
+    ),
+    (
+        "crate-error-types",
+        "public fallible fns return the crate's error type, not \
+         `Box<dyn Error>` or `Result<_, String>`",
+    ),
+    (
+        "atomic-protocol",
+        "cross-file acquire/release pairing: no unpaired Release publish, \
+         no Relaxed read of a Release-published field, no unjustified \
+         SeqCst, no stale justification on a proven Relaxed counter",
+    ),
+    (
+        "no-alloc-in-kernel",
+        "inside functions that open a KernelScope, no Vec::new/.push/\
+         .to_vec/.clone()/format! after the scope opens unless allowlisted",
+    ),
+    (
+        "dead-slot",
+        "every KernelKind variant must be passed to KernelScope::enter \
+         somewhere",
+    ),
+    (
+        "lint-debt",
+        "per-rule `lint-ok` and `#[expect(clippy::..)]` counts may not grow \
+         past the committed lint_debt.json baseline",
+    ),
+    (
+        "lint-ok-syntax",
+        "allowlist comments must name a known rule and give a reason",
+    ),
+];
 
-/// The built-in per-file rule set, in reporting order. The workspace-wide
-/// pass-2 rules live in [`ws`] and are listed in [`WS_RULES`].
-pub fn all_rules() -> Vec<Box<dyn Rule>> {
-    vec![Box::new(OrderingJustified), Box::new(CrateErrorTypes)]
-}
-
-/// Every rule id the engine knows — per-file, workspace-wide, and the
-/// engine-level `lint-debt` check — so `lint-ok(<rule>)` comments naming
-/// any of them are well-formed.
-pub fn all_rule_ids() -> Vec<&'static str> {
-    let mut ids: Vec<&'static str> = all_rules().iter().map(|r| r.id()).collect();
-    ids.extend(WS_RULES.iter().map(|(id, _)| *id));
-    ids
-}
-
-/// A raw match produced by a rule before allowlist/test filtering.
-#[derive(Debug, Clone)]
-pub struct RawMatch {
-    /// 1-based line.
-    pub line: usize,
-    /// 1-based column.
-    pub column: usize,
-    /// Token run length for the caret underline.
-    pub width: usize,
-    /// Violation message.
-    pub message: String,
-}
-
-/// Filters a raw match through the test-region map and the per-line
-/// allowlist, emitting a [`Finding`] when it survives.
-pub fn emit(
-    rule: &'static str,
-    help: &str,
+/// Pushes a finding at 1-based `(line, column)` of `file`, `width` chars
+/// wide, unless the line is test code or carries a `lint-ok(<rule>)`.
+pub(crate) fn emit(
     file: &SourceFile,
-    m: RawMatch,
+    rule: &'static str,
+    (line, column, width): (usize, usize, usize),
+    message: String,
+    help: &str,
     out: &mut Vec<Finding>,
 ) {
-    if file.is_test_line(m.line) {
-        return;
-    }
-    if file.allow_for(m.line, rule).is_some() {
+    if file.is_test_line(line) || file.allow_for(line, rule).is_some() {
         return;
     }
     out.push(Finding {
         rule,
         path: file.rel.clone(),
-        line: m.line,
-        column: m.column,
-        width: m.width,
-        message: m.message,
-        snippet: file.lines.get(m.line - 1).cloned().unwrap_or_default(),
+        line,
+        column,
+        width,
+        message,
+        snippet: file.lines.get(line - 1).cloned().unwrap_or_default(),
         help: help.to_string(),
     });
 }
 
-/// Finds every occurrence of identifier `word` (word-boundary match) in a
-/// scrubbed line, returning 0-based character columns.
-pub fn find_word(line: &str, word: &str) -> Vec<usize> {
-    let chars: Vec<char> = line.chars().collect();
-    let needle: Vec<char> = word.chars().collect();
-    let mut out = Vec::new();
-    if needle.is_empty() || chars.len() < needle.len() {
-        return out;
-    }
-    for start in 0..=chars.len() - needle.len() {
-        if chars[start..start + needle.len()] != needle[..] {
-            continue;
+/// `lint-ok-syntax`: reports allowlist comments with a missing reason, or
+/// naming a rule that is not in [`RULES`]. Test code is exempt.
+pub(crate) fn lint_ok_syntax(file: &SourceFile, out: &mut Vec<Finding>) {
+    let malformed = file.malformed_allows.iter().map(|&line| {
+        (
+            line,
+            "`lint-ok(..)` comment without a reason".to_string(),
+            "write `// lint-ok(<rule>): <reason>` — the reason is mandatory",
+        )
+    });
+    let unknown = file
+        .allows
+        .iter()
+        .filter(|a| !RULES.iter().any(|(id, _)| *id == a.rule))
+        .map(|a| {
+            (
+                a.comment_line,
+                format!("`lint-ok({})` names an unknown rule", a.rule),
+                "run `adv-lint rules` for the rule list",
+            )
+        });
+    for (line, message, help) in malformed.chain(unknown) {
+        if !file.is_test_line(line) {
+            out.push(Finding {
+                rule: "lint-ok-syntax",
+                path: file.rel.clone(),
+                line,
+                column: 1,
+                width: 1,
+                message,
+                snippet: file.lines.get(line - 1).cloned().unwrap_or_default(),
+                help: help.to_string(),
+            });
         }
-        let before_ok = start == 0 || !is_ident_char(chars[start - 1]);
-        let after = start + needle.len();
-        let after_ok = after >= chars.len() || !is_ident_char(chars[after]);
-        if before_ok && after_ok {
-            out.push(start);
-        }
-    }
-    out
-}
-
-/// After `start` (0-based char index), skips whitespace and returns the
-/// index of the next non-whitespace char, if any.
-pub fn skip_ws(chars: &[char], mut start: usize) -> Option<usize> {
-    while start < chars.len() {
-        if !chars[start].is_whitespace() {
-            return Some(start);
-        }
-        start += 1;
-    }
-    None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn find_word_boundaries() {
-        assert_eq!(find_word("panic! and panics", "panic"), vec![0]);
-        assert_eq!(find_word("Ordering::Relaxed", "Ordering"), vec![0]);
-        assert!(find_word("Reordering::X", "Ordering").is_empty());
-        assert_eq!(find_word("a Instant b Instant", "Instant"), vec![2, 12]);
     }
 }

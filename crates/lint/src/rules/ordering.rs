@@ -8,71 +8,37 @@
 //! `// lint-ok(ordering-justified): <why this ordering is sufficient>`,
 //! which doubles as the audit trail for the serve/obs concurrency core.
 
-use super::{emit, find_word, skip_ws, RawMatch, Rule};
+use super::emit;
 use crate::diagnostics::Finding;
 use crate::source::SourceFile;
-
-const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
+use crate::table::{ordering_tokens, SymbolTable};
 
 const HELP: &str = "add `// lint-ok(ordering-justified): <why this ordering is sufficient>` \
 on or directly above the line";
 
-/// See module docs.
-#[derive(Debug)]
-pub struct OrderingJustified;
-
-impl Rule for OrderingJustified {
-    fn id(&self) -> &'static str {
-        "ordering-justified"
-    }
-
-    fn summary(&self) -> &'static str {
-        "every `Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}` use site \
-         must carry a justification comment"
-    }
-
-    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        for (idx, line) in file.code.iter().enumerate() {
-            let lineno = idx + 1;
-            let chars: Vec<char> = line.chars().collect();
-            let mut first: Option<(usize, &str)> = None;
-            for col in find_word(line, "Ordering") {
-                // Expect `:: <variant>` after the `Ordering` path segment.
-                let Some(c1) = skip_ws(&chars, col + "Ordering".len()) else {
-                    continue;
-                };
-                if chars.get(c1) != Some(&':') || chars.get(c1 + 1) != Some(&':') {
-                    continue;
-                }
-                let Some(v0) = skip_ws(&chars, c1 + 2) else {
-                    continue;
-                };
-                let variant: String = chars[v0..]
-                    .iter()
-                    .take_while(|c| crate::lexer::is_ident_char(**c))
-                    .collect();
-                if first.is_none() {
-                    if let Some(&v) = ORDERINGS.iter().find(|o| **o == variant) {
-                        first = Some((col, v));
-                    }
-                }
-            }
-            // One finding per line: `compare_exchange(.., Relaxed, Relaxed)`
-            // is one decision, not two.
-            if let Some((col, variant)) = first {
-                emit(
-                    self.id(),
-                    HELP,
-                    file,
-                    RawMatch {
-                        line: lineno,
-                        column: col + 1,
-                        width: "Ordering::".len() + variant.len(),
-                        message: format!("`Ordering::{variant}` without a justification comment"),
-                    },
-                    out,
-                );
-            }
+/// Flags the first `Ordering::<variant>` token of each line of `file`
+/// (`compare_exchange(.., Relaxed, Relaxed)` is one decision, not two),
+/// unless the symbol table proves it an access to a pure `Relaxed` counter.
+/// `idx` is the file's index in the slice `table` was built from.
+pub(crate) fn ordering_justified(
+    file: &SourceFile,
+    idx: usize,
+    table: &SymbolTable,
+    out: &mut Vec<Finding>,
+) {
+    for line in 1..=file.lines.len() {
+        let Some(&(col, variant)) = ordering_tokens(file.line_code(line)).first() else {
+            continue;
+        };
+        if !table.exempt_ordering_tokens.contains(&(idx, line, col)) {
+            emit(
+                file,
+                "ordering-justified",
+                (line, col + 1, "Ordering::".len() + variant.len()),
+                format!("`Ordering::{variant}` without a justification comment"),
+                HELP,
+                out,
+            );
         }
     }
 }
@@ -80,18 +46,11 @@ impl Rule for OrderingJustified {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{FileKind, SourceFile};
-    use std::path::PathBuf;
 
     fn run(src: &str) -> Vec<Finding> {
-        let file = SourceFile::from_source(
-            PathBuf::from("mem.rs"),
-            "src/lib.rs".into(),
-            FileKind::Lib,
-            src,
-        );
+        let file = SourceFile::from_source("src/lib.rs".into(), true, src);
         let mut out = Vec::new();
-        OrderingJustified.check(&file, &mut out);
+        ordering_justified(&file, 0, &SymbolTable::default(), &mut out);
         out
     }
 

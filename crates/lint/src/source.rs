@@ -1,24 +1,14 @@
-//! Per-file analysis model: scrubbed lines, test-region map, and
-//! `// lint-ok(<rule>): <reason>` allowlist attachment.
+//! Per-file analysis model: the scrubbed text as one flat buffer with a
+//! line index, the test-region map, `// lint-ok(<rule>): <reason>`
+//! allowlist attachment, and the token-scanning helpers every rule and
+//! collector shares.
 
 use crate::lexer::{is_ident_char, scrub, Comment};
 use crate::LintError;
-use std::path::{Path, PathBuf};
+use std::ops::RangeInclusive;
+use std::path::Path;
 
-/// How a file participates in its crate's build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
-    /// Part of the library target (`src/**`, minus bins).
-    Lib,
-    /// A binary target (`src/main.rs`, `src/bin/**`).
-    Bin,
-    /// A Criterion bench target (`benches/**`).
-    Bench,
-    /// An example target (`examples/**`).
-    Example,
-}
-
-/// One `lint-ok` allowlist entry attached to a code line.
+/// One `lint-ok` allowlist entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allow {
     /// The rule id being allowed.
@@ -28,26 +18,30 @@ pub struct Allow {
     pub reason: String,
     /// 1-based line of the comment itself.
     pub comment_line: usize,
+    /// The 1-based code lines the comment governs.
+    pub lines: RangeInclusive<usize>,
 }
 
 /// A source file prepared for rule checks.
 #[derive(Debug)]
 pub struct SourceFile {
-    /// Absolute path on disk.
-    pub path: PathBuf,
     /// Path relative to the lint root, with `/` separators (for reports).
     pub rel: String,
-    /// Build role of the file.
-    pub kind: FileKind,
+    /// Part of a library target (`src/**` minus `src/main.rs` and
+    /// `src/bin/**`), as opposed to a binary, bench or example.
+    pub lib: bool,
     /// Original source lines (for diagnostics snippets).
     pub lines: Vec<String>,
-    /// Scrubbed lines: comments and literal bodies blanked (for matching).
-    pub code: Vec<String>,
+    /// The scrubbed text: comments and literal bodies blanked, position
+    /// for position identical to the original (see [`scrub`]).
+    pub code: Vec<char>,
+    /// Offset in `code` of each line's first char.
+    line_start: Vec<usize>,
     /// `is_test[i]` is true when 0-based line `i` is inside `#[cfg(test)]`
     /// / `#[test]` / `#[bench]` scope.
     pub is_test: Vec<bool>,
-    /// Allowlist entries per 0-based line.
-    pub allows: Vec<Vec<Allow>>,
+    /// Well-formed allowlist entries, one per comment line and rule.
+    pub allows: Vec<Allow>,
     /// `lint-ok` comments with an empty reason (reported, never honored).
     pub malformed_allows: Vec<usize>,
 }
@@ -58,39 +52,67 @@ impl SourceFile {
     /// # Errors
     ///
     /// Returns [`LintError::Io`] when the file cannot be read.
-    pub fn load(path: &Path, rel: String, kind: FileKind) -> Result<SourceFile, LintError> {
+    pub fn load(path: &Path, rel: String, lib: bool) -> Result<SourceFile, LintError> {
         let src = std::fs::read_to_string(path).map_err(|e| LintError::Io {
             path: path.display().to_string(),
             message: e.to_string(),
         })?;
-        Ok(SourceFile::from_source(path.to_path_buf(), rel, kind, &src))
+        Ok(SourceFile::from_source(rel, lib, &src))
     }
 
     /// Builds the model from in-memory source (used by unit tests).
-    pub fn from_source(path: PathBuf, rel: String, kind: FileKind, src: &str) -> SourceFile {
+    pub fn from_source(rel: String, lib: bool, src: &str) -> SourceFile {
         let scrubbed = scrub(src);
-        let lines: Vec<String> = src.lines().map(str::to_string).collect();
-        let code: Vec<String> = scrubbed.code.lines().map(str::to_string).collect();
-        let is_test = mark_test_regions(&code);
-        let (allows, malformed_allows) = attach_allows(&scrubbed.comments, &code);
-        SourceFile {
-            path,
+        let code: Vec<char> = scrubbed.code.chars().collect();
+        let line_start = std::iter::once(0)
+            .chain((0..code.len()).filter(|&i| code[i] == '\n').map(|i| i + 1))
+            .filter(|&s| s < code.len())
+            .collect();
+        let mut file = SourceFile {
             rel,
-            kind,
-            lines,
+            lib,
+            lines: src.lines().map(str::to_string).collect(),
             code,
-            is_test,
-            allows,
-            malformed_allows,
-        }
+            line_start,
+            is_test: Vec::new(),
+            allows: Vec::new(),
+            malformed_allows: Vec::new(),
+        };
+        file.is_test = mark_test_regions(&file);
+        attach_allows(&mut file, &scrubbed.comments);
+        file
+    }
+
+    /// 1-based line of a `code` offset (offsets past the end map to the
+    /// last line).
+    pub(crate) fn line(&self, offset: usize) -> usize {
+        self.line_start.partition_point(|&s| s <= offset).max(1)
+    }
+
+    /// 0-based column of a `code` offset.
+    pub(crate) fn col(&self, offset: usize) -> usize {
+        offset
+            - self
+                .line_start
+                .get(self.line(offset) - 1)
+                .copied()
+                .unwrap_or(0)
+    }
+
+    /// The scrubbed text of 1-based `line`, without its newline.
+    pub(crate) fn line_code(&self, line: usize) -> &[char] {
+        let Some(&start) = line.checked_sub(1).and_then(|i| self.line_start.get(i)) else {
+            return &[];
+        };
+        let len = self.code[start..].iter().position(|&c| c == '\n');
+        &self.code[start..start + len.unwrap_or(self.code.len() - start)]
     }
 
     /// Looks up the allow entry for `rule` on 1-based line `line`, if any.
     pub fn allow_for(&self, line: usize, rule: &str) -> Option<&Allow> {
         self.allows
-            .get(line.checked_sub(1)?)?
             .iter()
-            .find(|a| a.rule == rule)
+            .find(|a| a.rule == rule && a.lines.contains(&line))
     }
 
     /// `true` when 1-based `line` is inside test-only code.
@@ -101,125 +123,107 @@ impl SourceFile {
     }
 }
 
+/// Offsets of every word-boundary occurrence of the identifier `word`
+/// (non-empty) in `chars`.
+pub(crate) fn words(chars: &[char], word: &str) -> Vec<usize> {
+    let word: Vec<char> = word.chars().collect();
+    let ident = |i: usize| chars.get(i).is_some_and(|&c| is_ident_char(c));
+    chars
+        .windows(word.len())
+        .enumerate()
+        .filter(|&(i, w)| w == word && !(i > 0 && ident(i - 1)) && !ident(i + word.len()))
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// The first offset walked by `from` whose char is not whitespace: pass
+/// `i..` to skip forward from `i`, `(0..i).rev()` to skip back from it.
+pub(crate) fn skip_ws(chars: &[char], from: impl IntoIterator<Item = usize>) -> Option<usize> {
+    from.into_iter()
+        .map_while(|i| Some((i, chars.get(i)?)))
+        .find(|(_, c)| !c.is_whitespace())
+        .map(|(i, _)| i)
+}
+
+/// The identifier starting at `start` (empty when none does).
+pub(crate) fn ident_at(chars: &[char], start: usize) -> String {
+    chars[start.min(chars.len())..]
+        .iter()
+        .take_while(|c| is_ident_char(**c))
+        .collect()
+}
+
+/// Given an opening delimiter offset, returns the offset just past its
+/// matching close (`()` / `{}` / `[]` / `<>` chosen by the char at `open`,
+/// counting only that pair; the end of `chars` when unclosed).
+pub(crate) fn delim_extent(chars: &[char], open: usize) -> usize {
+    let (o, c) = match chars.get(open) {
+        Some('(') => ('(', ')'),
+        Some('{') => ('{', '}'),
+        Some('[') => ('[', ']'),
+        Some('<') => ('<', '>'),
+        _ => return open + 1,
+    };
+    let mut depth = 0i32;
+    for (i, &ch) in chars.iter().enumerate().skip(open) {
+        if ch == o {
+            depth += 1;
+        } else if ch == c {
+            depth -= 1;
+            if depth == 0 {
+                return i + 1;
+            }
+        }
+    }
+    chars.len()
+}
+
 /// Marks every line covered by a `#[cfg(test)]`-gated item, `#[test]` fn or
 /// `#[bench]` fn. Detection is brace-based over scrubbed code: from the
 /// attribute, scan to the item's opening `{` (or a `;` for an out-of-line
 /// `mod tests;`, which marks only that line) and take the matching-brace
 /// extent.
-fn mark_test_regions(code: &[String]) -> Vec<bool> {
-    let joined = code.join("\n");
-    let chars: Vec<char> = joined.chars().collect();
-    let mut is_test = vec![false; code.len()];
-
-    // Byte-ish offsets of line starts in `joined` (char offsets, really).
-    let mut line_of = vec![0usize; chars.len() + 1];
-    {
-        let mut line = 0usize;
-        for (i, &c) in chars.iter().enumerate() {
-            line_of[i] = line;
-            if c == '\n' {
-                line += 1;
-            }
-        }
-        line_of[chars.len()] = line;
-    }
-
+fn mark_test_regions(file: &SourceFile) -> Vec<bool> {
+    let chars = &file.code;
+    let mut is_test = vec![false; file.lines.len()];
     let mut i = 0usize;
     while i < chars.len() {
-        if chars[i] != '#' {
-            i += 1;
-            continue;
-        }
         // `#[ ... ]` — capture the attribute content.
-        let mut j = i + 1;
-        while j < chars.len() && chars[j].is_whitespace() {
-            j += 1;
-        }
-        if chars.get(j) != Some(&'[') {
+        let open = (chars[i] == '#')
+            .then(|| skip_ws(chars, i + 1..))
+            .flatten()
+            .filter(|&j| chars[j] == '[');
+        let Some(open) = open else {
             i += 1;
             continue;
-        }
-        let attr_start = j + 1;
-        let mut depth = 1i32;
-        let mut k = attr_start;
-        while k < chars.len() && depth > 0 {
-            match chars[k] {
-                '[' => depth += 1,
-                ']' => depth -= 1,
-                _ => {}
-            }
-            k += 1;
-        }
-        let attr: String = chars[attr_start..k.saturating_sub(1)].iter().collect();
+        };
+        let k = delim_extent(chars, open);
+        let attr: String = chars[open + 1..k.saturating_sub(1).max(open + 1)]
+            .iter()
+            .collect();
         if !is_test_attr(&attr) {
             i = k;
             continue;
         }
         // Scan past any further attributes to the item body.
         let mut p = k;
-        loop {
-            while p < chars.len() && chars[p].is_whitespace() {
-                p += 1;
-            }
-            if chars.get(p) == Some(&'#') {
-                // Another attribute; skip it.
-                let mut q = p + 1;
-                while q < chars.len() && chars[q].is_whitespace() {
-                    q += 1;
-                }
-                if chars.get(q) == Some(&'[') {
-                    let mut d = 1i32;
-                    let mut r = q + 1;
-                    while r < chars.len() && d > 0 {
-                        match chars[r] {
-                            '[' => d += 1,
-                            ']' => d -= 1,
-                            _ => {}
-                        }
-                        r += 1;
-                    }
-                    p = r;
-                    continue;
-                }
-            }
-            break;
+        while let Some(b) = skip_ws(chars, p..)
+            .filter(|&q| chars[q] == '#')
+            .and_then(|q| skip_ws(chars, q + 1..))
+            .filter(|&b| chars[b] == '[')
+        {
+            p = delim_extent(chars, b);
         }
         // Find the item's `{` or a terminating `;` first.
-        let mut open = None;
-        let mut q = p;
-        while q < chars.len() {
-            match chars[q] {
-                '{' => {
-                    open = Some(q);
-                    break;
-                }
-                ';' => break,
-                _ => {}
-            }
-            q += 1;
-        }
-        let end = match open {
-            Some(open) => {
-                let mut d = 1i32;
-                let mut r = open + 1;
-                while r < chars.len() && d > 0 {
-                    match chars[r] {
-                        '{' => d += 1,
-                        '}' => d -= 1,
-                        _ => {}
-                    }
-                    r += 1;
-                }
-                r
-            }
-            None => q.min(chars.len()),
+        let end = match chars[p..].iter().position(|&c| c == '{' || c == ';') {
+            Some(q) if chars[p + q] == '{' => delim_extent(chars, p + q),
+            Some(q) => p + q,
+            None => chars.len(),
         };
-        let first = line_of[i.min(chars.len())];
-        let last = line_of[end.min(chars.len())];
         for flag in is_test
             .iter_mut()
-            .take((last + 1).min(code.len()))
-            .skip(first)
+            .take(file.line(end))
+            .skip(file.line(i) - 1)
         {
             *flag = true;
         }
@@ -238,61 +242,25 @@ fn is_test_attr(attr: &str) -> bool {
     let Some(rest) = attr.strip_prefix("cfg") else {
         return false;
     };
-    let rest = rest.trim_start();
-    let Some(cond) = rest.strip_prefix('(') else {
+    let Some(cond) = rest.trim_start().strip_prefix('(') else {
         return false;
     };
     // Drop everything inside `not(...)` groups, then look for a standalone
     // `test` token in what remains.
-    let mut cleaned = String::new();
     let chars: Vec<char> = cond.chars().collect();
+    let mut cleaned = Vec::new();
     let mut i = 0usize;
     while i < chars.len() {
-        if chars[i] == 'n' && cond[i..].starts_with("not") {
-            let mut j = i + 3;
-            while j < chars.len() && chars[j].is_whitespace() {
-                j += 1;
-            }
-            if chars.get(j) == Some(&'(') {
-                let mut d = 1i32;
-                let mut r = j + 1;
-                while r < chars.len() && d > 0 {
-                    match chars[r] {
-                        '(' => d += 1,
-                        ')' => d -= 1,
-                        _ => {}
-                    }
-                    r += 1;
-                }
-                i = r;
+        if chars[i..].starts_with(&['n', 'o', 't']) {
+            if let Some(j) = skip_ws(&chars, i + 3..).filter(|&j| chars[j] == '(') {
+                i = delim_extent(&chars, j);
                 continue;
             }
         }
         cleaned.push(chars[i]);
         i += 1;
     }
-    contains_word(&cleaned, "test")
-}
-
-/// Word-boundary substring search over identifier characters.
-pub fn contains_word(hay: &str, word: &str) -> bool {
-    let hay: Vec<char> = hay.chars().collect();
-    let needle: Vec<char> = word.chars().collect();
-    if needle.is_empty() || hay.len() < needle.len() {
-        return false;
-    }
-    for start in 0..=hay.len() - needle.len() {
-        if hay[start..start + needle.len()] != needle[..] {
-            continue;
-        }
-        let before_ok = start == 0 || !is_ident_char(hay[start - 1]);
-        let after = start + needle.len();
-        let after_ok = after >= hay.len() || !is_ident_char(hay[after]);
-        if before_ok && after_ok {
-            return true;
-        }
-    }
-    false
+    !words(&cleaned, "test").is_empty()
 }
 
 /// Parses `lint-ok(<rule>): <reason>` occurrences out of `text`. Doc
@@ -314,14 +282,13 @@ fn parse_lint_ok(text: &str) -> Vec<(String, String)> {
         rest = &rest[pos + "lint-ok(".len()..];
         let Some(close) = rest.find(')') else { break };
         let rule = rest[..close].trim().to_string();
+        rest = &rest[close + 1..];
         if !rule
             .chars()
             .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
         {
-            rest = &rest[close + 1..];
             continue;
         }
-        rest = &rest[close + 1..];
         let reason = match rest.strip_prefix(':') {
             Some(r) => {
                 // Reason runs to the end of the comment or the next
@@ -343,58 +310,62 @@ fn parse_lint_ok(text: &str) -> Vec<(String, String)> {
 /// *statement* — from the next non-blank code line through the first line
 /// whose code ends in `;`, `{` or `}` — so one comment covers a multi-line
 /// expression (a `fetch_update` chain, a builder pipeline) the way an
-/// attribute-style allow scopes to the statement under it.
-fn attach_allows(comments: &[Comment], code: &[String]) -> (Vec<Vec<Allow>>, Vec<usize>) {
-    let mut allows: Vec<Vec<Allow>> = vec![Vec::new(); code.len()];
-    let mut malformed = Vec::new();
+/// attribute-style allow scopes to the statement under it. A comment that
+/// governs no code line is not an allow.
+fn attach_allows(file: &mut SourceFile, comments: &[Comment]) {
     for comment in comments {
         let entries = parse_lint_ok(&comment.text);
         if entries.is_empty() {
             continue;
         }
-        let idx = comment.line - 1;
-        let own_line_code = code.get(idx).map(|l| !l.trim().is_empty()).unwrap_or(false);
-        let targets: Vec<usize> = if own_line_code {
-            vec![idx]
-        } else {
-            statement_extent(code, idx + 1)
+        let lines = match last_token(file, comment.line) {
+            Some(_) => Some(comment.line..=comment.line),
+            None => statement_after(file, comment.line),
         };
         for (rule, reason) in entries {
             if reason.is_empty() {
-                malformed.push(comment.line);
+                file.malformed_allows.push(comment.line);
                 continue;
             }
-            for &t in &targets {
-                allows[t].push(Allow {
-                    rule: rule.clone(),
-                    reason: reason.clone(),
+            let Some(lines) = lines.clone() else { continue };
+            let seen = file
+                .allows
+                .iter()
+                .any(|a| a.comment_line == comment.line && a.rule == rule);
+            if !seen {
+                file.allows.push(Allow {
+                    rule,
+                    reason,
                     comment_line: comment.line,
+                    lines,
                 });
             }
         }
     }
-    (allows, malformed)
 }
 
-/// The 0-based line indices of the statement starting at or after `from`:
-/// the first non-blank code line, then every following line until (and
-/// including) one whose trimmed code ends in `;`, `{` or `}`.
-fn statement_extent(code: &[String], from: usize) -> Vec<usize> {
-    let Some(start) = (from..code.len()).find(|&i| !code[i].trim().is_empty()) else {
-        return Vec::new();
-    };
-    let mut extent = Vec::new();
-    for (i, line) in code.iter().enumerate().skip(start) {
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() && i > start {
-            break;
-        }
-        extent.push(i);
-        if trimmed.ends_with(';') || trimmed.ends_with('{') || trimmed.ends_with('}') {
-            break;
-        }
+/// The last non-whitespace char of 1-based `line`'s code, if any.
+fn last_token(file: &SourceFile, line: usize) -> Option<char> {
+    file.line_code(line)
+        .iter()
+        .rev()
+        .find(|c| !c.is_whitespace())
+        .copied()
+}
+
+/// The statement starting at the first non-blank line after `line`: through
+/// the first line whose code ends in `;`, `{` or `}`, stopping short of a
+/// blank line.
+fn statement_after(file: &SourceFile, line: usize) -> Option<RangeInclusive<usize>> {
+    let start = (line + 1..=file.lines.len()).find(|&l| last_token(file, l).is_some())?;
+    let mut end = start;
+    while !matches!(last_token(file, end), Some(';' | '{' | '}'))
+        && end < file.lines.len()
+        && last_token(file, end + 1).is_some()
+    {
+        end += 1;
     }
-    extent
+    Some(start..=end)
 }
 
 #[cfg(test)]
@@ -402,7 +373,7 @@ mod tests {
     use super::*;
 
     fn file(src: &str) -> SourceFile {
-        SourceFile::from_source(PathBuf::from("mem.rs"), "mem.rs".into(), FileKind::Lib, src)
+        SourceFile::from_source("mem.rs".into(), true, src)
     }
 
     #[test]
@@ -453,6 +424,14 @@ mod tests {
     }
 
     #[test]
+    fn own_line_allow_covers_the_whole_statement() {
+        let src = "// lint-ok(ordering-justified): one decision\nlet _ = s\n    .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire);\nnext();\n";
+        let f = file(src);
+        assert_eq!(f.allows[0].lines, 2..=3);
+        assert!(f.allow_for(4, "ordering-justified").is_none());
+    }
+
+    #[test]
     fn allow_without_reason_is_malformed_and_not_honored() {
         let f = file("x.clone(); // lint-ok(no-alloc-in-kernel)\n");
         assert!(f.allow_for(1, "no-alloc-in-kernel").is_none());
@@ -472,9 +451,17 @@ mod tests {
     }
 
     #[test]
-    fn contains_word_respects_boundaries() {
-        assert!(contains_word("all(loom, test)", "test"));
-        assert!(!contains_word("latest", "test"));
-        assert!(!contains_word("test_util", "test"));
+    fn lines_and_columns_of_the_flat_buffer() {
+        let f = file("ab\n\ncd\n");
+        assert_eq!(f.line_code(3), ['c', 'd']);
+        assert!(f.line_code(2).is_empty() && f.line_code(4).is_empty());
+        assert_eq!((f.line(4), f.col(4)), (3, 0));
+        assert_eq!((f.line(99), f.line(0)), (3, 1));
+    }
+
+    #[test]
+    fn words_respect_boundaries() {
+        let chars: Vec<char> = "all(loom, test) latest test_util test".chars().collect();
+        assert_eq!(words(&chars, "test"), vec![10, 33]);
     }
 }

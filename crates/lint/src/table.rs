@@ -13,11 +13,7 @@
 //! - **kernel inventory** — the `KernelKind` enum's variants vs the set of
 //!   variants actually passed to `KernelScope::enter`, and the body extent
 //!   of every function that opens a kernel scope (for the hot-path
-//!   allocation rule);
-//! - **metric registrations** — string-literal names passed to
-//!   `.counter("..")`/`.gauge(..)`/`.histogram(..)` in library code, vs the
-//!   names documented in `DESIGN.md`'s machine-readable schema block
-//!   (`<!-- metric-schema:start/end -->`).
+//!   allocation rule).
 //!
 //! The table also *classifies* atomic fields: a field whose every
 //! non-test access is `Relaxed` and drawn from the pure-accumulator op set
@@ -27,9 +23,8 @@
 //! comments on them become findings.
 
 use crate::lexer::is_ident_char;
-use crate::source::{FileKind, SourceFile};
+use crate::source::{delim_extent, ident_at, skip_ws, words, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
 
 /// The atomic methods that take `Ordering` arguments.
 const ATOMIC_OPS: &[&str] = &[
@@ -58,6 +53,9 @@ const ATOMIC_TYS: &[&str] = &[
     "Bool", "U8", "U16", "U32", "U64", "Usize", "I8", "I16", "I32", "I64", "Isize", "Ptr",
 ];
 
+/// The atomic memory orderings.
+const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
+
 /// One `field: AtomicXxx` (or `static NAME: AtomicXxx`) declaration.
 #[derive(Debug, Clone)]
 pub struct AtomicField {
@@ -67,8 +65,8 @@ pub struct AtomicField {
     pub field: String,
     /// The atomic type name (e.g. `AtomicU64`).
     pub ty: String,
-    /// Report path of the declaring file.
-    pub path: String,
+    /// Index of the declaring file.
+    pub file: usize,
     /// 1-based declaration line.
     pub line: usize,
 }
@@ -80,13 +78,13 @@ pub struct AtomicSite {
     /// `None` for call-returning receivers (treated conservatively).
     pub field: Option<String>,
     /// Method name (`load`, `store`, `fetch_add`, ...).
-    pub op: String,
+    pub op: &'static str,
     /// Every `Ordering::` variant in the call's argument list.
-    pub orderings: Vec<String>,
+    pub orderings: Vec<&'static str>,
     /// Positions of the `Ordering` tokens: `(1-based line, 0-based col)`.
     pub ordering_tokens: Vec<(usize, usize)>,
-    /// Report path.
-    pub path: String,
+    /// Index of the file.
+    pub file: usize,
     /// 1-based line of the method token.
     pub line: usize,
     /// 0-based column of the method token.
@@ -98,8 +96,8 @@ pub struct AtomicSite {
 pub struct KernelVariant {
     /// Variant name.
     pub name: String,
-    /// Report path of the enum.
-    pub path: String,
+    /// Index of the file declaring the enum.
+    pub file: usize,
     /// 1-based line of the variant.
     pub line: usize,
 }
@@ -108,8 +106,8 @@ pub struct KernelVariant {
 /// position where the scope starts (allocation checks apply after it).
 #[derive(Debug, Clone)]
 pub struct KernelFn {
-    /// Report path.
-    pub path: String,
+    /// Index of the file.
+    pub file: usize,
     /// 1-based line of the `KernelScope::enter` call.
     pub enter_line: usize,
     /// 1-based first line of the measured region (after the enter call).
@@ -121,109 +119,55 @@ pub struct KernelFn {
     pub region_end: usize,
 }
 
-/// One metric registered under a string-literal name in library code.
-#[derive(Debug, Clone)]
-pub struct MetricReg {
-    /// The metric name.
-    pub name: String,
-    /// Report path.
-    pub path: String,
-    /// 1-based line.
-    pub line: usize,
-}
-
-/// The workspace symbol table — everything pass 2 reasons about.
+/// The workspace symbol table — everything pass 2 reasons about. Entries
+/// name their file by its index in the slice the table was built from.
 #[derive(Debug, Default)]
 pub struct SymbolTable {
-    /// Atomic field/static declarations, keyed `owner.field` in order.
+    /// Atomic field/static declarations.
     pub atomic_fields: Vec<AtomicField>,
     /// Every atomic op site with `Ordering` arguments (non-test code).
     pub atomic_sites: Vec<AtomicSite>,
     /// Field names proven to be pure `Relaxed` accumulators.
     pub relaxed_counters: BTreeSet<String>,
-    /// `Ordering` token positions `(path, line, col)` on proven-counter
+    /// `Ordering` token positions `(file, line, col)` on proven-counter
     /// sites: `ordering-justified` needs no comment there.
-    pub exempt_ordering_tokens: BTreeSet<(String, usize, usize)>,
+    pub exempt_ordering_tokens: BTreeSet<(usize, usize, usize)>,
     /// `KernelKind` variant declarations.
     pub kernel_variants: Vec<KernelVariant>,
     /// Variants actually passed to `KernelScope::enter(KernelKind::X, ..)`.
     pub entered_kinds: BTreeSet<String>,
     /// Functions that open a kernel scope (hot-path allocation domain).
     pub kernel_fns: Vec<KernelFn>,
-    /// Metric registrations in library code.
-    pub metric_regs: Vec<MetricReg>,
-    /// Metric names documented in `DESIGN.md`'s schema block → 1-based
-    /// line in `DESIGN.md`.
-    pub doc_metrics: BTreeMap<String, usize>,
-    /// Whether a `DESIGN.md` with a schema block was found (the
-    /// `dead-metric` rule only runs when it was).
-    pub has_metric_schema: bool,
 }
 
 impl SymbolTable {
-    /// Builds the table over every scanned file. `root` locates the
-    /// optional `DESIGN.md` side input.
-    pub fn build(root: &Path, files: &[SourceFile]) -> SymbolTable {
-        let (doc_metrics, has_metric_schema) = parse_metric_schema(root);
-        let mut table = SymbolTable {
-            doc_metrics,
-            has_metric_schema,
-            ..SymbolTable::default()
-        };
-        for file in files {
-            let flat = Flat::new(file);
-            collect_atomic_fields(&flat, &mut table.atomic_fields);
-            collect_atomic_sites(&flat, &mut table.atomic_sites);
-            collect_kernels(&flat, &mut table);
-            if file.kind == FileKind::Lib {
-                collect_metrics(&flat, &mut table.metric_regs);
-            }
+    /// Builds the table over every scanned file.
+    pub fn build(files: &[SourceFile]) -> SymbolTable {
+        let mut table = SymbolTable::default();
+        for (idx, file) in files.iter().enumerate() {
+            collect_atomic_fields(file, idx, &mut table.atomic_fields);
+            collect_atomic_sites(file, idx, &mut table.atomic_sites);
+            collect_kernels(file, idx, &mut table);
         }
-        table.classify_counters();
-        table
-    }
-
-    /// Derives `relaxed_counters` and the exempt token set from the raw
-    /// field/site inventory.
-    fn classify_counters(&mut self) {
-        let declared: BTreeSet<&str> = self
-            .atomic_fields
-            .iter()
-            .map(|f| f.field.as_str())
+        let counters: BTreeSet<String> = table
+            .sites_by_field()
+            .into_iter()
+            .filter(|(_, sites)| {
+                sites.iter().all(|s| {
+                    COUNTER_OPS.contains(&s.op) && s.orderings.iter().all(|o| *o == "Relaxed")
+                })
+            })
+            .map(|(field, _)| field.to_string())
             .collect();
-        let mut by_field: BTreeMap<&str, Vec<&AtomicSite>> = BTreeMap::new();
-        for site in &self.atomic_sites {
-            if let Some(field) = &site.field {
-                if declared.contains(field.as_str()) {
-                    by_field.entry(field.as_str()).or_default().push(site);
-                }
-            }
-        }
-        let mut counters = BTreeSet::new();
-        for (field, sites) in &by_field {
-            let pure = sites.iter().all(|s| {
-                COUNTER_OPS.contains(&s.op.as_str())
-                    && !s.orderings.is_empty()
-                    && s.orderings.iter().all(|o| o == "Relaxed")
-            });
-            if pure && !sites.is_empty() {
-                counters.insert((*field).to_string());
-            }
-        }
-        let mut exempt = BTreeSet::new();
-        for site in &self.atomic_sites {
-            let is_counter = site
-                .field
-                .as_ref()
-                .is_some_and(|f| counters.contains(f.as_str()));
-            if is_counter {
+        for site in &table.atomic_sites {
+            if site.field.as_ref().is_some_and(|f| counters.contains(f)) {
                 for &(line, col) in &site.ordering_tokens {
-                    exempt.insert((site.path.clone(), line, col));
+                    table.exempt_ordering_tokens.insert((site.file, line, col));
                 }
             }
         }
-        self.relaxed_counters = counters;
-        self.exempt_ordering_tokens = exempt;
+        table.relaxed_counters = counters;
+        table
     }
 
     /// Sites grouped per resolved field name (declared fields only).
@@ -235,10 +179,8 @@ impl SymbolTable {
             .collect();
         let mut map: BTreeMap<&str, Vec<&AtomicSite>> = BTreeMap::new();
         for site in &self.atomic_sites {
-            if let Some(field) = &site.field {
-                if declared.contains(field.as_str()) {
-                    map.entry(field.as_str()).or_default().push(site);
-                }
+            if let Some(field) = site.field.as_deref().filter(|f| declared.contains(f)) {
+                map.entry(field).or_default().push(site);
             }
         }
         map
@@ -253,227 +195,78 @@ impl SymbolTable {
     }
 }
 
-/// A file flattened to one char sequence with offset ↔ line/col maps, so
-/// multi-line constructs (call argument lists, brace extents) can be
-/// matched without per-line special cases. Operates on scrubbed code —
-/// which is position-identical to the original — and keeps the original
-/// text around for string-literal extraction.
-struct Flat<'a> {
-    file: &'a SourceFile,
-    chars: Vec<char>,
-    orig: Vec<char>,
-    /// 0-based line index per char offset.
-    line_of: Vec<usize>,
-    /// Char offset of each 0-based line's start.
-    line_start: Vec<usize>,
-}
-
-impl<'a> Flat<'a> {
-    fn new(file: &'a SourceFile) -> Flat<'a> {
-        let joined = file.code.join("\n");
-        let orig_joined = file.lines.join("\n");
-        let chars: Vec<char> = joined.chars().collect();
-        let orig: Vec<char> = orig_joined.chars().collect();
-        let mut line_of = Vec::with_capacity(chars.len() + 1);
-        let mut line_start = vec![0usize];
-        let mut line = 0usize;
-        for (i, &c) in chars.iter().enumerate() {
-            line_of.push(line);
-            if c == '\n' {
-                line += 1;
-                line_start.push(i + 1);
-            }
-        }
-        line_of.push(line);
-        Flat {
-            file,
-            chars,
-            orig,
-            line_of,
-            line_start,
-        }
-    }
-
-    /// 1-based line of a char offset.
-    fn line(&self, offset: usize) -> usize {
-        self.line_of[offset.min(self.line_of.len() - 1)] + 1
-    }
-
-    /// 0-based column of a char offset.
-    fn col(&self, offset: usize) -> usize {
-        let line = self.line_of[offset.min(self.line_of.len() - 1)];
-        offset - self.line_start[line]
-    }
-
-    /// `true` when the offset is inside test-marked code.
-    fn is_test(&self, offset: usize) -> bool {
-        self.file.is_test_line(self.line(offset))
-    }
-
-    /// Every word-boundary occurrence of `word` in the scrubbed text.
-    fn word_sites(&self, word: &str) -> Vec<usize> {
-        word_sites_in(&self.chars, word)
-    }
-}
-
-/// Word-boundary search over a char slice.
-fn word_sites_in(chars: &[char], word: &str) -> Vec<usize> {
-    let needle: Vec<char> = word.chars().collect();
+/// `(offset, variant)` of every `Ordering::<variant>` token in `chars`.
+pub(crate) fn ordering_tokens(chars: &[char]) -> Vec<(usize, &'static str)> {
     let mut out = Vec::new();
-    if needle.is_empty() || chars.len() < needle.len() {
-        return out;
-    }
-    for start in 0..=chars.len() - needle.len() {
-        if chars[start..start + needle.len()] != needle[..] {
+    for at in words(chars, "Ordering") {
+        let Some(c1) = skip_ws(chars, at + "Ordering".len()..) else {
+            continue;
+        };
+        if !chars[c1..].starts_with(&[':', ':']) {
             continue;
         }
-        let before_ok = start == 0 || !is_ident_char(chars[start - 1]);
-        let after = start + needle.len();
-        let after_ok = after >= chars.len() || !is_ident_char(chars[after]);
-        if before_ok && after_ok {
-            out.push(start);
+        let variant = skip_ws(chars, c1 + 2..).map(|v| ident_at(chars, v));
+        if let Some(&v) = ORDERINGS.iter().find(|o| variant.as_deref() == Some(**o)) {
+            out.push((at, v));
         }
     }
     out
 }
 
-/// Skips whitespace forward; returns the next non-ws offset, if any.
-fn fwd_ws(chars: &[char], mut i: usize) -> Option<usize> {
-    while i < chars.len() {
-        if !chars[i].is_whitespace() {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Skips whitespace backward from `i` (exclusive); returns the last
-/// non-ws offset before `i`, if any.
-fn back_ws(chars: &[char], i: usize) -> Option<usize> {
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        if !chars[j].is_whitespace() {
-            return Some(j);
-        }
-    }
-    None
-}
-
-/// Reads the identifier ending at `end` (inclusive), returning its start.
-fn ident_start(chars: &[char], end: usize) -> usize {
-    let mut s = end;
-    while s > 0 && is_ident_char(chars[s - 1]) {
-        s -= 1;
-    }
-    s
-}
-
-/// Reads the identifier starting at `start`.
-fn ident_at(chars: &[char], start: usize) -> String {
-    chars[start..]
-        .iter()
-        .take_while(|c| is_ident_char(**c))
-        .collect()
-}
-
-/// Given an opening delimiter offset, returns the offset just past its
-/// matching close (`()` / `{}` / `[]` chosen by the char at `open`).
-fn delim_extent(chars: &[char], open: usize) -> usize {
-    let (o, c) = match chars.get(open) {
-        Some('(') => ('(', ')'),
-        Some('{') => ('{', '}'),
-        Some('[') => ('[', ']'),
-        _ => return open + 1,
-    };
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < chars.len() {
-        if chars[i] == o {
-            depth += 1;
-        } else if chars[i] == c {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    chars.len()
-}
-
 /// Collects `name: AtomicXxx` declarations (struct fields and statics).
 /// Initializer expressions (`AtomicU64::new(0)`) are excluded by requiring
 /// the type name not be followed by `::`.
-fn collect_atomic_fields(flat: &Flat<'_>, out: &mut Vec<AtomicField>) {
-    // Struct extents for owner attribution.
+fn collect_atomic_fields(file: &SourceFile, idx: usize, out: &mut Vec<AtomicField>) {
+    let code = &file.code;
+    // Struct bodies, for owner attribution: the `{` comes before any `;`
+    // (unit and tuple structs have none).
     let mut structs: Vec<(String, usize, usize)> = Vec::new();
-    for site in flat.word_sites("struct") {
-        let Some(n0) = fwd_ws(&flat.chars, site + "struct".len()) else {
+    for site in words(code, "struct") {
+        let Some(n0) = skip_ws(code, site + "struct".len()..) else {
             continue;
         };
-        let name = ident_at(&flat.chars, n0);
-        if name.is_empty() {
-            continue;
-        }
-        // Find the body `{` before any `;` (unit/tuple structs have none).
-        let mut i = n0 + name.len();
-        let mut open = None;
-        while i < flat.chars.len() {
-            match flat.chars[i] {
-                '{' => {
-                    open = Some(i);
-                    break;
-                }
-                ';' => break,
-                _ => {}
+        let name = ident_at(code, n0);
+        let from = n0 + name.len();
+        let body = code[from..].iter().position(|&c| c == '{' || c == ';');
+        if let Some(open) = body.map(|p| from + p).filter(|&o| code[o] == '{') {
+            if !name.is_empty() {
+                structs.push((name, open, delim_extent(code, open)));
             }
-            i += 1;
-        }
-        if let Some(open) = open {
-            structs.push((name, open, delim_extent(&flat.chars, open)));
         }
     }
 
     for ty_suffix in ATOMIC_TYS {
         let ty = format!("Atomic{ty_suffix}");
-        for site in flat.word_sites(&ty) {
-            if flat.is_test(site) {
-                continue;
-            }
+        for site in words(code, &ty) {
             // `AtomicU64::new(..)` is an expression, not a declaration.
             let after = site + ty.len();
-            if flat.chars.get(after) == Some(&':') && flat.chars.get(after + 1) == Some(&':') {
+            if file.is_test_line(file.line(site)) || code[after..].starts_with(&[':', ':']) {
                 continue;
             }
             // Walk back over the type path (`std::sync::atomic::`), then
             // expect a single `:` preceded by the field name.
             let mut j = site;
-            while let Some(p) = back_ws(&flat.chars, j) {
-                if p == 0 || flat.chars[p] != ':' || flat.chars[p - 1] != ':' {
-                    break;
+            while let Some(p) =
+                skip_ws(code, (0..j).rev()).filter(|&p| p > 0 && code[p - 1..=p] == [':', ':'])
+            {
+                match skip_ws(code, (0..p - 1).rev()).filter(|&e| is_ident_char(code[e])) {
+                    Some(e) => j = ident_start(code, e),
+                    None => break,
                 }
-                let seg_end = match back_ws(&flat.chars, p - 1) {
-                    Some(e) if is_ident_char(flat.chars[e]) => e,
-                    _ => break,
-                };
-                j = ident_start(&flat.chars, seg_end);
             }
-            let Some(colon) = back_ws(&flat.chars, j) else {
+            let Some(colon) = skip_ws(code, (0..j).rev()).filter(|&c| code[c] == ':') else {
                 continue;
             };
-            if flat.chars[colon] != ':' || (colon >= 1 && flat.chars[colon - 1] == ':') {
+            if colon >= 1 && code[colon - 1] == ':' {
                 continue;
             }
-            let Some(name_end) = back_ws(&flat.chars, colon) else {
+            let Some(name_end) =
+                skip_ws(code, (0..colon).rev()).filter(|&e| is_ident_char(code[e]))
+            else {
                 continue;
             };
-            if !is_ident_char(flat.chars[name_end]) {
-                continue;
-            }
-            let name_start = ident_start(&flat.chars, name_end);
-            let field = ident_at(&flat.chars, name_start);
+            let name_start = ident_start(code, name_end);
+            let field = ident_at(code, name_start);
             if field.is_empty() || field == "mut" {
                 continue;
             }
@@ -489,157 +282,121 @@ fn collect_atomic_fields(flat: &Flat<'_>, out: &mut Vec<AtomicField>) {
                 None => {
                     // Require `static` before the field name on the same
                     // statement, else this is a local/param annotation.
-                    let before: String = {
-                        let from = name_start.saturating_sub(24);
-                        flat.chars[from..name_start].iter().collect()
-                    };
-                    if before.contains("static") {
-                        "static".to_string()
-                    } else {
+                    let before: String = code[name_start.saturating_sub(24)..name_start]
+                        .iter()
+                        .collect();
+                    if !before.contains("static") {
                         continue;
                     }
+                    "static".to_string()
                 }
             };
             out.push(AtomicField {
                 owner,
                 field,
                 ty: ty.clone(),
-                path: flat.file.rel.clone(),
-                line: flat.line(site),
+                file: idx,
+                line: file.line(site),
             });
         }
     }
-    out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
+}
+
+/// Start offset of the identifier ending at `end` (inclusive).
+fn ident_start(chars: &[char], end: usize) -> usize {
+    chars[..end]
+        .iter()
+        .rposition(|c| !is_ident_char(*c))
+        .map_or(0, |p| p + 1)
 }
 
 /// Collects every atomic op call that names an `Ordering::` variant.
-fn collect_atomic_sites(flat: &Flat<'_>, out: &mut Vec<AtomicSite>) {
+fn collect_atomic_sites(file: &SourceFile, idx: usize, out: &mut Vec<AtomicSite>) {
+    let code = &file.code;
     for op in ATOMIC_OPS {
-        for site in flat.word_sites(op) {
-            if flat.is_test(site) {
-                continue;
-            }
-            // Must be a `.op(` method call.
-            let Some(dot) = back_ws(&flat.chars, site) else {
+        for site in words(code, op) {
+            // Must be a non-test `.op(` method call.
+            let Some(dot) = skip_ws(code, (0..site).rev()).filter(|&d| code[d] == '.') else {
                 continue;
             };
-            if flat.chars[dot] != '.' {
-                continue;
-            }
-            let Some(open) = fwd_ws(&flat.chars, site + op.len()) else {
+            let Some(open) = skip_ws(code, site + op.len()..).filter(|&o| code[o] == '(') else {
                 continue;
             };
-            if flat.chars[open] != '(' {
+            if file.is_test_line(file.line(site)) {
                 continue;
             }
-            let close = delim_extent(&flat.chars, open);
-            // Orderings inside the argument list.
-            let args = &flat.chars[open..close];
-            let mut orderings = Vec::new();
-            let mut tokens = Vec::new();
-            for w in word_sites_in(args, "Ordering") {
-                let abs = open + w;
-                let after = abs + "Ordering".len();
-                if flat.chars.get(after) != Some(&':') || flat.chars.get(after + 1) != Some(&':') {
-                    continue;
-                }
-                let Some(v0) = fwd_ws(&flat.chars, after + 2) else {
-                    continue;
-                };
-                let variant = ident_at(&flat.chars, v0);
-                if ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"].contains(&variant.as_str())
-                {
-                    orderings.push(variant);
-                    tokens.push((flat.line(abs), flat.col(abs)));
-                }
-            }
-            if orderings.is_empty() {
+            let close = delim_extent(code, open);
+            let tokens = ordering_tokens(&code[open..close]);
+            if tokens.is_empty() {
                 continue;
             }
             // Receiver: the ident chain segment directly before the dot.
-            let field = back_ws(&flat.chars, dot).and_then(|e| {
-                if is_ident_char(flat.chars[e]) {
-                    let start = ident_start(&flat.chars, e);
-                    let name = ident_at(&flat.chars, start);
-                    if name == "self" {
-                        None
-                    } else {
-                        Some(name)
-                    }
-                } else {
-                    None
-                }
-            });
+            let field = skip_ws(code, (0..dot).rev())
+                .filter(|&e| is_ident_char(code[e]))
+                .map(|e| ident_at(code, ident_start(code, e)))
+                .filter(|name| name != "self");
             out.push(AtomicSite {
                 field,
-                op: (*op).to_string(),
-                orderings,
-                ordering_tokens: tokens,
-                path: flat.file.rel.clone(),
-                line: flat.line(site),
-                column: flat.col(site),
+                op,
+                orderings: tokens.iter().map(|&(_, v)| v).collect(),
+                ordering_tokens: tokens
+                    .iter()
+                    .map(|&(at, _)| (file.line(open + at), file.col(open + at)))
+                    .collect(),
+                file: idx,
+                line: file.line(site),
+                column: file.col(site),
             });
         }
     }
-    out.sort_by(|a, b| (&a.path, a.line, a.column).cmp(&(&b.path, b.line, b.column)));
 }
 
 /// Collects the `KernelKind` enum's variants, every variant passed to
 /// `KernelScope::enter`, and the measured region of each entering
 /// function.
-fn collect_kernels(flat: &Flat<'_>, table: &mut SymbolTable) {
+fn collect_kernels(file: &SourceFile, idx: usize, table: &mut SymbolTable) {
+    let code = &file.code;
     // Variant declarations: `enum KernelKind { .. }`.
-    for site in flat.word_sites("enum") {
-        let Some(n0) = fwd_ws(&flat.chars, site + "enum".len()) else {
+    for site in words(code, "enum") {
+        let Some(n0) = skip_ws(code, site + "enum".len()..) else {
             continue;
         };
-        if ident_at(&flat.chars, n0) != "KernelKind" {
+        if ident_at(code, n0) != "KernelKind" {
             continue;
         }
-        let mut i = n0 + "KernelKind".len();
-        while i < flat.chars.len() && flat.chars[i] != '{' {
-            i += 1;
-        }
-        if i >= flat.chars.len() {
+        let Some(open) = code[n0..].iter().position(|&c| c == '{').map(|p| n0 + p) else {
             continue;
-        }
-        let close = delim_extent(&flat.chars, i);
+        };
+        let close = delim_extent(code, open);
         // Variants: idents at depth 1 whose previous non-ws char is `{`,
         // `,` or `]` (closing an attribute).
-        let mut j = i + 1;
+        let mut j = open + 1;
         while j < close.saturating_sub(1) {
-            let c = flat.chars[j];
+            let c = code[j];
             if c == '#' {
                 // Skip `#[..]` attribute.
-                if let Some(b) = fwd_ws(&flat.chars, j + 1) {
-                    if flat.chars[b] == '[' {
-                        j = delim_extent(&flat.chars, b);
-                        continue;
-                    }
+                if let Some(b) = skip_ws(code, j + 1..).filter(|&b| code[b] == '[') {
+                    j = delim_extent(code, b);
+                    continue;
                 }
             }
-            if is_ident_char(c) && (j == 0 || !is_ident_char(flat.chars[j - 1])) {
-                let name = ident_at(&flat.chars, j);
+            if is_ident_char(c) && (j == 0 || !is_ident_char(code[j - 1])) {
+                let name = ident_at(code, j);
                 let end = j + name.len();
                 // A plain variant is followed by `,`, the closing brace, or an
                 // explicit discriminant (`Variant = 3,`); data-carrying
                 // variants would be followed by `(`/`{`. Numeric tokens are
                 // discriminants, not variant names.
-                let next = fwd_ws(&flat.chars, end);
-                let ok = match next {
-                    Some(n) => {
-                        flat.chars[n] == ','
-                            || n + 1 >= close
-                            || (flat.chars[n] == '=' && flat.chars.get(n + 1) != Some(&'='))
-                    }
-                    None => true,
-                };
-                let is_name = name.chars().next().is_some_and(|c| !c.is_ascii_digit());
-                if ok && is_name {
+                let ok = skip_ws(code, end..).is_none_or(|n| {
+                    code[n] == ','
+                        || n + 1 >= close
+                        || (code[n] == '=' && code.get(n + 1) != Some(&'='))
+                });
+                if ok && !name.starts_with(|c: char| c.is_ascii_digit()) {
                     table.kernel_variants.push(KernelVariant {
                         name,
-                        path: flat.file.rel.clone(),
-                        line: flat.line(j),
+                        file: idx,
+                        line: file.line(j),
                     });
                 }
                 j = end;
@@ -651,53 +408,46 @@ fn collect_kernels(flat: &Flat<'_>, table: &mut SymbolTable) {
 
     // Enter sites + enclosing function extents.
     let mut fn_extents: Option<Vec<(usize, usize)>> = None;
-    for site in flat.word_sites("KernelScope") {
+    for site in words(code, "KernelScope") {
         let after = site + "KernelScope".len();
-        if flat.chars.get(after) != Some(&':') || flat.chars.get(after + 1) != Some(&':') {
+        if !code[after..].starts_with(&[':', ':']) {
             continue;
         }
-        let Some(m0) = fwd_ws(&flat.chars, after + 2) else {
+        let Some(m0) = skip_ws(code, after + 2..).filter(|&m| ident_at(code, m) == "enter") else {
             continue;
         };
-        if ident_at(&flat.chars, m0) != "enter" {
-            continue;
-        }
-        let Some(open) = fwd_ws(&flat.chars, m0 + "enter".len()) else {
+        let Some(open) = skip_ws(code, m0 + "enter".len()..).filter(|&o| code[o] == '(') else {
             continue;
         };
-        if flat.chars[open] != '(' {
+        if file.is_test_line(file.line(site)) {
             continue;
         }
-        let close = delim_extent(&flat.chars, open);
-        let args = &flat.chars[open..close];
-        for w in word_sites_in(args, "KernelKind") {
+        let close = delim_extent(code, open);
+        for w in words(&code[open..close], "KernelKind") {
             let abs = open + w + "KernelKind".len();
-            if flat.chars.get(abs) == Some(&':') && flat.chars.get(abs + 1) == Some(&':') {
-                if let Some(v0) = fwd_ws(&flat.chars, abs + 2) {
-                    let variant = ident_at(&flat.chars, v0);
-                    if !variant.is_empty() && !flat.is_test(site) {
+            if code[abs..].starts_with(&[':', ':']) {
+                if let Some(v0) = skip_ws(code, abs + 2..) {
+                    let variant = ident_at(code, v0);
+                    if !variant.is_empty() {
                         table.entered_kinds.insert(variant);
                     }
                 }
             }
         }
-        if flat.is_test(site) {
-            continue;
-        }
         // Measured region: from past the enter call to the end of the
         // innermost enclosing fn body.
-        let extents = fn_extents.get_or_insert_with(|| fn_body_extents(&flat.chars));
+        let extents = fn_extents.get_or_insert_with(|| fn_body_extents(code));
         if let Some(&(_, body_close)) = extents
             .iter()
             .filter(|(o, c)| *o < site && site < *c)
             .max_by_key(|(o, _)| *o)
         {
             table.kernel_fns.push(KernelFn {
-                path: flat.file.rel.clone(),
-                enter_line: flat.line(site),
-                region_start: flat.line(close),
-                region_start_col: flat.col(close),
-                region_end: flat.line(body_close),
+                file: idx,
+                enter_line: file.line(site),
+                region_start: file.line(close),
+                region_start_col: file.col(close),
+                region_end: file.line(body_close),
             });
         }
     }
@@ -706,134 +456,26 @@ fn collect_kernels(flat: &Flat<'_>, table: &mut SymbolTable) {
 /// `(open, close)` body brace offsets of every `fn` in the file.
 fn fn_body_extents(chars: &[char]) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
-    for site in word_sites_in(chars, "fn") {
-        let mut i = site + 2;
-        let mut open = None;
-        while i < chars.len() {
-            match chars[i] {
-                '{' => {
-                    open = Some(i);
-                    break;
-                }
-                // Trait method declarations end without a body.
-                ';' => break,
-                _ => {}
-            }
-            i += 1;
-        }
-        if let Some(open) = open {
+    for site in words(chars, "fn") {
+        // Trait method declarations end without a body.
+        let body = chars[site..].iter().position(|&c| c == '{' || c == ';');
+        if let Some(open) = body.map(|p| site + p).filter(|&o| chars[o] == '{') {
             out.push((open, delim_extent(chars, open) - 1));
         }
     }
     out
 }
 
-/// Collects string-literal metric registrations: `.counter("name")` etc.
-fn collect_metrics(flat: &Flat<'_>, out: &mut Vec<MetricReg>) {
-    const METRIC_FNS: &[&str] = &[
-        "counter",
-        "gauge",
-        "histogram",
-        "try_counter",
-        "try_gauge",
-        "try_histogram",
-        "try_histogram_with",
-    ];
-    for f in METRIC_FNS {
-        for site in flat.word_sites(f) {
-            if flat.is_test(site) {
-                continue;
-            }
-            let Some(dot) = back_ws(&flat.chars, site) else {
-                continue;
-            };
-            if flat.chars[dot] != '.' {
-                continue;
-            }
-            let Some(open) = fwd_ws(&flat.chars, site + f.len()) else {
-                continue;
-            };
-            if flat.chars[open] != '(' {
-                continue;
-            }
-            // The scrubbed text blanks literals; read the name out of the
-            // original text at the same offsets.
-            let Some(q0) = fwd_ws(&flat.orig, open + 1) else {
-                continue;
-            };
-            if flat.orig.get(q0) != Some(&'"') {
-                continue;
-            }
-            let mut name = String::new();
-            let mut k = q0 + 1;
-            while k < flat.orig.len() && flat.orig[k] != '"' {
-                name.push(flat.orig[k]);
-                k += 1;
-            }
-            if !name.is_empty() {
-                out.push(MetricReg {
-                    name,
-                    path: flat.file.rel.clone(),
-                    line: flat.line(site),
-                });
-            }
-        }
-    }
-}
-
-/// Parses the metric schema block out of `DESIGN.md`: backticked names
-/// between `<!-- metric-schema:start -->` and `<!-- metric-schema:end -->`.
-fn parse_metric_schema(root: &Path) -> (BTreeMap<String, usize>, bool) {
-    let mut out = BTreeMap::new();
-    let Ok(text) = std::fs::read_to_string(root.join("DESIGN.md")) else {
-        return (out, false);
-    };
-    let mut in_block = false;
-    let mut saw_block = false;
-    for (idx, line) in text.lines().enumerate() {
-        if line.contains("metric-schema:start") {
-            in_block = true;
-            saw_block = true;
-            continue;
-        }
-        if line.contains("metric-schema:end") {
-            in_block = false;
-            continue;
-        }
-        if !in_block {
-            continue;
-        }
-        // Backticked tokens that look like metric names.
-        for (i, chunk) in line.split('`').enumerate() {
-            // Odd chunks are inside backticks.
-            if i % 2 == 1
-                && chunk.contains('.')
-                && !chunk.is_empty()
-                && chunk
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '.' || c == '_')
-            {
-                out.entry(chunk.to_string()).or_insert(idx + 1);
-            }
-        }
-    }
-    (out, saw_block)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{FileKind, SourceFile};
-    use std::path::PathBuf;
 
     fn table_for(src: &str) -> SymbolTable {
-        let files = vec![SourceFile::from_source(
-            PathBuf::from("mem.rs"),
+        SymbolTable::build(&[SourceFile::from_source(
             "crates/x/src/lib.rs".into(),
-            FileKind::Lib,
+            true,
             src,
-        )];
-        SymbolTable::build(Path::new("/nonexistent-table-root"), &files)
+        )])
     }
 
     #[test]
@@ -908,15 +550,6 @@ mod tests {
             .collect();
         assert_eq!(dead, vec!["Ghost"]);
         assert_eq!(t.kernel_fns.len(), 1);
-    }
-
-    #[test]
-    fn metric_registrations_read_literal_names() {
-        let t = table_for(
-            "fn wire(r: &Registry) {\n    let _c = r.counter(\"serve.submitted\");\n    let _g = r.gauge(\"serve.depth\");\n}\n",
-        );
-        let names: Vec<&str> = t.metric_regs.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(names, vec!["serve.submitted", "serve.depth"]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! part of a workspace walk; fixture checks point the engine at them
 //! explicitly.
 
-use crate::source::{FileKind, SourceFile};
+use crate::source::SourceFile;
 use crate::LintError;
 use std::path::{Path, PathBuf};
 
@@ -82,8 +82,8 @@ pub fn discover(root: &Path) -> Result<Vec<CrateSrc>, LintError> {
 }
 
 /// Loads every `.rs` file belonging to the crate's targets: `src/**`
-/// (binary targets `src/main.rs` / `src/bin/**` classified so bin-aware
-/// rules can adapt), plus `benches/**` and `examples/**` when present.
+/// (binary targets `src/main.rs` / `src/bin/**` marked non-library), plus
+/// `benches/**` and `examples/**` when present.
 pub fn load_sources(krate: &CrateSrc) -> Result<Vec<SourceFile>, LintError> {
     let mut files = Vec::new();
     load_tree(krate, &krate.src_dir, "src", &mut files)?;
@@ -118,18 +118,14 @@ fn load_tree(
                 .unwrap_or(&entry)
                 .to_string_lossy()
                 .replace('\\', "/");
-            let kind = match label {
-                "benches" => FileKind::Bench,
-                "examples" => FileKind::Example,
-                _ if rel_in_tree == "main.rs" || rel_in_tree.starts_with("bin/") => FileKind::Bin,
-                _ => FileKind::Lib,
-            };
+            let lib =
+                label == "src" && rel_in_tree != "main.rs" && !rel_in_tree.starts_with("bin/");
             let rel = if krate.rel_prefix.is_empty() {
                 format!("{label}/{rel_in_tree}")
             } else {
                 format!("{}/{label}/{rel_in_tree}", krate.rel_prefix)
             };
-            files.push(SourceFile::load(&entry, rel, kind)?);
+            files.push(SourceFile::load(&entry, rel, lib)?);
         }
     }
     Ok(())
@@ -241,12 +237,12 @@ mod tests {
             .iter()
             .find(|f| f.rel.ends_with("bin/serve_probe.rs"))
             .unwrap();
-        assert_eq!(probe.kind, FileKind::Bin);
+        assert!(!probe.lib);
         let lib = files
             .iter()
             .find(|f| f.rel.ends_with("src/lib.rs"))
             .unwrap();
-        assert_eq!(lib.kind, FileKind::Lib);
+        assert!(lib.lib);
     }
 
     #[test]
@@ -258,7 +254,7 @@ mod tests {
             .iter()
             .find(|f| f.rel.ends_with("benches/obs_overhead.rs"))
             .expect("bench targets must be scanned");
-        assert_eq!(b.kind, FileKind::Bench);
+        assert!(!b.lib);
 
         let root_pkg = crates.iter().find(|c| c.name == "magnet-l1").unwrap();
         let files = load_sources(root_pkg).unwrap();
@@ -266,7 +262,7 @@ mod tests {
             .iter()
             .find(|f| f.rel == "examples/quickstart.rs")
             .expect("root examples must be scanned");
-        assert_eq!(e.kind, FileKind::Example);
+        assert!(!e.lib);
     }
 
     #[test]

@@ -9,6 +9,9 @@ use std::time::Duration;
 
 /// Records pipeline verdict counters when metrics are enabled. The
 /// instrumentation only bumps atomics; verdicts are never altered.
+///
+/// - `magnet.verdicts`: defended classifications rendered.
+/// - `magnet.detected`: inputs rejected by any MagNet detector.
 fn record_verdicts(verdicts: &[Verdict]) {
     if !adv_obs::metrics_enabled() {
         return;

@@ -244,10 +244,13 @@ pub fn render_summary(summaries: &[FrameSummary], wall: Duration) -> String {
 }
 
 /// Publishes the current kernel accounting into `registry` as gauges
-/// (`profile.kernel.<name>.{calls,wall_ns,self_ns,gflops}` plus
-/// `profile.self_ns_total` and `profile.dropped`). Gauge semantics make
-/// republishing idempotent — probes call this right before exporting the
-/// registry snapshot.
+/// (`profile.kernel.<name>.{calls,wall_ns,self_ns,gflops}` plus the two
+/// below). Gauge semantics make republishing idempotent — probes call this
+/// right before exporting the registry snapshot.
+///
+/// - `profile.self_ns_total`: self time accounted to named kernels, in ns.
+/// - `profile.dropped`: spans evicted at the sink cap plus profile entries
+///   dropped under contention.
 pub fn publish_to(registry: &Registry) {
     for r in kernel_reports() {
         let base = format!("profile.kernel.{}", r.kind.name());
