@@ -27,7 +27,7 @@
 //! # Ok::<(), adv_tensor::TensorError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(
     clippy::unwrap_used,

@@ -8,7 +8,15 @@
 //! ([`conv2d_backward_input`]). Only the weight gradient still uses
 //! `im2col`, which arranges every receptive field as a row, so `dW` becomes
 //! a matrix product.
+//!
+//! The forward and input-gradient loops run each output's sum in scalar
+//! order and vectorize across outputs. They are compiled for baseline
+//! x86-64 and again with AVX2, and the CPU picks the copy at run time
+//! (`ops::isa`). Both copies give bit-identical results, since the
+//! compiler neither reassociates the sums nor fuses `a * b + c` into one
+//! rounding.
 
+use crate::ops::isa::Isa;
 use crate::ops::matmul::matmul_at_b;
 use crate::{Result, Shape, Tensor, TensorError};
 use adv_profile::{KernelKind, KernelScope, Work};
@@ -259,6 +267,16 @@ fn check_weight(weight: &Tensor, spec: &Conv2dSpec) -> Result<()> {
 ///
 /// Returns shape/validation errors when the operands disagree with `spec`.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
+    conv2d_on(Isa::detected(), input, weight, bias, spec)
+}
+
+fn conv2d_on(
+    isa: Isa,
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    spec: &Conv2dSpec,
+) -> Result<Tensor> {
     check_weight(weight, spec)?;
     if bias.shape() != &Shape::vector(spec.out_channels) {
         return Err(TensorError::ShapeMismatch {
@@ -283,32 +301,37 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Conv2dSpec)
         Work::matmul(n * ho * wo, spec.patch_len(), oc)
     });
     let (x, wv, bv) = (input.as_slice(), weight.as_slice(), bias.as_slice());
-    for b in 0..n {
-        for ch in 0..c {
-            let src = &x[(b * c + ch) * h * w..][..h * w];
-            let dst = &mut xpad[ch * hp * wp + pad * wp + pad..];
-            for iy in 0..h {
-                dst[iy * wp..iy * wp + w].copy_from_slice(&src[iy * w..(iy + 1) * w]);
-            }
-        }
-        for o in 0..oc {
-            acc.fill(0.0);
-            for ch in 0..c {
-                let xp = &xpad[ch * hp * wp..(ch + 1) * hp * wp];
-                let wc = &wv[(o * c + ch) * khw..][..khw];
-                for (ws, offs) in wc.chunks(3).zip(taps.chunks(3)) {
-                    add_taps(&mut acc, xp, offs, ws, spec.stride);
+    isa.run(
+        #[inline(always)]
+        || {
+            for b in 0..n {
+                for ch in 0..c {
+                    let src = &x[(b * c + ch) * h * w..][..h * w];
+                    let dst = &mut xpad[ch * hp * wp + pad * wp + pad..];
+                    for iy in 0..h {
+                        dst[iy * wp..iy * wp + w].copy_from_slice(&src[iy * w..(iy + 1) * w]);
+                    }
+                }
+                for o in 0..oc {
+                    acc.fill(0.0);
+                    for ch in 0..c {
+                        let xp = &xpad[ch * hp * wp..(ch + 1) * hp * wp];
+                        let wc = &wv[(o * c + ch) * khw..][..khw];
+                        for (ws, offs) in wc.chunks(3).zip(taps.chunks(3)) {
+                            add_taps(&mut acc, xp, offs, ws, spec.stride);
+                        }
+                    }
+                    let plane = &mut y[(b * oc + o) * ho * wo..][..ho * wo];
+                    for oh in 0..ho {
+                        let out = &mut plane[oh * wo..(oh + 1) * wo];
+                        for (yv, &a) in out.iter_mut().zip(&acc[oh * wp..]) {
+                            *yv = a + bv[o];
+                        }
+                    }
                 }
             }
-            let plane = &mut y[(b * oc + o) * ho * wo..][..ho * wo];
-            for oh in 0..ho {
-                let out = &mut plane[oh * wo..(oh + 1) * wo];
-                for (yv, &a) in out.iter_mut().zip(&acc[oh * wp..]) {
-                    *yv = a + bv[o];
-                }
-            }
-        }
-    }
+        },
+    );
     Tensor::from_vec(y, Shape::nchw(n, oc, ho, wo))
 }
 
@@ -316,6 +339,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Conv2dSpec)
 /// `acc[i] += x[off + stride·i] · wt` for each `(off, wt)` of `offs`/`ws`.
 /// A stride-1 run of three taps goes in one pass, keeping `acc[i]` in a
 /// register between its three additions.
+#[inline(always)]
 fn add_taps(acc: &mut [f32], x: &[f32], offs: &[usize], ws: &[f32], stride: usize) {
     let len = acc.len();
     if let (1, &[w0, w1, w2]) = (stride, ws) {
@@ -363,7 +387,7 @@ pub fn conv2d_backward_input(
     check_dy(dy, n, h, w, spec)?;
     let mut dx = InputGrad::new(n, h, w, spec);
     let _prof = KernelScope::enter(KernelKind::Conv2dBackward, || dx.work());
-    dx.compute(weight.as_slice(), dy.as_slice());
+    dx.compute(Isa::detected(), weight.as_slice(), dy.as_slice());
     dx.into_tensor()
 }
 
@@ -458,7 +482,15 @@ impl InputGrad {
         )
     }
 
-    fn compute(&mut self, wv: &[f32], dyv: &[f32]) {
+    fn compute(&mut self, isa: Isa, wv: &[f32], dyv: &[f32]) {
+        isa.run(
+            #[inline(always)]
+            || self.compute_body(wv, dyv),
+        );
+    }
+
+    #[inline(always)]
+    fn compute_body(&mut self, wv: &[f32], dyv: &[f32]) {
         let (c, oc, stride) = (
             self.spec.in_channels,
             self.spec.out_channels,
@@ -511,6 +543,7 @@ const TILE: usize = 32;
 /// Adds one tap's channel sum to a wide accumulator, `TILE` elements at a
 /// time: `acc[i] += Σ_o dyz[o·plane + i] · ws[o]`, the sum formed in a
 /// register tile in ascending `o` from +0 before it meets `acc`.
+#[inline(always)]
 fn add_tap_sum(acc: &mut [[f32; TILE]], dyz: &[f32], plane: usize, ws: &[f32]) {
     for (j, a) in acc.iter_mut().enumerate() {
         let mut t = [0.0f32; TILE];
@@ -574,7 +607,7 @@ pub fn conv2d_backward(
     let dw = matmul_at_b(&dyrows, &im2col(input, spec)?)?;
     let dw = dw.into_reshaped(Shape::new(vec![oc, spec.in_channels, spec.kh, spec.kw]))?;
     let db = Tensor::from_vec(db, Shape::vector(oc))?;
-    dx.compute(weight.as_slice(), dyv);
+    dx.compute(Isa::detected(), weight.as_slice(), dyv);
     Ok((dx.into_tensor()?, dw, db))
 }
 
@@ -670,6 +703,24 @@ mod tests {
         })
     }
 
+    fn input_of(n: usize, c: usize, h: usize, w: usize) -> Tensor {
+        Tensor::from_fn(Shape::nchw(n, c, h, w), |i| {
+            ((i * 7919 % 211) as f32 - 105.0) * 0.013
+        })
+    }
+
+    /// Every fifth element is an exact zero, which `matmul` skips.
+    fn dy_of(n: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Tensor {
+        let (ho, wo) = spec.output_hw(h, w);
+        Tensor::from_fn(Shape::nchw(n, spec.out_channels, ho, wo), |i| {
+            if i % 5 == 2 {
+                0.0
+            } else {
+                ((i * 6007 % 173) as f32 - 86.0) * 0.017
+            }
+        })
+    }
+
     fn assert_bits_eq(fast: &Tensor, oracle: &Tensor, what: &str) {
         assert_eq!(fast.shape(), oracle.shape(), "{what}");
         for (i, (f, r)) in fast.as_slice().iter().zip(oracle.as_slice()).enumerate() {
@@ -681,9 +732,7 @@ mod tests {
     fn direct_forward_is_bit_identical_to_im2col_reference() {
         for g @ [n, c, oc, h, w, ..] in GEOMETRIES {
             let spec = spec_of(g);
-            let x = Tensor::from_fn(Shape::nchw(n, c, h, w), |i| {
-                ((i * 7919 % 211) as f32 - 105.0) * 0.013
-            });
+            let x = input_of(n, c, h, w);
             let b = Tensor::from_fn(Shape::vector(oc), |i| (i as f32 - 1.5) * 0.37);
             let wt = weight_of(&spec);
             let fast = conv2d(&x, &wt, &b, &spec).unwrap();
@@ -694,18 +743,10 @@ mod tests {
 
     #[test]
     fn direct_input_gradient_is_bit_identical_to_col2im_reference() {
-        for g @ [n, c, oc, h, w, ..] in GEOMETRIES {
+        for g @ [n, c, _, h, w, ..] in GEOMETRIES {
             let spec = spec_of(g);
-            let (ho, wo) = spec.output_hw(h, w);
             let wt = weight_of(&spec);
-            // Every fifth dy is an exact zero, which `matmul` skips.
-            let dy = Tensor::from_fn(Shape::nchw(n, oc, ho, wo), |i| {
-                if i % 5 == 2 {
-                    0.0
-                } else {
-                    ((i * 6007 % 173) as f32 - 86.0) * 0.017
-                }
-            });
+            let dy = dy_of(n, h, w, &spec);
             let oracle = conv2d_dx_col2im_reference(&wt, &dy, (n, h, w), &spec);
             let what = format!("{spec:?} n={n} h={h} w={w}");
             let fast = conv2d_backward_input(&wt, &dy, n, h, w, &spec).unwrap();
@@ -713,6 +754,30 @@ mod tests {
             let x = Tensor::from_fn(Shape::nchw(n, c, h, w), |i| i as f32 * 0.01);
             let (dx, _, _) = conv2d_backward(&x, &wt, &dy, &spec).unwrap();
             assert_bits_eq(&dx, &oracle, &what);
+        }
+    }
+
+    /// The oracle tests above run whichever copy the CPU selects; this one
+    /// runs the baseline copy beside the AVX2 copy.
+    #[test]
+    fn baseline_and_avx2_copies_are_bit_identical() {
+        let Some(wide) = Isa::wider_than_baseline() else {
+            return;
+        };
+        for g @ [n, c, oc, h, w, ..] in GEOMETRIES {
+            let spec = spec_of(g);
+            let what = format!("{spec:?} n={n} h={h} w={w}");
+            let (x, wt) = (input_of(n, c, h, w), weight_of(&spec));
+            let b = Tensor::from_fn(Shape::vector(oc), |i| (i as f32 - 1.5) * 0.37);
+            let y = |isa| conv2d_on(isa, &x, &wt, &b, &spec).unwrap();
+            assert_bits_eq(&y(wide), &y(Isa::BASELINE), &format!("forward {what}"));
+            let dy = dy_of(n, h, w, &spec);
+            let dx = |isa| {
+                let mut dx = InputGrad::new(n, h, w, &spec);
+                dx.compute(isa, wt.as_slice(), dy.as_slice());
+                dx.into_tensor().unwrap()
+            };
+            assert_bits_eq(&dx(wide), &dx(Isa::BASELINE), &format!("dx {what}"));
         }
     }
 

@@ -8,9 +8,14 @@
 //! - [`matmul_a_bt`]: `C = A·Bᵀ` (input gradients)
 //!
 //! `matmul` and `matmul_at_b` are written i-k-j with a fixed block size so
-//! the inner loop is a contiguous axpy the compiler auto-vectorizes.
+//! the inner loop is a contiguous axpy, vectorized across output columns.
 //! `matmul_a_bt` keeps one dot product per output, eight outputs per pass.
+//! Each body is compiled for baseline x86-64 and again with AVX2, and the
+//! CPU picks the copy at run time (`ops::isa`). Every output keeps its
+//! scalar summation order and no `a * b + c` is fused, so the two copies
+//! give bit-identical results.
 
+use crate::ops::isa::Isa;
 use crate::{Result, Shape, Tensor, TensorError};
 use adv_profile::{KernelKind, KernelScope, Work};
 
@@ -45,6 +50,10 @@ fn check_rank2(t: &Tensor) -> Result<(usize, usize)> {
 /// # Ok::<(), adv_tensor::TensorError>(())
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    matmul_on(Isa::detected(), a, b)
+}
+
+fn matmul_on(isa: Isa, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, ka) = check_rank2(a)?;
     let (kb, n) = check_rank2(b)?;
     if ka != kb {
@@ -57,22 +66,27 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let av = a.as_slice();
     let bv = b.as_slice();
     let mut c = vec![0.0f32; m * n];
-    for kk in (0..ka).step_by(BLOCK) {
-        let kend = (kk + BLOCK).min(ka);
-        for i in 0..m {
-            let crow = &mut c[i * n..(i + 1) * n];
-            for k in kk..kend {
-                let aik = av[i * ka + k];
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = &bv[k * n..(k + 1) * n];
-                for (cj, &bj) in crow.iter_mut().zip(brow.iter()) {
-                    *cj += aik * bj;
+    isa.run(
+        #[inline(always)]
+        || {
+            for kk in (0..ka).step_by(BLOCK) {
+                let kend = (kk + BLOCK).min(ka);
+                for i in 0..m {
+                    let crow = &mut c[i * n..(i + 1) * n];
+                    for k in kk..kend {
+                        let aik = av[i * ka + k];
+                        if aik == 0.0 {
+                            continue;
+                        }
+                        let brow = &bv[k * n..(k + 1) * n];
+                        for (cj, &bj) in crow.iter_mut().zip(brow.iter()) {
+                            *cj += aik * bj;
+                        }
+                    }
                 }
             }
-        }
-    }
+        },
+    );
     Tensor::from_vec(c, Shape::matrix(m, n))
 }
 
@@ -84,6 +98,10 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// [`TensorError::MatmulDimMismatch`] when the leading (contraction)
 /// dimensions disagree.
 pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    matmul_at_b_on(Isa::detected(), a, b)
+}
+
+fn matmul_at_b_on(isa: Isa, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (ka, m) = check_rank2(a)?;
     let (kb, n) = check_rank2(b)?;
     if ka != kb {
@@ -96,19 +114,24 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let av = a.as_slice();
     let bv = b.as_slice();
     let mut c = vec![0.0f32; m * n];
-    for k in 0..ka {
-        let arow = &av[k * m..(k + 1) * m];
-        let brow = &bv[k * n..(k + 1) * n];
-        for (i, &aki) in arow.iter().enumerate() {
-            if aki == 0.0 {
-                continue;
+    isa.run(
+        #[inline(always)]
+        || {
+            for k in 0..ka {
+                let arow = &av[k * m..(k + 1) * m];
+                let brow = &bv[k * n..(k + 1) * n];
+                for (i, &aki) in arow.iter().enumerate() {
+                    if aki == 0.0 {
+                        continue;
+                    }
+                    let crow = &mut c[i * n..(i + 1) * n];
+                    for (cj, &bj) in crow.iter_mut().zip(brow.iter()) {
+                        *cj += aki * bj;
+                    }
+                }
             }
-            let crow = &mut c[i * n..(i + 1) * n];
-            for (cj, &bj) in crow.iter_mut().zip(brow.iter()) {
-                *cj += aki * bj;
-            }
-        }
-    }
+        },
+    );
     Tensor::from_vec(c, Shape::matrix(m, n))
 }
 
@@ -120,6 +143,10 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// [`TensorError::MatmulDimMismatch`] when the trailing (contraction)
 /// dimensions disagree.
 pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    matmul_a_bt_on(Isa::detected(), a, b)
+}
+
+fn matmul_a_bt_on(isa: Isa, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, ka) = check_rank2(a)?;
     let (n, kb) = check_rank2(b)?;
     if ka != kb {
@@ -132,24 +159,29 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let _prof = KernelScope::enter(KernelKind::MatMulABt, || Work::matmul(m, ka, n));
     let av = a.as_slice();
     let bv = b.as_slice();
-    for i in 0..m {
-        let arow = &av[i * ka..(i + 1) * ka];
-        let crow = &mut c[i * n..(i + 1) * n];
-        let mut blocks = crow.chunks_exact_mut(LANES);
-        for (jb, cblk) in (&mut blocks).enumerate() {
-            let rows = &bv[jb * LANES * ka..][..LANES * ka];
-            cblk.copy_from_slice(&dot_lanes(arow, rows));
-        }
-        let done = n - blocks.into_remainder().len();
-        for (j, cij) in crow.iter_mut().enumerate().skip(done) {
-            let brow = &bv[j * ka..(j + 1) * ka];
-            let mut acc = 0.0f32;
-            for (&x, &y) in arow.iter().zip(brow.iter()) {
-                acc += x * y;
+    isa.run(
+        #[inline(always)]
+        || {
+            for i in 0..m {
+                let arow = &av[i * ka..(i + 1) * ka];
+                let crow = &mut c[i * n..(i + 1) * n];
+                let mut blocks = crow.chunks_exact_mut(LANES);
+                for (jb, cblk) in (&mut blocks).enumerate() {
+                    let rows = &bv[jb * LANES * ka..][..LANES * ka];
+                    cblk.copy_from_slice(&dot_lanes(arow, rows));
+                }
+                let done = n - blocks.into_remainder().len();
+                for (j, cij) in crow.iter_mut().enumerate().skip(done) {
+                    let brow = &bv[j * ka..(j + 1) * ka];
+                    let mut acc = 0.0f32;
+                    for (&x, &y) in arow.iter().zip(brow.iter()) {
+                        acc += x * y;
+                    }
+                    *cij = acc;
+                }
             }
-            *cij = acc;
-        }
-    }
+        },
+    );
     Tensor::from_vec(c, Shape::matrix(m, n))
 }
 
@@ -163,6 +195,7 @@ const KSTEP: usize = 4;
 /// exactly as a lone dot product is, so the lanes are independent chains.
 /// The rows are read in `LANES × KSTEP` blocks, which the compiler turns
 /// into vector registers across the lanes.
+#[inline(always)]
 fn dot_lanes(a: &[f32], rows: &[f32]) -> [f32; LANES] {
     let k = a.len();
     let r: [&[f32]; LANES] = std::array::from_fn(|l| &rows[l * k..][..k]);
@@ -254,6 +287,47 @@ mod tests {
                     }
                     let got = c.as_slice()[i * n + j];
                     assert_eq!(got.to_bits(), acc.to_bits(), "({m},{n},{k}) at ({i},{j})");
+                }
+            }
+        }
+    }
+
+    /// The other tests run whichever copy the CPU selects; this one runs
+    /// the baseline copy beside the AVX2 copy, on the shapes above.
+    #[test]
+    fn baseline_and_avx2_copies_are_bit_identical() {
+        let Some(wide) = Isa::wider_than_baseline() else {
+            return;
+        };
+        type Kernel = fn(Isa, &Tensor, &Tensor) -> Result<Tensor>;
+        let kernels: [(&str, Kernel); 3] = [
+            ("matmul", matmul_on),
+            ("matmul_at_b", matmul_at_b_on),
+            ("matmul_a_bt", matmul_a_bt_on),
+        ];
+        for (m, n, k) in [(1, 3, 70), (2, 8, 65), (3, 21, 130), (1, 16, 1), (2, 0, 9)] {
+            // Operand shapes of A·B, Aᵀ·B and A·Bᵀ for an [m, n] product.
+            let shapes = [((m, k), (k, n)), ((k, m), (k, n)), ((m, k), (n, k))];
+            for ((name, kernel), ((ar, ac), (br, bc))) in kernels.iter().zip(shapes) {
+                // Every 211th element of `a` is an exact zero, which
+                // `matmul` and `matmul_at_b` skip.
+                let a = Tensor::from_fn(Shape::matrix(ar, ac), |i| {
+                    ((i * 7919 % 211) as f32 - 105.0) * 0.013
+                });
+                let b = Tensor::from_fn(Shape::matrix(br, bc), |i| {
+                    ((i * 104729 % 97) as f32 - 48.0) * 0.021
+                });
+                let (wide, base) = (
+                    kernel(wide, &a, &b).unwrap(),
+                    kernel(Isa::BASELINE, &a, &b).unwrap(),
+                );
+                assert_eq!(wide.shape(), base.shape(), "{name} ({m},{n},{k})");
+                for (i, (x, y)) in wide.as_slice().iter().zip(base.as_slice()).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{name} ({m},{n},{k}) at {i}: {x} vs {y}"
+                    );
                 }
             }
         }

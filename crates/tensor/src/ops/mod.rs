@@ -2,6 +2,11 @@
 //! upsampling, each with the backward passes the `adv-nn` layers need.
 
 pub mod conv;
+#[expect(
+    unsafe_code,
+    reason = "the one call into a kernel body's AVX2 copy, made after the CPU reported AVX2"
+)]
+mod isa;
 pub mod matmul;
 pub mod pool;
 

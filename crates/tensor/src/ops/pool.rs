@@ -39,17 +39,20 @@ impl Pool2dSpec {
         )
     }
 
-    fn validate(&self, input: &Tensor) -> Result<(usize, usize, usize, usize)> {
-        if input.shape().rank() != 4 {
+    /// Checks that `shape` is NCHW and that [`Pool2dSpec::output_hw`] is
+    /// defined for it: a nonzero stride and a window no larger than the
+    /// input. Returns `(n, c, h, w)`.
+    fn validate(&self, shape: &Shape) -> Result<(usize, usize, usize, usize)> {
+        if shape.rank() != 4 {
             return Err(TensorError::RankMismatch {
                 expected: 4,
-                actual: input.shape().rank(),
+                actual: shape.rank(),
             });
         }
         if self.stride == 0 {
             return Err(TensorError::InvalidArgument("stride must be > 0".into()));
         }
-        let d = input.shape().dims();
+        let d = shape.dims();
         if d[2] < self.kh || d[3] < self.kw {
             return Err(TensorError::InvalidArgument(format!(
                 "pool window {}x{} larger than input {}x{}",
@@ -66,7 +69,7 @@ impl Pool2dSpec {
 ///
 /// Returns rank / geometry validation errors from [`Pool2dSpec`].
 pub fn avg_pool2d(input: &Tensor, spec: &Pool2dSpec) -> Result<Tensor> {
-    let (n, c, h, w) = spec.validate(input)?;
+    let (n, c, h, w) = spec.validate(input.shape())?;
     let (ho, wo) = spec.output_hw(h, w);
     let x = input.as_slice();
     let win = (spec.kh * spec.kw) as f32;
@@ -98,17 +101,11 @@ pub fn avg_pool2d(input: &Tensor, spec: &Pool2dSpec) -> Result<Tensor> {
 ///
 /// # Errors
 ///
-/// Returns validation errors when `dy` does not match the pooled geometry of
-/// `input_shape`.
+/// Returns the rank / geometry validation errors of [`avg_pool2d`] for
+/// `input_shape`, and [`TensorError::ShapeMismatch`] when `dy` does not
+/// match its pooled geometry.
 pub fn avg_pool2d_backward(input_shape: &Shape, dy: &Tensor, spec: &Pool2dSpec) -> Result<Tensor> {
-    if input_shape.rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: input_shape.rank(),
-        });
-    }
-    let d = input_shape.dims();
-    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
+    let (n, c, h, w) = spec.validate(input_shape)?;
     let (ho, wo) = spec.output_hw(h, w);
     let expected = Shape::nchw(n, c, ho, wo);
     if dy.shape() != &expected {
@@ -149,7 +146,7 @@ pub fn avg_pool2d_backward(input_shape: &Shape, dy: &Tensor, spec: &Pool2dSpec) 
 ///
 /// Returns rank / geometry validation errors from [`Pool2dSpec`].
 pub fn max_pool2d(input: &Tensor, spec: &Pool2dSpec) -> Result<(Tensor, Vec<usize>)> {
-    let (n, c, h, w) = spec.validate(input)?;
+    let (n, c, h, w) = spec.validate(input.shape())?;
     let (ho, wo) = spec.output_hw(h, w);
     let x = input.as_slice();
     let mut y = vec![0.0f32; n * c * ho * wo];
@@ -411,6 +408,29 @@ mod tests {
         .is_err());
         let v = Tensor::zeros(Shape::vector(4));
         assert!(avg_pool2d(&v, &Pool2dSpec::square(2)).is_err());
+    }
+
+    #[test]
+    fn avg_pool_backward_rejects_zero_stride() {
+        let spec = Pool2dSpec {
+            kh: 1,
+            kw: 1,
+            stride: 0,
+        };
+        let dy = Tensor::zeros(Shape::nchw(1, 1, 2, 2));
+        assert!(matches!(
+            avg_pool2d_backward(&Shape::nchw(1, 1, 2, 2), &dy, &spec),
+            Err(TensorError::InvalidArgument(_))
+        ));
+    }
+
+    #[test]
+    fn avg_pool_backward_rejects_window_larger_than_input() {
+        let dy = Tensor::zeros(Shape::nchw(1, 1, 1, 1));
+        assert!(matches!(
+            avg_pool2d_backward(&Shape::nchw(1, 1, 2, 2), &dy, &Pool2dSpec::square(3)),
+            Err(TensorError::InvalidArgument(_))
+        ));
     }
 
     #[test]
