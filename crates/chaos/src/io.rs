@@ -1,26 +1,23 @@
 //! Seeded I/O fault plans for the durable artifact store.
 //!
 //! [`IoFaultPlan`] implements [`adv_store::IoFaultHook`]: installed via
-//! [`adv_store::install_fault_hook`], it decides for every store write
-//! whether the bytes land intact, torn at a byte offset, with one bit
-//! flipped, or not at all (a transient write error the caller sees). As
+//! [`adv_store::install_fault_hook`] for a directory, it decides for every
+//! store write under it whether the bytes land intact, torn at a byte
+//! offset, with one bit flipped, or not at all (a transient write error the
+//! caller sees). As
 //! with the serving-side [`crate::FaultInjector`], every decision is a pure
 //! function of `(seed, hit index)`, so a seed replays the exact same fault
 //! schedule — the soak test's requirement for byte-identical reruns.
-//!
-//! A plan can be scoped with [`IoFaultPlan::under`] so only writes beneath
-//! one directory are faulted; everything else (unrelated tests sharing the
-//! process, the OS tempdir) passes through untouched.
 
 use crate::plan::site_hash;
 use adv_store::{IoFaultHook, WriteFault};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A snapshot of what an [`IoFaultPlan`] has injected so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IoFaultStats {
-    /// Writes the plan saw (inside its root filter).
+    /// Writes the plan saw.
     pub writes: u64,
     /// Writes torn at a byte offset.
     pub torn: u64,
@@ -44,7 +41,6 @@ pub struct IoFaultPlan {
     torn_rate: f64,
     flip_rate: f64,
     error_rate: f64,
-    root: Option<PathBuf>,
     hits: AtomicU64,
     torn: AtomicU64,
     flips: AtomicU64,
@@ -60,7 +56,6 @@ impl IoFaultPlan {
             torn_rate: 0.0,
             flip_rate: 0.0,
             error_rate: 0.0,
-            root: None,
             hits: AtomicU64::new(0),
             torn: AtomicU64::new(0),
             flips: AtomicU64::new(0),
@@ -91,14 +86,6 @@ impl IoFaultPlan {
         self
     }
 
-    /// Restricts the plan to writes under `root`; other paths pass through
-    /// unfaulted (and uncounted).
-    #[must_use]
-    pub fn under(mut self, root: impl Into<PathBuf>) -> IoFaultPlan {
-        self.root = Some(root.into());
-        self
-    }
-
     /// What the plan has injected so far.
     pub fn stats(&self) -> IoFaultStats {
         let (writes, torn, bit_flips, transient_errors) = (
@@ -117,12 +104,7 @@ impl IoFaultPlan {
 }
 
 impl IoFaultHook for IoFaultPlan {
-    fn on_write(&self, path: &Path, len: usize) -> WriteFault {
-        if let Some(root) = &self.root {
-            if !path.starts_with(root) {
-                return WriteFault::None;
-            }
-        }
+    fn on_write(&self, _path: &Path, len: usize) -> WriteFault {
         let n = self.hits.fetch_add(1, Ordering::Relaxed);
         let draw = crate::inject::unit(self.seed, site_hash("store/write"), n);
         let aux = crate::inject::unit(self.seed, site_hash("store/write-aux"), n);
@@ -161,18 +143,6 @@ mod tests {
         assert_eq!(faults_a, faults_b);
         assert!(a.stats().injected() > 0, "rates of 0.6 must inject");
         assert_eq!(a.stats().writes, 200);
-    }
-
-    #[test]
-    fn root_filter_passes_unrelated_paths() {
-        let plan = IoFaultPlan::new(1).rates(1.0, 0.0, 0.0).under("/inside");
-        assert_eq!(plan.on_write(Path::new("/outside/f"), 10), WriteFault::None);
-        assert_eq!(plan.stats().writes, 0);
-        assert!(matches!(
-            plan.on_write(Path::new("/inside/f"), 10),
-            WriteFault::TornWrite(_)
-        ));
-        assert_eq!(plan.stats().torn, 1);
     }
 
     #[test]

@@ -9,20 +9,14 @@
 //!    arbitrary points (simulated kills and injected faults) still ends
 //!    with exactly the records an uninterrupted run produces.
 //!
-//! The fault hook is process-global, so every test that installs one
-//! serializes on [`HOOK_LOCK`] and scopes its plan to its own directory.
+//! Each test installs its plan for its own directory, so the tests can run
+//! in parallel.
 
 use adv_chaos::IoFaultPlan;
 use adv_store::{install_fault_hook, Journal, StoreError};
 use std::collections::HashSet;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-static HOOK_LOCK: Mutex<()> = Mutex::new(());
-
-fn hook_lock() -> MutexGuard<'static, ()> {
-    HOOK_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
+use std::sync::Arc;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("adv_chaos_io_soak_{tag}"));
@@ -31,25 +25,11 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Drops the installed hook when the test ends, pass or fail.
-struct HookGuard;
-impl Drop for HookGuard {
-    fn drop(&mut self) {
-        install_fault_hook(None);
-    }
-}
-
 #[test]
 fn artifact_soak_no_undetected_corruption() {
-    let _serial = hook_lock();
     let dir = scratch("artifacts");
-    let plan = Arc::new(
-        IoFaultPlan::new(0xD15C_FA17)
-            .rates(0.15, 0.15, 0.10)
-            .under(&dir),
-    );
-    install_fault_hook(Some(plan.clone()));
-    let _guard = HookGuard;
+    let plan = Arc::new(IoFaultPlan::new(0xD15C_FA17).rates(0.15, 0.15, 0.10));
+    let _hook = install_fault_hook(&dir, plan.clone());
 
     // Rotate a handful of paths so loads also exercise files whose last
     // write was rounds ago, and remember every payload ever saved per path.
@@ -101,15 +81,9 @@ fn artifact_soak_no_undetected_corruption() {
 
 #[test]
 fn journal_soak_converges_despite_kills_and_faults() {
-    let _serial = hook_lock();
     let dir = scratch("journal");
-    let plan = Arc::new(
-        IoFaultPlan::new(0x4B11_5EED)
-            .rates(0.08, 0.04, 0.08)
-            .under(&dir),
-    );
-    install_fault_hook(Some(plan.clone()));
-    let _guard = HookGuard;
+    let plan = Arc::new(IoFaultPlan::new(0x4B11_5EED).rates(0.08, 0.04, 0.08));
+    let _hook = install_fault_hook(&dir, plan.clone());
 
     // The work: 40 deterministic records. The reference is what an
     // uninterrupted, fault-free run would journal.
@@ -161,7 +135,6 @@ fn journal_soak_converges_despite_kills_and_faults() {
 
 #[test]
 fn checkpointed_training_converges_bit_identically_under_write_faults() {
-    let _serial = hook_lock();
     let dir = scratch("training");
 
     // Reference: an uninterrupted, fault-free training run.
@@ -199,9 +172,8 @@ fn checkpointed_training_converges_bit_identically_under_write_faults() {
     // a silent tear or bit flip. Re-run the fit repeatedly (each run
     // resumes from the last checkpoint that survived validation); the final
     // weights must match the fault-free run bit for bit.
-    let plan = Arc::new(IoFaultPlan::new(0x7EA2).rates(0.25, 0.15, 0.10).under(&dir));
-    install_fault_hook(Some(plan.clone()));
-    let _guard = HookGuard;
+    let plan = Arc::new(IoFaultPlan::new(0x7EA2).rates(0.25, 0.15, 0.10));
+    let hook = install_fault_hook(&dir, plan.clone());
 
     let ckpt = adv_nn::CheckpointCfg::every_epoch(dir.join("fit.ckpt"));
     let mut chaos_net = Sequential::from_specs(&specs, 5).unwrap();
@@ -228,7 +200,7 @@ fn checkpointed_training_converges_bit_identically_under_write_faults() {
             }
         }
     }
-    install_fault_hook(None);
+    drop(hook);
     assert!(result.is_some(), "training never completed under chaos");
 
     for (a, b) in clean_net.params().iter().zip(chaos_net.params()) {

@@ -7,6 +7,9 @@
 //! ```text
 //! cargo run --release -p adv-eval --bin experiments_md [--out results]
 //! ```
+//!
+//! If any CSV it reads is missing, it names each one, writes nothing and
+//! exits with status 1.
 
 use adv_eval::config::CliArgs;
 use std::collections::HashMap;
@@ -74,6 +77,24 @@ const PAPER_T7: &[(&str, &str, [f32; 2])] = &[
     ("L1", "0.1", [79.8, 93.7]),
 ];
 
+/// The results directory, and the CSVs asked of it that it lacks.
+struct Inputs<'a> {
+    dir: &'a Path,
+    missing: Vec<String>,
+}
+
+impl Inputs<'_> {
+    /// The rows of `name`, or `None` (noted as missing) when it cannot be
+    /// read.
+    fn read(&mut self, name: &str) -> Option<Vec<Vec<String>>> {
+        let rows = read_csv(&self.dir.join(name));
+        if rows.is_none() {
+            self.missing.push(name.to_string());
+        }
+        rows
+    }
+}
+
 /// Parses a CSV (as written by `adv_eval::report::write_csv`) into rows of
 /// cells, skipping the header.
 fn read_csv(path: &Path) -> Option<Vec<Vec<String>>> {
@@ -100,7 +121,10 @@ fn pct_of(cell: &str) -> String {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = CliArgs::from_env();
-    let out_dir = Path::new(&args.out_dir);
+    let mut inputs = Inputs {
+        dir: Path::new(&args.out_dir),
+        missing: Vec::new(),
+    };
     let mut md = String::new();
 
     writeln!(md, "# EXPERIMENTS — paper vs measured\n")?;
@@ -123,7 +147,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "| attack | beta | paper ASR % | measured ASR % | measured L1 | measured L2 |"
         )?;
         writeln!(md, "|---|---|---|---|---|---|")?;
-        let measured = read_csv(&out_dir.join(format!("table1_{scenario}.csv")));
+        let measured = inputs.read(&format!("table1_{scenario}.csv"));
         let lookup: HashMap<(String, String), Vec<String>> = measured
             .unwrap_or_default()
             .into_iter()
@@ -158,7 +182,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         } else {
             "table6_cifar.csv"
         };
-        let measured = read_csv(&out_dir.join(file)).unwrap_or_default();
+        let measured = inputs.read(file).unwrap_or_default();
         let lookup: HashMap<String, Vec<String>> =
             measured.into_iter().map(|r| (r[0].clone(), r)).collect();
         for (variant, without, with) in paper {
@@ -180,7 +204,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "| rule | beta | paper D / D+JSD / D+256 / D+256+JSD | measured |"
     )?;
     writeln!(md, "|---|---|---|---|")?;
-    let t4 = read_csv(&out_dir.join("table4_mnist.csv")).unwrap_or_default();
+    let t4 = inputs.read("table4_mnist.csv").unwrap_or_default();
     let l4: HashMap<(String, String), Vec<String>> = t4
         .into_iter()
         .map(|r| ((r[0].clone(), r[1].clone()), r))
@@ -207,7 +231,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     writeln!(md, "## Table VII (cifar): best EAD ASR % per variant\n")?;
     writeln!(md, "| rule | beta | paper D / D+256 | measured |")?;
     writeln!(md, "|---|---|---|---|")?;
-    let t7 = read_csv(&out_dir.join("table7_cifar.csv")).unwrap_or_default();
+    let t7 = inputs.read("table7_cifar.csv").unwrap_or_default();
     let l7: HashMap<(String, String), Vec<String>> = t7
         .into_iter()
         .map(|r| ((r[0].clone(), r[1].clone()), r))
@@ -235,7 +259,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     writeln!(md, "## Figures 2–13: qualitative shape checks\n")?;
     let mut checks: Vec<(String, bool)> = Vec::new();
     // Fig 2 default panel: C&W min accuracy should stay above EAD min accuracy.
-    if let Some(rows) = read_csv(&out_dir.join("fig2_mnist.csv")) {
+    if let Some(rows) = inputs.read("fig2_mnist.csv") {
         let min_acc = |curve: &str| {
             rows.iter()
                 .filter(|r| r[0] == "Default (D)" && r[1] == curve)
@@ -253,7 +277,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cw > ead,
         ));
     }
-    if let Some(rows) = read_csv(&out_dir.join("fig3_cifar.csv")) {
+    if let Some(rows) = inputs.read("fig3_cifar.csv") {
         let min_acc = |curve: &str| {
             rows.iter()
                 .filter(|r| r[0] == "Default (D)" && r[1] == curve)
@@ -272,7 +296,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ));
     }
     // Fig 4: detector curve rises with κ for C&W on the default variant.
-    if let Some(rows) = read_csv(&out_dir.join("fig4_mnist.csv")) {
+    if let Some(rows) = inputs.read("fig4_mnist.csv") {
         let det: Vec<f32> = rows
             .iter()
             .filter(|r| r[0] == "Default (D)" && r[1] == "With detector")
@@ -290,7 +314,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     // Fig 6: reformer effectiveness falls with κ for EAD β=0.1 (EN).
-    if let Some(rows) = read_csv(&out_dir.join("fig6_mnist.csv")) {
+    if let Some(rows) = inputs.read("fig6_mnist.csv") {
         let refo: Vec<f32> = rows
             .iter()
             .filter(|r| r[0] == "EN decision rule beta=0.1" && r[1] == "With reformer")
@@ -308,7 +332,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     // Fig 12: MAE-trained AEs behave like MSE ones (both defend C&W).
-    if let Some(rows) = read_csv(&out_dir.join("fig12_mnist_loss.csv")) {
+    if let Some(rows) = inputs.read("fig12_mnist.csv") {
         let min_cw = |panel: &str| {
             rows.iter()
                 .filter(|r| r[0] == panel && r[1] == "C&W L2 attack")
@@ -365,6 +389,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
           default-MagNet headline (EAD ≫ C&W) is unaffected."
     )?;
 
+    if !inputs.missing.is_empty() {
+        for name in &inputs.missing {
+            eprintln!("experiments_md: missing {}/{name}", args.out_dir);
+        }
+        eprintln!("run reproduce_all first; EXPERIMENTS.md not written");
+        std::process::exit(1);
+    }
     std::fs::write("EXPERIMENTS.md", &md)?;
     println!("EXPERIMENTS.md written ({} bytes)", md.len());
     Ok(())

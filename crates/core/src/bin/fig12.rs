@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{}", format_panel(panel));
     }
     write_csv(
-        format!("{}/fig12_mnist_loss.csv", args.out_dir),
+        format!("{}/fig12_mnist.csv", args.out_dir),
         &["panel", "curve", "kappa", "accuracy"],
         &panels_to_csv_rows(&panels),
     )?;

@@ -214,6 +214,33 @@ mod tests {
     }
 
     #[test]
+    fn infer_is_batch_invariant_bit_for_bit() {
+        // Serving's "serial = served" rests on this: a row's output does
+        // not depend on the rows batched with it.
+        let cases = [
+            (mnist_ae_one(1, 3), Shape::nchw(5, 1, 28, 28)),
+            (mnist_ae_two(1, 3), Shape::nchw(5, 1, 28, 28)),
+            (
+                mnist_classifier(28, 1, 8, 16, 64, 10),
+                Shape::nchw(5, 1, 28, 28),
+            ),
+        ];
+        for (specs, shape) in cases {
+            let net = Sequential::from_specs(&specs, 3).unwrap();
+            let x = Tensor::from_fn(shape, |i| (i * 7919 % 211) as f32 / 211.0);
+            let batch = net.infer(&x).unwrap();
+            for r in 0..x.shape().dim(0) {
+                let row = Tensor::stack(&[x.index_axis0(r).unwrap()]).unwrap();
+                let alone = net.infer(&row).unwrap();
+                let whole = batch.index_axis0(r).unwrap();
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&whole), bits(&alone), "{specs:?} row {r}");
+            }
+        }
+    }
+
+    #[test]
     fn describe_matches_paper_table_rows() {
         let rows = describe(&cifar_ae(3, 256));
         assert_eq!(rows[0], "Conv 3x3x256");

@@ -1,15 +1,19 @@
 use crate::layer::{Layer, Mode};
 use crate::{NnError, Result};
 use adv_tensor::ops::{
-    avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward, Pool2dSpec,
+    avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward, max_pool2d_with_argmax,
+    Pool2dSpec,
 };
 use adv_tensor::{Shape, Tensor};
 
 /// Max pooling over NCHW batches (used by the victim classifiers).
+///
+/// `forward` caches each output's window-local argmax for `backward`;
+/// `infer` records none.
 #[derive(Debug)]
 pub struct MaxPool2d {
     spec: Pool2dSpec,
-    cache: Option<(Shape, Vec<usize>)>,
+    cache: Option<(Shape, Vec<u8>)>,
 }
 
 impl MaxPool2d {
@@ -26,13 +30,13 @@ impl MaxPool2d {
 
 impl Layer for MaxPool2d {
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
-        let (y, idx) = max_pool2d(input, &self.spec)?;
+        let (y, idx) = max_pool2d_with_argmax(input, &self.spec)?;
         self.cache = Some((input.shape().clone(), idx));
         Ok(y)
     }
 
     fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(max_pool2d(input, &self.spec)?.0)
+        Ok(max_pool2d(input, &self.spec)?)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -40,7 +44,7 @@ impl Layer for MaxPool2d {
             .cache
             .as_ref()
             .ok_or(NnError::NoForwardCache { layer: "maxpool2d" })?;
-        Ok(max_pool2d_backward(shape, grad_out, idx)?)
+        Ok(max_pool2d_backward(shape, grad_out, idx, &self.spec)?)
     }
 
     fn layer_type(&self) -> &'static str {

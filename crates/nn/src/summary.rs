@@ -71,13 +71,9 @@ pub fn layer_output_shape(spec: &LayerSpec, input: &ItemShape) -> Result<ItemSha
         },
         LayerSpec::Conv2d(c) => match input {
             ItemShape::Image { c: ic, h, w } if *ic == c.in_channels => {
-                if h + 2 * c.padding < c.kh || w + 2 * c.padding < c.kw {
-                    return err(format!(
-                        "conv kernel {}x{} larger than input {h}x{w}",
-                        c.kh, c.kw
-                    ));
-                }
-                let (ho, wo) = c.output_hw(*h, *w);
+                let (ho, wo) = c
+                    .output_hw(*h, *w)
+                    .map_err(|e| NnError::InvalidArgument(format!("conv on {h}x{w}: {e}")))?;
                 Ok(ItemShape::Image {
                     c: c.out_channels,
                     h: ho,

@@ -126,13 +126,13 @@ mod tests {
 
     #[test]
     fn transient_fault_leaves_previous_file_intact() {
-        let _guard = crate::test_hook_lock();
         let dir = tmp("transient");
         let path = dir.join("f.bin");
         atomic_write(&path, b"stable").unwrap();
-        crate::install_fault_hook(Some(Arc::new(FixedFault(WriteFault::TransientError))));
+        let hook =
+            crate::install_fault_hook(&dir, Arc::new(FixedFault(WriteFault::TransientError)));
         let err = atomic_write(&path, b"doomed").unwrap_err();
-        crate::install_fault_hook(None);
+        drop(hook);
         assert!(matches!(err, StoreError::InjectedWriteFault { .. }));
         assert_eq!(std::fs::read(&path).unwrap(), b"stable");
         std::fs::remove_dir_all(&dir).ok();
@@ -140,12 +140,11 @@ mod tests {
 
     #[test]
     fn torn_write_is_caught_by_the_envelope() {
-        let _guard = crate::test_hook_lock();
         let dir = tmp("torn");
         let path = dir.join("f.bin");
-        crate::install_fault_hook(Some(Arc::new(FixedFault(WriteFault::TornWrite(10)))));
+        let hook = crate::install_fault_hook(&dir, Arc::new(FixedFault(WriteFault::TornWrite(10))));
         crate::save_artifact(&path, b"a payload long enough to tear").unwrap();
-        crate::install_fault_hook(None);
+        drop(hook);
         assert!(matches!(
             crate::load_artifact(&path),
             Err(StoreError::Corrupt { .. })

@@ -1,10 +1,16 @@
 //! Injectable I/O faults for durability testing.
 //!
 //! The store's crash-safety claims are only worth what they survive, so the
-//! write paths consult an optional process-wide [`IoFaultHook`] before
-//! committing bytes. `adv-chaos` implements the hook with seeded,
-//! deterministic fault schedules; production runs never install one, and
-//! the disarmed fast path is a single relaxed atomic load.
+//! write paths consult the [`IoFaultHook`]s installed for the directory
+//! they write under before committing bytes. `adv-chaos` implements the
+//! hook with seeded, deterministic fault schedules; production runs never
+//! install one.
+//!
+//! Each hook is scoped to a directory and lives as long as the
+//! [`FaultHookGuard`] that [`install_fault_hook`] returns. A write outside
+//! every installed directory is never faulted, so tests that inject faults
+//! into their own scratch directories can run in parallel with each other
+//! and with tests that inject none.
 //!
 //! The three faults model the failure classes the envelope must catch:
 //!
@@ -19,8 +25,8 @@
 //! detection is the job of envelope validation on the next load. That is
 //! deliberate — it simulates corruption the writing process never saw.
 
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// What a fault hook decided for one write.
@@ -45,32 +51,50 @@ pub trait IoFaultHook: Send + Sync {
     fn on_write(&self, path: &Path, len: usize) -> WriteFault;
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static HOOK: RwLock<Option<Arc<dyn IoFaultHook>>> = RwLock::new(None);
-
-/// Installs (or with `None`, removes) the process-wide fault hook and
-/// returns the previous one. Tests that install a hook must serialize on
-/// their own lock — the hook is global state.
-pub fn install_fault_hook(hook: Option<Arc<dyn IoFaultHook>>) -> Option<Arc<dyn IoFaultHook>> {
-    let mut slot = crate::unpoison(HOOK.write());
-    // lint-ok(ordering-justified): the armed flag is an optimisation hint;
-    // readers that see a stale `true` take the lock and find `None`, and
-    // installs are test-setup events ordered by the caller's own lock.
-    ARMED.store(hook.is_some(), Ordering::Relaxed);
-    std::mem::replace(&mut *slot, hook)
+/// A hook and the directory it is installed for.
+struct Scoped {
+    id: u64,
+    dir: PathBuf,
+    hook: Arc<dyn IoFaultHook>,
 }
 
-/// The fault decision for one write — [`WriteFault::None`] unless a hook is
-/// installed.
-pub(crate) fn decide(path: &Path, len: usize) -> WriteFault {
-    // lint-ok(ordering-justified): see `install_fault_hook`; a stale read
-    // only costs (or skips) one lock acquisition during test setup races.
-    if !ARMED.load(Ordering::Relaxed) {
-        return WriteFault::None;
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+static HOOKS: RwLock<Vec<Scoped>> = RwLock::new(Vec::new());
+
+/// Installs `hook` for every write under `dir` until the returned guard is
+/// dropped. Hooks for other directories stay installed; where two
+/// directories nest, the hook installed last decides.
+#[must_use = "the hook is removed when the guard is dropped"]
+pub fn install_fault_hook(dir: impl Into<PathBuf>, hook: Arc<dyn IoFaultHook>) -> FaultHookGuard {
+    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+    let mut hooks = crate::unpoison(HOOKS.write());
+    hooks.push(Scoped {
+        id,
+        dir: dir.into(),
+        hook,
+    });
+    FaultHookGuard { id }
+}
+
+/// Keeps one hook of [`install_fault_hook`] installed; dropping it removes
+/// that hook.
+#[derive(Debug)]
+pub struct FaultHookGuard {
+    id: u64,
+}
+
+impl Drop for FaultHookGuard {
+    fn drop(&mut self) {
+        crate::unpoison(HOOKS.write()).retain(|s| s.id != self.id);
     }
-    let slot = crate::unpoison(HOOK.read());
-    match &*slot {
-        Some(hook) => hook.on_write(path, len),
+}
+
+/// The fault decision for one write: [`WriteFault::None`] unless a hook is
+/// installed for a directory that contains `path`.
+pub(crate) fn decide(path: &Path, len: usize) -> WriteFault {
+    let hooks = crate::unpoison(HOOKS.read());
+    match hooks.iter().rev().find(|s| path.starts_with(&s.dir)) {
+        Some(s) => s.hook.on_write(path, len),
         None => WriteFault::None,
     }
 }
@@ -108,18 +132,38 @@ mod tests {
     }
 
     #[test]
-    fn hook_lifecycle() {
-        let _guard = crate::test_hook_lock();
-        assert_eq!(decide(Path::new("x"), 4), WriteFault::None);
+    fn hook_sees_only_writes_under_its_directory_while_installed() {
+        let dir = std::env::temp_dir().join("adv_store_faults_lifecycle");
         let hook = Arc::new(CountingHook(AtomicUsize::new(0)));
-        let prev = install_fault_hook(Some(hook.clone()));
-        assert!(prev.is_none());
+        let guard = install_fault_hook(&dir, hook.clone());
+        decide(&dir.join("x"), 4);
+        decide(&dir.join("sub").join("y"), 4);
         decide(Path::new("x"), 4);
-        decide(Path::new("y"), 4);
+        decide(&std::env::temp_dir().join("elsewhere"), 4);
         assert_eq!(hook.0.load(Ordering::Relaxed), 2);
-        install_fault_hook(None);
-        decide(Path::new("x"), 4);
+        drop(guard);
+        decide(&dir.join("x"), 4);
         assert_eq!(hook.0.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn nested_directories_go_to_the_hook_installed_last() {
+        let outer = std::env::temp_dir().join("adv_store_faults_outer");
+        let (a, b) = (
+            Arc::new(CountingHook(AtomicUsize::new(0))),
+            Arc::new(CountingHook(AtomicUsize::new(0))),
+        );
+        let _outer = install_fault_hook(&outer, a.clone());
+        let inner = install_fault_hook(outer.join("inner"), b.clone());
+        decide(&outer.join("inner").join("f"), 4);
+        decide(&outer.join("f"), 4);
+        assert_eq!(
+            (a.0.load(Ordering::Relaxed), b.0.load(Ordering::Relaxed)),
+            (1, 1)
+        );
+        drop(inner);
+        decide(&outer.join("inner").join("f"), 4);
+        assert_eq!(a.0.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -27,8 +27,7 @@
 //!   schedules, that no injected corruption goes undetected.
 //!
 //! The crate has no dependencies beyond `adv-obs` and performs no clock
-//! reads; with no fault hook installed the hook check is a single relaxed
-//! atomic load.
+//! reads; the fault-hook check costs each write one uncontended read lock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +52,7 @@ mod obs;
 pub use atomic::atomic_write;
 pub use crc::crc32;
 pub use envelope::{open_envelope, seal_envelope, ENVELOPE_MAGIC, ENVELOPE_OVERHEAD};
-pub use faults::{install_fault_hook, IoFaultHook, WriteFault};
+pub use faults::{install_fault_hook, FaultHookGuard, IoFaultHook, WriteFault};
 pub use journal::Journal;
 pub use manifest::RunManifest;
 
@@ -150,13 +149,6 @@ fn unpoison<G>(r: std::result::Result<G, std::sync::PoisonError<G>>) -> G {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
-}
-
-/// Serializes unit tests that install the process-wide fault hook.
-#[cfg(test)]
-pub(crate) fn test_hook_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    unpoison(LOCK.lock())
 }
 
 /// Seals `payload` in a CRC-checked envelope and writes it atomically to

@@ -12,34 +12,20 @@
 //!    manifest yields a valid (possibly shorter) entry prefix, and every
 //!    listed entry loads.
 //!
-//! The fault hook is process-global, so tests that install one serialize
-//! on [`HOOK_LOCK`] and scope their plan to their own directory.
+//! Each test that injects faults installs its plan for its own directory.
 
 use adv_chaos::IoFaultPlan;
 use adv_magnet::{DefenseScheme, Verdict};
 use adv_store::install_fault_hook;
 use adv_telemetry::{ChunkReader, ChunkStore, TelemetryError, TelemetryRow};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-static HOOK_LOCK: Mutex<()> = Mutex::new(());
-
-fn hook_lock() -> MutexGuard<'static, ()> {
-    HOOK_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
+use std::sync::Arc;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("adv_telemetry_io_soak_{tag}"));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-struct HookGuard;
-impl Drop for HookGuard {
-    fn drop(&mut self) {
-        install_fault_hook(None);
-    }
 }
 
 /// Deterministic row `i`: every column derives from the id, so any loaded
@@ -70,15 +56,9 @@ fn row(i: u64) -> TelemetryRow {
 
 #[test]
 fn chunk_store_soak_no_undetected_corruption() {
-    let _serial = hook_lock();
     let dir = scratch("soak");
-    let plan = Arc::new(
-        IoFaultPlan::new(0x7E1E_CAFE)
-            .rates(0.10, 0.08, 0.08)
-            .under(&dir),
-    );
-    install_fault_hook(Some(plan.clone()));
-    let _guard = HookGuard;
+    let plan = Arc::new(IoFaultPlan::new(0x7E1E_CAFE).rates(0.10, 0.08, 0.08));
+    let _hook = install_fault_hook(&dir, plan.clone());
 
     // 60 process lives; each appends a slice of the global row sequence
     // and "dies" without flushing (losing at most its open tail).

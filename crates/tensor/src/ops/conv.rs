@@ -31,7 +31,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// // A 3×3 "same" convolution on 28×28 inputs.
 /// let spec = Conv2dSpec::same(1, 8, 3);
-/// assert_eq!(spec.output_hw(28, 28), (28, 28));
+/// assert_eq!(spec.output_hw(28, 28)?, (28, 28));
+/// # Ok::<(), adv_tensor::TensorError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Conv2dSpec {
@@ -76,10 +77,26 @@ impl Conv2dSpec {
     }
 
     /// Output spatial size for an `h × w` input.
-    pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        let ho = (h + 2 * self.padding - self.kh) / self.stride + 1;
-        let wo = (w + 2 * self.padding - self.kw) / self.stride + 1;
-        (ho, wo)
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] for a zero stride or a
+    /// kernel larger than the padded input.
+    pub fn output_hw(&self, h: usize, w: usize) -> Result<(usize, usize)> {
+        let (hp, wp) = (h + 2 * self.padding, w + 2 * self.padding);
+        if self.stride == 0 {
+            return Err(TensorError::InvalidArgument("stride must be > 0".into()));
+        }
+        if hp < self.kh || wp < self.kw {
+            return Err(TensorError::InvalidArgument(format!(
+                "kernel {}x{} larger than padded input {hp}x{wp}",
+                self.kh, self.kw
+            )));
+        }
+        Ok((
+            (hp - self.kh) / self.stride + 1,
+            (wp - self.kw) / self.stride + 1,
+        ))
     }
 
     /// Number of elements in one receptive-field row (`c · kh · kw`).
@@ -102,26 +119,7 @@ impl Conv2dSpec {
                 self.in_channels
             )));
         }
-        self.validate_geometry(h, w)?;
         Ok((n, h, w))
-    }
-
-    /// Checks that [`Conv2dSpec::output_hw`] is defined for an `h × w` input:
-    /// a nonzero stride and a kernel no larger than the padded input.
-    fn validate_geometry(&self, h: usize, w: usize) -> Result<()> {
-        if self.stride == 0 {
-            return Err(TensorError::InvalidArgument("stride must be > 0".into()));
-        }
-        if h + 2 * self.padding < self.kh || w + 2 * self.padding < self.kw {
-            return Err(TensorError::InvalidArgument(format!(
-                "kernel {}x{} larger than padded input {}x{}",
-                self.kh,
-                self.kw,
-                h + 2 * self.padding,
-                w + 2 * self.padding
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -136,7 +134,7 @@ impl Conv2dSpec {
 /// zero stride, kernel larger than padded input).
 pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
     let (n, h, w) = spec.validate_input(input)?;
-    let (ho, wo) = spec.output_hw(h, w);
+    let (ho, wo) = spec.output_hw(h, w)?;
     let c = spec.in_channels;
     let patch = spec.patch_len();
     let _prof = KernelScope::enter(KernelKind::Im2col, || Work::copy(n * ho * wo * patch));
@@ -187,8 +185,7 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
 /// when `cols` does not have the `[n·ho·wo, c·kh·kw]` shape implied by
 /// `spec` and the output geometry.
 pub fn col2im(cols: &Tensor, n: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Result<Tensor> {
-    spec.validate_geometry(h, w)?;
-    let (ho, wo) = spec.output_hw(h, w);
+    let (ho, wo) = spec.output_hw(h, w)?;
     let c = spec.in_channels;
     let patch = spec.patch_len();
     let expected = Shape::matrix(n * ho * wo, patch);
@@ -285,7 +282,7 @@ fn conv2d_on(
         });
     }
     let (n, h, w) = spec.validate_input(input)?;
-    let (ho, wo) = spec.output_hw(h, w);
+    let (ho, wo) = spec.output_hw(h, w)?;
     let (c, oc, pad) = (spec.in_channels, spec.out_channels, spec.padding);
     let (khw, hp, wp) = (spec.kh * spec.kw, h + 2 * pad, w + 2 * pad);
     // An output plane accumulates `wp` wide: output `(oh, ow)` sits at
@@ -383,16 +380,15 @@ pub fn conv2d_backward_input(
     spec: &Conv2dSpec,
 ) -> Result<Tensor> {
     check_weight(weight, spec)?;
-    spec.validate_geometry(h, w)?;
     check_dy(dy, n, h, w, spec)?;
-    let mut dx = InputGrad::new(n, h, w, spec);
+    let mut dx = InputGrad::new(n, h, w, spec)?;
     let _prof = KernelScope::enter(KernelKind::Conv2dBackward, || dx.work());
     dx.compute(Isa::detected(), weight.as_slice(), dy.as_slice());
     dx.into_tensor()
 }
 
 fn check_dy(dy: &Tensor, n: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Result<()> {
-    let (ho, wo) = spec.output_hw(h, w);
+    let (ho, wo) = spec.output_hw(h, w)?;
     let expected = Shape::nchw(n, spec.out_channels, ho, wo);
     if dy.shape() != &expected {
         return Err(TensorError::ShapeMismatch {
@@ -430,8 +426,8 @@ struct InputGrad {
 }
 
 impl InputGrad {
-    fn new(n: usize, h: usize, w: usize, spec: &Conv2dSpec) -> InputGrad {
-        let (ho, wo) = spec.output_hw(h, w);
+    fn new(n: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Result<InputGrad> {
+        let (ho, wo) = spec.output_hw(h, w)?;
         let (c, oc, pad, kh, kw) = (
             spec.in_channels,
             spec.out_channels,
@@ -454,7 +450,7 @@ impl InputGrad {
         let offs = (0..kh * kw)
             .map(|t| (pad + kh - 1 - t / kw) * wz + pad + kw - 1 - t % kw)
             .collect();
-        InputGrad {
+        Ok(InputGrad {
             spec: *spec,
             n,
             h,
@@ -469,7 +465,7 @@ impl InputGrad {
             dyz: vec![0.0; oc * hz * wz + TILE],
             acc: vec![[0.0; TILE]; span.div_ceil(TILE)],
             dx: vec![0.0; n * c * h * w],
-        }
+        })
     }
 
     /// The volume of the `dy·W` product this kernel replaces.
@@ -578,12 +574,12 @@ pub fn conv2d_backward(
     check_weight(weight, spec)?;
     let (n, h, w) = spec.validate_input(input)?;
     check_dy(dy, n, h, w, spec)?;
-    let (ho, wo) = spec.output_hw(h, w);
+    let (ho, wo) = spec.output_hw(h, w)?;
     let oc = spec.out_channels;
     let hw = ho * wo;
     let mut dyrows = vec![0.0f32; n * hw * oc];
     let mut db = vec![0.0f32; oc];
-    let mut dx = InputGrad::new(n, h, w, spec);
+    let mut dx = InputGrad::new(n, h, w, spec)?;
 
     let _prof = KernelScope::enter(KernelKind::Conv2dBackward, || dx.work());
     // Repack dy from NCHW to rows [n·ho·wo, oc] (matching the im2col row order).
@@ -629,7 +625,7 @@ mod tests {
         spec: &Conv2dSpec,
     ) -> Tensor {
         let dims = input.shape().dims();
-        let (n, (ho, wo)) = (dims[0], spec.output_hw(dims[2], dims[3]));
+        let (n, (ho, wo)) = (dims[0], spec.output_hw(dims[2], dims[3]).unwrap());
         let cols = im2col(input, spec).unwrap();
         let wmat = weight
             .reshape(Shape::matrix(spec.out_channels, spec.patch_len()))
@@ -654,7 +650,7 @@ mod tests {
         (n, h, w): (usize, usize, usize),
         spec: &Conv2dSpec,
     ) -> Tensor {
-        let (oc, (ho, wo)) = (spec.out_channels, spec.output_hw(h, w));
+        let (oc, (ho, wo)) = (spec.out_channels, spec.output_hw(h, w).unwrap());
         let hw = ho * wo;
         let mut rows = vec![0.0f32; n * hw * oc];
         for (i, &v) in dy.as_slice().iter().enumerate() {
@@ -711,7 +707,7 @@ mod tests {
 
     /// Every fifth element is an exact zero, which `matmul` skips.
     fn dy_of(n: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Tensor {
-        let (ho, wo) = spec.output_hw(h, w);
+        let (ho, wo) = spec.output_hw(h, w).unwrap();
         Tensor::from_fn(Shape::nchw(n, spec.out_channels, ho, wo), |i| {
             if i % 5 == 2 {
                 0.0
@@ -773,7 +769,7 @@ mod tests {
             assert_bits_eq(&y(wide), &y(Isa::BASELINE), &format!("forward {what}"));
             let dy = dy_of(n, h, w, &spec);
             let dx = |isa| {
-                let mut dx = InputGrad::new(n, h, w, &spec);
+                let mut dx = InputGrad::new(n, h, w, &spec).unwrap();
                 dx.compute(isa, wt.as_slice(), dy.as_slice());
                 dx.into_tensor().unwrap()
             };
@@ -825,11 +821,28 @@ mod tests {
     #[test]
     fn output_geometry() {
         let spec = Conv2dSpec::same(1, 4, 3);
-        assert_eq!(spec.output_hw(28, 28), (28, 28));
+        assert_eq!(spec.output_hw(28, 28).unwrap(), (28, 28));
         let spec = Conv2dSpec::valid(1, 4, 3, 1);
-        assert_eq!(spec.output_hw(28, 28), (26, 26));
+        assert_eq!(spec.output_hw(28, 28).unwrap(), (26, 26));
         let spec = Conv2dSpec::valid(1, 4, 2, 2);
-        assert_eq!(spec.output_hw(8, 8), (4, 4));
+        assert_eq!(spec.output_hw(8, 8).unwrap(), (4, 4));
+    }
+
+    #[test]
+    fn output_hw_rejects_zero_stride_and_oversized_kernel() {
+        let zero_stride = Conv2dSpec::valid(1, 1, 3, 0);
+        assert!(matches!(
+            zero_stride.output_hw(28, 28),
+            Err(TensorError::InvalidArgument(_))
+        ));
+        // 5×5 fits a 3×3 input only with padding 1.
+        let mut spec = Conv2dSpec::valid(1, 1, 5, 1);
+        assert!(matches!(
+            spec.output_hw(3, 3),
+            Err(TensorError::InvalidArgument(_))
+        ));
+        spec.padding = 1;
+        assert_eq!(spec.output_hw(3, 3).unwrap(), (1, 1));
     }
 
     #[test]

@@ -13,6 +13,6 @@ pub mod pool;
 pub use conv::{col2im, conv2d, conv2d_backward, conv2d_backward_input, im2col, Conv2dSpec};
 pub use matmul::{matmul, matmul_a_bt, matmul_at_b};
 pub use pool::{
-    avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward, upsample2d_nearest,
-    upsample2d_nearest_backward, Pool2dSpec,
+    avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward, max_pool2d_with_argmax,
+    upsample2d_nearest, upsample2d_nearest_backward, Pool2dSpec,
 };

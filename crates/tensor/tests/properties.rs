@@ -27,7 +27,7 @@ fn noise(seed: u64, i: usize) -> f32 {
 /// rows, one `A·Bᵀ` dot product per output, NCHW repack, then the bias.
 fn conv2d_im2col_reference(x: &Tensor, w: &Tensor, b: &Tensor, spec: &Conv2dSpec) -> Tensor {
     let dims = x.shape().dims();
-    let (n, (ho, wo)) = (dims[0], spec.output_hw(dims[2], dims[3]));
+    let (n, (ho, wo)) = (dims[0], spec.output_hw(dims[2], dims[3]).unwrap());
     let wmat = w
         .reshape(Shape::matrix(spec.out_channels, spec.patch_len()))
         .unwrap();
@@ -121,7 +121,7 @@ proptest! {
     ) {
         let (h, w) = hw;
         let spec = conv_spec(c, oc, hw, k, stride, padding);
-        let (ho, wo) = spec.output_hw(h, w);
+        let (ho, wo) = spec.output_hw(h, w).unwrap();
         let wt = Tensor::from_fn(Shape::new(vec![oc, c, spec.kh, spec.kw]), |i| noise(seed, i));
         // About one dy in eight is an exact zero, which `matmul` skips.
         let dy = Tensor::from_fn(Shape::nchw(n, oc, ho, wo), |i| {
