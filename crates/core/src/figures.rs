@@ -24,7 +24,8 @@ pub struct Panel {
     pub curves: Vec<Curve>,
 }
 
-fn kappas_for(zoo: &Zoo, scenario: Scenario) -> Vec<f32> {
+/// The scale's κ grid for `scenario`.
+pub(crate) fn kappas_for(zoo: &Zoo, scenario: Scenario) -> Vec<f32> {
     match scenario {
         Scenario::Mnist => zoo.scale().mnist_kappas(),
         Scenario::Cifar => zoo.scale().cifar_kappas(),

@@ -17,8 +17,8 @@
 //!    and the series behind Figures 2–13; [`render`] writes the Figure 1
 //!    image grids (PGM/PPM + ASCII).
 //!
-//! Every experiment binary in `src/bin/` is a thin driver over these
-//! modules; `reproduce_all` regenerates the whole evaluation at the
+//! [`artifacts`] maps every table and figure to its function and its one
+//! output file; `reproduce_all` runs that list (`--only` picks rows) at the
 //! configured scale.
 
 #![forbid(unsafe_code)]
@@ -26,6 +26,7 @@
 
 mod error;
 
+pub mod artifacts;
 pub mod cache;
 pub mod config;
 pub mod experiment;

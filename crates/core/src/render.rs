@@ -5,58 +5,35 @@ use crate::{EvalError, Result};
 use adv_tensor::Tensor;
 use std::path::Path;
 
-/// Writes a single NCHW image (batch item 0, 1 channel) as binary PGM.
+/// Writes a single NCHW image (batch item 0) to `<stem>.pgm` (binary PGM,
+/// 1 channel) or `<stem>.ppm` (binary PPM, 3 interleaved channels).
 ///
 /// # Errors
 ///
-/// Returns [`EvalError::InvalidConfig`] for non-grayscale inputs and I/O
-/// errors from the filesystem.
-pub fn write_pgm(image: &Tensor, path: impl AsRef<Path>) -> Result<()> {
+/// Returns [`EvalError::InvalidConfig`] for anything but one 1- or
+/// 3-channel image, and I/O errors from the filesystem.
+pub fn write_image(image: &Tensor, stem: &str) -> Result<()> {
     let d = image.shape().dims();
-    if d.len() != 4 || d[0] != 1 || d[1] != 1 {
-        return Err(EvalError::InvalidConfig(format!(
-            "write_pgm expects [1,1,h,w], got {:?}",
-            d
-        )));
-    }
-    let (h, w) = (d[2], d[3]);
-    let mut out = format!("P5\n{w} {h}\n255\n").into_bytes();
-    out.extend(
-        image
-            .as_slice()
-            .iter()
-            .map(|&v| (v.clamp(0.0, 1.0) * 255.0).round() as u8),
-    );
-    if let Some(dir) = path.as_ref().parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, out)?;
-    Ok(())
-}
-
-/// Writes a single NCHW RGB image (batch item 0, 3 channels) as binary PPM.
-///
-/// # Errors
-///
-/// Returns [`EvalError::InvalidConfig`] for non-RGB inputs and I/O errors.
-pub fn write_ppm(image: &Tensor, path: impl AsRef<Path>) -> Result<()> {
-    let d = image.shape().dims();
-    if d.len() != 4 || d[0] != 1 || d[1] != 3 {
-        return Err(EvalError::InvalidConfig(format!(
-            "write_ppm expects [1,3,h,w], got {:?}",
-            d
-        )));
-    }
-    let (h, w) = (d[2], d[3]);
+    let (magic, ext) = match d {
+        [1, 1, _, _] => ("P5", "pgm"),
+        [1, 3, _, _] => ("P6", "ppm"),
+        _ => {
+            return Err(EvalError::InvalidConfig(format!(
+                "write_image expects [1,1,h,w] or [1,3,h,w], got {d:?}"
+            )))
+        }
+    };
+    let (c, h, w) = (d[1], d[2], d[3]);
     let hw = h * w;
     let v = image.as_slice();
-    let mut out = format!("P6\n{w} {h}\n255\n").into_bytes();
+    let mut out = format!("{magic}\n{w} {h}\n255\n").into_bytes();
     for p in 0..hw {
-        for ch in 0..3 {
+        for ch in 0..c {
             out.push((v[ch * hw + p].clamp(0.0, 1.0) * 255.0).round() as u8);
         }
     }
-    if let Some(dir) = path.as_ref().parent() {
+    let path = format!("{stem}.{ext}");
+    if let Some(dir) = Path::new(&path).parent() {
         std::fs::create_dir_all(dir)?;
     }
     std::fs::write(path, out)?;
@@ -125,7 +102,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let img = Tensor::from_fn(Shape::nchw(1, 1, 4, 6), |i| i as f32 / 23.0);
         let path = dir.join("x.pgm");
-        write_pgm(&img, &path).unwrap();
+        write_image(&img, dir.join("x").to_str().unwrap()).unwrap();
         let data = std::fs::read(&path).unwrap();
         assert!(data.starts_with(b"P5\n6 4\n255\n"));
         assert_eq!(data.len(), b"P5\n6 4\n255\n".len() + 24);
@@ -139,7 +116,7 @@ mod tests {
         // Red-only image: first byte of each pixel 255, others 0.
         let img = Tensor::from_fn(Shape::nchw(1, 3, 2, 2), |i| if i < 4 { 1.0 } else { 0.0 });
         let path = dir.join("x.ppm");
-        write_ppm(&img, &path).unwrap();
+        write_image(&img, dir.join("x").to_str().unwrap()).unwrap();
         let data = std::fs::read(&path).unwrap();
         let header_len = b"P6\n2 2\n255\n".len();
         assert_eq!(&data[header_len..header_len + 3], &[255, 0, 0]);
@@ -158,10 +135,10 @@ mod tests {
     #[test]
     fn shape_validation() {
         let batch = Tensor::zeros(Shape::nchw(2, 1, 2, 2));
-        assert!(write_pgm(&batch, "/tmp/never.pgm").is_err());
+        assert!(write_image(&batch, "/tmp/never").is_err());
         assert!(ascii_art(&batch).is_err());
-        let rgb = Tensor::zeros(Shape::nchw(1, 3, 2, 2));
-        assert!(write_pgm(&rgb, "/tmp/never.pgm").is_err());
+        let two_channels = Tensor::zeros(Shape::nchw(1, 2, 2, 2));
+        assert!(write_image(&two_channels, "/tmp/never").is_err());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! | Table VI | [`accuracy_table`] (CIFAR) |
 //! | Table VII | [`best_asr_table`] (CIFAR) |
 
+use crate::figures::kappas_for;
 use crate::report::{opt3, pct};
 use crate::sweep::{AttackKind, SweepRunner};
 use crate::zoo::{classifier_accuracy, defended_clean_accuracy, Scenario, Variant, Zoo};
@@ -41,10 +42,7 @@ pub struct Table1Row {
 ///
 /// Propagates model training, attack and defense errors.
 pub fn table1(zoo: &Zoo, scenario: Scenario) -> Result<Vec<Table1Row>> {
-    let kappas = match scenario {
-        Scenario::Mnist => zoo.scale().mnist_kappas(),
-        Scenario::Cifar => zoo.scale().cifar_kappas(),
-    };
+    let kappas = kappas_for(zoo, scenario);
     let mut runner = SweepRunner::new(zoo, scenario)?;
     let mut defense = zoo.defense(scenario, Variant::Default)?;
 
@@ -164,10 +162,7 @@ pub struct BestAsrRow {
 ///
 /// Propagates attack and defense errors.
 pub fn best_asr_table(zoo: &Zoo, scenario: Scenario) -> Result<Vec<BestAsrRow>> {
-    let kappas = match scenario {
-        Scenario::Mnist => zoo.scale().mnist_kappas(),
-        Scenario::Cifar => zoo.scale().cifar_kappas(),
-    };
+    let kappas = kappas_for(zoo, scenario);
     let variants = Variant::for_scenario(scenario);
     let mut runner = SweepRunner::new(zoo, scenario)?;
     let mut defenses = variants
@@ -191,10 +186,8 @@ pub fn best_asr_table(zoo: &Zoo, scenario: Scenario) -> Result<Vec<BestAsrRow>> 
 
 /// Formats best-ASR rows for the terminal.
 pub fn format_best_asr_table(rows: &[BestAsrRow], scenario: Scenario) -> String {
-    let variants = Variant::for_scenario(scenario);
-    let mut headers: Vec<String> = vec!["Rule".into(), "beta".into()];
-    headers.extend(variants.iter().map(|v| v.label().to_string()));
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
+    let mut headers = vec!["Rule", "beta"];
+    headers.extend(Variant::for_scenario(scenario).iter().map(|v| v.label()));
     let body: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -203,7 +196,7 @@ pub fn format_best_asr_table(rows: &[BestAsrRow], scenario: Scenario) -> String 
             row
         })
         .collect();
-    crate::report::text_table(&header_refs, &body)
+    crate::report::text_table(&headers, &body)
 }
 
 /// Renders the robust auto-encoder architectures of Tables II and V.

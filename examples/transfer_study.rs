@@ -12,8 +12,8 @@ use magnet_l1::eval::zoo::{Scenario, Variant, Zoo};
 use magnet_l1::magnet::DefenseScheme;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A small scale so this example finishes in a couple of minutes; the
-    // experiment binaries (table1, fig2, …) run the real thing.
+    // A small scale so this example finishes in a couple of minutes;
+    // `reproduce_all` (e.g. `--only table1,fig2`) runs the real thing.
     let mut scale = Scale::smoke();
     scale.train_size = 1200;
     scale.valid_size = 250;

@@ -1,11 +1,11 @@
 #!/usr/bin/env sh
-# Regenerates every table and figure of the paper, then renders
-# EXPERIMENTS.md. Usage: scripts/reproduce.sh [smoke|quick|paper]
+# Regenerates every table and figure of the paper (Figure 1 included),
+# runs the extension studies, then renders EXPERIMENTS.md.
+# Usage: scripts/reproduce.sh [smoke|quick|paper]
 set -eu
 SCALE="${1:-quick}"
 cargo build --release --workspace
 cargo run --release -p adv-eval --bin reproduce_all -- --scale "$SCALE"
-cargo run --release -p adv-eval --bin fig1 -- --scale "$SCALE"
 cargo run --release -p adv-eval --bin graybox -- --scale "$SCALE"
 cargo run --release -p adv-eval --bin ablation_ista -- --scale "$SCALE"
 cargo run --release -p adv-eval --bin detector_breakdown -- --scale "$SCALE"
