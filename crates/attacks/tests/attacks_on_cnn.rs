@@ -201,3 +201,49 @@ fn confidence_increases_distortion_on_cnn() {
         );
     }
 }
+
+#[test]
+fn crafting_a_batch_equals_crafting_each_image_alone() {
+    // The evaluation harness crafts whole batches; the paper's numbers are
+    // per-image, so each image must get the bits and the success flag it
+    // gets when attacked alone.
+    let (mut net, x, labels) = trained_cnn_with_batch(4);
+    let ead = ElasticNetAttack::new(EadConfig {
+        kappa: 0.0,
+        beta: 0.01,
+        iterations: 30,
+        binary_search_steps: 3,
+        initial_c: 0.5,
+        learning_rate: 0.02,
+        rule: DecisionRule::ElasticNet,
+        fista: false,
+    })
+    .unwrap();
+    let cw = CarliniWagnerL2::new(CwConfig {
+        kappa: 0.0,
+        iterations: 30,
+        binary_search_steps: 3,
+        initial_c: 0.5,
+        learning_rate: 0.02,
+    })
+    .unwrap();
+    let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let attacks: [&dyn Attack; 2] = [&ead, &cw];
+    for attack in attacks {
+        let batch = attack.run(&mut net, &x, &labels).unwrap();
+        assert!(
+            batch.success.contains(&true),
+            "{} found nothing",
+            attack.name()
+        );
+        for i in 0..labels.len() {
+            let xi = Tensor::stack(&[x.index_axis0(i).unwrap()]).unwrap();
+            let alone = attack.run(&mut net, &xi, &labels[i..=i]).unwrap();
+            let name = attack.name();
+            assert_eq!(batch.success[i], alone.success[0], "{name} image {i}");
+            let b = batch.adversarial.index_axis0(i).unwrap();
+            let a = alone.adversarial.as_slice();
+            assert_eq!(bits(b.as_slice()), bits(a), "{name} image {i}");
+        }
+    }
+}

@@ -1,7 +1,7 @@
 //! Workspace discovery: find first-party crates and their Rust sources.
 //!
 //! The scan set covers every first-party *target*: library code (`src/**`),
-//! binaries (`src/main.rs`, `src/bin/**`), Criterion benches
+//! binaries (`src/main.rs`, `src/bin/**`), benches
 //! (`benches/**`) and examples (`examples/**`) — for the root package and
 //! every `crates/*` member. `tests/` trees are test code by construction
 //! and the `shims/` stand-ins for external crates are vendored surface,
@@ -246,15 +246,15 @@ mod tests {
     }
 
     #[test]
-    fn scans_bench_and_example_targets() {
+    fn scans_member_and_root_example_targets() {
         let crates = discover(&workspace_root()).unwrap();
-        let bench = crates.iter().find(|c| c.name == "adv-bench").unwrap();
-        let files = load_sources(bench).unwrap();
-        let b = files
+        let profile = crates.iter().find(|c| c.name == "adv-profile").unwrap();
+        let files = load_sources(profile).unwrap();
+        let m = files
             .iter()
-            .find(|f| f.rel.ends_with("benches/obs_overhead.rs"))
-            .expect("bench targets must be scanned");
-        assert!(!b.lib);
+            .find(|f| f.rel.ends_with("examples/obs_overhead.rs"))
+            .expect("member-crate examples must be scanned");
+        assert!(!m.lib);
 
         let root_pkg = crates.iter().find(|c| c.name == "magnet-l1").unwrap();
         let files = load_sources(root_pkg).unwrap();

@@ -10,10 +10,46 @@ use adv_nn::{Activation, Differentiable, LayerSpec, Mode, Sequential};
 use adv_tensor::ops::Conv2dSpec;
 use adv_tensor::{Shape, Tensor};
 
+/// Checks that a batch of 4 gives each row the bits that row gets alone
+/// through `forward` (Eval), `backward_input` and `infer`. Attacks craft,
+/// and the serving engine classifies, whole batches, so batching must not
+/// change any one image's result.
+fn check_batch_invariance(specs: &[LayerSpec], input_shape: &Shape, seed: u64) {
+    let mut dims = input_shape.dims().to_vec();
+    dims[0] = 4;
+    let x = Tensor::from_fn(Shape::new(dims), |i| {
+        ((i as u64).wrapping_mul(2_654_435_761) % 97) as f32 / 97.0 * 0.8 + 0.1
+    });
+    let mut net = Sequential::from_specs(specs, seed).unwrap();
+    let mut run = |x: &Tensor| {
+        let y = net.forward(x, Mode::Eval).unwrap();
+        let per_row = y.len() / y.shape().dim(0);
+        let dy = Tensor::from_fn(y.shape().clone(), |i| (i % per_row % 5) as f32 - 2.0);
+        let dx = net.backward_input(&dy).unwrap();
+        let inferred = net.infer(x).unwrap();
+        [y, dx, inferred]
+    };
+    let batch = run(&x);
+    let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for row in 0..4 {
+        let alone = run(&Tensor::stack(&[x.index_axis0(row).unwrap()]).unwrap());
+        for ((name, b), a) in ["forward", "backward_input", "infer"]
+            .iter()
+            .zip(&batch)
+            .zip(&alone)
+        {
+            let n = a.len();
+            let b = &b.as_slice()[row * n..(row + 1) * n];
+            assert_eq!(bits(b), bits(a.as_slice()), "{name} row {row}");
+        }
+    }
+}
+
 /// Checks `∂ sum(f(x)) / ∂x` against central differences at probe indices,
 /// and that the attacks' input-only backward returns the same bits and
 /// writes no parameter gradient.
 fn check_input_gradient(specs: &[LayerSpec], input_shape: Shape, seed: u64, tol: f32) {
+    check_batch_invariance(specs, &input_shape, seed);
     let x = Tensor::from_fn(input_shape, |i| ((i * 29 % 23) as f32 / 23.0) * 0.8 + 0.1);
     let mut net = Sequential::from_specs(specs, seed).unwrap();
     let y = net.forward(&x, Mode::Train).unwrap();
@@ -47,6 +83,7 @@ fn check_input_gradient(specs: &[LayerSpec], input_shape: Shape, seed: u64, tol:
 
 /// Checks parameter gradients against central differences at probe indices.
 fn check_param_gradients(specs: &[LayerSpec], input_shape: Shape, seed: u64, tol: f32) {
+    check_batch_invariance(specs, &input_shape, seed);
     // Non-repeating pattern: avoids max-pool ties, which break finite
     // differences at the (measure-zero) non-differentiable points.
     let x = Tensor::from_fn(input_shape, |i| {
@@ -204,6 +241,7 @@ fn cross_entropy_through_network_matches_finite_differences() {
         },
     ];
     let seed = 31;
+    check_batch_invariance(&specs, &Shape::nchw(2, 1, 4, 4), seed);
     let x = Tensor::from_fn(Shape::nchw(2, 1, 4, 4), |i| ((i * 7 % 11) as f32) / 11.0);
     let labels = [1usize, 2usize];
 

@@ -15,9 +15,10 @@
 //! # Enabling telemetry
 //!
 //! * [`ObsLevel::Off`] (default) — every instrumentation point is a no-op:
-//!   one relaxed atomic load and a predictable branch, verified by the
-//!   `obs_overhead` bench. Numerical results are never affected at any
-//!   level; instrumentation only reads clocks and bumps atomics.
+//!   one relaxed atomic load and a predictable branch, verified by
+//!   `adv-profile`'s `obs_overhead` example. Numerical results are never
+//!   affected at any level; instrumentation only reads clocks and bumps
+//!   atomics.
 //! * [`ObsLevel::Metrics`] — counters/gauges/histograms record.
 //! * [`ObsLevel::Trace`] — metrics plus spans, kernel accounting and
 //!   request traces.
@@ -132,7 +133,7 @@ pub fn set_level(level: ObsLevel) {
 ///
 /// Compares the cached level byte directly — one relaxed load and one
 /// branch on the off path, no decode — so the gate costs the same whether
-/// or not it is taken (the `obs_overhead` bench pins this).
+/// or not it is taken (`adv-profile`'s `obs_overhead` example pins this).
 #[inline]
 pub fn metrics_enabled() -> bool {
     // lint-ok(ordering-justified): a momentarily stale level only delays

@@ -30,7 +30,7 @@
 //! The gate is `adv-obs`'s process-wide level: scopes record only at
 //! [`adv_obs::ObsLevel::Trace`] (`ADV_OBS=trace`, the binaries' `--obs`
 //! flag, or [`set_enabled`]). Below it every scope is one relaxed byte load
-//! and a predictable branch, pinned by the `obs_overhead` bench. Recording
+//! and a predictable branch, pinned by `examples/obs_overhead.rs`. Recording
 //! never changes numerical results; it only reads clocks and bumps
 //! counters.
 
