@@ -4,9 +4,10 @@
 //! injection points so chaos tests can fail exactly one stage of the
 //! pipeline: detector scoring ([`SITE_DETECT`]), the reformer
 //! ([`SITE_REFORM`]), or the protected classifier ([`SITE_CLASSIFY`]).
-//! The stage structure replicates `MagnetDefense::classify_timed` operation
-//! for operation, so with a no-op injector the verdicts are bit-identical
-//! to the unwrapped defense (pinned by this module's tests).
+//! It runs the defense's own stage runner,
+//! [`MagnetDefense::classify_staged`], with the injector as the stage hook,
+//! so with a no-op injector its verdicts and scores are bit-identical to
+//! the unwrapped defense (pinned by this module's tests).
 
 use crate::FaultInjector;
 use adv_magnet::{
@@ -16,11 +17,11 @@ use adv_tensor::Tensor;
 use std::sync::Arc;
 
 /// Injection site evaluated before detector scoring.
-pub const SITE_DETECT: &str = "magnet/detect";
+pub const SITE_DETECT: &str = adv_magnet::STAGE_DETECT;
 /// Injection site evaluated before the reformer pass.
-pub const SITE_REFORM: &str = "magnet/reform";
+pub const SITE_REFORM: &str = adv_magnet::STAGE_REFORM;
 /// Injection site evaluated before the classifier forward pass.
-pub const SITE_CLASSIFY: &str = "magnet/classify";
+pub const SITE_CLASSIFY: &str = adv_magnet::STAGE_CLASSIFY;
 
 /// [`MagnetDefense`] with deterministic faults between its stages.
 #[derive(Debug)]
@@ -65,60 +66,19 @@ impl DefensePipeline for FaultyDefense {
         x: &Tensor,
         scheme: DefenseScheme,
     ) -> adv_magnet::Result<(Vec<Verdict>, StageTimings)> {
-        let n = x.shape().dim(0);
-        let mut timings = StageTimings::default();
-
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "StageTimings is part of the pipeline API; the clock read is the feature (same contract as classify_timed)."
-        )]
-        let t0 = std::time::Instant::now();
-        let detected = match scheme {
-            DefenseScheme::DetectorOnly | DefenseScheme::Full => {
-                self.inject(SITE_DETECT)?;
-                let d = self.inner.detect(x)?;
-                timings.detect = t0.elapsed();
-                d
-            }
-            _ => vec![false; n],
-        };
-
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "see above — the stage timing is the API."
-        )]
-        let t1 = std::time::Instant::now();
-        let input = match scheme {
-            DefenseScheme::ReformerOnly | DefenseScheme::Full => {
-                self.inject(SITE_REFORM)?;
-                let r = self.inner.reform(x)?;
-                timings.reform = t1.elapsed();
-                r
-            }
-            _ => x.clone(),
-        };
-
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "see above — the stage timing is the API."
-        )]
-        let t2 = std::time::Instant::now();
-        self.inject(SITE_CLASSIFY)?;
-        let preds = self.inner.classifier().predict_shared(&input)?;
-        timings.classify = t2.elapsed();
-
-        let verdicts = detected
-            .into_iter()
-            .zip(preds)
-            .map(|(d, p)| {
-                if d {
-                    Verdict::Detected
-                } else {
-                    Verdict::Classified(p)
-                }
-            })
-            .collect();
+        let (verdicts, _, timings) = self
+            .inner
+            .classify_staged(x, scheme, &|site| self.inject(site))?;
         Ok((verdicts, timings))
+    }
+
+    fn classify_batch_scored(
+        &self,
+        x: &Tensor,
+        scheme: DefenseScheme,
+    ) -> adv_magnet::Result<(Vec<Verdict>, Vec<Vec<f32>>, StageTimings)> {
+        self.inner
+            .classify_staged(x, scheme, &|site| self.inject(site))
     }
 }
 
@@ -127,7 +87,9 @@ mod tests {
     use super::*;
     use crate::{FaultError, FaultPlan, SiteFaults};
     use adv_magnet::arch::{mnist_ae_two, mnist_classifier};
-    use adv_magnet::{Autoencoder, Detector, ReconstructionDetector, ReconstructionNorm};
+    use adv_magnet::{
+        Autoencoder, Detector, JsdDetector, ReconstructionDetector, ReconstructionNorm,
+    };
     use adv_nn::loss::ReconstructionLoss;
     use adv_nn::Sequential;
     use adv_tensor::Shape;
@@ -150,19 +112,50 @@ mod tests {
         Arc::new(d)
     }
 
+    /// The paper's D+JSD shape: one AE shared by a reconstruction
+    /// detector, a JSD detector and the reformer.
+    fn jsd_defense() -> Arc<MagnetDefense> {
+        let ae = Autoencoder::new(
+            &mnist_ae_two(1, 3),
+            ReconstructionLoss::MeanSquaredError,
+            0.0,
+            1,
+        )
+        .unwrap();
+        let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap();
+        let detectors: Vec<Box<dyn Detector>> = vec![
+            Box::new(ReconstructionDetector::new(
+                ae.clone(),
+                ReconstructionNorm::L2,
+            )),
+            Box::new(JsdDetector::new(ae.clone(), classifier.clone(), 10.0).unwrap()),
+        ];
+        let mut d = MagnetDefense::new("chaos-d-jsd", detectors, ae, classifier);
+        d.calibrate_detectors(&batch(64), 0.05).unwrap();
+        Arc::new(d)
+    }
+
     fn batch(n: usize) -> Tensor {
         Tensor::from_fn(Shape::nchw(n, 1, 8, 8), |i| ((i * 7) % 11) as f32 / 11.0)
     }
 
     #[test]
-    fn noop_injector_is_bit_identical_to_unwrapped_defense() {
-        let defense = toy_defense();
+    fn noop_injector_keeps_verdicts_and_scores_to_the_bit() {
+        let defense = jsd_defense();
         let faulty = FaultyDefense::new(defense.clone(), Arc::new(FaultInjector::disabled()));
         let x = batch(10);
+        let bits = |scores: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            scores
+                .iter()
+                .map(|col| col.iter().map(|s| s.to_bits()).collect())
+                .collect()
+        };
         for scheme in DefenseScheme::ALL {
-            let serial = defense.classify(&x, scheme).unwrap();
-            let (wrapped, _) = faulty.classify_batch(&x, scheme).unwrap();
-            assert_eq!(wrapped, serial, "{scheme:?}");
+            let (want, want_scores, _) = defense.classify_batch_scored(&x, scheme).unwrap();
+            let (got, got_scores, _) = faulty.classify_batch_scored(&x, scheme).unwrap();
+            assert_eq!(got, want, "{scheme:?}");
+            assert_eq!(bits(&got_scores), bits(&want_scores), "{scheme:?}");
+            assert_eq!(faulty.classify_batch(&x, scheme).unwrap().0, want);
         }
     }
 

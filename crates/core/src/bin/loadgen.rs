@@ -251,13 +251,14 @@ fn phase_a(
     let _ = bursty.bye();
     let _ = bounced; // visible via net.rate_limited below
 
+    // Read before shutdown: the shutdown drain flips the table once more.
+    let zoo_routing_epoch = zoo.routing_epoch();
     let net = server.shutdown();
     let zoo_metrics = zoo
         .variant_metrics(DEFAULT_VARIANT)
         .ok_or("default variant vanished from the routing table")?;
     let zoo_accounting_holds = zoo_metrics.submitted
         == zoo_metrics.completed + zoo_metrics.failed + zoo_metrics.shed_expired;
-    let zoo_routing_epoch = zoo.routing_epoch();
     drop(zoo);
     let _ = std::fs::remove_dir_all(&zoo_root);
 

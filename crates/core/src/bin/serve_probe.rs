@@ -1,14 +1,15 @@
 //! Serving-engine probe: replays an adversarial corpus (C&W L2 vs EAD L1)
-//! against the MNIST D+JSD defense through both evaluation paths — the
-//! serial one-`classify`-per-sample loop the experiment binaries use, and
-//! the batched `adv-serve` engine — and reports throughput, latency
-//! percentiles, and attack success rate for each.
+//! against the MNIST D+JSD defense three ways — serially, one `classify`
+//! call per sample; through the batching `adv-serve` engine; and through a
+//! `ModelZoo` shard — and reports throughput, latency percentiles, and
+//! attack success rate for each.
 //!
-//! The two paths must agree verdict-for-verdict (the engine's fused batch
-//! pass is bit-identical to serial classification), so the printed ASR and
-//! accuracy are asserted equal before the speedup is reported. Both paths
-//! run on one worker/thread; the engine's advantage is batching plus fused
-//! deduplication of MagNet's shared sub-computations, not parallelism.
+//! All three run MagNet's one pipeline pass, so they must agree
+//! verdict-for-verdict; the verdicts are asserted equal before the
+//! speedup is reported. Every path runs on one worker/thread and the
+//! serial path already shares work between MagNet's stages within each
+//! sample, so the printed speedup measures batching alone, not
+//! parallelism.
 //!
 //! Usage: `serve_probe [--scale smoke|quick|paper] [--models <dir>] …`; the
 //! corpus is 128 samples per attack (256 total) when the test pool at the
@@ -76,7 +77,7 @@ impl PathReport {
     }
 }
 
-/// The pre-`adv-serve` evaluation pattern: one `classify` call per sample.
+/// The serial path: one `classify` call (one pipeline pass) per sample.
 fn run_serial(
     defense: &MagnetDefense,
     samples: &[Sample],
@@ -150,7 +151,7 @@ fn run_served(
 
 /// The registry path: the same corpus routed through a `ModelZoo`'s
 /// default variant — the seam `adv-net` serves in production. Verdicts
-/// must be bit-identical to the serial path (asserted in `main`).
+/// must equal the serial path's (asserted in `main`).
 fn run_zoo(
     defense: Arc<MagnetDefense>,
     samples: &[Sample],
@@ -254,14 +255,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "zoo-routed verdicts diverged from serial on {label}"
         );
         println!(
-            "  verdicts identical (serial = served = zoo); speedup {:.2}x",
+            "  verdicts identical (serial = served = zoo); batching speedup {:.2}x",
             serial.elapsed.as_secs_f64() / served.elapsed.as_secs_f64()
         );
         total += serial.elapsed;
         total_served += served.elapsed;
     }
     println!(
-        "\noverall: serial {total:.2?} vs served {total_served:.2?} ({:.2}x)",
+        "\noverall: serial {total:.2?} vs served {total_served:.2?} (batching speedup {:.2}x)",
         total.as_secs_f64() / total_served.as_secs_f64()
     );
     if let Some(obs) = obs {

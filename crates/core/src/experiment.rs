@@ -9,12 +9,12 @@
 //!    `ASR = 1 − accuracy` under the full scheme.
 
 use crate::{EvalError, Result};
-use adv_attacks::{Attack, AttackOutcome};
+use adv_attacks::AttackOutcome;
 use adv_data::Dataset;
 use adv_magnet::{DefenseScheme, MagnetDefense};
 use adv_nn::train::gather0;
 use adv_nn::Sequential;
-use adv_tensor::{Shape, Tensor};
+use adv_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -156,27 +156,6 @@ pub fn evaluate_defense(
     })
 }
 
-/// Runs one attack on the undefended classifier and evaluates it against a
-/// set of defenses — the full oblivious protocol for a single attack
-/// configuration.
-///
-/// # Errors
-///
-/// Propagates attack and defense errors.
-pub fn oblivious_evaluation(
-    classifier: &mut Sequential,
-    defenses: &mut [&mut MagnetDefense],
-    attack: &dyn Attack,
-    set: &AttackSet,
-) -> Result<(AttackOutcome, Vec<DefenseEvaluation>)> {
-    let outcome = attack.run(classifier, &set.images, &set.labels)?;
-    let mut evals = Vec::with_capacity(defenses.len());
-    for defense in defenses.iter_mut() {
-        evals.push(evaluate_defense(defense, &outcome, &set.labels)?);
-    }
-    Ok((outcome, evals))
-}
-
 /// Builds an [`AttackSet`] view over explicit images/labels (used when
 /// reloading cached attack results).
 ///
@@ -194,20 +173,13 @@ pub fn attack_set_from_parts(images: Tensor, labels: Vec<usize>) -> Result<Attac
     Ok(AttackSet { images, labels })
 }
 
-/// Renders an `n × c × h × w` stack as a flat batch of rows for MLP-style
-/// models (utility for tests).
-pub fn flatten_batch(x: &Tensor) -> Result<Tensor> {
-    let n = x.shape().dim(0);
-    let features = x.shape().volume() / n.max(1);
-    Ok(x.reshape(Shape::matrix(n, features))?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adv_attacks::Fgsm;
+    use adv_attacks::{Attack, Fgsm};
     use adv_data::synth::mnist_like;
     use adv_nn::LayerSpec;
+    use adv_tensor::Shape;
 
     /// A deliberately weak "classifier": logits = mean pixel vs 1 − mean.
     fn tiny_classifier() -> Sequential {

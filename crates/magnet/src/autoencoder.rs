@@ -149,22 +149,11 @@ impl Autoencoder {
         Ok(self.net.infer(x)?)
     }
 
-    /// Per-item Lᵖ reconstruction error of a batch (`p` = 1 or 2).
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the forward pass.
-    pub fn reconstruction_errors(&self, x: &Tensor, p: u8) -> Result<Vec<f32>> {
-        let recon = self.reconstruct(x)?;
-        Ok(Self::errors_against(x, &recon, p))
-    }
-
     /// Per-item Lᵖ error between a batch and an already-computed
     /// reconstruction of it (`p` = 1 or 2).
     ///
-    /// Lets a fused pipeline reuse one `AE(x)` pass across several detectors
-    /// without re-running the network; `reconstruction_errors` is exactly
-    /// `errors_against(x, &self.reconstruct(x)?, p)`.
+    /// Taking the reconstruction as an argument lets the pipeline reuse one
+    /// `AE(x)` pass across several detectors and the reformer.
     pub fn errors_against(x: &Tensor, recon: &Tensor, p: u8) -> Vec<f32> {
         let n = x.shape().dim(0);
         let item = x.shape().volume() / n.max(1);
@@ -210,6 +199,10 @@ mod tests {
         })
     }
 
+    fn errors(ae: &Autoencoder, x: &Tensor, p: u8) -> Vec<f32> {
+        Autoencoder::errors_against(x, &ae.reconstruct(x).unwrap(), p)
+    }
+
     #[test]
     fn training_reduces_reconstruction_error() {
         let mut ae = Autoencoder::new(
@@ -220,9 +213,9 @@ mod tests {
         )
         .unwrap();
         let images = toy_images(32);
-        let before: f32 = ae.reconstruction_errors(&images, 2).unwrap().iter().sum();
+        let before: f32 = errors(&ae, &images, 2).iter().sum();
         ae.train(&images, 20, 8, 0.01, 2).unwrap();
-        let after: f32 = ae.reconstruction_errors(&images, 2).unwrap().iter().sum();
+        let after: f32 = errors(&ae, &images, 2).iter().sum();
         assert!(after < before, "recon error {after} not below {before}");
     }
 
@@ -251,8 +244,8 @@ mod tests {
         )
         .unwrap();
         let x = toy_images(3);
-        let l1 = ae.reconstruction_errors(&x, 1).unwrap();
-        let l2 = ae.reconstruction_errors(&x, 2).unwrap();
+        let l1 = errors(&ae, &x, 1);
+        let l2 = errors(&ae, &x, 2);
         for (a, b) in l1.iter().zip(l2.iter()) {
             assert!(a + 1e-5 >= *b);
         }

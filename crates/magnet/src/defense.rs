@@ -25,6 +25,37 @@ fn record_verdicts(verdicts: &[Verdict]) {
     r.counter("magnet.detected").add(detected as u64);
 }
 
+/// Name of the detector stage: its profiling [`StageScope`] and the tag
+/// [`MagnetDefense::classify_staged`] passes to its hook.
+pub const STAGE_DETECT: &str = "magnet/detect";
+/// Name of the reformer stage.
+pub const STAGE_REFORM: &str = "magnet/reform";
+/// Name of the classifier stage.
+pub const STAGE_CLASSIFY: &str = "magnet/classify";
+
+/// The stage hook of callers that inject nothing.
+fn no_hook(_stage: &'static str) -> Result<()> {
+    Ok(())
+}
+
+/// Runs one pipeline stage inside its [`StageScope`], `before_stage` first,
+/// and returns the stage's output with its wall-clock time.
+fn timed_stage<T>(
+    name: &'static str,
+    before_stage: &dyn Fn(&'static str) -> Result<()>,
+    run: impl FnOnce() -> Result<T>,
+) -> Result<(T, Duration)> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "StageTimings is part of the pipeline API; the clock read is the feature."
+    )]
+    let started = std::time::Instant::now();
+    let _stage = StageScope::enter(name);
+    before_stage(name)?;
+    let out = run()?;
+    Ok((out, started.elapsed()))
+}
+
 /// Which parts of MagNet are active — the four defense schemes compared in
 /// the paper's supplementary figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,8 +124,9 @@ impl Verdict {
     }
 }
 
-/// Wall-clock time spent in each stage of one [`MagnetDefense::classify_timed`]
-/// call. Stages skipped by the scheme report [`Duration::ZERO`].
+/// Wall-clock time spent in each stage of one
+/// [`MagnetDefense::classify_staged`] call. Stages skipped by the scheme
+/// report [`Duration::ZERO`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Detector scoring (all deployed detectors, OR-combined).
@@ -116,8 +148,9 @@ impl StageTimings {
 ///
 /// The serving engine (`adv-serve`) drives whatever implements this trait —
 /// normally [`MagnetDefense`] itself, but also wrappers that decorate the
-/// pipeline (the chaos crate's `FaultyDefense` injects faults between
-/// stages). Implementations must be safe to share across worker threads.
+/// pipeline (the chaos crate's `FaultyDefense` injects faults into its
+/// stages through [`MagnetDefense::classify_staged`]). Implementations must
+/// be safe to share across worker threads.
 pub trait DefensePipeline: Send + Sync + std::fmt::Debug {
     /// The pipeline's display name.
     fn name(&self) -> &str;
@@ -165,9 +198,8 @@ impl DefensePipeline for MagnetDefense {
         x: &Tensor,
         scheme: DefenseScheme,
     ) -> Result<(Vec<Verdict>, StageTimings)> {
-        // The fused pass is the serving hot path: bit-identical to
-        // `classify`, with shared sub-computations memoised per batch.
-        self.classify_fused(x, scheme)
+        let (verdicts, _, timings) = self.classify_staged(x, scheme, &no_hook)?;
+        Ok((verdicts, timings))
     }
 
     fn classify_batch_scored(
@@ -175,7 +207,7 @@ impl DefensePipeline for MagnetDefense {
         x: &Tensor,
         scheme: DefenseScheme,
     ) -> Result<(Vec<Verdict>, Vec<Vec<f32>>, StageTimings)> {
-        self.classify_fused_scored(x, scheme)
+        self.classify_staged(x, scheme, &no_hook)
     }
 }
 
@@ -265,152 +297,51 @@ impl MagnetDefense {
             .collect()
     }
 
-    /// Reforms a batch through the reformer auto-encoder.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the auto-encoder.
-    pub fn reform(&self, x: &Tensor) -> Result<Tensor> {
-        self.reformer.reconstruct(x)
-    }
-
     /// Runs the pipeline under a scheme and returns one verdict per input.
     ///
     /// # Errors
     ///
     /// Propagates detector and classifier errors.
     pub fn classify(&self, x: &Tensor, scheme: DefenseScheme) -> Result<Vec<Verdict>> {
-        Ok(self.classify_timed(x, scheme)?.0)
+        Ok(self.classify_staged(x, scheme, &no_hook)?.0)
     }
 
-    /// Like [`classify`](Self::classify) but also reports wall-clock time per
-    /// pipeline stage — the serving engine's per-request latency breakdown.
+    /// The pipeline's one stage runner: detectors, then the reformer, then
+    /// the classifier, skipping the stages `scheme` leaves out. Returns one
+    /// verdict per input, each deployed detector's per-item scores (outer
+    /// index = detector, deployment order; empty under schemes that skip
+    /// the detectors) and the wall-clock time of each stage.
+    ///
+    /// `before_stage` runs first inside each stage that executes, with that
+    /// stage's name ([`STAGE_DETECT`], [`STAGE_REFORM`], [`STAGE_CLASSIFY`]);
+    /// an error from it ends the pass. Fault injection hooks in here; every
+    /// other caller passes a no-op.
+    ///
+    /// The pass runs through one [`InferenceCache`], so sub-computations
+    /// shared between detectors, reformer and classifier execute once per
+    /// batch. That is MagNet's own redundancy: the paper's assemblies reuse
+    /// one auto-encoder as both detector and reformer, and JSD detectors
+    /// re-run the protected classifier. The cache reuses a result only when
+    /// model and input are bit-identical, so every verdict and score equals
+    /// the one each stage computes on its own.
     ///
     /// # Errors
     ///
-    /// Propagates detector and classifier errors.
-    pub fn classify_timed(
+    /// Propagates hook, detector and classifier errors.
+    pub fn classify_staged(
         &self,
         x: &Tensor,
         scheme: DefenseScheme,
-    ) -> Result<(Vec<Verdict>, StageTimings)> {
-        let n = x.shape().dim(0);
-        let mut timings = StageTimings::default();
-
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "StageTimings.detect is part of the classify_timed/classify_fused API; the clock read is the feature."
-        )]
-        let t0 = std::time::Instant::now();
-        let detected = match scheme {
-            DefenseScheme::DetectorOnly | DefenseScheme::Full => {
-                let _stage = StageScope::enter("magnet/detect");
-                let d = self.detect(x)?;
-                timings.detect = t0.elapsed();
-                d
-            }
-            _ => vec![false; n],
-        };
-
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "StageTimings.reform is part of the classify_timed/classify_fused API; the clock read is the feature."
-        )]
-        let t1 = std::time::Instant::now();
-        let input = match scheme {
-            DefenseScheme::ReformerOnly | DefenseScheme::Full => {
-                let _stage = StageScope::enter("magnet/reform");
-                let r = self.reform(x)?;
-                timings.reform = t1.elapsed();
-                r
-            }
-            _ => x.clone(),
-        };
-
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "StageTimings.classify is part of the classify_timed/classify_fused API; the clock read is the feature."
-        )]
-        let t2 = std::time::Instant::now();
-        let preds = {
-            let _stage = StageScope::enter("magnet/classify");
-            self.classifier.predict_shared(&input)?
-        };
-        timings.classify = t2.elapsed();
-
-        let verdicts: Vec<Verdict> = detected
-            .into_iter()
-            .zip(preds)
-            .map(|(d, p)| {
-                if d {
-                    Verdict::Detected
-                } else {
-                    Verdict::Classified(p)
-                }
-            })
-            .collect();
-        record_verdicts(&verdicts);
-        Ok((verdicts, timings))
-    }
-
-    /// Like [`classify_timed`](Self::classify_timed), but runs the pipeline
-    /// through an [`InferenceCache`] so sub-computations shared between
-    /// detectors, reformer, and classifier execute once per batch instead of
-    /// once per consumer.
-    ///
-    /// The cache only reuses a result when model parameters and input tensor
-    /// are bit-identical, so the verdicts (and stage attribution of *which*
-    /// work ran) match [`classify`](Self::classify) exactly — this is the
-    /// serving engine's hot path, and its speedup over the serial path comes
-    /// from MagNet's own redundancy: the paper's assemblies reuse one
-    /// auto-encoder as both detector and reformer, and JSD detectors re-run
-    /// the protected classifier.
-    ///
-    /// # Errors
-    ///
-    /// Propagates detector and classifier errors.
-    pub fn classify_fused(
-        &self,
-        x: &Tensor,
-        scheme: DefenseScheme,
-    ) -> Result<(Vec<Verdict>, StageTimings)> {
-        let (verdicts, _, timings) = self.classify_fused_scored(x, scheme)?;
-        Ok((verdicts, timings))
-    }
-
-    /// Like [`classify_fused`](Self::classify_fused), but also returns each
-    /// detector's per-item scores (outer index = detector, deployment
-    /// order; empty under schemes that skip the detectors). The verdicts
-    /// are bit-identical to `classify_fused` — flags are `score >
-    /// threshold` on the exact same score vectors the detectors already
-    /// compute, so keeping them costs no extra pipeline work.
-    ///
-    /// # Errors
-    ///
-    /// Propagates detector and classifier errors.
-    pub fn classify_fused_scored(
-        &self,
-        x: &Tensor,
-        scheme: DefenseScheme,
+        before_stage: &dyn Fn(&'static str) -> Result<()>,
     ) -> Result<(Vec<Verdict>, Vec<Vec<f32>>, StageTimings)> {
-        let n = x.shape().dim(0);
         let mut timings = StageTimings::default();
         let mut cache = InferenceCache::new();
-
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "StageTimings.detect is part of the classify_timed/classify_fused API; the clock read is the feature."
-        )]
-        let t0 = std::time::Instant::now();
+        let mut detected = vec![false; x.shape().dim(0)];
         let mut det_scores: Vec<Vec<f32>> = Vec::new();
-        let detected = match scheme {
-            DefenseScheme::DetectorOnly | DefenseScheme::Full => {
-                let _stage = StageScope::enter("magnet/detect");
-                let mut combined = vec![false; n];
+
+        if matches!(scheme, DefenseScheme::DetectorOnly | DefenseScheme::Full) {
+            timings.detect = timed_stage(STAGE_DETECT, before_stage, || {
                 for det in &self.detectors {
-                    // Inline of Detector::flags_fused, keeping the scores:
-                    // same threshold lookup, same record_scores call, same
-                    // strict `>` comparison.
                     let threshold =
                         det.threshold()
                             .ok_or_else(|| crate::MagnetError::Uncalibrated {
@@ -418,43 +349,31 @@ impl MagnetDefense {
                             })?;
                     let scores = det.scores_fused(x, &mut cache)?;
                     crate::detector::record_scores(&det.name(), &scores);
-                    for (c, s) in combined.iter_mut().zip(&scores) {
+                    for (c, s) in detected.iter_mut().zip(&scores) {
                         *c |= *s > threshold;
                     }
                     det_scores.push(scores);
                 }
-                timings.detect = t0.elapsed();
-                combined
-            }
-            _ => vec![false; n],
+                Ok(())
+            })?
+            .1;
+        }
+
+        let reformed = if matches!(scheme, DefenseScheme::ReformerOnly | DefenseScheme::Full) {
+            let (r, t) = timed_stage(STAGE_REFORM, before_stage, || {
+                cache.reconstruction(&self.reformer, x)
+            })?;
+            timings.reform = t;
+            Some(r)
+        } else {
+            None
         };
 
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "StageTimings.reform is part of the classify_timed/classify_fused API; the clock read is the feature."
-        )]
-        let t1 = std::time::Instant::now();
-        let input = match scheme {
-            DefenseScheme::ReformerOnly | DefenseScheme::Full => {
-                let _stage = StageScope::enter("magnet/reform");
-                let r = cache.reconstruction(&self.reformer, x)?;
-                timings.reform = t1.elapsed();
-                r
-            }
-            _ => x.clone(),
-        };
-
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "StageTimings.classify is part of the classify_timed/classify_fused API; the clock read is the feature."
-        )]
-        let t2 = std::time::Instant::now();
-        let preds = {
-            let _stage = StageScope::enter("magnet/classify");
-            let logits = cache.logits(&self.classifier, &input)?;
-            logits.argmax_rows()?
-        };
-        timings.classify = t2.elapsed();
+        let (preds, t) = timed_stage(STAGE_CLASSIFY, before_stage, || {
+            let logits = cache.logits(&self.classifier, reformed.as_ref().unwrap_or(x))?;
+            Ok(logits.argmax_rows()?)
+        })?;
+        timings.classify = t;
 
         let verdicts: Vec<Verdict> = detected
             .into_iter()
@@ -490,8 +409,7 @@ impl MagnetDefense {
         Ok(defended as f32 / verdicts.len() as f32)
     }
 
-    /// Shared access to the protected classifier (pipeline wrappers run the
-    /// final forward pass themselves, e.g. to inject faults between stages).
+    /// Shared access to the protected classifier.
     pub fn classifier(&self) -> &Sequential {
         &self.classifier
     }
@@ -504,16 +422,6 @@ impl MagnetDefense {
     /// Shared access to the deployed detectors.
     pub fn detectors(&self) -> &[Box<dyn Detector>] {
         &self.detectors
-    }
-
-    /// Mutable access to the protected classifier (for gray-box experiments).
-    pub fn classifier_mut(&mut self) -> &mut Sequential {
-        &mut self.classifier
-    }
-
-    /// Mutable access to the reformer (for gray-box experiments).
-    pub fn reformer_mut(&mut self) -> &mut Autoencoder {
-        &mut self.reformer
     }
 }
 
@@ -533,7 +441,8 @@ mod tests {
             1,
         )
         .unwrap();
-        let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap();
+        // Seed 4: an untrained classifier whose predictions vary by input.
+        let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 4).unwrap();
         let det = ReconstructionDetector::new(ae.clone(), ReconstructionNorm::L2);
         MagnetDefense::new("toy", vec![Box::new(det)], ae, classifier)
     }
@@ -635,7 +544,8 @@ mod tests {
             1,
         )
         .unwrap();
-        let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap();
+        // Seed 4: an untrained classifier whose predictions vary by input.
+        let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 4).unwrap();
         let detectors: Vec<Box<dyn Detector>> = vec![
             Box::new(ReconstructionDetector::new(
                 ae.clone(),
@@ -651,61 +561,153 @@ mod tests {
         MagnetDefense::new("toy-d-jsd", detectors, ae, classifier)
     }
 
+    /// The pipeline composed stage by stage with no sharing: each detector
+    /// scores on its own cache, then `reformer().reconstruct`, then
+    /// `classifier().infer` and argmax. Returns verdicts and per-detector
+    /// scores in the runner's layout.
+    fn unshared_reference(
+        d: &MagnetDefense,
+        x: &Tensor,
+        scheme: DefenseScheme,
+    ) -> (Vec<Verdict>, Vec<Vec<f32>>) {
+        let n = x.shape().dim(0);
+        let mut detected = vec![false; n];
+        let mut scores = Vec::new();
+        if matches!(scheme, DefenseScheme::DetectorOnly | DefenseScheme::Full) {
+            for det in d.detectors() {
+                let s = det.scores(x).unwrap();
+                for ((c, f), v) in detected.iter_mut().zip(det.flags(x).unwrap()).zip(&s) {
+                    assert_eq!(f, *v > det.threshold().unwrap());
+                    *c |= f;
+                }
+                scores.push(s);
+            }
+        }
+        let input = match scheme {
+            DefenseScheme::ReformerOnly | DefenseScheme::Full => {
+                d.reformer().reconstruct(x).unwrap()
+            }
+            _ => x.clone(),
+        };
+        let preds = d.classifier().infer(&input).unwrap().argmax_rows().unwrap();
+        let verdicts = detected
+            .into_iter()
+            .zip(preds)
+            .map(|(det, p)| {
+                if det {
+                    Verdict::Detected
+                } else {
+                    Verdict::Classified(p)
+                }
+            })
+            .collect();
+        (verdicts, scores)
+    }
+
+    fn bits(scores: &[Vec<f32>]) -> Vec<Vec<u32>> {
+        scores
+            .iter()
+            .map(|col| col.iter().map(|s| s.to_bits()).collect())
+            .collect()
+    }
+
+    /// Six items like the calibration data, then six saturated stripes far
+    /// from it.
+    fn mixed_batch() -> Tensor {
+        Tensor::from_fn(Shape::nchw(12, 1, 8, 8), |i| {
+            if i < 6 * 64 {
+                ((i * 7) % 11) as f32 / 11.0
+            } else {
+                ((i / 3) % 2) as f32
+            }
+        })
+    }
+
     #[test]
-    fn fused_pipeline_is_bit_identical_to_serial() {
+    fn runner_is_bit_identical_to_unshared_stages() {
         for mut d in [toy_defense(), jsd_defense()] {
             d.calibrate_detectors(&toy_batch(64), 0.05).unwrap();
-            let x = toy_batch(12);
+            // With several detectors, the last flags nothing: the OR must
+            // carry the others' flags.
+            if let [_, .., last] = d.detectors.as_mut_slice() {
+                last.set_threshold(f32::INFINITY);
+            }
+            let x = mixed_batch();
+            // The batch must tell the stages apart: some input detected,
+            // some not, and some prediction changed by the reformer.
+            let (detected, _) = unshared_reference(&d, &x, DefenseScheme::DetectorOnly);
+            assert!(detected.contains(&Verdict::Detected), "{}", d.name());
+            assert!(detected.iter().any(|v| *v != Verdict::Detected));
+            assert_ne!(
+                unshared_reference(&d, &x, DefenseScheme::None).0,
+                unshared_reference(&d, &x, DefenseScheme::ReformerOnly).0,
+                "{}",
+                d.name()
+            );
             for scheme in DefenseScheme::ALL {
-                let serial = d.classify(&x, scheme).unwrap();
-                let (fused, timings) = d.classify_fused(&x, scheme).unwrap();
-                assert_eq!(fused, serial, "{} {scheme:?}", d.name());
-                if scheme == DefenseScheme::Full {
-                    assert!(timings.detect > Duration::ZERO);
+                let (want, want_scores) = unshared_reference(&d, &x, scheme);
+                let (got, got_scores, timings) = d.classify_batch_scored(&x, scheme).unwrap();
+                assert_eq!(got, want, "{} {scheme:?}", d.name());
+                assert_eq!(
+                    bits(&got_scores),
+                    bits(&want_scores),
+                    "{} {scheme:?}",
+                    d.name()
+                );
+                assert_eq!(d.classify(&x, scheme).unwrap(), want);
+                match scheme {
+                    DefenseScheme::DetectorOnly | DefenseScheme::Full => {
+                        assert_eq!(got_scores.len(), d.num_detectors());
+                        assert!(timings.detect > Duration::ZERO);
+                    }
+                    _ => assert!(got_scores.is_empty(), "{scheme:?}"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn hook_sees_each_executed_stage_in_order() {
+        let mut d = jsd_defense();
+        d.calibrate_detectors(&toy_batch(64), 0.05).unwrap();
+        let x = toy_batch(3);
+        let expected: [&[&str]; 4] = [
+            &[STAGE_CLASSIFY],
+            &[STAGE_DETECT, STAGE_CLASSIFY],
+            &[STAGE_REFORM, STAGE_CLASSIFY],
+            &[STAGE_DETECT, STAGE_REFORM, STAGE_CLASSIFY],
+        ];
+        for (scheme, want) in DefenseScheme::ALL.into_iter().zip(expected) {
+            let seen = std::cell::RefCell::new(Vec::new());
+            d.classify_staged(&x, scheme, &|stage| {
+                seen.borrow_mut().push(stage);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(seen.into_inner(), want, "{scheme:?}");
         }
     }
 
     #[test]
     fn fused_pass_actually_deduplicates_shared_work() {
         // Replay a Full pass through one cache and count network executions.
-        // Serial, this defense runs the shared AE four times (recon detector,
-        // two JSD detectors, reformer) and the classifier five times (x and
-        // AE(x) per JSD detector, plus the final pass on the reformed batch)
-        // — 9 network runs for only 3 distinct computations.
+        // Unshared, this defense runs the shared AE four times (recon
+        // detector, two JSD detectors, reformer) and the classifier five
+        // times (x and AE(x) per JSD detector, plus the final pass on the
+        // reformed batch) — 9 network runs for only 3 distinct computations.
         let mut d = jsd_defense();
         d.calibrate_detectors(&toy_batch(64), 0.05).unwrap();
         let x = toy_batch(4);
         let mut cache = InferenceCache::new();
         for det in &d.detectors {
-            det.flags_fused(&x, &mut cache).unwrap();
+            det.scores_fused(&x, &mut cache).unwrap();
         }
         let reformed = cache.reconstruction(&d.reformer, &x).unwrap();
         cache.logits(&d.classifier, &reformed).unwrap();
-        // Serial work: 4 AE passes + 5 classifier passes = 9 network runs.
+        // Unshared work: 4 AE passes + 5 classifier passes = 9 network runs.
         // Distinct: AE(x), logits(x), logits(AE(x)) = 3.
         assert_eq!(cache.misses(), 3, "distinct sub-computations");
         assert_eq!(cache.hits(), 6, "deduplicated sub-computations");
-    }
-
-    #[test]
-    fn scored_pipeline_is_bit_identical_and_exposes_scores() {
-        let mut d = jsd_defense();
-        d.calibrate_detectors(&toy_batch(64), 0.05).unwrap();
-        let x = toy_batch(6);
-        for scheme in DefenseScheme::ALL {
-            let (plain, _) = d.classify_fused(&x, scheme).unwrap();
-            let (scored, scores, _) = d.classify_fused_scored(&x, scheme).unwrap();
-            assert_eq!(scored, plain, "{scheme:?}");
-            match scheme {
-                DefenseScheme::DetectorOnly | DefenseScheme::Full => {
-                    assert_eq!(scores.len(), d.num_detectors(), "{scheme:?}");
-                    assert!(scores.iter().all(|col| col.len() == 6));
-                }
-                _ => assert!(scores.is_empty(), "{scheme:?}"),
-            }
-        }
     }
 
     #[test]

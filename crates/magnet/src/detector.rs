@@ -45,12 +45,25 @@ pub trait Detector: Send + Sync + fmt::Debug {
     /// Human-readable detector name (appears in reports and errors).
     fn name(&self) -> String;
 
-    /// Per-item anomaly scores for an NCHW batch (higher = more anomalous).
+    /// Per-item anomaly scores for an NCHW batch (higher = more anomalous),
+    /// reusing sub-computations (auto-encoder reconstructions, classifier
+    /// logits) from `cache` and depositing its own for the stages that run
+    /// later in the same pass.
     ///
     /// # Errors
     ///
     /// Returns shape errors when `x` does not match the detector's models.
-    fn scores(&self, x: &Tensor) -> Result<Vec<f32>>;
+    fn scores_fused<'m>(&'m self, x: &Tensor, cache: &mut InferenceCache<'m>) -> Result<Vec<f32>>;
+
+    /// Per-item anomaly scores for an NCHW batch, scored on its own
+    /// ([`InferenceCache::unshared`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`scores_fused`](Self::scores_fused).
+    fn scores(&self, x: &Tensor) -> Result<Vec<f32>> {
+        self.scores_fused(x, &mut InferenceCache::unshared())
+    }
 
     /// The calibrated threshold, or `None` before calibration.
     fn threshold(&self) -> Option<f32>;
@@ -87,35 +100,6 @@ pub trait Detector: Send + Sync + fmt::Debug {
         record_scores(&self.name(), &scores);
         Ok(scores.into_iter().map(|s| s > threshold).collect())
     }
-
-    /// Like [`scores`](Self::scores), but allowed to reuse sub-computations
-    /// (auto-encoder reconstructions, classifier logits) from `cache` and to
-    /// deposit its own for detectors evaluated later in the same pass.
-    ///
-    /// Must be bit-identical to `scores`; the default ignores the cache.
-    ///
-    /// # Errors
-    ///
-    /// As [`scores`](Self::scores).
-    fn scores_fused<'m>(&'m self, x: &Tensor, cache: &mut InferenceCache<'m>) -> Result<Vec<f32>> {
-        let _ = cache;
-        self.scores(x)
-    }
-
-    /// Like [`flags`](Self::flags), but via
-    /// [`scores_fused`](Self::scores_fused).
-    ///
-    /// # Errors
-    ///
-    /// As [`flags`](Self::flags).
-    fn flags_fused<'m>(&'m self, x: &Tensor, cache: &mut InferenceCache<'m>) -> Result<Vec<bool>> {
-        let threshold = self.threshold().ok_or_else(|| MagnetError::Uncalibrated {
-            detector: self.name(),
-        })?;
-        let scores = self.scores_fused(x, cache)?;
-        record_scores(&self.name(), &scores);
-        Ok(scores.into_iter().map(|s| s > threshold).collect())
-    }
 }
 
 /// MagNet's reconstruction-error detector: `‖x − AE(x)‖ₚ` against a
@@ -149,14 +133,6 @@ impl Detector for ReconstructionDetector {
             ReconstructionNorm::L1 => "recon-l1".to_string(),
             ReconstructionNorm::L2 => "recon-l2".to_string(),
         }
-    }
-
-    fn scores(&self, x: &Tensor) -> Result<Vec<f32>> {
-        let p = match self.norm {
-            ReconstructionNorm::L1 => 1,
-            ReconstructionNorm::L2 => 2,
-        };
-        self.ae.reconstruction_errors(x, p)
     }
 
     fn threshold(&self) -> Option<f32> {
@@ -214,15 +190,6 @@ impl JsdDetector {
     pub fn temperature(&self) -> f32 {
         self.temperature
     }
-
-    /// JSD between temperature-softened class distributions of the two logit
-    /// batches — the post-network math shared by the plain and fused paths.
-    fn jsd_from_logits(&self, logits_x: &Tensor, logits_r: &Tensor) -> Result<Vec<f32>> {
-        let k = logits_x.shape().dim(1);
-        let px = softmax_rows_with_temperature(logits_x, self.temperature)?;
-        let pr = softmax_rows_with_temperature(logits_r, self.temperature)?;
-        jsd_rows(px.as_slice(), pr.as_slice(), k)
-    }
 }
 
 impl Detector for JsdDetector {
@@ -231,13 +198,6 @@ impl Detector for JsdDetector {
         let t = format!("{:.2}", self.temperature);
         let t = t.trim_end_matches('0').trim_end_matches('.');
         format!("jsd-t{t}")
-    }
-
-    fn scores(&self, x: &Tensor) -> Result<Vec<f32>> {
-        let recon = self.ae.reconstruct(x)?;
-        let logits_x = self.classifier.infer(x)?;
-        let logits_r = self.classifier.infer(&recon)?;
-        self.jsd_from_logits(&logits_x, &logits_r)
     }
 
     fn threshold(&self) -> Option<f32> {
@@ -252,7 +212,10 @@ impl Detector for JsdDetector {
         let recon = cache.reconstruction(&self.ae, x)?;
         let logits_x = cache.logits(&self.classifier, x)?;
         let logits_r = cache.logits(&self.classifier, &recon)?;
-        self.jsd_from_logits(&logits_x, &logits_r)
+        let k = logits_x.shape().dim(1);
+        let px = softmax_rows_with_temperature(&logits_x, self.temperature)?;
+        let pr = softmax_rows_with_temperature(&logits_r, self.temperature)?;
+        jsd_rows(px.as_slice(), pr.as_slice(), k)
     }
 }
 

@@ -15,8 +15,8 @@
 //! [`Sequential::same_function`](adv_nn::Sequential::same_function)) *and*
 //! the input tensor compares bit-for-bit equal. Since inference is
 //! deterministic, a hit returns exactly the tensor the model would have
-//! produced — so the fused path is a drop-in replacement for the serial
-//! one, which the equivalence tests assert verdict-by-verdict.
+//! produced — so the pipeline pass gives the results of running each stage
+//! on its own, which `adv-magnet`'s tests assert bit for bit.
 //!
 //! The cache is deliberately scoped to a single call (it borrows the
 //! models, holds clones of inputs/outputs, and is dropped at the end), so
@@ -29,7 +29,7 @@ use adv_nn::Sequential;
 use adv_tensor::Tensor;
 
 /// Memoises auto-encoder reconstructions and classifier logits within one
-/// fused defense pass.
+/// defense pass.
 ///
 /// Entries are stored in small vectors and matched linearly: a defense
 /// deploys a handful of models and each pass touches a handful of distinct
@@ -42,6 +42,8 @@ pub struct InferenceCache<'m> {
     logits: Vec<(&'m Sequential, Tensor, Tensor)>,
     hits: usize,
     misses: usize,
+    /// Keep no entries (see [`InferenceCache::unshared`]).
+    unshared: bool,
 }
 
 /// `true` when the two auto-encoders reconstruct identically: same wrapped
@@ -61,6 +63,16 @@ impl<'m> InferenceCache<'m> {
         InferenceCache::default()
     }
 
+    /// A cache that keeps nothing, so every request runs its network. For
+    /// one detector scoring on its own, whose sub-computations never
+    /// repeat, memoising would only copy tensors.
+    pub fn unshared() -> Self {
+        InferenceCache {
+            unshared: true,
+            ..InferenceCache::default()
+        }
+    }
+
     /// `AE(x)`, computed at most once per distinct `(auto-encoder, x)`.
     ///
     /// # Errors
@@ -77,7 +89,9 @@ impl<'m> InferenceCache<'m> {
         }
         let out = ae.reconstruct(x)?;
         self.misses += 1;
-        self.recons.push((ae, x.clone(), out.clone()));
+        if !self.unshared {
+            self.recons.push((ae, x.clone(), out.clone()));
+        }
         Ok(out)
     }
 
@@ -98,7 +112,9 @@ impl<'m> InferenceCache<'m> {
         }
         let out = net.infer(x)?;
         self.misses += 1;
-        self.logits.push((net, x.clone(), out.clone()));
+        if !self.unshared {
+            self.logits.push((net, x.clone(), out.clone()));
+        }
         Ok(out)
     }
 
@@ -145,6 +161,17 @@ mod tests {
         let b = cache.reconstruction(&ae, &x).unwrap();
         assert_eq!(a, b);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    #[test]
+    fn unshared_cache_recomputes_and_keeps_nothing() {
+        let ae = toy_ae(1);
+        let x = toy_batch(2, 0);
+        let mut cache = InferenceCache::unshared();
+        let a = cache.reconstruction(&ae, &x).unwrap();
+        let b = cache.reconstruction(&ae, &x).unwrap();
+        assert_eq!(a, b);
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
     }
 
     #[test]

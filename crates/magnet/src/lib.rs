@@ -46,7 +46,10 @@ pub mod threshold;
 pub mod variants;
 
 pub use autoencoder::Autoencoder;
-pub use defense::{DefensePipeline, DefenseScheme, MagnetDefense, StageTimings, Verdict};
+pub use defense::{
+    DefensePipeline, DefenseScheme, MagnetDefense, StageTimings, Verdict, STAGE_CLASSIFY,
+    STAGE_DETECT, STAGE_REFORM,
+};
 pub use detector::{Detector, JsdDetector, ReconstructionDetector, ReconstructionNorm};
 pub use error::MagnetError;
 pub use fused::InferenceCache;

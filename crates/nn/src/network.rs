@@ -197,17 +197,6 @@ impl Sequential {
         Ok(x)
     }
 
-    /// Predicted class per batch row (argmax of [`infer`](Self::infer)
-    /// logits), callable from `&self`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates forward errors; the output must be rank 2.
-    pub fn predict_shared(&self, input: &Tensor) -> Result<Vec<usize>> {
-        let logits = self.infer(input)?;
-        logits.argmax_rows().map_err(NnError::Tensor)
-    }
-
     /// Back-propagates `grad_output` through all layers (accumulating
     /// parameter gradients) and returns the gradient with respect to the
     /// network input.
@@ -431,7 +420,7 @@ mod tests {
         let eager = net.forward(&x, Mode::Eval).unwrap();
         let shared = net.infer(&x).unwrap();
         assert_eq!(eager, shared);
-        assert_eq!(net.predict(&x).unwrap(), net.predict_shared(&x).unwrap());
+        assert_eq!(net.predict(&x).unwrap(), shared.argmax_rows().unwrap());
     }
 
     #[test]

@@ -451,15 +451,6 @@ impl Registry {
         })
     }
 
-    /// Get-or-create the histogram `name` with [`DURATION_BOUNDS_NS`].
-    ///
-    /// # Errors
-    ///
-    /// [`MetricError`] if `name` is already registered as another kind.
-    pub fn try_histogram(&self, name: &str) -> Result<Arc<Histogram>, MetricError> {
-        self.try_histogram_with(name, DURATION_BOUNDS_NS)
-    }
-
     /// Get-or-create the histogram `name` with [`DURATION_BOUNDS_NS`]; on a
     /// kind mismatch returns a detached histogram and bumps
     /// [`Registry::kind_mismatches`].

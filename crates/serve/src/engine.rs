@@ -575,23 +575,14 @@ fn process_batch(ctx: &WorkerCtx, batch: Vec<Request>) -> WorkerExit {
                 };
                 stacked.and_then(|x| {
                     let _pipeline = StageScope::enter("serve/pipeline");
-                    // The fused pass memoises sub-computations shared
-                    // between detectors, reformer, and classifier within
-                    // the batch; its verdicts are bit-identical to serial
-                    // classification (the equivalence tests pin this), so
-                    // batching changes throughput, not results. The scored
-                    // variant (same verdicts, detector scores kept instead
-                    // of dropped) runs only when an observer wants them.
-                    if cfg.observer.is_some() {
-                        ctx.pipeline
-                            .classify_batch_scored(&x, scheme)
-                            .map_err(|e| ServeError::Pipeline(e.to_string()))
-                    } else {
-                        ctx.pipeline
-                            .classify_batch(&x, scheme)
-                            .map(|(verdicts, timings)| (verdicts, Vec::new(), timings))
-                            .map_err(|e| ServeError::Pipeline(e.to_string()))
-                    }
+                    // MagNet runs the same pass for a batch as for one
+                    // input, so batching changes throughput, not results
+                    // (the equivalence tests pin this). The detector scores
+                    // cost no extra work; they are dropped below unless an
+                    // observer wants them.
+                    ctx.pipeline
+                        .classify_batch_scored(&x, scheme)
+                        .map_err(|e| ServeError::Pipeline(e.to_string()))
                 })
             }));
             match run {

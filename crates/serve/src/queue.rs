@@ -89,12 +89,6 @@ impl<T> BoundedQueue<T> {
         self.not_empty.notify_all();
     }
 
-    /// `true` once [`close`](Self::close) has been called (items may still be
-    /// draining).
-    pub fn is_closed(&self) -> bool {
-        unpoison(self.inner.lock()).closed
-    }
-
     /// Blocks until at least one item is available, then drains up to `max`
     /// items, waiting at most `max_wait` (measured from the first item) for
     /// the batch to fill.

@@ -391,14 +391,6 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        let _prof = KernelScope::enter(KernelKind::Elementwise, || Work::map(self.data.len()));
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Combines two same-shape tensors elementwise with `f`.
     ///
     /// # Errors
