@@ -68,11 +68,6 @@ impl AttackOutcome {
     pub fn mean_l2_successful(&self) -> Option<f32> {
         mean_over(&self.l2, &self.success)
     }
-
-    /// Mean L∞ distortion over successful examples.
-    pub fn mean_linf_successful(&self) -> Option<f32> {
-        mean_over(&self.linf, &self.success)
-    }
 }
 
 fn mean_over(values: &[f32], mask: &[bool]) -> Option<f32> {
@@ -128,7 +123,6 @@ mod tests {
         assert!((outcome.success_rate() - 2.0 / 3.0).abs() < 1e-6);
         assert_eq!(outcome.mean_l1_successful(), Some(4.0));
         assert_eq!(outcome.mean_l2_successful(), Some(3.0));
-        assert_eq!(outcome.mean_linf_successful(), Some(2.5));
         assert_eq!(outcome.l2[1], 0.0);
     }
 

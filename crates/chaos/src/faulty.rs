@@ -94,6 +94,37 @@ mod tests {
     use adv_nn::Sequential;
     use adv_tensor::Shape;
 
+    /// Seed of the toy defenses' untrained classifier, chosen so that its
+    /// verdicts tell the test inputs apart (see [`assert_discriminating`]):
+    /// under a seed whose net predicts one class for every input, a pipeline
+    /// that classified the wrong tensor would match verdict for verdict.
+    const CLASSIFIER_SEED: u64 = 10;
+
+    /// The precondition that lets a verdict comparison over `x` see which
+    /// tensor the classifier got: the verdicts take at least two classes,
+    /// reforming changes at least one of them, and the no-defense and
+    /// reformer-only verdicts equal the classifier's argmax on the raw and
+    /// on the reformed input, computed from the defense's parts.
+    fn assert_discriminating(defense: &MagnetDefense, x: &Tensor) {
+        let argmax = |input: &Tensor| -> Vec<Verdict> {
+            let logits = defense.classifier().infer(input).unwrap();
+            let classes = logits.argmax_rows().unwrap();
+            classes.into_iter().map(Verdict::Classified).collect()
+        };
+        let raw = argmax(x);
+        let reformed = argmax(&defense.reformer().reconstruct(x).unwrap());
+        assert!(
+            raw.iter().any(|v| *v != raw[0]),
+            "one class for every input: {raw:?}"
+        );
+        assert_ne!(raw, reformed, "reforming changes no verdict");
+        assert_eq!(defense.classify(x, DefenseScheme::None).unwrap(), raw);
+        assert_eq!(
+            defense.classify(x, DefenseScheme::ReformerOnly).unwrap(),
+            reformed
+        );
+    }
+
     fn toy_defense() -> Arc<MagnetDefense> {
         let ae = Autoencoder::new(
             &mnist_ae_two(1, 3),
@@ -102,7 +133,8 @@ mod tests {
             1,
         )
         .unwrap();
-        let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap();
+        let classifier =
+            Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), CLASSIFIER_SEED).unwrap();
         let det: Box<dyn Detector> = Box::new(ReconstructionDetector::new(
             ae.clone(),
             ReconstructionNorm::L2,
@@ -122,7 +154,8 @@ mod tests {
             1,
         )
         .unwrap();
-        let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap();
+        let classifier =
+            Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), CLASSIFIER_SEED).unwrap();
         let detectors: Vec<Box<dyn Detector>> = vec![
             Box::new(ReconstructionDetector::new(
                 ae.clone(),
@@ -144,6 +177,7 @@ mod tests {
         let defense = jsd_defense();
         let faulty = FaultyDefense::new(defense.clone(), Arc::new(FaultInjector::disabled()));
         let x = batch(10);
+        assert_discriminating(&defense, &x);
         let bits = |scores: &[Vec<f32>]| -> Vec<Vec<u32>> {
             scores
                 .iter()
@@ -182,6 +216,7 @@ mod tests {
         // DetectorOnly never runs the reformer, so the reform site is never
         // consulted and the verdicts match the clean pipeline.
         let x = batch(4);
+        assert_discriminating(&defense, &x);
         let (got, _) = faulty
             .classify_batch(&x, DefenseScheme::DetectorOnly)
             .unwrap();

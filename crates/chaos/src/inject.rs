@@ -106,11 +106,6 @@ impl FaultInjector {
         }
     }
 
-    /// `true` when no site can ever inject.
-    pub fn is_noop(&self) -> bool {
-        self.sites.is_empty()
-    }
-
     /// Draws the next decision for `site` and returns it *without* acting
     /// on it. Unknown sites always return [`FaultAction::None`] and draw
     /// nothing.
@@ -226,7 +221,6 @@ mod tests {
     #[test]
     fn disabled_injector_is_noop() {
         let inj = FaultInjector::disabled();
-        assert!(inj.is_noop());
         for _ in 0..100 {
             assert_eq!(inj.decide("anything").0, FaultAction::None);
             inj.apply("anything").unwrap();

@@ -13,66 +13,45 @@
 //! it down.
 
 use crate::diagnostics::Finding;
-use crate::lexer::is_ident_char;
-use crate::source::{skip_ws, words};
+use crate::lexer::{lex, seq, Kind, Token};
 use std::collections::BTreeMap;
 use std::path::Path;
 
 /// File name of the committed baseline at the workspace root.
 pub const DEBT_FILE: &str = "lint_debt.json";
 
-/// Reads the committed baseline. `None` when no `lint_debt.json` exists
-/// (fixture workspaces and fresh checkouts are not debt-enforced).
-pub fn load_baseline(root: &Path) -> Option<BTreeMap<String, usize>> {
-    let text = std::fs::read_to_string(root.join(DEBT_FILE)).ok()?;
-    Some(parse_baseline(&text))
-}
-
-/// Parses the baseline's flat `{"rule": count, ...}` object. Unparseable
-/// entries are skipped — a malformed baseline then under-reports, and the
-/// growth check fails loudly rather than silently passing.
+/// Parses the baseline's flat `{"rule": count, ...}` object: each
+/// `"key": <number>` token run is an entry. Unparseable entries are
+/// skipped — a malformed baseline then under-reports, and the growth check
+/// fails loudly rather than silently passing.
 fn parse_baseline(text: &str) -> BTreeMap<String, usize> {
-    let mut out = BTreeMap::new();
-    // Flat object: split on '"' to get keys, read the number after the ':'.
-    let mut rest = text;
-    while let Some(q0) = rest.find('"') {
-        rest = &rest[q0 + 1..];
-        let Some(q1) = rest.find('"') else { break };
-        let key = &rest[..q1];
-        rest = &rest[q1 + 1..];
-        let Some(colon) = rest.find(':') else { break };
-        let after = rest[colon + 1..].trim_start();
-        let digits: String = after.chars().take_while(|c| c.is_ascii_digit()).collect();
-        if let Ok(n) = digits.parse::<usize>() {
-            if !key.is_empty() {
-                out.insert(key.to_string(), n);
-            }
-        }
-        rest = &rest[colon + 1..];
-    }
-    out
+    let (tokens, _) = lex(text);
+    let entry = |w: &[Token]| {
+        let key = w[0].text.strip_prefix('"')?.strip_suffix('"')?;
+        let count = w[2].text.parse().ok()?;
+        (w[1].is(":") && !key.is_empty()).then(|| (key.to_string(), count))
+    };
+    tokens.windows(3).filter_map(entry).collect()
 }
 
 /// Counts the clippy lints named by `#[expect(..)]` / `#![expect(..)]`
-/// attributes in scrubbed `code`, one per lint per attribute, keyed
-/// `clippy::<lint>`. Literal bodies are blanked in scrubbed code, so a
-/// `reason` string cannot add or hide a lint name.
-pub fn count_clippy_expects(code: &[char], counts: &mut BTreeMap<String, usize>) {
-    for at in words(code, "expect") {
-        let open = skip_ws(code, (0..at).rev()).filter(|&o| code[o] == '[');
-        let is_attr =
-            open.is_some_and(|o| code[..o].ends_with(&['#']) || code[..o].ends_with(&['#', '!']));
-        if !is_attr || code.get(at + "expect".len()) != Some(&'(') {
+/// attributes in `tokens`, one per lint per attribute, keyed
+/// `clippy::<lint>`. A `reason` string is one literal token, so it cannot
+/// add or hide a lint name.
+pub fn count_clippy_expects(tokens: &[Token], counts: &mut BTreeMap<String, usize>) {
+    for at in (2..tokens.len()).filter(|&at| seq(tokens, at, &["expect", "("])) {
+        let attr =
+            seq(tokens, at - 2, &["#", "["]) || (at >= 3 && seq(tokens, at - 3, &["#", "!", "["]));
+        if !attr {
             continue;
         }
-        let args: String = code[at + "expect(".len()..]
-            .iter()
-            .take_while(|&&c| c != ')')
-            .collect();
-        for arg in args.split(',') {
-            if let Some(lint) = arg.trim().strip_prefix("clippy::") {
-                let name: String = lint.chars().take_while(|&c| is_ident_char(c)).collect();
-                *counts.entry(format!("clippy::{name}")).or_insert(0) += 1;
+        let args = &tokens[at + 2..tokens[at + 1].close];
+        for k in 0..args.len() {
+            let arg_start = k == 0 || args[k - 1].is(",");
+            if arg_start && seq(args, k, &["clippy", "::"]) {
+                if let Some(lint) = args.get(k + 2).filter(|l| l.kind == Kind::Word) {
+                    *counts.entry(format!("clippy::{}", lint.text)).or_insert(0) += 1;
+                }
             }
         }
     }
@@ -81,23 +60,23 @@ pub fn count_clippy_expects(code: &[char], counts: &mut BTreeMap<String, usize>)
 /// Renders live counts as the baseline file's content (sorted, one rule
 /// per line, so diffs are reviewable).
 pub fn render_baseline(counts: &BTreeMap<String, usize>) -> String {
-    let mut out = String::from("{\n");
     let entries: Vec<String> = counts
         .iter()
         .filter(|(_, n)| **n > 0)
         .map(|(rule, n)| format!("  \"{rule}\": {n}"))
         .collect();
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n}\n");
-    out
+    format!("{{\n{}\n}}\n", entries.join(",\n"))
 }
 
 /// Compares live counts against the baseline, emitting one `lint-debt`
 /// finding per rule whose suppression count grew.
 pub fn check_debt(root: &Path, live: &BTreeMap<String, usize>, out: &mut Vec<Finding>) {
-    let Some(baseline) = load_baseline(root) else {
+    // Fixture workspaces and fresh checkouts have no baseline and are not
+    // debt-enforced.
+    let Ok(text) = std::fs::read_to_string(root.join(DEBT_FILE)) else {
         return;
     };
+    let baseline = parse_baseline(&text);
     for (rule, &count) in live {
         let allowed = baseline.get(rule).copied().unwrap_or(0);
         if count > allowed {
@@ -149,7 +128,7 @@ mod tests {
         let mut live = BTreeMap::new();
         live.insert("ordering-justified".to_string(), 2);
         let code = "#[expect(clippy::disallowed_methods, reason = \"   \")]\n".repeat(6);
-        count_clippy_expects(&code.chars().collect::<Vec<_>>(), &mut live);
+        count_clippy_expects(&lex(&code).0, &mut live);
         let mut out = Vec::new();
         check_debt(&dir, &live, &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
@@ -164,7 +143,7 @@ mod tests {
                     #[expect(dead_code, reason = \"  \")]\n\
                     let x = y.expect(\"     \");\n";
         let mut counts = BTreeMap::new();
-        count_clippy_expects(&code.chars().collect::<Vec<_>>(), &mut counts);
+        count_clippy_expects(&lex(code).0, &mut counts);
         let keys: Vec<(&str, usize)> = counts.iter().map(|(k, v)| (k.as_str(), *v)).collect();
         assert_eq!(
             keys,

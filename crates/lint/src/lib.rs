@@ -13,12 +13,14 @@
 //! with a token-level static analysis in two passes:
 //!
 //! - **Load**: each first-party target file (library code, binaries,
-//!   benches, examples) becomes one [`source::SourceFile`]: its scrubbed
-//!   text ([`lexer`]) as one flat buffer with a line index, its test
-//!   regions and its allowlist comments.
-//! - **Pass 1** ([`table`]) builds a workspace symbol table over those
-//!   buffers: atomic field declarations and every load/store/RMW site keyed
-//!   by field, and `KernelKind` variants vs `KernelScope::enter` call sites.
+//!   benches, examples) becomes one [`source::SourceFile`]: its token
+//!   stream ([`lexer`]: words, punctuation and literals with their line,
+//!   column and paired delimiters), its original lines for snippets, its
+//!   test regions and its allowlist comments.
+//! - **Pass 1** ([`table`]) builds a workspace symbol table in one walk
+//!   over each file's tokens: atomic field declarations and every
+//!   load/store/RMW site keyed by field, and `KernelKind` variants vs
+//!   `KernelScope::enter` call sites.
 //! - **Pass 2** calls each rule in [`rules`] — plain functions over one
 //!   file or over the table: `ordering-justified`, `crate-error-types`,
 //!   `atomic-protocol`, `no-alloc-in-kernel`, `dead-slot` — plus the
@@ -45,8 +47,8 @@
 //!
 //! The analysis is deliberately token-level rather than type-aware (the
 //! offline build environment has no `syn`/`rustc` driver): every rule
-//! matches surface syntax that cannot be confused by context once strings
-//! and comments are scrubbed. The fixture suites under `tests/fixtures/`
+//! matches token patterns, and string or comment content never becomes a
+//! token a pattern could match. The fixture suites under `tests/fixtures/`
 //! pin each rule's behavior; the `workspace_is_clean` integration test
 //! pins the whole workspace at zero findings.
 
@@ -91,8 +93,6 @@ pub enum LintError {
         /// The root that was tried.
         root: String,
     },
-    /// An unknown CLI argument or value.
-    Usage(String),
 }
 
 impl std::fmt::Display for LintError {
@@ -102,7 +102,6 @@ impl std::fmt::Display for LintError {
             LintError::NotAWorkspace { root } => {
                 write!(f, "{root} is not a workspace root (no Cargo.toml)")
             }
-            LintError::Usage(msg) => write!(f, "usage error: {msg}"),
         }
     }
 }
@@ -160,28 +159,15 @@ impl Report {
 /// Propagates [`LintError`] from discovery and file loading; findings are
 /// data, not errors.
 pub fn run_check(root: &Path) -> Result<Report, LintError> {
-    // Load everything first: pass 1 (the symbol table) needs the whole
-    // workspace in view before any cross-file rule can run.
     let files = load_workspace(root)?;
-    let table = SymbolTable::build(&files);
-    let mut findings = Vec::new();
+    let mut findings = lint_files(&files);
     let mut allows_by_rule: BTreeMap<String, usize> = BTreeMap::new();
-
-    // Pass 2a: per-file rules.
-    for (idx, file) in files.iter().enumerate() {
+    for file in &files {
         for allow in &file.allows {
             *allows_by_rule.entry(allow.rule.clone()).or_insert(0) += 1;
         }
-        debt::count_clippy_expects(&file.code, &mut allows_by_rule);
-        rules::lint_ok_syntax(file, &mut findings);
-        rules::ordering_justified(file, idx, &table, &mut findings);
-        rules::crate_error_types(file, &mut findings);
+        debt::count_clippy_expects(&file.tokens, &mut allows_by_rule);
     }
-
-    // Pass 2b: workspace-wide rules over the symbol table.
-    rules::atomic_protocol(&table, &files, &mut findings);
-    rules::alloc_in_kernel(&table, &files, &mut findings);
-    rules::dead_slots(&table, &files, &mut findings);
 
     // The suppression-debt ratchet against the committed baseline.
     debt::check_debt(root, &allows_by_rule, &mut findings);
@@ -200,6 +186,27 @@ pub fn run_check(root: &Path) -> Result<Report, LintError> {
     })
 }
 
+/// Runs every rule but the suppression-debt ratchet over `files`, which
+/// must be the whole workspace: pass 1 (the symbol table) needs every file
+/// in view before any cross-file rule can run. Findings come out unsorted.
+pub fn lint_files(files: &[SourceFile]) -> Vec<Finding> {
+    let table = SymbolTable::build(files);
+    let mut findings = Vec::new();
+
+    // Pass 2a: per-file rules.
+    for (idx, file) in files.iter().enumerate() {
+        rules::lint_ok_syntax(file, &mut findings);
+        rules::ordering_justified(file, idx, &table, &mut findings);
+        rules::crate_error_types(file, &mut findings);
+    }
+
+    // Pass 2b: workspace-wide rules over the symbol table.
+    rules::atomic_protocol(&table, files, &mut findings);
+    rules::alloc_in_kernel(&table, files, &mut findings);
+    rules::dead_slots(&table, files, &mut findings);
+    findings
+}
+
 /// Builds just the pass-1 symbol table for the workspace at `root`
 /// (used by the `workspace_symbol_table` integration test and exploratory
 /// tooling; `run_check` builds its own).
@@ -212,7 +219,11 @@ pub fn build_symbol_table(root: &Path) -> Result<SymbolTable, LintError> {
 }
 
 /// Loads every scanned file of every discovered crate.
-fn load_workspace(root: &Path) -> Result<Vec<SourceFile>, LintError> {
+///
+/// # Errors
+///
+/// Propagates [`LintError`] from discovery and file loading.
+pub fn load_workspace(root: &Path) -> Result<Vec<SourceFile>, LintError> {
     let mut files = Vec::new();
     for krate in workspace::discover(root)? {
         files.extend(workspace::load_sources(&krate)?);

@@ -16,104 +16,70 @@
 //! distinguish "violations" from "the linter itself broke".
 
 use adv_lint::rules::RULES;
-use adv_lint::{debt, run_check, LintError};
+use adv_lint::{debt, run_check};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-struct Args {
-    command: String,
-    root: PathBuf,
-    write: bool,
-}
+const USAGE: &str = "usage: adv-lint <check|debt|rules> [--root DIR] [--write]";
 
-fn parse_args(argv: &[String]) -> Result<Args, LintError> {
-    let mut args = Args {
-        command: String::new(),
-        root: PathBuf::from("."),
-        write: false,
-    };
-    let mut it = argv.iter();
-    args.command = it.next().cloned().unwrap_or_default();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--write" => {
-                args.write = true;
-            }
-            "--root" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| LintError::Usage("--root needs a directory".into()))?;
-                args.root = PathBuf::from(value);
-            }
-            other => {
-                return Err(LintError::Usage(format!("unknown argument '{other}'")));
-            }
-        }
-    }
-    Ok(args)
-}
-
-fn usage() -> &'static str {
-    "usage: adv-lint <check|debt|rules> [--root DIR] [--write]"
+/// Prints a usage error and returns exit code 2.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("adv-lint: usage error: {message}\n{USAGE}");
+    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("adv-lint: {e}\n{}", usage());
-            return ExitCode::from(2);
+    let mut argv = std::env::args().skip(1);
+    let command = argv.next().unwrap_or_default();
+    let (mut root, mut write) = (PathBuf::from("."), false);
+    while let Some(arg) = argv.next() {
+        match arg.as_str() {
+            "--write" => write = true,
+            "--root" => match argv.next() {
+                Some(dir) => root = PathBuf::from(dir),
+                None => return usage_error("--root needs a directory"),
+            },
+            other => return usage_error(&format!("unknown argument '{other}'")),
         }
-    };
-    match args.command.as_str() {
+    }
+    match command.as_str() {
         "rules" => {
             for (id, summary) in RULES {
                 println!("{id:<20} {summary}");
             }
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
-        "debt" => match run_check(&args.root) {
-            Ok(report) => {
-                let rendered = debt::render_baseline(&report.allows_by_rule);
-                if args.write {
-                    let path = args.root.join(debt::DEBT_FILE);
-                    if let Err(e) = std::fs::write(&path, &rendered) {
-                        eprintln!("adv-lint: cannot write {}: {e}", path.display());
-                        return ExitCode::from(2);
-                    }
-                    println!("adv-lint: baseline written to {}", path.display());
-                } else {
-                    print!("{rendered}");
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("adv-lint: {e}");
-                ExitCode::from(2)
-            }
-        },
-        "check" => match run_check(&args.root) {
-            Ok(report) => {
-                print!("{}", report.render());
-                if report.is_clean() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::from(1)
-                }
-            }
-            Err(e) => {
-                eprintln!("adv-lint: {e}");
-                ExitCode::from(2)
-            }
-        },
+        "check" | "debt" => {}
         "" => {
-            eprintln!("{}", usage());
-            ExitCode::from(2)
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
         }
         other => {
-            eprintln!("adv-lint: unknown command '{other}'\n{}", usage());
-            ExitCode::from(2)
+            eprintln!("adv-lint: unknown command '{other}'\n{USAGE}");
+            return ExitCode::from(2);
         }
     }
+    let report = match run_check(&root) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("adv-lint: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    if command == "check" {
+        print!("{}", report.render());
+        return ExitCode::from(u8::from(!report.is_clean()));
+    }
+    let rendered = debt::render_baseline(&report.allows_by_rule);
+    if !write {
+        print!("{rendered}");
+        return ExitCode::SUCCESS;
+    }
+    let path = root.join(debt::DEBT_FILE);
+    if let Err(e) = std::fs::write(&path, &rendered) {
+        eprintln!("adv-lint: cannot write {}: {e}", path.display());
+        return ExitCode::from(2);
+    }
+    println!("adv-lint: baseline written to {}", path.display());
+    ExitCode::SUCCESS
 }

@@ -10,8 +10,8 @@
 
 use super::emit;
 use crate::diagnostics::Finding;
-use crate::lexer::is_ident_char;
-use crate::source::{delim_extent, ident_at, skip_ws, words, SourceFile};
+use crate::lexer::{seq, Kind, Token};
+use crate::source::SourceFile;
 
 const HELP: &str = "return the crate's error enum (see its `error.rs`), or justify with \
 `// lint-ok(crate-error-types): <reason>` on the `fn` line";
@@ -23,114 +23,112 @@ pub(crate) fn crate_error_types(file: &SourceFile, out: &mut Vec<Finding>) {
     if !file.lib {
         return;
     }
-    let code = &file.code;
-    for at in words(code, "pub") {
-        // Qualifiers up to `fn` (an ABI string is scrubbed to spaces).
-        let mut fn_at = skip_ws(code, at + "pub".len()..);
-        while let Some(q) = fn_at {
-            let word = ident_at(code, q);
-            if !["const", "unsafe", "async", "extern"].contains(&word.as_str()) {
-                break;
-            }
-            fn_at = skip_ws(code, q + word.len()..);
+    let t = &file.tokens;
+    for at in (0..t.len()).filter(|&at| t[at].is("pub")) {
+        // Qualifiers up to `fn`, an `extern` ABI string among them.
+        let qualifier = |q: &&Token| {
+            q.kind == Kind::Literal
+                || ["const", "unsafe", "async", "extern"].contains(&q.text.as_str())
+        };
+        let fn_at = at + 1 + t[at + 1..].iter().take_while(qualifier).count();
+        if !seq(t, fn_at, &["fn"]) {
+            continue;
         }
-        let Some(fn_at) = fn_at.filter(|&f| ident_at(code, f) == "fn") else {
+        let Some(name) = t.get(fn_at + 1).filter(|n| n.kind == Kind::Word) else {
             continue;
         };
-        let name_at = skip_ws(code, fn_at + 2..).unwrap_or(code.len());
-        let name = ident_at(code, name_at);
-        let name_len = name.chars().count();
-        let Some(problem) = return_type(code, name_at + name_len).and_then(offending_return_type)
-        else {
+        let Some(problem) = return_type(t, fn_at + 2).and_then(offending_return_type) else {
             continue;
         };
         emit(
             file,
             "crate-error-types",
             (
-                file.line(fn_at),
-                file.col(fn_at) + 1,
-                "fn ".len() + name_len,
+                t[fn_at].line,
+                t[fn_at].col + 1,
+                "fn ".len() + name.text.chars().count(),
             ),
-            format!("public fn `{name}` returns {problem} instead of the crate error type"),
+            format!(
+                "public fn `{}` returns {problem} instead of the crate error type",
+                name.text
+            ),
             HELP,
             out,
         );
     }
 }
 
-/// How `chars[i]` moves the bracket depth of a type: `<`, `(` and `[` open,
-/// `>`, `)` and `]` close, and the `>` of a `->` arrow does neither.
-fn nesting(chars: &[char], i: usize) -> i32 {
-    match chars[i] {
-        '<' | '(' | '[' => 1,
-        '>' if i > 0 && chars[i - 1] == '-' => 0,
-        '>' | ')' | ']' => -1,
+/// How a token moves the bracket depth of a type: `<`, `(` and `[` open,
+/// `>`, `)` and `]` close (an `->` arrow is one token and does neither).
+fn nesting(t: &Token) -> i32 {
+    match t.text.as_str() {
+        "<" | "(" | "[" => 1,
+        ">" | ")" | "]" => -1,
         _ => 0,
     }
 }
 
+/// `(index, token)` of the tokens at depth 0 of `tokens`.
+fn top_level(tokens: &[Token]) -> impl Iterator<Item = (usize, &Token)> {
+    let mut depth = 0;
+    tokens.iter().enumerate().filter(move |(_, t)| {
+        let top = depth == 0;
+        depth += nesting(t);
+        top
+    })
+}
+
+/// The tokens of `tokens` before the first top-level one `stop` matches.
+fn up_to(tokens: &[Token], stop: impl Fn(&Token) -> bool) -> &[Token] {
+    let end = top_level(tokens).find(|(_, t)| stop(t));
+    &tokens[..end.map_or(tokens.len(), |(e, _)| e)]
+}
+
 /// Scans a signature from `start` (past the fn name) to its body `{` or its
-/// `;` and returns the return type: the text after the top-level `->`, cut
-/// at a top-level `where`.
-fn return_type(code: &[char], start: usize) -> Option<&[char]> {
+/// `;` and returns the return type: the tokens after the top-level `->`,
+/// cut at a top-level `where`.
+fn return_type(t: &[Token], start: usize) -> Option<&[Token]> {
     let (mut depth, mut arrow, mut cut) = (0, None, None);
-    let mut k = start;
-    while k < code.len() {
-        let c = code[k];
-        if (c == '{' || c == ';') && depth <= 0 {
+    let sig = t.get(start..)?;
+    let mut end = sig.len();
+    for (k, tok) in sig.iter().enumerate() {
+        if depth <= 0 && (tok.is("{") || tok.is(";")) {
+            end = k;
             break;
         }
-        if is_ident_char(c) {
-            let word = ident_at(code, k);
-            if word == "where" && depth == 0 && arrow.is_some() {
-                cut.get_or_insert(k);
-            }
-            k += word.chars().count();
-            continue;
+        if depth == 0 && tok.is("where") && arrow.is_some() {
+            cut.get_or_insert(k);
         }
-        if c == '>' && code[k - 1] == '-' && depth == 0 {
+        if depth == 0 && tok.is("->") {
             arrow.get_or_insert(k + 1);
         }
-        depth += nesting(code, k);
-        k += 1;
+        depth += nesting(tok);
     }
-    let ret = arrow?;
-    Some(&code[ret..cut.unwrap_or(k)])
+    Some(&sig[arrow?..cut.unwrap_or(end)])
 }
 
 /// Describes the offending pattern in the return type `ret`, if any.
-fn offending_return_type(ret: &[char]) -> Option<&'static str> {
-    // The `<` opening each `Box<..>` or `Result<..>` in `ret`.
+fn offending_return_type(ret: &[Token]) -> Option<&'static str> {
+    // The arguments inside each `Box<..>` or `Result<..>` of `ret`.
     let generics = |word: &'static str| {
-        words(ret, word)
-            .into_iter()
-            .filter_map(move |at| skip_ws(ret, at + word.len()..).filter(|&o| ret[o] == '<'))
+        (0..ret.len())
+            .filter(move |&k| seq(ret, k, &[word, "<"]))
+            .map(|k| up_to(&ret[k + 2..], |t| nesting(t) < 0))
     };
     // `Box<dyn ..Error..>` anywhere in the return type. A plain trait
     // object (`Box<dyn Rule>`) is a legitimate return value; only erased
     // *errors* defeat the crate's error taxonomy. The boxed path runs to
-    // the `>` matching the `<`.
-    for open in generics("Box") {
-        let boxed = skip_ws(ret, open + 1..)
-            .filter(|&d| ident_at(ret, d) == "dyn")
-            .map(|d| &ret[d..delim_extent(ret, open) - 1]);
-        if boxed.is_some_and(|b| !words(b, "Error").is_empty()) {
+    // the closing `>` or a top-level `->`.
+    for args in generics("Box") {
+        let path = up_to(args, |t| t.is("->"));
+        if path.first().is_some_and(|d| d.is("dyn")) && path.iter().any(|t| t.is("Error")) {
             return Some("`Box<dyn Error>`");
         }
     }
     // `Result<_, String>` (the error arm is the last top-level comma arg).
-    for open in generics("Result") {
-        let (mut depth, mut comma, mut k) = (1, None, open + 1);
-        while k < ret.len() && depth > 0 {
-            if ret[k] == ',' && depth == 1 {
-                comma = Some(k);
-            }
-            depth += nesting(ret, k);
-            k += 1;
-        }
-        let err = comma.map(|c| ret[c + 1..(k - 1).max(c + 1)].iter().collect::<String>());
-        if err.is_some_and(|e| e.trim() == "String") {
+    for args in generics("Result") {
+        let comma = top_level(args).filter(|(_, t)| t.is(",")).last();
+        if comma.is_some_and(|(c, _)| matches!(&args[c + 1..], [e] if e.is("String"))) {
             return Some("`Result<_, String>`");
         }
     }

@@ -26,15 +26,20 @@ pub(crate) fn ordering_justified(
     table: &SymbolTable,
     out: &mut Vec<Finding>,
 ) {
-    for line in 1..=file.lines.len() {
-        let Some(&(col, variant)) = ordering_tokens(file.line_code(line)).first() else {
+    let mut last_line = 0;
+    for (tok, variant) in ordering_tokens(&file.tokens) {
+        if tok.line == last_line {
             continue;
-        };
-        if !table.exempt_ordering_tokens.contains(&(idx, line, col)) {
+        }
+        last_line = tok.line;
+        if !table
+            .exempt_ordering_tokens
+            .contains(&(idx, tok.line, tok.col))
+        {
             emit(
                 file,
                 "ordering-justified",
-                (line, col + 1, "Ordering::".len() + variant.len()),
+                (tok.line, tok.col + 1, "Ordering::".len() + variant.len()),
                 format!("`Ordering::{variant}` without a justification comment"),
                 HELP,
                 out,

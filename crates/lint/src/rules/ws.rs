@@ -9,26 +9,24 @@
 
 use super::emit;
 use crate::diagnostics::Finding;
-use crate::source::{skip_ws, words, SourceFile};
+use crate::lexer::{seq, Token};
+use crate::source::SourceFile;
 use crate::table::{ordering_tokens, AtomicSite, SymbolTable};
 use std::collections::BTreeSet;
 
-/// Orderings that make a write visible to an `Acquire`-side reader.
+/// A write that an `Acquire`-side reader can synchronize with.
 fn publishes(site: &AtomicSite) -> bool {
-    site.op != "load"
-        && site
-            .orderings
-            .iter()
-            .any(|o| ["Release", "AcqRel", "SeqCst"].contains(o))
+    site.op != "load" && names_any(site, ["Release", "AcqRel", "SeqCst"])
 }
 
-/// Orderings that synchronize-with a `Release`-side writer.
+/// A read that synchronizes-with a `Release`-side writer.
 fn consumes(site: &AtomicSite) -> bool {
-    site.op != "store"
-        && site
-            .orderings
-            .iter()
-            .any(|o| ["Acquire", "AcqRel", "SeqCst"].contains(o))
+    site.op != "store" && names_any(site, ["Acquire", "AcqRel", "SeqCst"])
+}
+
+/// `true` when one of the site's orderings is in `orderings`.
+fn names_any(site: &AtomicSite, orderings: [&str; 3]) -> bool {
+    site.orderings.iter().any(|o| orderings.contains(o))
 }
 
 const ATOMIC_HELP: &str = "pair the publish with an Acquire-side read (or vice versa), weaken \
@@ -102,15 +100,9 @@ pub(crate) fn atomic_protocol(table: &SymbolTable, files: &[SourceFile], out: &m
             if allow.rule != "ordering-justified" || file.is_test_line(allow.comment_line) {
                 continue;
             }
-            let exempt: Vec<bool> = allow
-                .lines
-                .clone()
-                .flat_map(|line| {
-                    ordering_tokens(file.line_code(line))
-                        .into_iter()
-                        .map(move |(col, _)| (idx, line, col))
-                })
-                .map(|token| table.exempt_ordering_tokens.contains(&token))
+            let exempt: Vec<bool> = ordering_tokens(&file.tokens)
+                .filter(|(t, _)| allow.lines.contains(&t.line))
+                .map(|(t, _)| table.exempt_ordering_tokens.contains(&(idx, t.line, t.col)))
                 .collect();
             if !exempt.is_empty() && exempt.iter().all(|&e| e) {
                 emit(
@@ -135,63 +127,49 @@ const ALLOC_HELP: &str = "hoist the allocation out of the measured region (befor
 
 /// `no-alloc-in-kernel`: the hot-path allocation lint.
 pub(crate) fn alloc_in_kernel(table: &SymbolTable, files: &[SourceFile], out: &mut Vec<Finding>) {
-    let mut seen: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
+    let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
     for kf in &table.kernel_fns {
         let file = &files[kf.file];
-        for line in kf.region_start..=kf.region_end {
-            let min_col = if line == kf.region_start {
-                kf.region_start_col
-            } else {
-                0
+        for k in kf.region.clone() {
+            let found = allocation(&file.tokens, k).filter(|_| seen.insert((kf.file, k)));
+            let Some((width, what)) = found else {
+                continue;
             };
-            for (col, width, what) in alloc_tokens(file.line_code(line)) {
-                if col < min_col || !seen.insert((kf.file, line, col)) {
-                    continue;
-                }
-                emit(
-                    file,
-                    "no-alloc-in-kernel",
-                    (line, col + 1, width),
-                    format!(
-                        "{what} inside a measured kernel region (entered on line {})",
-                        kf.enter_line
-                    ),
-                    ALLOC_HELP,
-                    out,
-                );
-            }
+            let tok = &file.tokens[k];
+            emit(
+                file,
+                "no-alloc-in-kernel",
+                (tok.line, tok.col + 1, width),
+                format!(
+                    "{what} inside a measured kernel region (entered on line {})",
+                    kf.enter_line
+                ),
+                ALLOC_HELP,
+                out,
+            );
         }
     }
 }
 
-/// `(0-based col, width, description)` of each allocation token on a line.
-fn alloc_tokens(chars: &[char]) -> Vec<(usize, usize, &'static str)> {
-    let mut out = Vec::new();
-    for col in words(chars, "Vec") {
-        if chars[col + 3..].starts_with(&[':', ':', 'n', 'e', 'w']) {
-            out.push((col, "Vec::new".len(), "`Vec::new` allocation"));
-        }
+/// `(width, description)` when an allocation starts at `t[k]`.
+fn allocation(t: &[Token], k: usize) -> Option<(usize, &'static str)> {
+    if seq(t, k, &["Vec", "::", "new"]) {
+        return Some(("Vec::new".len(), "`Vec::new` allocation"));
     }
-    let next_is = |i: usize, c: char| skip_ws(chars, i..).is_some_and(|j| chars[j] == c);
-    for (method, what) in [
+    if seq(t, k, &["format", "!"]) {
+        return Some(("format!".len(), "`format!` allocation"));
+    }
+    if k == 0 || !t[k - 1].is(".") || !seq(t, k + 1, &["("]) {
+        return None;
+    }
+    [
         ("push", "`.push(..)` (may reallocate)"),
         ("to_vec", "`.to_vec()` allocation"),
         ("clone", "`.clone()` allocation"),
-    ] {
-        for col in words(chars, method) {
-            let after_dot = skip_ws(chars, (0..col).rev()).is_some_and(|d| chars[d] == '.');
-            if after_dot && next_is(col + method.len(), '(') {
-                out.push((col, method.len(), what));
-            }
-        }
-    }
-    for col in words(chars, "format") {
-        if next_is(col + "format".len(), '!') {
-            out.push((col, "format!".len(), "`format!` allocation"));
-        }
-    }
-    out.sort_unstable_by_key(|(c, _, _)| *c);
-    out
+    ]
+    .into_iter()
+    .find(|(method, _)| t[k].is(method))
+    .map(|(method, what)| (method.len(), what))
 }
 
 /// `dead-slot`: every `KernelKind` variant is entered somewhere.

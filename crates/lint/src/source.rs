@@ -1,12 +1,8 @@
-//! Per-file analysis model: the scrubbed text as one flat buffer with a
-//! line index, the test-region map, `// lint-ok(<rule>): <reason>`
-//! allowlist attachment, and the token-scanning helpers every rule and
-//! collector shares.
+//! Per-file analysis model: the file's tokens, the test-region map and
+//! `// lint-ok(<rule>): <reason>` allowlist attachment.
 
-use crate::lexer::{is_ident_char, scrub, Comment};
-use crate::LintError;
+use crate::lexer::{body, lex, seq, Kind, Token};
 use std::ops::RangeInclusive;
-use std::path::Path;
 
 /// One `lint-ok` allowlist entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,7 +19,7 @@ pub struct Allow {
 }
 
 /// A source file prepared for rule checks.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SourceFile {
     /// Path relative to the lint root, with `/` separators (for reports).
     pub rel: String,
@@ -32,11 +28,8 @@ pub struct SourceFile {
     pub lib: bool,
     /// Original source lines (for diagnostics snippets).
     pub lines: Vec<String>,
-    /// The scrubbed text: comments and literal bodies blanked, position
-    /// for position identical to the original (see [`scrub`]).
-    pub code: Vec<char>,
-    /// Offset in `code` of each line's first char.
-    line_start: Vec<usize>,
+    /// The file's tokens, in source order (see [`lex`]).
+    pub tokens: Vec<Token>,
     /// `is_test[i]` is true when 0-based line `i` is inside `#[cfg(test)]`
     /// / `#[test]` / `#[bench]` scope.
     pub is_test: Vec<bool>,
@@ -47,65 +40,21 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
-    /// Loads and prepares `path` for linting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LintError::Io`] when the file cannot be read.
-    pub fn load(path: &Path, rel: String, lib: bool) -> Result<SourceFile, LintError> {
-        let src = std::fs::read_to_string(path).map_err(|e| LintError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })?;
-        Ok(SourceFile::from_source(rel, lib, &src))
-    }
-
-    /// Builds the model from in-memory source (used by unit tests).
+    /// Builds the model of the file `rel` from its source text.
     pub fn from_source(rel: String, lib: bool, src: &str) -> SourceFile {
-        let scrubbed = scrub(src);
-        let code: Vec<char> = scrubbed.code.chars().collect();
-        let line_start = std::iter::once(0)
-            .chain((0..code.len()).filter(|&i| code[i] == '\n').map(|i| i + 1))
-            .filter(|&s| s < code.len())
-            .collect();
+        let (tokens, comments) = lex(src);
+        let lines: Vec<String> = src.lines().map(str::to_string).collect();
         let mut file = SourceFile {
             rel,
             lib,
-            lines: src.lines().map(str::to_string).collect(),
-            code,
-            line_start,
-            is_test: Vec::new(),
+            is_test: mark_test_regions(&tokens, lines.len()),
+            lines,
+            tokens,
             allows: Vec::new(),
             malformed_allows: Vec::new(),
         };
-        file.is_test = mark_test_regions(&file);
-        attach_allows(&mut file, &scrubbed.comments);
+        attach_allows(&mut file, &comments);
         file
-    }
-
-    /// 1-based line of a `code` offset (offsets past the end map to the
-    /// last line).
-    pub(crate) fn line(&self, offset: usize) -> usize {
-        self.line_start.partition_point(|&s| s <= offset).max(1)
-    }
-
-    /// 0-based column of a `code` offset.
-    pub(crate) fn col(&self, offset: usize) -> usize {
-        offset
-            - self
-                .line_start
-                .get(self.line(offset) - 1)
-                .copied()
-                .unwrap_or(0)
-    }
-
-    /// The scrubbed text of 1-based `line`, without its newline.
-    pub(crate) fn line_code(&self, line: usize) -> &[char] {
-        let Some(&start) = line.checked_sub(1).and_then(|i| self.line_start.get(i)) else {
-            return &[];
-        };
-        let len = self.code[start..].iter().position(|&c| c == '\n');
-        &self.code[start..start + len.unwrap_or(self.code.len() - start)]
     }
 
     /// Looks up the allow entry for `rule` on 1-based line `line`, if any.
@@ -123,144 +72,59 @@ impl SourceFile {
     }
 }
 
-/// Offsets of every word-boundary occurrence of the identifier `word`
-/// (non-empty) in `chars`.
-pub(crate) fn words(chars: &[char], word: &str) -> Vec<usize> {
-    let word: Vec<char> = word.chars().collect();
-    let ident = |i: usize| chars.get(i).is_some_and(|&c| is_ident_char(c));
-    chars
-        .windows(word.len())
-        .enumerate()
-        .filter(|&(i, w)| w == word && !(i > 0 && ident(i - 1)) && !ident(i + word.len()))
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// The first offset walked by `from` whose char is not whitespace: pass
-/// `i..` to skip forward from `i`, `(0..i).rev()` to skip back from it.
-pub(crate) fn skip_ws(chars: &[char], from: impl IntoIterator<Item = usize>) -> Option<usize> {
-    from.into_iter()
-        .map_while(|i| Some((i, chars.get(i)?)))
-        .find(|(_, c)| !c.is_whitespace())
-        .map(|(i, _)| i)
-}
-
-/// The identifier starting at `start` (empty when none does).
-pub(crate) fn ident_at(chars: &[char], start: usize) -> String {
-    chars[start.min(chars.len())..]
-        .iter()
-        .take_while(|c| is_ident_char(**c))
-        .collect()
-}
-
-/// Given an opening delimiter offset, returns the offset just past its
-/// matching close (`()` / `{}` / `[]` / `<>` chosen by the char at `open`,
-/// counting only that pair; the end of `chars` when unclosed).
-pub(crate) fn delim_extent(chars: &[char], open: usize) -> usize {
-    let (o, c) = match chars.get(open) {
-        Some('(') => ('(', ')'),
-        Some('{') => ('{', '}'),
-        Some('[') => ('[', ']'),
-        Some('<') => ('<', '>'),
-        _ => return open + 1,
-    };
-    let mut depth = 0i32;
-    for (i, &ch) in chars.iter().enumerate().skip(open) {
-        if ch == o {
-            depth += 1;
-        } else if ch == c {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-    }
-    chars.len()
-}
-
 /// Marks every line covered by a `#[cfg(test)]`-gated item, `#[test]` fn or
-/// `#[bench]` fn. Detection is brace-based over scrubbed code: from the
-/// attribute, scan to the item's opening `{` (or a `;` for an out-of-line
-/// `mod tests;`, which marks only that line) and take the matching-brace
-/// extent.
-fn mark_test_regions(file: &SourceFile) -> Vec<bool> {
-    let chars = &file.code;
-    let mut is_test = vec![false; file.lines.len()];
+/// `#[bench]` fn: from the attribute past any further attributes to the
+/// item's `{` and through its paired `}` (or to a `;` for an out-of-line
+/// `mod tests;`).
+fn mark_test_regions(tokens: &[Token], lines: usize) -> Vec<bool> {
+    let mut is_test = vec![false; lines];
     let mut i = 0usize;
-    while i < chars.len() {
-        // `#[ ... ]` — capture the attribute content.
-        let open = (chars[i] == '#')
-            .then(|| skip_ws(chars, i + 1..))
-            .flatten()
-            .filter(|&j| chars[j] == '[');
-        let Some(open) = open else {
+    while i < tokens.len() {
+        if !seq(tokens, i, &["#", "["]) {
             i += 1;
             continue;
-        };
-        let k = delim_extent(chars, open);
-        let attr: String = chars[open + 1..k.saturating_sub(1).max(open + 1)]
-            .iter()
-            .collect();
-        if !is_test_attr(&attr) {
-            i = k;
+        }
+        if !is_test_attr(tokens, i + 1) {
+            i = tokens[i + 1].close + 1;
             continue;
         }
-        // Scan past any further attributes to the item body.
-        let mut p = k;
-        while let Some(b) = skip_ws(chars, p..)
-            .filter(|&q| chars[q] == '#')
-            .and_then(|q| skip_ws(chars, q + 1..))
-            .filter(|&b| chars[b] == '[')
-        {
-            p = delim_extent(chars, b);
+        let mut item = tokens[i + 1].close + 1;
+        while seq(tokens, item, &["#", "["]) {
+            item = tokens[item + 1].close + 1;
         }
-        // Find the item's `{` or a terminating `;` first.
-        let end = match chars[p..].iter().position(|&c| c == '{' || c == ';') {
-            Some(q) if chars[p + q] == '{' => delim_extent(chars, p + q),
-            Some(q) => p + q,
-            None => chars.len(),
+        // The item ends at its body's `}`, or at a `;` when it has none.
+        let semi = (item..tokens.len()).find(|&q| tokens[q].is(";"));
+        let end = match body(tokens, item) {
+            Some(open) => tokens[open].close,
+            None => semi.unwrap_or(tokens.len()),
         };
-        for flag in is_test
-            .iter_mut()
-            .take(file.line(end))
-            .skip(file.line(i) - 1)
-        {
+        let last = tokens.get(end).map_or(lines, |t| t.line);
+        for flag in is_test.iter_mut().take(last).skip(tokens[i].line - 1) {
             *flag = true;
         }
-        i = end.max(i + 1);
+        i = end + 1;
     }
     is_test
 }
 
-/// `true` for attributes that gate test-only code: `test`, `bench`,
-/// `cfg(...)` whose condition mentions `test` as a token outside `not(..)`.
-fn is_test_attr(attr: &str) -> bool {
-    let attr = attr.trim();
-    if attr == "test" || attr == "bench" || attr.starts_with("test(") {
-        return true;
-    }
-    let Some(rest) = attr.strip_prefix("cfg") else {
-        return false;
-    };
-    let Some(cond) = rest.trim_start().strip_prefix('(') else {
-        return false;
-    };
-    // Drop everything inside `not(...)` groups, then look for a standalone
-    // `test` token in what remains.
-    let chars: Vec<char> = cond.chars().collect();
-    let mut cleaned = Vec::new();
-    let mut i = 0usize;
-    while i < chars.len() {
-        if chars[i..].starts_with(&['n', 'o', 't']) {
-            if let Some(j) = skip_ws(&chars, i + 3..).filter(|&j| chars[j] == '(') {
-                i = delim_extent(&chars, j);
-                continue;
+/// `true` when the attribute whose `[` is `tokens[open]` gates test-only
+/// code: `test`, `bench`, or `cfg(..)` whose condition names `test`
+/// outside `not(..)`.
+fn is_test_attr(tokens: &[Token], open: usize) -> bool {
+    let close = tokens[open].close;
+    match &tokens[open + 1..close.min(tokens.len())] {
+        [t] => t.is("test") || t.is("bench"),
+        [t, p, ..] if t.is("test") && p.is("(") => true,
+        [t, p, ..] if t.is("cfg") && p.is("(") => {
+            let mut k = open + 3;
+            while k < close && !tokens[k].is("test") {
+                let negated = seq(tokens, k, &["not", "("]).then(|| tokens[k + 1].close);
+                k = negated.unwrap_or(k) + 1;
             }
+            k < close
         }
-        cleaned.push(chars[i]);
-        i += 1;
+        _ => false,
     }
-    !words(&cleaned, "test").is_empty()
 }
 
 /// Parses `lint-ok(<rule>): <reason>` occurrences out of `text`. Doc
@@ -269,40 +133,27 @@ fn is_test_attr(attr: &str) -> bool {
 /// `[a-z0-9-]`, so placeholder spellings like `lint-ok(<rule>)` in prose
 /// are ignored rather than reported.
 fn parse_lint_ok(text: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    if text.starts_with("///")
-        || text.starts_with("//!")
-        || text.starts_with("/**")
-        || text.starts_with("/*!")
+    if ["///", "//!", "/**", "/*!"]
+        .iter()
+        .any(|doc| text.starts_with(doc))
     {
-        return out;
+        return Vec::new();
     }
-    let mut rest = text;
-    while let Some(pos) = rest.find("lint-ok(") {
-        rest = &rest[pos + "lint-ok(".len()..];
-        let Some(close) = rest.find(')') else { break };
-        let rule = rest[..close].trim().to_string();
-        rest = &rest[close + 1..];
-        if !rule
-            .chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
-        {
-            continue;
+    // Each allow runs to the end of the comment or the next `lint-ok(`
+    // marker (stacked allows in one comment).
+    let allow = |marked: &str| {
+        let (rule, rest) = marked.split_once(')')?;
+        let rule = rule.trim();
+        let id_char = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-';
+        if rule.is_empty() || !rule.chars().all(id_char) {
+            return None;
         }
-        let reason = match rest.strip_prefix(':') {
-            Some(r) => {
-                // Reason runs to the end of the comment or the next
-                // `lint-ok(` marker (stacked allows in one comment).
-                let end = r.find("lint-ok(").unwrap_or(r.len());
-                r[..end].trim().trim_end_matches(';').trim().to_string()
-            }
-            None => String::new(),
-        };
-        if !rule.is_empty() {
-            out.push((rule, reason));
-        }
-    }
-    out
+        let reason = rest
+            .strip_prefix(':')
+            .map_or("", |r| r.trim().trim_end_matches(';').trim());
+        Some((rule.to_string(), reason.to_string()))
+    };
+    text.split("lint-ok(").skip(1).filter_map(allow).collect()
 }
 
 /// Attaches each `lint-ok` comment to the code lines it governs: the same
@@ -312,15 +163,21 @@ fn parse_lint_ok(text: &str) -> Vec<(String, String)> {
 /// expression (a `fetch_update` chain, a builder pipeline) the way an
 /// attribute-style allow scopes to the statement under it. A comment that
 /// governs no code line is not an allow.
-fn attach_allows(file: &mut SourceFile, comments: &[Comment]) {
+fn attach_allows(file: &mut SourceFile, comments: &[Token]) {
+    // The last char of each 1-based line's last code token; a line holding
+    // only comments or literals is blank.
+    let mut ends: Vec<Option<char>> = vec![None; file.lines.len() + 1];
+    for t in file.tokens.iter().filter(|t| t.kind != Kind::Literal) {
+        ends[t.line] = t.text.chars().last();
+    }
     for comment in comments {
         let entries = parse_lint_ok(&comment.text);
         if entries.is_empty() {
             continue;
         }
-        let lines = match last_token(file, comment.line) {
+        let lines = match ends[comment.line] {
             Some(_) => Some(comment.line..=comment.line),
-            None => statement_after(file, comment.line),
+            None => statement_after(&ends, comment.line),
         };
         for (rule, reason) in entries {
             if reason.is_empty() {
@@ -344,24 +201,14 @@ fn attach_allows(file: &mut SourceFile, comments: &[Comment]) {
     }
 }
 
-/// The last non-whitespace char of 1-based `line`'s code, if any.
-fn last_token(file: &SourceFile, line: usize) -> Option<char> {
-    file.line_code(line)
-        .iter()
-        .rev()
-        .find(|c| !c.is_whitespace())
-        .copied()
-}
-
 /// The statement starting at the first non-blank line after `line`: through
 /// the first line whose code ends in `;`, `{` or `}`, stopping short of a
-/// blank line.
-fn statement_after(file: &SourceFile, line: usize) -> Option<RangeInclusive<usize>> {
-    let start = (line + 1..=file.lines.len()).find(|&l| last_token(file, l).is_some())?;
+/// blank line. `ends` is [`attach_allows`]' per-line last char.
+fn statement_after(ends: &[Option<char>], line: usize) -> Option<RangeInclusive<usize>> {
+    let start = (line + 1..ends.len()).find(|&l| ends[l].is_some())?;
     let mut end = start;
-    while !matches!(last_token(file, end), Some(';' | '{' | '}'))
-        && end < file.lines.len()
-        && last_token(file, end + 1).is_some()
+    while !matches!(ends[end], Some(';' | '{' | '}'))
+        && ends.get(end + 1).is_some_and(Option::is_some)
     {
         end += 1;
     }
@@ -448,20 +295,5 @@ mod tests {
             f.allow_for(1, "no-alloc-in-kernel").unwrap().reason,
             "also fine"
         );
-    }
-
-    #[test]
-    fn lines_and_columns_of_the_flat_buffer() {
-        let f = file("ab\n\ncd\n");
-        assert_eq!(f.line_code(3), ['c', 'd']);
-        assert!(f.line_code(2).is_empty() && f.line_code(4).is_empty());
-        assert_eq!((f.line(4), f.col(4)), (3, 0));
-        assert_eq!((f.line(99), f.line(0)), (3, 1));
-    }
-
-    #[test]
-    fn words_respect_boundaries() {
-        let chars: Vec<char> = "all(loom, test) latest test_util test".chars().collect();
-        assert_eq!(words(&chars, "test"), vec![10, 33]);
     }
 }

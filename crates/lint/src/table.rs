@@ -22,9 +22,10 @@
 //! `ordering-justified` rule exempts those sites, and stale justification
 //! comments on them become findings.
 
-use crate::lexer::is_ident_char;
-use crate::source::{delim_extent, ident_at, skip_ws, words, SourceFile};
+use crate::lexer::{body, seq, Kind, Token};
+use crate::source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// The atomic methods that take `Ordering` arguments.
 const ATOMIC_OPS: &[&str] = &[
@@ -63,12 +64,6 @@ pub struct AtomicField {
     pub owner: String,
     /// Field (or static) name.
     pub field: String,
-    /// The atomic type name (e.g. `AtomicU64`).
-    pub ty: String,
-    /// Index of the declaring file.
-    pub file: usize,
-    /// 1-based declaration line.
-    pub line: usize,
 }
 
 /// One atomic load/store/RMW call site carrying `Ordering` arguments.
@@ -110,13 +105,9 @@ pub struct KernelFn {
     pub file: usize,
     /// 1-based line of the `KernelScope::enter` call.
     pub enter_line: usize,
-    /// 1-based first line of the measured region (after the enter call).
-    pub region_start: usize,
-    /// 0-based column on `region_start` where the region begins (tokens
-    /// before it on that line are the enter call's own arguments).
-    pub region_start_col: usize,
-    /// 1-based last line of the function body.
-    pub region_end: usize,
+    /// Token indices of the measured region: from past the enter call's
+    /// `)` to the function body's closing `}`.
+    pub region: Range<usize>,
 }
 
 /// The workspace symbol table — everything pass 2 reasons about. Entries
@@ -145,9 +136,7 @@ impl SymbolTable {
     pub fn build(files: &[SourceFile]) -> SymbolTable {
         let mut table = SymbolTable::default();
         for (idx, file) in files.iter().enumerate() {
-            collect_atomic_fields(file, idx, &mut table.atomic_fields);
-            collect_atomic_sites(file, idx, &mut table.atomic_sites);
-            collect_kernels(file, idx, &mut table);
+            table.collect(file, idx);
         }
         let counters: BTreeSet<String> = table
             .sites_by_field()
@@ -168,6 +157,85 @@ impl SymbolTable {
         }
         table.relaxed_counters = counters;
         table
+    }
+
+    /// The one walk over `file`'s tokens, dispatching on each token's text.
+    /// `idx` is the file's index.
+    fn collect(&mut self, file: &SourceFile, idx: usize) {
+        let t = &file.tokens;
+        // `(open, close, name)` of every struct and fn body seen so far: an
+        // item's keyword comes before its body, so every body enclosing a
+        // token is known when the walk reaches it.
+        let mut structs: Vec<(usize, usize, &str)> = Vec::new();
+        let mut fns: Vec<(usize, usize, &str)> = Vec::new();
+        for (i, tok) in t.iter().enumerate() {
+            let live = !file.is_test_line(tok.line);
+            match tok.text.as_str() {
+                // Unit and tuple structs and trait method declarations reach
+                // a `;` first.
+                "struct" | "fn" => {
+                    let name = t.get(i + 1).filter(|n| n.kind == Kind::Word);
+                    if let (Some(name), Some(open)) = (name, body(t, i + 2)) {
+                        let bodies = if tok.is("fn") { &mut fns } else { &mut structs };
+                        bodies.push((open, t[open].close, &name.text));
+                    }
+                }
+                "enum" if seq(t, i + 1, &["KernelKind"]) => self.kernel_variants(t, idx, i),
+                "KernelScope" if live && seq(t, i + 1, &["::", "enter", "("]) => {
+                    let close = t[i + 3].close;
+                    for k in i + 3..close.min(t.len()) {
+                        let variant = t.get(k + 2).filter(|v| v.kind == Kind::Word);
+                        if let (true, Some(v)) = (seq(t, k, &["KernelKind", "::"]), variant) {
+                            self.entered_kinds.insert(v.text.clone());
+                        }
+                    }
+                    // Measured region: from past the enter call to the end
+                    // of the innermost enclosing fn body.
+                    if let Some((_, body_close, _)) = innermost(&fns, i) {
+                        self.kernel_fns.push(KernelFn {
+                            file: idx,
+                            enter_line: tok.line,
+                            region: close + 1..body_close,
+                        });
+                    }
+                }
+                text if live && i > 0 && t[i - 1].is(".") && seq(t, i + 1, &["("]) => {
+                    self.atomic_sites.extend(atomic_site(t, idx, i, text));
+                }
+                // `AtomicU64::new(..)` is an expression, not a declaration.
+                text if live && is_atomic_type(text) && !seq(t, i + 1, &["::"]) => {
+                    let owner = innermost(&structs, i).map(|(.., name)| name);
+                    self.atomic_fields.extend(atomic_field(t, i, owner));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Collects the variants of the `enum KernelKind` at `t[at]`: the words
+    /// at the top level of its body followed by `,`, `=` (an explicit
+    /// discriminant) or the closing brace.
+    fn kernel_variants(&mut self, t: &[Token], idx: usize, at: usize) {
+        let Some(open) = body(t, at) else { return };
+        let close = t[open].close;
+        let mut k = open + 1;
+        while k < close {
+            if seq(t, k, &["#", "["]) {
+                k = t[k + 1].close + 1;
+                continue;
+            }
+            let name = &t[k];
+            let plain = k + 1 >= close || seq(t, k + 1, &[","]) || seq(t, k + 1, &["="]);
+            let numeric = name.text.starts_with(|c: char| c.is_ascii_digit());
+            if plain && name.kind == Kind::Word && !numeric {
+                self.kernel_variants.push(KernelVariant {
+                    name: name.text.clone(),
+                    file: idx,
+                    line: name.line,
+                });
+            }
+            k += 1;
+        }
     }
 
     /// Sites grouped per resolved field name (declared fields only).
@@ -195,275 +263,81 @@ impl SymbolTable {
     }
 }
 
-/// `(offset, variant)` of every `Ordering::<variant>` token in `chars`.
-pub(crate) fn ordering_tokens(chars: &[char]) -> Vec<(usize, &'static str)> {
-    let mut out = Vec::new();
-    for at in words(chars, "Ordering") {
-        let Some(c1) = skip_ws(chars, at + "Ordering".len()..) else {
-            continue;
-        };
-        if !chars[c1..].starts_with(&[':', ':']) {
-            continue;
-        }
-        let variant = skip_ws(chars, c1 + 2..).map(|v| ident_at(chars, v));
-        if let Some(&v) = ORDERINGS.iter().find(|o| variant.as_deref() == Some(**o)) {
-            out.push((at, v));
-        }
-    }
-    out
+/// `(token, variant)` of every `Ordering::<variant>` in `tokens`.
+pub(crate) fn ordering_tokens(tokens: &[Token]) -> impl Iterator<Item = (&Token, &'static str)> {
+    tokens.windows(3).filter_map(|w| {
+        let variant = ORDERINGS.iter().find(|o| w[2].is(o))?;
+        (w[0].is("Ordering") && w[1].is("::")).then_some((&w[0], *variant))
+    })
 }
 
-/// Collects `name: AtomicXxx` declarations (struct fields and statics).
-/// Initializer expressions (`AtomicU64::new(0)`) are excluded by requiring
-/// the type name not be followed by `::`.
-fn collect_atomic_fields(file: &SourceFile, idx: usize, out: &mut Vec<AtomicField>) {
-    let code = &file.code;
-    // Struct bodies, for owner attribution: the `{` comes before any `;`
-    // (unit and tuple structs have none).
-    let mut structs: Vec<(String, usize, usize)> = Vec::new();
-    for site in words(code, "struct") {
-        let Some(n0) = skip_ws(code, site + "struct".len()..) else {
-            continue;
-        };
-        let name = ident_at(code, n0);
-        let from = n0 + name.len();
-        let body = code[from..].iter().position(|&c| c == '{' || c == ';');
-        if let Some(open) = body.map(|p| from + p).filter(|&o| code[o] == '{') {
-            if !name.is_empty() {
-                structs.push((name, open, delim_extent(code, open)));
-            }
-        }
-    }
-
-    for ty_suffix in ATOMIC_TYS {
-        let ty = format!("Atomic{ty_suffix}");
-        for site in words(code, &ty) {
-            // `AtomicU64::new(..)` is an expression, not a declaration.
-            let after = site + ty.len();
-            if file.is_test_line(file.line(site)) || code[after..].starts_with(&[':', ':']) {
-                continue;
-            }
-            // Walk back over the type path (`std::sync::atomic::`), then
-            // expect a single `:` preceded by the field name.
-            let mut j = site;
-            while let Some(p) =
-                skip_ws(code, (0..j).rev()).filter(|&p| p > 0 && code[p - 1..=p] == [':', ':'])
-            {
-                match skip_ws(code, (0..p - 1).rev()).filter(|&e| is_ident_char(code[e])) {
-                    Some(e) => j = ident_start(code, e),
-                    None => break,
-                }
-            }
-            let Some(colon) = skip_ws(code, (0..j).rev()).filter(|&c| code[c] == ':') else {
-                continue;
-            };
-            if colon >= 1 && code[colon - 1] == ':' {
-                continue;
-            }
-            let Some(name_end) =
-                skip_ws(code, (0..colon).rev()).filter(|&e| is_ident_char(code[e]))
-            else {
-                continue;
-            };
-            let name_start = ident_start(code, name_end);
-            let field = ident_at(code, name_start);
-            if field.is_empty() || field == "mut" {
-                continue;
-            }
-            // Owner: innermost struct whose body contains the site, else a
-            // `static` keyword on the declaration's statement.
-            let owner = structs
-                .iter()
-                .filter(|(_, open, close)| *open < site && site < *close)
-                .max_by_key(|(_, open, _)| *open)
-                .map(|(name, _, _)| name.clone());
-            let owner = match owner {
-                Some(o) => o,
-                None => {
-                    // Require `static` before the field name on the same
-                    // statement, else this is a local/param annotation.
-                    let before: String = code[name_start.saturating_sub(24)..name_start]
-                        .iter()
-                        .collect();
-                    if !before.contains("static") {
-                        continue;
-                    }
-                    "static".to_string()
-                }
-            };
-            out.push(AtomicField {
-                owner,
-                field,
-                ty: ty.clone(),
-                file: idx,
-                line: file.line(site),
-            });
-        }
-    }
-}
-
-/// Start offset of the identifier ending at `end` (inclusive).
-fn ident_start(chars: &[char], end: usize) -> usize {
-    chars[..end]
+/// The innermost of `bodies` (`(open, close, item)`) enclosing token `i`.
+fn innermost<T: Copy>(bodies: &[(usize, usize, T)], i: usize) -> Option<(usize, usize, T)> {
+    let enclosing = bodies
         .iter()
-        .rposition(|c| !is_ident_char(*c))
-        .map_or(0, |p| p + 1)
+        .filter(|(open, close, _)| *open < i && i < *close);
+    enclosing.max_by_key(|(open, ..)| *open).copied()
 }
 
-/// Collects every atomic op call that names an `Ordering::` variant.
-fn collect_atomic_sites(file: &SourceFile, idx: usize, out: &mut Vec<AtomicSite>) {
-    let code = &file.code;
-    for op in ATOMIC_OPS {
-        for site in words(code, op) {
-            // Must be a non-test `.op(` method call.
-            let Some(dot) = skip_ws(code, (0..site).rev()).filter(|&d| code[d] == '.') else {
-                continue;
-            };
-            let Some(open) = skip_ws(code, site + op.len()..).filter(|&o| code[o] == '(') else {
-                continue;
-            };
-            if file.is_test_line(file.line(site)) {
-                continue;
-            }
-            let close = delim_extent(code, open);
-            let tokens = ordering_tokens(&code[open..close]);
-            if tokens.is_empty() {
-                continue;
-            }
-            // Receiver: the ident chain segment directly before the dot.
-            let field = skip_ws(code, (0..dot).rev())
-                .filter(|&e| is_ident_char(code[e]))
-                .map(|e| ident_at(code, ident_start(code, e)))
-                .filter(|name| name != "self");
-            out.push(AtomicSite {
-                field,
-                op,
-                orderings: tokens.iter().map(|&(_, v)| v).collect(),
-                ordering_tokens: tokens
-                    .iter()
-                    .map(|&(at, _)| (file.line(open + at), file.col(open + at)))
-                    .collect(),
-                file: idx,
-                line: file.line(site),
-                column: file.col(site),
-            });
-        }
-    }
+/// `true` for `AtomicBool`, `AtomicU64` and the other atomic type names.
+fn is_atomic_type(text: &str) -> bool {
+    text.strip_prefix("Atomic")
+        .is_some_and(|ty| ATOMIC_TYS.contains(&ty))
 }
 
-/// Collects the `KernelKind` enum's variants, every variant passed to
-/// `KernelScope::enter`, and the measured region of each entering
-/// function.
-fn collect_kernels(file: &SourceFile, idx: usize, table: &mut SymbolTable) {
-    let code = &file.code;
-    // Variant declarations: `enum KernelKind { .. }`.
-    for site in words(code, "enum") {
-        let Some(n0) = skip_ws(code, site + "enum".len()..) else {
-            continue;
-        };
-        if ident_at(code, n0) != "KernelKind" {
-            continue;
-        }
-        let Some(open) = code[n0..].iter().position(|&c| c == '{').map(|p| n0 + p) else {
-            continue;
-        };
-        let close = delim_extent(code, open);
-        // Variants: idents at depth 1 whose previous non-ws char is `{`,
-        // `,` or `]` (closing an attribute).
-        let mut j = open + 1;
-        while j < close.saturating_sub(1) {
-            let c = code[j];
-            if c == '#' {
-                // Skip `#[..]` attribute.
-                if let Some(b) = skip_ws(code, j + 1..).filter(|&b| code[b] == '[') {
-                    j = delim_extent(code, b);
-                    continue;
-                }
-            }
-            if is_ident_char(c) && (j == 0 || !is_ident_char(code[j - 1])) {
-                let name = ident_at(code, j);
-                let end = j + name.len();
-                // A plain variant is followed by `,`, the closing brace, or an
-                // explicit discriminant (`Variant = 3,`); data-carrying
-                // variants would be followed by `(`/`{`. Numeric tokens are
-                // discriminants, not variant names.
-                let ok = skip_ws(code, end..).is_none_or(|n| {
-                    code[n] == ','
-                        || n + 1 >= close
-                        || (code[n] == '=' && code.get(n + 1) != Some(&'='))
-                });
-                if ok && !name.starts_with(|c: char| c.is_ascii_digit()) {
-                    table.kernel_variants.push(KernelVariant {
-                        name,
-                        file: idx,
-                        line: file.line(j),
-                    });
-                }
-                j = end;
-                continue;
-            }
-            j += 1;
-        }
+/// The `name: AtomicXxx` declaration whose type name is `t[at]`, the path
+/// before it (`std::sync::atomic::`) included.
+/// `owner` is the innermost enclosing struct; outside one, only a `static`
+/// declares a field, anything else is a local or parameter annotation.
+fn atomic_field(t: &[Token], at: usize, owner: Option<&str>) -> Option<AtomicField> {
+    let mut ty = at;
+    while ty >= 2 && t[ty - 1].is("::") && t[ty - 2].kind == Kind::Word {
+        ty -= 2;
     }
-
-    // Enter sites + enclosing function extents.
-    let mut fn_extents: Option<Vec<(usize, usize)>> = None;
-    for site in words(code, "KernelScope") {
-        let after = site + "KernelScope".len();
-        if !code[after..].starts_with(&[':', ':']) {
-            continue;
-        }
-        let Some(m0) = skip_ws(code, after + 2..).filter(|&m| ident_at(code, m) == "enter") else {
-            continue;
-        };
-        let Some(open) = skip_ws(code, m0 + "enter".len()..).filter(|&o| code[o] == '(') else {
-            continue;
-        };
-        if file.is_test_line(file.line(site)) {
-            continue;
-        }
-        let close = delim_extent(code, open);
-        for w in words(&code[open..close], "KernelKind") {
-            let abs = open + w + "KernelKind".len();
-            if code[abs..].starts_with(&[':', ':']) {
-                if let Some(v0) = skip_ws(code, abs + 2..) {
-                    let variant = ident_at(code, v0);
-                    if !variant.is_empty() {
-                        table.entered_kinds.insert(variant);
-                    }
-                }
+    let name = ty.checked_sub(2).filter(|&n| t[n + 1].is(":"))?;
+    if t[name].kind != Kind::Word || t[name].is("mut") {
+        return None;
+    }
+    let owner = match owner {
+        Some(owner) => owner,
+        None => {
+            let before = |k: usize| name.checked_sub(k).map(|b| t[b].text.as_str());
+            match (before(2), before(1)) {
+                (_, Some("static")) | (Some("static"), Some("mut")) => "static",
+                _ => return None,
             }
         }
-        // Measured region: from past the enter call to the end of the
-        // innermost enclosing fn body.
-        let extents = fn_extents.get_or_insert_with(|| fn_body_extents(code));
-        if let Some(&(_, body_close)) = extents
-            .iter()
-            .filter(|(o, c)| *o < site && site < *c)
-            .max_by_key(|(o, _)| *o)
-        {
-            table.kernel_fns.push(KernelFn {
-                file: idx,
-                enter_line: file.line(site),
-                region_start: file.line(close),
-                region_start_col: file.col(close),
-                region_end: file.line(body_close),
-            });
-        }
-    }
+    };
+    Some(AtomicField {
+        owner: owner.to_string(),
+        field: t[name].text.clone(),
+    })
 }
 
-/// `(open, close)` body brace offsets of every `fn` in the file.
-fn fn_body_extents(chars: &[char]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for site in words(chars, "fn") {
-        // Trait method declarations end without a body.
-        let body = chars[site..].iter().position(|&c| c == '{' || c == ';');
-        if let Some(open) = body.map(|p| site + p).filter(|&o| chars[o] == '{') {
-            out.push((open, delim_extent(chars, open) - 1));
-        }
+/// The atomic op call whose method name is `t[at]` (after a `.`, before a
+/// `(`), when its argument list names an `Ordering::` variant. The
+/// receiver field is the word before the `.`.
+fn atomic_site(t: &[Token], idx: usize, at: usize, method: &str) -> Option<AtomicSite> {
+    let op = *ATOMIC_OPS.iter().find(|op| **op == method)?;
+    let args = &t[at + 1..t[at + 1].close.min(t.len())];
+    let (orderings, ordering_tokens) = ordering_tokens(args)
+        .map(|(tok, variant)| (variant, (tok.line, tok.col)))
+        .unzip::<_, _, Vec<_>, Vec<_>>();
+    if orderings.is_empty() {
+        return None;
     }
-    out
+    let receiver = at.checked_sub(2).map(|r| &t[r]);
+    Some(AtomicSite {
+        field: receiver
+            .filter(|r| r.kind == Kind::Word && !r.is("self"))
+            .map(|r| r.text.clone()),
+        op,
+        orderings,
+        ordering_tokens,
+        file: idx,
+        line: t[at].line,
+        column: t[at].col,
+    })
 }
 
 #[cfg(test)]

@@ -42,41 +42,22 @@ pub fn discover(root: &Path) -> Result<Vec<CrateSrc>, LintError> {
             root: root.display().to_string(),
         });
     }
+    let members = match root.join("crates") {
+        dir if dir.is_dir() => read_dir_sorted(&dir)?,
+        _ => Vec::new(),
+    };
     let mut out = Vec::new();
-    if root.join("src").is_dir() {
-        if let Some(name) = package_name(&root.join("Cargo.toml")) {
-            out.push(CrateSrc {
-                name,
-                crate_dir: root.to_path_buf(),
-                src_dir: root.join("src"),
-                rel_prefix: String::new(),
-            });
-        }
-    }
-    let crates_dir = root.join("crates");
-    if crates_dir.is_dir() {
-        let mut entries: Vec<PathBuf> = read_dir_sorted(&crates_dir)?;
-        entries.retain(|p| p.is_dir());
-        for dir in entries {
-            let manifest = dir.join("Cargo.toml");
-            let src = dir.join("src");
-            if !manifest.is_file() || !src.is_dir() {
-                continue;
-            }
-            let Some(name) = package_name(&manifest) else {
-                continue;
-            };
-            let dir_name = dir
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            out.push(CrateSrc {
-                name,
-                crate_dir: dir.clone(),
-                src_dir: src,
-                rel_prefix: format!("crates/{dir_name}"),
-            });
-        }
+    for dir in std::iter::once(root.to_path_buf()).chain(members) {
+        let src_dir = dir.join("src");
+        let Some(name) = package_name(&dir.join("Cargo.toml")).filter(|_| src_dir.is_dir()) else {
+            continue;
+        };
+        out.push(CrateSrc {
+            name,
+            rel_prefix: rel_path(&dir, root),
+            crate_dir: dir,
+            src_dir,
+        });
     }
     Ok(out)
 }
@@ -86,49 +67,24 @@ pub fn discover(root: &Path) -> Result<Vec<CrateSrc>, LintError> {
 /// `benches/**` and `examples/**` when present.
 pub fn load_sources(krate: &CrateSrc) -> Result<Vec<SourceFile>, LintError> {
     let mut files = Vec::new();
-    load_tree(krate, &krate.src_dir, "src", &mut files)?;
-    for (dir, label) in [("benches", "benches"), ("examples", "examples")] {
-        let tree = krate.crate_dir.join(dir);
-        if tree.is_dir() {
-            load_tree(krate, &tree, label, &mut files)?;
+    for tree in ["src", "benches", "examples"].map(|t| krate.crate_dir.join(t)) {
+        if !tree.is_dir() {
+            continue;
+        }
+        for path in rs_files(&tree, &[])? {
+            let in_crate = rel_path(&path, &krate.crate_dir);
+            let lib = in_crate.starts_with("src/")
+                && in_crate != "src/main.rs"
+                && !in_crate.starts_with("src/bin/");
+            let rel = match krate.rel_prefix.as_str() {
+                "" => in_crate,
+                prefix => format!("{prefix}/{in_crate}"),
+            };
+            let src = std::fs::read_to_string(&path).map_err(io_error(&path))?;
+            files.push(SourceFile::from_source(rel, lib, &src));
         }
     }
     Ok(files)
-}
-
-/// Walks one target tree (`src`, `benches` or `examples`) of a crate.
-fn load_tree(
-    krate: &CrateSrc,
-    tree: &Path,
-    label: &str,
-    files: &mut Vec<SourceFile>,
-) -> Result<(), LintError> {
-    let mut stack = vec![tree.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        for entry in read_dir_sorted(&dir)? {
-            if entry.is_dir() {
-                stack.push(entry);
-                continue;
-            }
-            if entry.extension().and_then(|e| e.to_str()) != Some("rs") {
-                continue;
-            }
-            let rel_in_tree = entry
-                .strip_prefix(tree)
-                .unwrap_or(&entry)
-                .to_string_lossy()
-                .replace('\\', "/");
-            let lib =
-                label == "src" && rel_in_tree != "main.rs" && !rel_in_tree.starts_with("bin/");
-            let rel = if krate.rel_prefix.is_empty() {
-                format!("{label}/{rel_in_tree}")
-            } else {
-                format!("{}/{label}/{rel_in_tree}", krate.rel_prefix)
-            };
-            files.push(SourceFile::load(&entry, rel, lib)?);
-        }
-    }
-    Ok(())
 }
 
 /// Counts every `.rs` file under `root`, excluding build output and VCS
@@ -136,45 +92,52 @@ fn load_tree(
 /// loaded is the *skipped* count the report prints: tests, shims and
 /// fixtures that are out of scope by design, visible instead of silent.
 pub fn count_rs_files(root: &Path) -> Result<usize, LintError> {
-    let mut count = 0usize;
-    let mut stack = vec![root.to_path_buf()];
+    Ok(rs_files(root, &[".git", "target", "node_modules"])?.len())
+}
+
+/// Every `.rs` file under `dir` (depth first, each directory's entries by
+/// name), not descending into directories named in `skip`.
+fn rs_files(dir: &Path, skip: &[&str]) -> Result<Vec<PathBuf>, LintError> {
+    let (mut out, mut stack) = (Vec::new(), vec![dir.to_path_buf()]);
     while let Some(dir) = stack.pop() {
         for entry in read_dir_sorted(&dir)? {
-            if entry.is_dir() {
-                let name = entry
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                if name == ".git" || name == "target" || name == "node_modules" {
-                    continue;
+            if !entry.is_dir() {
+                if entry.extension().is_some_and(|e| e == "rs") {
+                    out.push(entry);
                 }
+            } else if !entry
+                .file_name()
+                .is_some_and(|n| skip.iter().any(|s| n == *s))
+            {
                 stack.push(entry);
-                continue;
-            }
-            if entry.extension().and_then(|e| e.to_str()) == Some("rs") {
-                count += 1;
             }
         }
     }
-    Ok(count)
+    Ok(out)
+}
+
+/// `path` relative to `base`, with `/` separators.
+fn rel_path(path: &Path, base: &Path) -> String {
+    let rel = path.strip_prefix(base).unwrap_or(path);
+    rel.to_string_lossy().replace('\\', "/")
 }
 
 /// Reads a directory, sorted by name for deterministic reports.
 fn read_dir_sorted(dir: &Path) -> Result<Vec<PathBuf>, LintError> {
-    let iter = std::fs::read_dir(dir).map_err(|e| LintError::Io {
-        path: dir.display().to_string(),
+    let entries = std::fs::read_dir(dir).map_err(io_error(dir))?;
+    let mut paths = entries
+        .map(|e| e.map(|e| e.path()).map_err(io_error(dir)))
+        .collect::<Result<Vec<_>, _>>()?;
+    paths.sort();
+    Ok(paths)
+}
+
+/// Turns an I/O error on `path` into [`LintError::Io`].
+fn io_error(path: &Path) -> impl Fn(std::io::Error) -> LintError + '_ {
+    move |e| LintError::Io {
+        path: path.display().to_string(),
         message: e.to_string(),
-    })?;
-    let mut entries: Vec<PathBuf> = Vec::new();
-    for entry in iter {
-        let entry = entry.map_err(|e| LintError::Io {
-            path: dir.display().to_string(),
-            message: e.to_string(),
-        })?;
-        entries.push(entry.path());
     }
-    entries.sort();
-    Ok(entries)
 }
 
 /// Extracts `name = "..."` from a manifest's `[package]` section with a

@@ -156,11 +156,6 @@ impl Sequential {
         self.seed
     }
 
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Total number of scalar parameters.
     pub fn num_parameters(&self) -> usize {
         self.params().iter().map(|p| p.len()).sum()
@@ -223,13 +218,6 @@ impl Sequential {
             .iter_mut()
             .flat_map(|l| l.params_mut())
             .collect()
-    }
-
-    /// Zeroes every parameter gradient.
-    pub fn zero_grads(&mut self) {
-        for p in self.params_mut() {
-            p.zero_grad();
-        }
     }
 
     /// `true` when `other` computes the same function as `self`: identical
@@ -385,24 +373,6 @@ mod tests {
         let net = mlp();
         // 3*5 + 5 + 5*2 + 2 = 32
         assert_eq!(net.num_parameters(), 32);
-        assert_eq!(net.num_layers(), 3);
-    }
-
-    #[test]
-    fn zero_grads_clears_everything() {
-        let mut net = mlp();
-        let x = Tensor::ones(Shape::matrix(1, 3));
-        let y = net.forward(&x, Mode::Train).unwrap();
-        net.backward(&Tensor::ones(y.shape().clone())).unwrap();
-        assert!(net
-            .params()
-            .iter()
-            .any(|p| p.grad.map(f32::abs).sum() > 0.0));
-        net.zero_grads();
-        assert!(net
-            .params()
-            .iter()
-            .all(|p| p.grad.map(f32::abs).sum() == 0.0));
     }
 
     #[test]

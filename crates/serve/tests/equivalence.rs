@@ -14,6 +14,12 @@ use adv_tensor::{Shape, Tensor};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Seed of the toy defenses' untrained classifier, chosen so that its
+/// verdicts tell the test inputs apart (see [`assert_discriminating`]):
+/// under a seed whose net predicts one class for every input, a pipeline
+/// that classified the wrong tensor would match verdict for verdict.
+const CLASSIFIER_SEED: u64 = 10;
+
 /// A small calibrated defense over 8×8 single-channel inputs.
 fn toy_defense() -> MagnetDefense {
     let ae = Autoencoder::new(
@@ -23,7 +29,8 @@ fn toy_defense() -> MagnetDefense {
         1,
     )
     .unwrap();
-    let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap();
+    let classifier =
+        Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), CLASSIFIER_SEED).unwrap();
     let det = ReconstructionDetector::new(ae.clone(), ReconstructionNorm::L2);
     let mut defense = MagnetDefense::new("serve-toy", vec![Box::new(det)], ae, classifier);
     defense.calibrate_detectors(&corpus(64, 0), 0.05).unwrap();
@@ -42,7 +49,8 @@ fn jsd_defense() -> MagnetDefense {
         1,
     )
     .unwrap();
-    let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap();
+    let classifier =
+        Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), CLASSIFIER_SEED).unwrap();
     let detectors: Vec<Box<dyn Detector>> = vec![
         Box::new(ReconstructionDetector::new(
             ae.clone(),
@@ -68,10 +76,36 @@ fn serial_verdicts(defense: &MagnetDefense, x: &Tensor, scheme: DefenseScheme) -
     defense.classify(x, scheme).unwrap()
 }
 
+/// The precondition that lets a verdict comparison over `x` see which
+/// tensor the classifier got: the serial verdicts take at least two
+/// classes, reforming changes at least one of them, and the no-defense and
+/// reformer-only verdicts equal the classifier's argmax on the raw and on
+/// the reformed input, computed from the defense's parts.
+fn assert_discriminating(defense: &MagnetDefense, x: &Tensor) {
+    let argmax = |input: &Tensor| -> Vec<Verdict> {
+        let logits = defense.classifier().infer(input).unwrap();
+        let classes = logits.argmax_rows().unwrap();
+        classes.into_iter().map(Verdict::Classified).collect()
+    };
+    let raw = argmax(x);
+    let reformed = argmax(&defense.reformer().reconstruct(x).unwrap());
+    assert!(
+        raw.iter().any(|v| *v != raw[0]),
+        "one class for every input: {raw:?}"
+    );
+    assert_ne!(raw, reformed, "reforming changes no verdict");
+    assert_eq!(serial_verdicts(defense, x, DefenseScheme::None), raw);
+    assert_eq!(
+        serial_verdicts(defense, x, DefenseScheme::ReformerOnly),
+        reformed
+    );
+}
+
 #[test]
 fn batched_verdicts_match_serial_bitwise() {
     let defense = Arc::new(toy_defense());
     let x = corpus(16, 1);
+    assert_discriminating(&defense, &x);
     for scheme in DefenseScheme::ALL {
         let expected = serial_verdicts(&defense, &x, scheme);
 
@@ -106,6 +140,7 @@ fn batched_verdicts_match_serial_bitwise() {
 fn fused_jsd_defense_matches_serial_bitwise() {
     let defense = Arc::new(jsd_defense());
     let x = corpus(16, 4);
+    assert_discriminating(&defense, &x);
     for scheme in DefenseScheme::ALL {
         let expected = serial_verdicts(&defense, &x, scheme);
         let engine = ServeEngine::start(
@@ -153,6 +188,7 @@ fn concurrent_submitters_each_get_their_own_verdicts() {
             let defense = defense.clone();
             std::thread::spawn(move || {
                 let x = corpus(8, t + 2);
+                assert_discriminating(&defense, &x);
                 let expected = serial_verdicts(&defense, &x, DefenseScheme::Full);
                 let pending: Vec<_> = (0..8)
                     .map(|i| engine.submit(x.index_axis0(i).unwrap()).unwrap())
@@ -178,6 +214,7 @@ fn concurrent_submitters_each_get_their_own_verdicts() {
 fn shutdown_drains_already_accepted_requests() {
     let defense = Arc::new(toy_defense());
     let x = corpus(24, 9);
+    assert_discriminating(&defense, &x);
     let expected = serial_verdicts(&defense, &x, DefenseScheme::Full);
 
     // One slow-flushing worker so most requests are still queued when

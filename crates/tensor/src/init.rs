@@ -30,13 +30,6 @@ pub fn glorot_uniform(shape: Shape, fan_in: usize, fan_out: usize, rng: &mut imp
     uniform(shape, -limit, limit, rng)
 }
 
-/// He/Kaiming normal initialization: `N(0, √(2 / fan_in))`.
-///
-/// Appropriate for ReLU layers — the victim classifiers.
-pub fn he_normal(shape: Shape, fan_in: usize, rng: &mut impl Rng) -> Tensor {
-    normal(shape, (2.0 / fan_in.max(1) as f32).sqrt(), rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,14 +66,5 @@ mod tests {
         let a = glorot_uniform(Shape::vector(64), 8, 8, &mut StdRng::seed_from_u64(3));
         let b = glorot_uniform(Shape::vector(64), 8, 8, &mut StdRng::seed_from_u64(3));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn he_normal_scales_with_fan_in() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let t = he_normal(Shape::vector(10_000), 50, &mut rng);
-        let std = t.map(|v| v * v).mean().sqrt();
-        let expected = (2.0f32 / 50.0).sqrt();
-        assert!((std - expected).abs() < 0.02, "std {std} vs {expected}");
     }
 }

@@ -35,12 +35,6 @@ pub fn l2_norm(t: &Tensor) -> f32 {
     t.as_slice().iter().map(|v| v * v).sum::<f32>().sqrt()
 }
 
-/// Squared L2 norm `Σ tᵢ²` (avoids the square root on hot paths).
-pub fn l2_norm_sq(t: &Tensor) -> f32 {
-    let _prof = KernelScope::enter(KernelKind::Reduction, || Work::reduce(t.len()));
-    t.as_slice().iter().map(|v| v * v).sum::<f32>()
-}
-
 /// `‖t‖_∞ = max |tᵢ|`.
 pub fn linf_norm(t: &Tensor) -> f32 {
     t.as_slice().iter().map(|v| v.abs()).fold(0.0, f32::max)
@@ -125,7 +119,6 @@ mod tests {
         assert_eq!(l0_norm(&v, 1e-9), 2);
         assert_eq!(l1_norm(&v), 7.0);
         assert_eq!(l2_norm(&v), 5.0);
-        assert_eq!(l2_norm_sq(&v), 25.0);
         assert_eq!(linf_norm(&v), 4.0);
     }
 

@@ -109,11 +109,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-index.
     ///
     /// # Errors
@@ -352,15 +347,6 @@ impl Tensor {
         self.zip_map(other, |a, b| a * b)
     }
 
-    /// Elementwise quotient `self / other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn div(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_map(other, |a, b| a / b)
-    }
-
     /// Multiplies every element by `k`.
     pub fn scale(&self, k: f32) -> Tensor {
         self.map(|v| v * k)
@@ -595,7 +581,6 @@ mod tests {
         assert_eq!(a.add(&b).unwrap().as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).unwrap().as_slice(), &[3.0, 3.0, 3.0]);
         assert_eq!(a.mul(&b).unwrap().as_slice(), &[4.0, 10.0, 18.0]);
-        assert_eq!(b.div(&a).unwrap().as_slice(), &[4.0, 2.5, 2.0]);
     }
 
     #[test]
