@@ -32,7 +32,6 @@ pub mod config;
 pub mod experiment;
 pub mod figures;
 pub mod obs;
-pub mod parallel;
 pub mod plot;
 pub mod render;
 pub mod report;

@@ -1,10 +1,12 @@
 use crate::autoencoder::Autoencoder;
 use crate::detector::Detector;
+use crate::fork::{fork_join, CoreClaim};
 use crate::fused::InferenceCache;
 use crate::Result;
 use adv_nn::Sequential;
 use adv_profile::StageScope;
 use adv_tensor::Tensor;
+use std::borrow::Cow;
 use std::time::Duration;
 
 /// Records pipeline verdict counters when metrics are enabled. The
@@ -54,6 +56,52 @@ fn timed_stage<T>(
     before_stage(name)?;
     let out = run()?;
     Ok((out, started.elapsed()))
+}
+
+/// Name of the [`StageScope`] each helper chunk of a split pass runs in.
+pub const STAGE_CHUNK: &str = "magnet/chunk";
+
+/// The fewest rows a chunk of a split pass gets, so a batch splits only
+/// from `2 × MIN_CHUNK_ROWS` rows. Measured on a 2-vCPU host with the
+/// MNIST D+JSD defense's shapes, a `Full` pass timed alone went, unsplit
+/// → split in two: 2 rows 0.58 → 0.61 ms, 4 rows 1.03 → 0.85 ms, 8 rows
+/// 2.27 → 1.30 ms, 32 rows 8.2 → 4.0 ms (medians of ≥ 60 interleaved
+/// passes). Small batches come from light load, where the threads feeding
+/// them want the other core: in the `wire` workload, splitting its 2-row
+/// batches 1 + 1 raised `magnet.batch_ms` from 0.64 to 1.04 ms (3 traced
+/// runs each side). At 8 rows a chunk's work is about a millisecond, well
+/// above the cost of a spawn and of sharing a core with those threads.
+pub const MIN_CHUNK_ROWS: usize = 8;
+
+/// One contiguous row range of a pass, with its own cache and, once the
+/// reformer has run, its reformed rows.
+struct Chunk<'x, 'm> {
+    x: Cow<'x, Tensor>,
+    cache: InferenceCache<'m>,
+    reformed: Option<Tensor>,
+}
+
+impl<'x> Chunk<'x, '_> {
+    /// Splits `x` into `k` contiguous chunks of near-equal size; with
+    /// `k < 2`, one chunk that borrows `x`.
+    fn split(x: &'x Tensor, k: usize) -> Result<Vec<Self>> {
+        let chunk = |x| Chunk {
+            x,
+            cache: InferenceCache::new(),
+            reformed: None,
+        };
+        if k < 2 {
+            return Ok(vec![chunk(Cow::Borrowed(x))]);
+        }
+        let rows = x.shape().dim(0);
+        (0..k)
+            .map(|i| {
+                Ok(chunk(Cow::Owned(
+                    x.slice_axis0(i * rows / k, (i + 1) * rows / k)?,
+                )))
+            })
+            .collect()
+    }
 }
 
 /// Which parts of MagNet are active — the four defense schemes compared in
@@ -317,61 +365,101 @@ impl MagnetDefense {
     /// an error from it ends the pass. Fault injection hooks in here; every
     /// other caller passes a no-op.
     ///
-    /// The pass runs through one [`InferenceCache`], so sub-computations
-    /// shared between detectors, reformer and classifier execute once per
-    /// batch. That is MagNet's own redundancy: the paper's assemblies reuse
-    /// one auto-encoder as both detector and reformer, and JSD detectors
-    /// re-run the protected classifier. The cache reuses a result only when
-    /// model and input are bit-identical, so every verdict and score equals
-    /// the one each stage computes on its own.
+    /// A batch of at least `2 × MIN_CHUNK_ROWS` rows is split into
+    /// contiguous row chunks, one per core that [`CoreClaim`] grants (at most
+    /// `rows / MIN_CHUNK_ROWS`). Within each stage chunk 0 runs on the
+    /// calling thread and the others on helper threads at the same time;
+    /// the hook runs once per stage, on the calling thread, before any
+    /// chunk starts. Each row's result does not depend on the rows batched
+    /// with it, so the joined results equal the unsplit pass bit for bit.
+    ///
+    /// Each chunk runs through one [`InferenceCache`] of its own, so
+    /// sub-computations shared between detectors, reformer and classifier
+    /// execute once per chunk. That is MagNet's own redundancy: the paper's
+    /// assemblies reuse one auto-encoder as both detector and reformer, and
+    /// JSD detectors re-run the protected classifier. The cache reuses a
+    /// result only when model and input are bit-identical, so every verdict
+    /// and score equals the one each stage computes on its own.
     ///
     /// # Errors
     ///
     /// Propagates hook, detector and classifier errors.
+    ///
+    /// # Panics
+    ///
+    /// A panic in any chunk resumes on the calling thread once every chunk
+    /// of the stage has finished.
     pub fn classify_staged(
         &self,
         x: &Tensor,
         scheme: DefenseScheme,
         before_stage: &dyn Fn(&'static str) -> Result<()>,
     ) -> Result<(Vec<Verdict>, Vec<Vec<f32>>, StageTimings)> {
+        let rows = x.shape().dim(0);
+        let claim = CoreClaim::take(rows / MIN_CHUNK_ROWS);
+        let mut chunks = Chunk::split(x, claim.granted())?;
         let mut timings = StageTimings::default();
-        let mut cache = InferenceCache::new();
-        let mut detected = vec![false; x.shape().dim(0)];
+        let mut detected = vec![false; rows];
         let mut det_scores: Vec<Vec<f32>> = Vec::new();
 
         if matches!(scheme, DefenseScheme::DetectorOnly | DefenseScheme::Full) {
             timings.detect = timed_stage(STAGE_DETECT, before_stage, || {
-                for det in &self.detectors {
-                    let threshold =
+                let thresholds = self
+                    .detectors
+                    .iter()
+                    .map(|det| {
                         det.threshold()
                             .ok_or_else(|| crate::MagnetError::Uncalibrated {
                                 detector: det.name(),
-                            })?;
-                    let scores = det.scores_fused(x, &mut cache)?;
-                    crate::detector::record_scores(&det.name(), &scores);
-                    for (c, s) in detected.iter_mut().zip(&scores) {
+                            })
+                    })
+                    .collect::<Result<Vec<f32>>>()?;
+                det_scores = vec![Vec::new(); self.detectors.len()];
+                for part in fork_join(&mut chunks, |c| {
+                    self.detectors
+                        .iter()
+                        .map(|det| det.scores_fused(&c.x, &mut c.cache))
+                        .collect::<Result<Vec<_>>>()
+                }) {
+                    for (all, scores) in det_scores.iter_mut().zip(part?) {
+                        all.extend(scores);
+                    }
+                }
+                for ((det, scores), threshold) in
+                    self.detectors.iter().zip(&det_scores).zip(thresholds)
+                {
+                    crate::detector::record_scores(&det.name(), scores);
+                    for (c, s) in detected.iter_mut().zip(scores) {
                         *c |= *s > threshold;
                     }
-                    det_scores.push(scores);
                 }
                 Ok(())
             })?
             .1;
         }
 
-        let reformed = if matches!(scheme, DefenseScheme::ReformerOnly | DefenseScheme::Full) {
-            let (r, t) = timed_stage(STAGE_REFORM, before_stage, || {
-                cache.reconstruction(&self.reformer, x)
-            })?;
-            timings.reform = t;
-            Some(r)
-        } else {
-            None
-        };
+        if matches!(scheme, DefenseScheme::ReformerOnly | DefenseScheme::Full) {
+            timings.reform = timed_stage(STAGE_REFORM, before_stage, || {
+                for done in fork_join(&mut chunks, |c| -> Result<()> {
+                    c.reformed = Some(c.cache.reconstruction(&self.reformer, &c.x)?);
+                    Ok(())
+                }) {
+                    done?;
+                }
+                Ok(())
+            })?
+            .1;
+        }
 
         let (preds, t) = timed_stage(STAGE_CLASSIFY, before_stage, || {
-            let logits = cache.logits(&self.classifier, reformed.as_ref().unwrap_or(x))?;
-            Ok(logits.argmax_rows()?)
+            let mut preds = Vec::with_capacity(rows);
+            for part in fork_join(&mut chunks, |c| -> Result<Vec<usize>> {
+                let input = c.reformed.as_ref().unwrap_or(&c.x);
+                Ok(c.cache.logits(&self.classifier, input)?.argmax_rows()?)
+            }) {
+                preds.extend(part?);
+            }
+            Ok(preds)
         })?;
         timings.classify = t;
 

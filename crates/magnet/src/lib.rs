@@ -40,6 +40,7 @@ mod error;
 mod fused;
 
 pub mod arch;
+pub mod fork;
 pub mod graybox;
 pub mod jsd;
 pub mod threshold;
@@ -47,8 +48,8 @@ pub mod variants;
 
 pub use autoencoder::Autoencoder;
 pub use defense::{
-    DefensePipeline, DefenseScheme, MagnetDefense, StageTimings, Verdict, STAGE_CLASSIFY,
-    STAGE_DETECT, STAGE_REFORM,
+    DefensePipeline, DefenseScheme, MagnetDefense, StageTimings, Verdict, MIN_CHUNK_ROWS,
+    STAGE_CHUNK, STAGE_CLASSIFY, STAGE_DETECT, STAGE_REFORM,
 };
 pub use detector::{Detector, JsdDetector, ReconstructionDetector, ReconstructionNorm};
 pub use error::MagnetError;

@@ -452,6 +452,11 @@ pub(crate) fn swap_thread_trace(trace: u64) -> u64 {
         .unwrap_or(0)
 }
 
+/// The calling thread's active trace id (0 = none).
+pub(crate) fn thread_trace() -> u64 {
+    THREAD_PROF.try_with(|tp| tp.borrow().trace).unwrap_or(0)
+}
+
 /// Buffers one explicit span (e.g. a queue-wait event) on the thread,
 /// stamping the thread index.
 pub(crate) fn push_span(mut span: TraceSpan) {

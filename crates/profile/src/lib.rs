@@ -55,9 +55,9 @@ pub use report::{
     total_kernel_self_ns, FrameSummary, KernelReport,
 };
 pub use trace::{
-    dropped_spans, latency_exemplars, link, next_trace_id, observe_latency, record_event,
-    record_into, render_trace, spans_for, spans_to_jsonl, take_spans, TraceGuard, TraceId,
-    TraceSpan,
+    active_trace, dropped_spans, latency_exemplars, link, next_trace_id, observe_latency,
+    record_event, record_into, render_trace, spans_for, spans_to_jsonl, take_spans, TraceGuard,
+    TraceId, TraceSpan,
 };
 
 use adv_obs::ObsLevel;

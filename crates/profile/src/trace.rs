@@ -205,6 +205,17 @@ pub fn record_into(trace: TraceId) -> TraceGuard {
     }
 }
 
+/// The trace [`record_into`] activated on the calling thread, or
+/// [`TraceId::NONE`] (also while profiling is off). Work forked onto
+/// helper threads passes it to their own [`record_into`], so their spans
+/// join the caller's trace.
+pub fn active_trace() -> TraceId {
+    if !crate::enabled() {
+        return TraceId::NONE;
+    }
+    TraceId(crate::kernel::thread_trace())
+}
+
 impl Drop for TraceGuard {
     fn drop(&mut self) {
         if self.active {
@@ -414,10 +425,13 @@ mod tests {
             let _a = record_into(outer);
             {
                 let _b = record_into(inner);
+                assert_eq!(active_trace(), inner);
                 let _k = KernelScope::enter(KernelKind::Jsd, || Work::custom(1, 1, 1));
             }
+            assert_eq!(active_trace(), outer);
             let _k = KernelScope::enter(KernelKind::Softmax, || Work::softmax(1, 2));
         }
+        assert_eq!(active_trace(), TraceId::NONE);
         crate::set_enabled(false);
         let inner_spans = spans_for(inner);
         let outer_spans = spans_for(outer);

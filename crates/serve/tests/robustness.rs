@@ -8,7 +8,8 @@ use adv_chaos::{
 };
 use adv_magnet::arch::{mnist_ae_two, mnist_classifier};
 use adv_magnet::{
-    Autoencoder, DefenseScheme, MagnetDefense, ReconstructionDetector, ReconstructionNorm,
+    Autoencoder, DefenseScheme, Detector, InferenceCache, MagnetDefense, ReconstructionDetector,
+    ReconstructionNorm,
 };
 use adv_nn::loss::ReconstructionLoss;
 use adv_nn::Sequential;
@@ -373,4 +374,96 @@ fn zero_failure_threshold_is_rejected() {
         },
     );
     assert!(matches!(result, Err(ServeError::InvalidConfig(_))));
+}
+
+/// A reconstruction detector that panics on an unnamed thread. Engine
+/// workers are named, so only a helper chunk of a split pass panics.
+#[derive(Debug)]
+struct PanicsOnHelper(ReconstructionDetector);
+
+impl Detector for PanicsOnHelper {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn scores_fused<'m>(
+        &'m self,
+        x: &Tensor,
+        cache: &mut InferenceCache<'m>,
+    ) -> adv_magnet::Result<Vec<f32>> {
+        if std::thread::current().name().is_none() {
+            panic!("{PANIC_MARKER} detector on a helper chunk");
+        }
+        self.0.scores_fused(x, cache)
+    }
+
+    fn threshold(&self) -> Option<f32> {
+        self.0.threshold()
+    }
+
+    fn set_threshold(&mut self, threshold: f32) {
+        self.0.set_threshold(threshold);
+    }
+}
+
+#[test]
+fn a_panic_in_a_helper_chunk_answers_the_batch_with_worker_panic() {
+    silence_injected_panics();
+    let ae = Autoencoder::new(
+        &mnist_ae_two(1, 3),
+        ReconstructionLoss::MeanSquaredError,
+        0.0,
+        1,
+    )
+    .unwrap();
+    let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap();
+    let det = PanicsOnHelper(ReconstructionDetector::new(
+        ae.clone(),
+        ReconstructionNorm::L2,
+    ));
+    let mut defense = MagnetDefense::new("helper-panic", vec![Box::new(det)], ae, classifier);
+    defense.calibrate_detectors(&corpus(64, 0), 0.05).unwrap();
+    let engine = ServeEngine::start(
+        Arc::new(defense),
+        ServeConfig {
+            workers: 1,
+            max_batch: 32,
+            max_wait: Duration::from_millis(200),
+            restart: RestartPolicy {
+                backoff_base: Duration::from_micros(100),
+                ..RestartPolicy::default()
+            },
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    // Other tests' passes share the core budget, so a batch may run
+    // unsplit; a few rounds see it split wherever two cores exist.
+    let split_possible = adv_magnet::fork::cores() >= 2;
+    let mut panicked = 0;
+    for round in 0..50 {
+        let pending: Vec<_> = (0..32)
+            .map(|i| engine.submit(item(32 * round + i)).unwrap())
+            .collect();
+        for p in pending {
+            match p.wait_timeout(Duration::from_secs(30)) {
+                Ok(_) => {}
+                Err(ServeError::WorkerPanic(msg)) => {
+                    assert!(msg.contains(PANIC_MARKER), "{msg}");
+                    panicked += 1;
+                }
+                other => panic!("expected a verdict or WorkerPanic, got {other:?}"),
+            }
+        }
+        if panicked > 0 || !split_possible {
+            break;
+        }
+    }
+    assert_eq!(
+        panicked > 0,
+        split_possible,
+        "{panicked} answered WorkerPanic"
+    );
+    let m = engine.shutdown();
+    assert_eq!(m.completed + m.failed, m.submitted);
 }

@@ -11,16 +11,6 @@ pub fn uniform(shape: Shape, lo: f32, hi: f32, rng: &mut impl Rng) -> Tensor {
     Tensor::from_fn(shape, |_| rng.gen_range(lo..hi))
 }
 
-/// Standard normal values scaled by `std`, generated with Box–Muller.
-pub fn normal(shape: Shape, std: f32, rng: &mut impl Rng) -> Tensor {
-    Tensor::from_fn(shape, |_| {
-        // Box–Muller transform; clamp u1 away from 0 to avoid ln(0).
-        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = rng.gen_range(0.0..1.0);
-        std * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-    })
-}
-
 /// Glorot/Xavier uniform initialization: `U(±√(6 / (fan_in + fan_out)))`.
 ///
 /// Appropriate for sigmoid/tanh layers — the activation MagNet's
@@ -41,16 +31,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let t = uniform(Shape::vector(1000), -0.5, 0.5, &mut rng);
         assert!(t.as_slice().iter().all(|&v| (-0.5..0.5).contains(&v)));
-    }
-
-    #[test]
-    fn normal_has_roughly_correct_moments() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let t = normal(Shape::vector(20_000), 2.0, &mut rng);
-        let mean = t.mean();
-        let var = t.map(|v| (v - mean) * (v - mean)).mean();
-        assert!(mean.abs() < 0.1, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.1, "std {}", var.sqrt());
     }
 
     #[test]

@@ -214,6 +214,39 @@ impl Tensor {
         Tensor::from_vec(data, Shape::new(dims))
     }
 
+    /// Copies items `start..end` along axis 0 into a batch of their own.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::IndexOutOfBounds`] unless `start <= end <=`
+    /// the batch size, and [`TensorError::RankMismatch`] for rank-0
+    /// tensors.
+    pub fn slice_axis0(&self, start: usize, end: usize) -> Result<Tensor> {
+        if self.shape.rank() == 0 {
+            return Err(TensorError::RankMismatch {
+                expected: 1,
+                actual: 0,
+            });
+        }
+        let n = self.shape.dim(0);
+        if start > end || end > n {
+            return Err(TensorError::IndexOutOfBounds {
+                index: start.max(end),
+                bound: n,
+            });
+        }
+        let item = self.shape.volume() / n.max(1);
+        let mut dims = self.shape.dims().to_vec();
+        dims[0] = end - start;
+        // Allocate before entering the kernel scope: the measured region is
+        // the copy alone.
+        let rows = &self.data[start * item..end * item];
+        let mut data = Vec::with_capacity(rows.len());
+        let _prof = KernelScope::enter(KernelKind::Memcpy, || Work::copy(rows.len()));
+        data.extend_from_slice(rows);
+        Tensor::from_vec(data, Shape::new(dims))
+    }
+
     /// Overwrites item `i` along axis 0 with `src`.
     ///
     /// # Errors
@@ -668,6 +701,18 @@ mod tests {
         let b = t(&[3.0], &[1]);
         assert!(Tensor::stack(&[a, b]).is_err());
         assert!(Tensor::stack(&[]).is_err());
+    }
+
+    #[test]
+    fn slice_axis0_copies_a_row_range() {
+        let t = Tensor::from_fn(Shape::nchw(4, 1, 2, 2), |i| i as f32);
+        let mid = t.slice_axis0(1, 3).unwrap();
+        assert_eq!(mid.shape().dims(), &[2, 1, 2, 2]);
+        assert_eq!(mid.as_slice(), &t.as_slice()[4..12]);
+        assert_eq!(t.slice_axis0(0, 4).unwrap(), t);
+        assert_eq!(t.slice_axis0(2, 2).unwrap().shape().dim(0), 0);
+        assert!(t.slice_axis0(3, 5).is_err());
+        assert!(t.slice_axis0(3, 2).is_err());
     }
 
     #[test]
