@@ -1,7 +1,7 @@
 use crate::autoencoder::Autoencoder;
 use crate::detector::Detector;
 use crate::fork::{fork_join, CoreClaim};
-use crate::fused::InferenceCache;
+use crate::fused::{InferenceCache, ModelIds};
 use crate::Result;
 use adv_nn::Sequential;
 use adv_profile::StageScope;
@@ -81,13 +81,14 @@ struct Chunk<'x, 'm> {
     reformed: Option<Tensor>,
 }
 
-impl<'x> Chunk<'x, '_> {
-    /// Splits `x` into `k` contiguous chunks of near-equal size; with
-    /// `k < 2`, one chunk that borrows `x`.
-    fn split(x: &'x Tensor, k: usize) -> Result<Vec<Self>> {
+impl<'x, 'm> Chunk<'x, 'm> {
+    /// Splits `x` into `k` contiguous chunks of near-equal size, each with
+    /// a cache over the models resolved in `ids`; with `k < 2`, one chunk
+    /// that borrows `x`.
+    fn split(x: &'x Tensor, k: usize, ids: &ModelIds<'m>) -> Result<Vec<Self>> {
         let chunk = |x| Chunk {
             x,
-            cache: InferenceCache::new(),
+            cache: InferenceCache::with_ids(ids.clone()),
             reformed: None,
         };
         if k < 2 {
@@ -379,7 +380,9 @@ impl MagnetDefense {
     /// assemblies reuse one auto-encoder as both detector and reformer, and
     /// JSD detectors re-run the protected classifier. The cache reuses a
     /// result only when model and input are bit-identical, so every verdict
-    /// and score equals the one each stage computes on its own.
+    /// and score equals the one each stage computes on its own. Which
+    /// models compute the same function is resolved once per pass, before
+    /// the split ([`ModelIds`]).
     ///
     /// # Errors
     ///
@@ -395,14 +398,27 @@ impl MagnetDefense {
         scheme: DefenseScheme,
         before_stage: &dyn Fn(&'static str) -> Result<()>,
     ) -> Result<(Vec<Verdict>, Vec<Vec<f32>>, StageTimings)> {
+        let detect = matches!(scheme, DefenseScheme::DetectorOnly | DefenseScheme::Full);
+        let reform = matches!(scheme, DefenseScheme::ReformerOnly | DefenseScheme::Full);
+        let mut ids = ModelIds::new();
+        if detect {
+            for det in &self.detectors {
+                det.resolve_models(&mut ids);
+            }
+        }
+        if reform {
+            ids.autoencoder(&self.reformer);
+        }
+        ids.classifier(&self.classifier);
+
         let rows = x.shape().dim(0);
         let claim = CoreClaim::take(rows / MIN_CHUNK_ROWS);
-        let mut chunks = Chunk::split(x, claim.granted())?;
+        let mut chunks = Chunk::split(x, claim.granted(), &ids)?;
         let mut timings = StageTimings::default();
         let mut detected = vec![false; rows];
         let mut det_scores: Vec<Vec<f32>> = Vec::new();
 
-        if matches!(scheme, DefenseScheme::DetectorOnly | DefenseScheme::Full) {
+        if detect {
             timings.detect = timed_stage(STAGE_DETECT, before_stage, || {
                 let thresholds = self
                     .detectors
@@ -438,7 +454,7 @@ impl MagnetDefense {
             .1;
         }
 
-        if matches!(scheme, DefenseScheme::ReformerOnly | DefenseScheme::Full) {
+        if reform {
             timings.reform = timed_stage(STAGE_REFORM, before_stage, || {
                 for done in fork_join(&mut chunks, |c| -> Result<()> {
                     c.reformed = Some(c.cache.reconstruction(&self.reformer, &c.x)?);

@@ -1,5 +1,5 @@
 use crate::autoencoder::Autoencoder;
-use crate::fused::InferenceCache;
+use crate::fused::{InferenceCache, ModelIds};
 use crate::jsd::jsd_rows;
 use crate::threshold::threshold_for_fpr;
 use crate::{MagnetError, Result};
@@ -54,6 +54,12 @@ pub trait Detector: Send + Sync + fmt::Debug {
     ///
     /// Returns shape errors when `x` does not match the detector's models.
     fn scores_fused<'m>(&'m self, x: &Tensor, cache: &mut InferenceCache<'m>) -> Result<Vec<f32>>;
+
+    /// Resolves the models [`scores_fused`](Self::scores_fused) runs in
+    /// `ids`, so a pass can compare parameters once before it forks. The
+    /// default resolves none; a chunk's cache then resolves them on first
+    /// use.
+    fn resolve_models<'m>(&'m self, _ids: &mut ModelIds<'m>) {}
 
     /// Per-item anomaly scores for an NCHW batch, scored on its own
     /// ([`InferenceCache::unshared`]).
@@ -151,6 +157,10 @@ impl Detector for ReconstructionDetector {
         let recon = cache.reconstruction(&self.ae, x)?;
         Ok(Autoencoder::errors_against(x, &recon, p))
     }
+
+    fn resolve_models<'m>(&'m self, ids: &mut ModelIds<'m>) {
+        ids.autoencoder(&self.ae);
+    }
 }
 
 /// MagNet's probability-divergence detector:
@@ -216,6 +226,11 @@ impl Detector for JsdDetector {
         let px = softmax_rows_with_temperature(&logits_x, self.temperature)?;
         let pr = softmax_rows_with_temperature(&logits_r, self.temperature)?;
         jsd_rows(px.as_slice(), pr.as_slice(), k)
+    }
+
+    fn resolve_models<'m>(&'m self, ids: &mut ModelIds<'m>) {
+        ids.autoencoder(&self.ae);
+        ids.classifier(&self.classifier);
     }
 }
 

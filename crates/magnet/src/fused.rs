@@ -28,39 +28,86 @@ use crate::Result;
 use adv_nn::Sequential;
 use adv_tensor::Tensor;
 
+/// Which of a pass's models compute the same function, as small ids: two
+/// models share an id exactly when their networks are equal by
+/// [`Sequential::same_function`], which compares every parameter. A model
+/// is resolved on first sight and found by pointer afterwards, so a split
+/// pass resolves its models once, before it forks, and hands each chunk's
+/// cache a copy (see [`InferenceCache::with_ids`]).
+#[derive(Debug, Default, Clone)]
+pub struct ModelIds<'m> {
+    autoencoders: Vec<(&'m Autoencoder, usize)>,
+    classifiers: Vec<(&'m Sequential, usize)>,
+}
+
+/// The id of `model` in `ids`, resolving and recording it on first sight.
+/// A new function's id is its own index, so each resolution compares
+/// against one model per distinct function.
+fn resolve<'m, M>(ids: &mut Vec<(&'m M, usize)>, model: &'m M, same: fn(&M, &M) -> bool) -> usize {
+    if let Some(&(_, id)) = ids.iter().find(|(m, _)| std::ptr::eq(*m, model)) {
+        return id;
+    }
+    let id = ids
+        .iter()
+        .enumerate()
+        .find(|&(i, &(m, id))| id == i && same(m, model))
+        .map_or(ids.len(), |(i, _)| i);
+    ids.push((model, id));
+    id
+}
+
+impl<'m> ModelIds<'m> {
+    /// No models resolved yet.
+    pub fn new() -> Self {
+        ModelIds::default()
+    }
+
+    /// The id of `ae`'s reconstruction function. Loss and corruption
+    /// settings only affect training, not [`Autoencoder::reconstruct`], so
+    /// only the wrapped network counts.
+    pub fn autoencoder(&mut self, ae: &'m Autoencoder) -> usize {
+        resolve(&mut self.autoencoders, ae, |a, b| {
+            a.network().same_function(b.network())
+        })
+    }
+
+    /// The id of `net`'s function.
+    pub fn classifier(&mut self, net: &'m Sequential) -> usize {
+        resolve(&mut self.classifiers, net, Sequential::same_function)
+    }
+}
+
 /// Memoises auto-encoder reconstructions and classifier logits within one
 /// defense pass.
 ///
 /// Entries are stored in small vectors and matched linearly: a defense
 /// deploys a handful of models and each pass touches a handful of distinct
 /// inputs, so the scan is a few tensor compares — noise next to a conv
-/// forward pass. Model identity uses pointer equality as a fast path before
-/// falling back to the exact functional comparison.
+/// forward pass. Entries are keyed by [`ModelIds`], so a lookup compares
+/// parameters only for a model the cache has not seen before.
 #[derive(Debug, Default)]
 pub struct InferenceCache<'m> {
-    recons: Vec<(&'m Autoencoder, Tensor, Tensor)>,
-    logits: Vec<(&'m Sequential, Tensor, Tensor)>,
+    ids: ModelIds<'m>,
+    recons: Vec<(usize, Tensor, Tensor)>,
+    logits: Vec<(usize, Tensor, Tensor)>,
     hits: usize,
     misses: usize,
     /// Keep no entries (see [`InferenceCache::unshared`]).
     unshared: bool,
 }
 
-/// `true` when the two auto-encoders reconstruct identically: same wrapped
-/// network function. Loss and corruption settings only affect training, not
-/// [`Autoencoder::reconstruct`], so they are ignored.
-fn same_reconstruction(a: &Autoencoder, b: &Autoencoder) -> bool {
-    std::ptr::eq(a, b) || a.network().same_function(b.network())
-}
-
-fn same_classifier(a: &Sequential, b: &Sequential) -> bool {
-    std::ptr::eq(a, b) || a.same_function(b)
-}
-
 impl<'m> InferenceCache<'m> {
     /// An empty cache for one defense pass.
     pub fn new() -> Self {
         InferenceCache::default()
+    }
+
+    /// An empty cache whose models are already resolved in `ids`.
+    pub fn with_ids(ids: ModelIds<'m>) -> Self {
+        InferenceCache {
+            ids,
+            ..InferenceCache::default()
+        }
     }
 
     /// A cache that keeps nothing, so every request runs its network. For
@@ -79,10 +126,11 @@ impl<'m> InferenceCache<'m> {
     ///
     /// Propagates shape errors from the auto-encoder on a miss.
     pub fn reconstruction(&mut self, ae: &'m Autoencoder, x: &Tensor) -> Result<Tensor> {
+        let id = self.ids.autoencoder(ae);
         if let Some((_, _, out)) = self
             .recons
             .iter()
-            .find(|(m, input, _)| input == x && same_reconstruction(m, ae))
+            .find(|(m, input, _)| *m == id && input == x)
         {
             self.hits += 1;
             return Ok(out.clone());
@@ -90,7 +138,7 @@ impl<'m> InferenceCache<'m> {
         let out = ae.reconstruct(x)?;
         self.misses += 1;
         if !self.unshared {
-            self.recons.push((ae, x.clone(), out.clone()));
+            self.recons.push((id, x.clone(), out.clone()));
         }
         Ok(out)
     }
@@ -102,10 +150,11 @@ impl<'m> InferenceCache<'m> {
     ///
     /// Propagates shape errors from the classifier on a miss.
     pub fn logits(&mut self, net: &'m Sequential, x: &Tensor) -> Result<Tensor> {
+        let id = self.ids.classifier(net);
         if let Some((_, _, out)) = self
             .logits
             .iter()
-            .find(|(m, input, _)| input == x && same_classifier(m, net))
+            .find(|(m, input, _)| *m == id && input == x)
         {
             self.hits += 1;
             return Ok(out.clone());
@@ -113,7 +162,7 @@ impl<'m> InferenceCache<'m> {
         let out = net.infer(x)?;
         self.misses += 1;
         if !self.unshared {
-            self.logits.push((net, x.clone(), out.clone()));
+            self.logits.push((id, x.clone(), out.clone()));
         }
         Ok(out)
     }
@@ -199,6 +248,57 @@ mod tests {
         cache.reconstruction(&other, &x).unwrap();
         cache.reconstruction(&ae, &toy_batch(2, 5)).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (0, 3));
+    }
+
+    #[test]
+    fn model_ids_match_clones_and_tell_different_weights_apart() {
+        let ae = toy_ae(1);
+        let twin = ae.clone();
+        let other = toy_ae(2);
+        let clf = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 3).unwrap();
+        let clf_twin = clf.clone();
+        let clf_other = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 4).unwrap();
+        let mut ids = ModelIds::new();
+        let a = ids.autoencoder(&ae);
+        assert_eq!(ids.autoencoder(&twin), a);
+        assert_ne!(ids.autoencoder(&other), a);
+        assert_eq!(ids.autoencoder(&ae), a);
+        let c = ids.classifier(&clf);
+        assert_eq!(ids.classifier(&clf_twin), c);
+        assert_ne!(ids.classifier(&clf_other), c);
+    }
+
+    /// Hits and misses of a fixed sequence of lookups through `cache`.
+    fn replay<'m>(
+        mut cache: InferenceCache<'m>,
+        [ae, twin, other]: [&'m Autoencoder; 3],
+        [clf, clf_twin]: [&'m Sequential; 2],
+    ) -> (usize, usize) {
+        let (x, y) = (toy_batch(2, 0), toy_batch(2, 5));
+        let r = cache.reconstruction(ae, &x).unwrap();
+        cache.reconstruction(twin, &x).unwrap();
+        cache.reconstruction(other, &x).unwrap();
+        cache.reconstruction(ae, &y).unwrap();
+        cache.logits(clf, &x).unwrap();
+        cache.logits(clf_twin, &x).unwrap();
+        cache.logits(clf_twin, &r).unwrap();
+        (cache.hits(), cache.misses())
+    }
+
+    #[test]
+    fn a_cache_over_resolved_ids_counts_as_a_fresh_one() {
+        let (ae, other) = (toy_ae(1), toy_ae(2));
+        let twin = ae.clone();
+        let clf = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 3).unwrap();
+        let clf_twin = clf.clone();
+        let mut ids = ModelIds::new();
+        ids.autoencoder(&ae);
+        ids.autoencoder(&twin);
+        ids.classifier(&clf);
+        let aes = [&ae, &twin, &other];
+        let clfs = [&clf, &clf_twin];
+        assert_eq!(replay(InferenceCache::with_ids(ids), aes, clfs), (2, 5));
+        assert_eq!(replay(InferenceCache::new(), aes, clfs), (2, 5));
     }
 
     #[test]

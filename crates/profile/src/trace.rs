@@ -298,25 +298,47 @@ pub fn spans_for(trace: TraceId) -> Vec<TraceSpan> {
 
 /// Renders `trace`'s span tree as indented text (one line per span,
 /// depth-indented, with start offset and duration) — the exemplar drill
-/// -down view the probes print for slow requests.
+/// -down view the probes print for slow requests. Spans are grouped by
+/// the thread that ran them: first the thread whose span starts first
+/// (the worker), then each other thread (e.g. a split pass's helpers)
+/// under a `thread <index>` header, since depths only nest within one
+/// thread.
 pub fn render_trace(trace: TraceId) -> String {
-    let spans = spans_for(trace);
+    render_spans(trace, &spans_for(trace))
+}
+
+/// [`render_trace`] over `spans`, sorted by start time.
+fn render_spans(trace: TraceId, spans: &[TraceSpan]) -> String {
+    let mut threads: Vec<u64> = Vec::new();
+    for s in spans {
+        if !threads.contains(&s.thread) {
+            threads.push(s.thread);
+        }
+    }
     let mut out = String::new();
     let _ = writeln!(out, "trace {} ({} spans)", trace.as_u64(), spans.len());
-    for s in &spans {
-        let indent = "  ".repeat(usize::from(s.depth) + 1);
-        let origin = if s.trace == trace.as_u64() {
-            ""
+    for (i, &thread) in threads.iter().enumerate() {
+        let base = if i == 0 {
+            1
         } else {
-            " [batch]"
+            let _ = writeln!(out, "  thread {thread}");
+            2
         };
-        let _ = writeln!(
-            out,
-            "{indent}{} +{:.3}ms {:.3}ms{origin}",
-            s.name,
-            s.start_ns as f64 / 1e6,
-            s.dur_ns as f64 / 1e6,
-        );
+        for s in spans.iter().filter(|s| s.thread == thread) {
+            let indent = "  ".repeat(usize::from(s.depth) + base);
+            let origin = if s.trace == trace.as_u64() {
+                ""
+            } else {
+                " [batch]"
+            };
+            let _ = writeln!(
+                out,
+                "{indent}{} +{:.3}ms {:.3}ms{origin}",
+                s.name,
+                s.start_ns as f64 / 1e6,
+                s.dur_ns as f64 / 1e6,
+            );
+        }
     }
     out
 }
@@ -556,6 +578,44 @@ mod tests {
         let summary = crate::frame_summaries();
         let worker = summary.iter().find(|s| s.name == "worker/span");
         assert_eq!(worker.map(|s| s.count), Some(3));
+    }
+
+    #[test]
+    fn a_two_thread_trace_renders_each_thread_contiguously() {
+        let span = |name, thread, depth, start_ns| TraceSpan {
+            trace: 5,
+            name,
+            thread,
+            depth,
+            start_ns,
+            dur_ns: 1,
+        };
+        // A split pass: the worker's detect kernels (depth 3) interleave in
+        // time with a helper's chunk (depth 0) and its kernels.
+        let spans = [
+            span("magnet/detect", 4, 2, 10),
+            span("conv2d", 4, 3, 11),
+            span("magnet/chunk", 9, 0, 12),
+            span("conv2d", 9, 1, 13),
+            span("matmul", 4, 3, 14),
+            span("matmul", 9, 1, 15),
+        ];
+        let rendered = render_spans(TraceId(5), &spans);
+        let lines: Vec<&str> = rendered.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "trace 5 (6 spans)",
+                "      magnet/detect +0.000ms 0.000ms",
+                "        conv2d +0.000ms 0.000ms",
+                "        matmul +0.000ms 0.000ms",
+                "  thread 9",
+                "    magnet/chunk +0.000ms 0.000ms",
+                "      conv2d +0.000ms 0.000ms",
+                "      matmul +0.000ms 0.000ms",
+            ],
+            "{rendered}"
+        );
     }
 
     #[test]

@@ -55,7 +55,13 @@ pub const SITE_POLL: &str = "serve/poll";
 pub struct ServeConfig {
     /// Largest batch a worker will form before running the pipeline.
     pub max_batch: usize,
-    /// How long a worker lingers for more requests after the first one.
+    /// The longest a worker holding a partial batch waits for more
+    /// requests. Workers batch by Nagle's rule: a worker that finds
+    /// requests queued takes them and leaves at once unless another
+    /// worker's pass is running, in which case it lingers until the batch
+    /// fills, that pass ends, or `max_wait` passes. A one-worker engine
+    /// therefore never lingers, and `max_wait` has no effect on it: the
+    /// requests that arrive during a pass form the next batch.
     pub max_wait: Duration,
     /// Queue capacity; submissions beyond it are rejected (backpressure).
     pub queue_capacity: usize,
@@ -439,10 +445,12 @@ fn respond(
 }
 
 /// Closes the queue and fails every request still on it with `err`. The
-/// close must precede the drain: `pop_batch` on an open empty queue blocks.
+/// close must precede the drain: `pop_batch` on an open empty queue blocks,
+/// and on a closed one it never lingers. Each drained batch's pass ends
+/// with its loop iteration.
 fn fail_engine(shared: &Shared, err: &ServeError) {
     shared.queue.close();
-    while let Some(batch) = shared.queue.pop_batch(64, Duration::ZERO) {
+    while let Some((batch, _pass)) = shared.queue.pop_batch(64, Duration::ZERO) {
         for request in batch {
             shared.metrics.record_failed();
             respond(shared, &request.tx, Err(err.clone()));
@@ -486,7 +494,7 @@ fn worker_loop(ctx: &WorkerCtx) -> WorkerExit {
             // injected delays emulate a stalled worker.
             let _ = injector.apply(SITE_POLL);
         }
-        let batch = {
+        let popped = {
             // Poll time covers both idle waiting and batch coalescing; in a
             // trace it shows up as the worker's non-pipeline time.
             let _poll = StageScope::enter("serve/poll");
@@ -494,12 +502,12 @@ fn worker_loop(ctx: &WorkerCtx) -> WorkerExit {
                 .queue
                 .pop_batch(ctx.cfg.max_batch, ctx.cfg.max_wait)
         };
-        let Some(batch) = batch else {
+        // `_pass` counts this batch as running until the batch is answered
+        // (or the worker unwinds): meanwhile other workers holding a
+        // partial batch linger for more requests.
+        let Some((batch, _pass)) = popped else {
             return WorkerExit::Closed;
         };
-        if batch.is_empty() {
-            continue;
-        }
         if process_batch(ctx, batch) == WorkerExit::Panicked {
             return WorkerExit::Panicked;
         }

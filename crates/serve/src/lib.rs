@@ -8,10 +8,12 @@
 //!   and returns a [`PendingVerdict`] future-like handle; a full queue
 //!   rejects the request ([`ServeError::QueueFull`]) so callers see
 //!   backpressure instead of unbounded latency.
-//! * Worker threads coalesce requests into micro-batches — flushing on
-//!   `max_batch` or after `max_wait` — and run the shared defense through
-//!   its `&self` inference path, so one calibrated defense behind an `Arc`
-//!   serves all workers with no locking around the model.
+//! * Worker threads coalesce requests into micro-batches by Nagle's rule —
+//!   a worker waits for more requests only while another worker's pass is
+//!   running, and at most until `max_batch` or `max_wait` — and run the
+//!   shared defense through its `&self` inference path, so one calibrated
+//!   defense behind an `Arc` serves all workers with no locking around the
+//!   model.
 //! * Each [`ServeResponse`] carries the verdict plus the batch's per-stage
 //!   [`adv_magnet::StageTimings`] and queue wait; engine-wide counters
 //!   (throughput, rejects, p50/p99 latency, queue depth) come from

@@ -217,8 +217,9 @@ fn shutdown_drains_already_accepted_requests() {
     assert_discriminating(&defense, &x);
     let expected = serial_verdicts(&defense, &x, DefenseScheme::Full);
 
-    // One slow-flushing worker so most requests are still queued when
-    // shutdown begins.
+    // One worker taking 4 requests per pass, so most requests are still
+    // queued when shutdown begins. It never lingers (no other pass runs),
+    // so the drain is paced by the passes, not by `max_wait`.
     let engine = ServeEngine::start(
         defense,
         ServeConfig {
@@ -301,6 +302,26 @@ fn responses_carry_latency_and_batch_metadata() {
     assert_eq!(m.submitted, 1);
     assert!(m.p50_latency > Duration::ZERO);
     assert!(m.p99_latency >= m.p50_latency);
+}
+
+#[test]
+fn a_one_worker_engine_answers_a_lone_request_without_waiting_out_max_wait() {
+    let engine = ServeEngine::start(
+        Arc::new(toy_defense()),
+        ServeConfig {
+            workers: 1,
+            max_wait: Duration::from_secs(5),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let r = engine
+        .submit(corpus(1, 3).index_axis0(0).unwrap())
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(r.batch_size, 1);
+    assert!(r.latency < Duration::from_secs(1), "{:?}", r.latency);
 }
 
 #[test]

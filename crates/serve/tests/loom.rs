@@ -29,7 +29,7 @@ fn mpmc_delivers_every_accepted_item_exactly_once() {
                 let queue = queue.clone();
                 loom::thread::spawn(move || {
                     let mut seen = Vec::new();
-                    while let Some(batch) = queue.pop_batch(3, Duration::from_micros(50)) {
+                    while let Some((batch, _pass)) = queue.pop_batch(3, Duration::from_micros(50)) {
                         seen.extend(batch);
                     }
                     seen
@@ -96,7 +96,7 @@ fn single_consumer_preserves_per_producer_order() {
             let queue = queue.clone();
             loom::thread::spawn(move || {
                 let mut seen = Vec::new();
-                while let Some(batch) = queue.pop_batch(4, Duration::from_micros(50)) {
+                while let Some((batch, _pass)) = queue.pop_batch(4, Duration::from_micros(50)) {
                     seen.extend(batch);
                 }
                 seen
@@ -162,7 +162,7 @@ fn worker_death_mid_batch_never_loses_or_double_delivers() {
     /// worker reports its own death (`true`) as the engine's caught-panic
     /// path does.
     fn run_worker(queue: &BoundedQueue<usize>, responses: &Mutex<Vec<u8>>) -> bool {
-        while let Some(batch) = queue.pop_batch(3, Duration::from_micros(10)) {
+        while let Some((batch, _pass)) = queue.pop_batch(3, Duration::from_micros(10)) {
             let poisoned = batch.iter().any(|&item| item == POISON);
             let mut delivered = responses.lock().unwrap();
             for item in batch {
@@ -235,7 +235,11 @@ fn close_wakes_all_blocked_consumers() {
         let consumers: Vec<_> = (0..2)
             .map(|_| {
                 let queue = queue.clone();
-                loom::thread::spawn(move || queue.pop_batch(4, Duration::from_micros(10)))
+                loom::thread::spawn(move || {
+                    queue
+                        .pop_batch(4, Duration::from_micros(10))
+                        .map(|(batch, _pass)| batch)
+                })
             })
             .collect();
         // No sleep: under schedule perturbation some iterations close before
@@ -247,5 +251,49 @@ fn close_wakes_all_blocked_consumers() {
                 "a consumer must observe end-of-stream after close"
             );
         }
+    });
+}
+
+/// Nagle's rule: a consumer holding a partial batch lingers while another
+/// pass runs, and the end of that pass must wake it (no lost wake-up: with
+/// a 10 s `max_wait`, a missed `notify_all` shows up as a consumer that
+/// only leaves at its deadline). On every schedule the pass count returns
+/// to 0 once both guards drop.
+#[test]
+fn the_end_of_a_pass_wakes_a_lingering_consumer() {
+    const MAX_WAIT: Duration = Duration::from_secs(10);
+    loom::model(|| {
+        let queue: Arc<BoundedQueue<u64>> = Arc::new(BoundedQueue::new(4));
+        queue.try_push(1).expect("empty queue accepts");
+        let (first, pass) = queue
+            .pop_batch(4, MAX_WAIT)
+            .expect("an open queue with an item hands it out");
+        assert_eq!(first, vec![1], "no pass ran, so the lone item left at once");
+
+        let lingerer = {
+            let queue = queue.clone();
+            loom::thread::spawn(move || {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the check is that the consumer left before its deadline"
+                )]
+                let started = std::time::Instant::now();
+                let (batch, pass) = queue.pop_batch(4, MAX_WAIT).expect("queue stays open");
+                let waited = started.elapsed();
+                drop(pass);
+                (batch, waited)
+            })
+        };
+        queue.try_push(2).expect("queue has room");
+        // Some schedules end the pass before the lingerer arrives (it then
+        // leaves at once), others while it waits for items or lingers.
+        drop(pass);
+        let (batch, waited) = lingerer.join().expect("lingerer panicked");
+        assert_eq!(batch, vec![2]);
+        assert!(
+            waited < MAX_WAIT / 2,
+            "the pass's end must wake the lingerer, which waited {waited:?}"
+        );
+        assert_eq!(queue.running(), 0, "every pass guard dropped");
     });
 }

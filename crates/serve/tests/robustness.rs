@@ -437,8 +437,11 @@ fn a_panic_in_a_helper_chunk_answers_the_batch_with_worker_panic() {
         },
     )
     .unwrap();
-    // Other tests' passes share the core budget, so a batch may run
-    // unsplit; a few rounds see it split wherever two cores exist.
+    // A batch splits from 16 rows. The worker never lingers (no other
+    // pass runs), so each round's first request may go alone and the rest
+    // queue up behind its pass to form the next batch. Other tests' passes
+    // share the core budget, so a batch may run unsplit; a few rounds see
+    // it split wherever two cores exist.
     let split_possible = adv_magnet::fork::cores() >= 2;
     let mut panicked = 0;
     for round in 0..50 {
