@@ -126,17 +126,20 @@ mod tests {
     }
 
     fn toy_defense() -> Arc<MagnetDefense> {
-        let ae = Autoencoder::new(
-            &mnist_ae_two(1, 3),
-            ReconstructionLoss::MeanSquaredError,
-            0.0,
-            1,
-        )
-        .unwrap();
-        let classifier =
-            Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), CLASSIFIER_SEED).unwrap();
+        let ae = Arc::new(
+            Autoencoder::new(
+                &mnist_ae_two(1, 3),
+                ReconstructionLoss::MeanSquaredError,
+                0.0,
+                1,
+            )
+            .unwrap(),
+        );
+        let classifier = Arc::new(
+            Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), CLASSIFIER_SEED).unwrap(),
+        );
         let det: Box<dyn Detector> = Box::new(ReconstructionDetector::new(
-            ae.clone(),
+            Arc::clone(&ae),
             ReconstructionNorm::L2,
         ));
         let mut d = MagnetDefense::new("chaos-toy", vec![det], ae, classifier);
@@ -147,21 +150,24 @@ mod tests {
     /// The paper's D+JSD shape: one AE shared by a reconstruction
     /// detector, a JSD detector and the reformer.
     fn jsd_defense() -> Arc<MagnetDefense> {
-        let ae = Autoencoder::new(
-            &mnist_ae_two(1, 3),
-            ReconstructionLoss::MeanSquaredError,
-            0.0,
-            1,
-        )
-        .unwrap();
-        let classifier =
-            Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), CLASSIFIER_SEED).unwrap();
+        let ae = Arc::new(
+            Autoencoder::new(
+                &mnist_ae_two(1, 3),
+                ReconstructionLoss::MeanSquaredError,
+                0.0,
+                1,
+            )
+            .unwrap(),
+        );
+        let classifier = Arc::new(
+            Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), CLASSIFIER_SEED).unwrap(),
+        );
         let detectors: Vec<Box<dyn Detector>> = vec![
             Box::new(ReconstructionDetector::new(
-                ae.clone(),
+                Arc::clone(&ae),
                 ReconstructionNorm::L2,
             )),
-            Box::new(JsdDetector::new(ae.clone(), classifier.clone(), 10.0).unwrap()),
+            Box::new(JsdDetector::new(Arc::clone(&ae), Arc::clone(&classifier), 10.0).unwrap()),
         ];
         let mut d = MagnetDefense::new("chaos-d-jsd", detectors, ae, classifier);
         d.calibrate_detectors(&batch(64), 0.05).unwrap();

@@ -11,6 +11,7 @@ use adv_magnet::{Detector, JsdDetector, ReconstructionDetector, ReconstructionNo
 use adv_nn::loss::ReconstructionLoss;
 use adv_nn::train::gather0;
 use adv_tensor::stats::{mean, quantile};
+use std::sync::Arc;
 
 fn summarize(name: &str, clean: &[f32], threshold: f32, cw: &[f32], ead: &[f32]) {
     let q = |xs: &[f32], p: f32| quantile(xs, p).unwrap_or(f32::NAN);
@@ -57,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ead_adv.shape().dim(0)
         );
 
-        let classifier = zoo.classifier(scenario)?;
+        let classifier = Arc::new(zoo.classifier(scenario)?);
         let data = zoo.data(scenario);
         let valid = gather0(
             data.valid.images(),
@@ -82,32 +83,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         Scenario::Cifar => zoo.scale().fpr_cifar,
                     },
                 )?;
+                let ae_one = Arc::new(aes.ae_one);
                 vec![
                     Box::new(ReconstructionDetector::new(
-                        aes.ae_one.clone(),
+                        Arc::clone(&ae_one),
                         ReconstructionNorm::L2,
                     )),
                     Box::new(ReconstructionDetector::new(
-                        aes.ae_two.clone(),
+                        Arc::new(aes.ae_two),
                         ReconstructionNorm::L1,
                     )),
                     Box::new(JsdDetector::new(
-                        aes.ae_one.clone(),
-                        classifier.clone(),
+                        Arc::clone(&ae_one),
+                        Arc::clone(&classifier),
                         10.0,
                     )?),
-                    Box::new(JsdDetector::new(
-                        aes.ae_one.clone(),
-                        classifier.clone(),
-                        40.0,
-                    )?),
+                    Box::new(JsdDetector::new(ae_one, Arc::clone(&classifier), 40.0)?),
                 ]
             }
             Scenario::Cifar => {
-                let ae = zoo.cifar_autoencoder(
+                let ae = Arc::new(zoo.cifar_autoencoder(
                     zoo.scale().default_filters,
                     ReconstructionLoss::MeanSquaredError,
-                )?;
+                )?);
                 let _ = assemble_cifar_defense(
                     "probe",
                     &ae,
@@ -121,15 +119,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 )?;
                 vec![
                     Box::new(ReconstructionDetector::new(
-                        ae.clone(),
+                        Arc::clone(&ae),
                         ReconstructionNorm::L1,
                     )),
                     Box::new(ReconstructionDetector::new(
-                        ae.clone(),
+                        Arc::clone(&ae),
                         ReconstructionNorm::L2,
                     )),
-                    Box::new(JsdDetector::new(ae.clone(), classifier.clone(), 10.0)?),
-                    Box::new(JsdDetector::new(ae.clone(), classifier.clone(), 40.0)?),
+                    Box::new(JsdDetector::new(
+                        Arc::clone(&ae),
+                        Arc::clone(&classifier),
+                        10.0,
+                    )?),
+                    Box::new(JsdDetector::new(ae, Arc::clone(&classifier), 40.0)?),
                 ]
             }
         };

@@ -1,6 +1,6 @@
 //! Minimal SVG line-chart rendering for the paper's figures.
 //!
-//! Each [`Panel`](crate::figures::Panel) becomes a self-contained SVG with
+//! Each [`Panel`] becomes a self-contained SVG with
 //! the paper's axes: confidence κ on x, classification accuracy (0–100%) on
 //! y, one polyline per curve, and a legend. No external dependencies — the
 //! SVG is assembled by hand.

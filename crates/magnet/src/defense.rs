@@ -1,12 +1,13 @@
 use crate::autoencoder::Autoencoder;
 use crate::detector::Detector;
 use crate::fork::{fork_join, CoreClaim};
-use crate::fused::{InferenceCache, ModelIds};
+use crate::fused::InferenceCache;
 use crate::Result;
 use adv_nn::Sequential;
 use adv_profile::StageScope;
 use adv_tensor::Tensor;
 use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Records pipeline verdict counters when metrics are enabled. The
@@ -83,12 +84,11 @@ struct Chunk<'x, 'm> {
 
 impl<'x, 'm> Chunk<'x, 'm> {
     /// Splits `x` into `k` contiguous chunks of near-equal size, each with
-    /// a cache over the models resolved in `ids`; with `k < 2`, one chunk
-    /// that borrows `x`.
-    fn split(x: &'x Tensor, k: usize, ids: &ModelIds<'m>) -> Result<Vec<Self>> {
+    /// an empty cache; with `k < 2`, one chunk that borrows `x`.
+    fn split(x: &'x Tensor, k: usize) -> Result<Vec<Self>> {
         let chunk = |x| Chunk {
             x,
-            cache: InferenceCache::with_ids(ids.clone()),
+            cache: InferenceCache::new(),
             reformed: None,
         };
         if k < 2 {
@@ -270,8 +270,8 @@ impl DefensePipeline for MagnetDefense {
 #[derive(Debug)]
 pub struct MagnetDefense {
     detectors: Vec<Box<dyn Detector>>,
-    reformer: Autoencoder,
-    classifier: Sequential,
+    reformer: Arc<Autoencoder>,
+    classifier: Arc<Sequential>,
     name: String,
 }
 
@@ -279,12 +279,14 @@ impl MagnetDefense {
     /// Assembles a defense.
     ///
     /// Detectors must already be calibrated (or be calibrated afterwards via
-    /// [`calibrate_detectors`](Self::calibrate_detectors)).
+    /// [`calibrate_detectors`](Self::calibrate_detectors)). A detector that
+    /// holds an [`Arc::clone`] of `reformer` or `classifier` shares its
+    /// results with those stages within a pass ([`InferenceCache`]).
     pub fn new(
         name: impl Into<String>,
         detectors: Vec<Box<dyn Detector>>,
-        reformer: Autoencoder,
-        classifier: Sequential,
+        reformer: Arc<Autoencoder>,
+        classifier: Arc<Sequential>,
     ) -> Self {
         MagnetDefense {
             detectors,
@@ -379,10 +381,11 @@ impl MagnetDefense {
     /// execute once per chunk. That is MagNet's own redundancy: the paper's
     /// assemblies reuse one auto-encoder as both detector and reformer, and
     /// JSD detectors re-run the protected classifier. The cache reuses a
-    /// result only when model and input are bit-identical, so every verdict
-    /// and score equals the one each stage computes on its own. Which
-    /// models compute the same function is resolved once per pass, before
-    /// the split ([`ModelIds`]).
+    /// result only for the same model allocation and a bit-identical input,
+    /// so every verdict and score equals the one each stage computes on its
+    /// own. Roles share an allocation when the defense was built with
+    /// [`Arc::clone`]s of one model, as [`variants`](crate::variants)'
+    /// assemblies do.
     ///
     /// # Errors
     ///
@@ -400,20 +403,9 @@ impl MagnetDefense {
     ) -> Result<(Vec<Verdict>, Vec<Vec<f32>>, StageTimings)> {
         let detect = matches!(scheme, DefenseScheme::DetectorOnly | DefenseScheme::Full);
         let reform = matches!(scheme, DefenseScheme::ReformerOnly | DefenseScheme::Full);
-        let mut ids = ModelIds::new();
-        if detect {
-            for det in &self.detectors {
-                det.resolve_models(&mut ids);
-            }
-        }
-        if reform {
-            ids.autoencoder(&self.reformer);
-        }
-        ids.classifier(&self.classifier);
-
         let rows = x.shape().dim(0);
         let claim = CoreClaim::take(rows / MIN_CHUNK_ROWS);
-        let mut chunks = Chunk::split(x, claim.granted(), &ids)?;
+        let mut chunks = Chunk::split(x, claim.granted())?;
         let mut timings = StageTimings::default();
         let mut detected = vec![false; rows];
         let mut det_scores: Vec<Vec<f32>> = Vec::new();
@@ -538,16 +530,19 @@ mod tests {
     use adv_tensor::Shape;
 
     fn toy_defense() -> MagnetDefense {
-        let ae = Autoencoder::new(
-            &mnist_ae_two(1, 3),
-            ReconstructionLoss::MeanSquaredError,
-            0.0,
-            1,
-        )
-        .unwrap();
+        let ae = Arc::new(
+            Autoencoder::new(
+                &mnist_ae_two(1, 3),
+                ReconstructionLoss::MeanSquaredError,
+                0.0,
+                1,
+            )
+            .unwrap(),
+        );
         // Seed 4: an untrained classifier whose predictions vary by input.
-        let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 4).unwrap();
-        let det = ReconstructionDetector::new(ae.clone(), ReconstructionNorm::L2);
+        let classifier =
+            Arc::new(Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 4).unwrap());
+        let det = ReconstructionDetector::new(Arc::clone(&ae), ReconstructionNorm::L2);
         MagnetDefense::new("toy", vec![Box::new(det)], ae, classifier)
     }
 
@@ -639,28 +634,30 @@ mod tests {
 
     /// A defense with the paper's D+JSD redundancy pattern: one AE shared by
     /// a reconstruction detector, two JSD detectors, and the reformer; the
-    /// JSD detectors also carry clones of the protected classifier.
+    /// JSD detectors also share the protected classifier.
     fn jsd_defense() -> MagnetDefense {
-        let ae = Autoencoder::new(
-            &mnist_ae_two(1, 3),
-            ReconstructionLoss::MeanSquaredError,
-            0.0,
-            1,
-        )
-        .unwrap();
+        let ae = Arc::new(
+            Autoencoder::new(
+                &mnist_ae_two(1, 3),
+                ReconstructionLoss::MeanSquaredError,
+                0.0,
+                1,
+            )
+            .unwrap(),
+        );
         // Seed 4: an untrained classifier whose predictions vary by input.
-        let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 4).unwrap();
+        let classifier =
+            Arc::new(Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 4).unwrap());
+        let jsd = |t| {
+            crate::detector::JsdDetector::new(Arc::clone(&ae), Arc::clone(&classifier), t).unwrap()
+        };
         let detectors: Vec<Box<dyn Detector>> = vec![
             Box::new(ReconstructionDetector::new(
-                ae.clone(),
+                Arc::clone(&ae),
                 ReconstructionNorm::L2,
             )),
-            Box::new(
-                crate::detector::JsdDetector::new(ae.clone(), classifier.clone(), 10.0).unwrap(),
-            ),
-            Box::new(
-                crate::detector::JsdDetector::new(ae.clone(), classifier.clone(), 40.0).unwrap(),
-            ),
+            Box::new(jsd(10.0)),
+            Box::new(jsd(40.0)),
         ];
         MagnetDefense::new("toy-d-jsd", detectors, ae, classifier)
     }

@@ -1,5 +1,5 @@
 use crate::autoencoder::Autoencoder;
-use crate::fused::{InferenceCache, ModelIds};
+use crate::fused::InferenceCache;
 use crate::jsd::jsd_rows;
 use crate::threshold::threshold_for_fpr;
 use crate::{MagnetError, Result};
@@ -7,6 +7,7 @@ use adv_nn::softmax::softmax_rows_with_temperature;
 use adv_nn::Sequential;
 use adv_tensor::Tensor;
 use std::fmt;
+use std::sync::Arc;
 
 /// Feeds per-item anomaly scores into the global `adv-obs` registry under
 /// `magnet.detector_score.<name>` (score-ladder buckets). No-op unless
@@ -54,12 +55,6 @@ pub trait Detector: Send + Sync + fmt::Debug {
     ///
     /// Returns shape errors when `x` does not match the detector's models.
     fn scores_fused<'m>(&'m self, x: &Tensor, cache: &mut InferenceCache<'m>) -> Result<Vec<f32>>;
-
-    /// Resolves the models [`scores_fused`](Self::scores_fused) runs in
-    /// `ids`, so a pass can compare parameters once before it forks. The
-    /// default resolves none; a chunk's cache then resolves them on first
-    /// use.
-    fn resolve_models<'m>(&'m self, _ids: &mut ModelIds<'m>) {}
 
     /// Per-item anomaly scores for an NCHW batch, scored on its own
     /// ([`InferenceCache::unshared`]).
@@ -112,14 +107,15 @@ pub trait Detector: Send + Sync + fmt::Debug {
 /// threshold.
 #[derive(Debug, Clone)]
 pub struct ReconstructionDetector {
-    ae: Autoencoder,
+    ae: Arc<Autoencoder>,
     norm: ReconstructionNorm,
     threshold: Option<f32>,
 }
 
 impl ReconstructionDetector {
-    /// Creates the detector from a trained auto-encoder.
-    pub fn new(ae: Autoencoder, norm: ReconstructionNorm) -> Self {
+    /// Creates the detector from a trained auto-encoder, shared with the
+    /// defense's other roles.
+    pub fn new(ae: Arc<Autoencoder>, norm: ReconstructionNorm) -> Self {
         ReconstructionDetector {
             ae,
             norm,
@@ -157,10 +153,6 @@ impl Detector for ReconstructionDetector {
         let recon = cache.reconstruction(&self.ae, x)?;
         Ok(Autoencoder::errors_against(x, &recon, p))
     }
-
-    fn resolve_models<'m>(&'m self, ids: &mut ModelIds<'m>) {
-        ids.autoencoder(&self.ae);
-    }
 }
 
 /// MagNet's probability-divergence detector:
@@ -168,21 +160,26 @@ impl Detector for ReconstructionDetector {
 /// threshold.
 #[derive(Debug, Clone)]
 pub struct JsdDetector {
-    ae: Autoencoder,
-    classifier: Sequential,
+    ae: Arc<Autoencoder>,
+    classifier: Arc<Sequential>,
     temperature: f32,
     threshold: Option<f32>,
 }
 
 impl JsdDetector {
-    /// Creates the detector from a trained auto-encoder, a (copy of the)
-    /// protected classifier, and a softmax temperature.
+    /// Creates the detector from a trained auto-encoder, the protected
+    /// classifier (both shared with the defense's other roles), and a
+    /// softmax temperature.
     ///
     /// # Errors
     ///
     /// Returns [`MagnetError::InvalidArgument`] for non-positive
     /// temperature.
-    pub fn new(ae: Autoencoder, classifier: Sequential, temperature: f32) -> Result<Self> {
+    pub fn new(
+        ae: Arc<Autoencoder>,
+        classifier: Arc<Sequential>,
+        temperature: f32,
+    ) -> Result<Self> {
         if temperature <= 0.0 {
             return Err(MagnetError::InvalidArgument(format!(
                 "temperature {temperature} must be positive"
@@ -227,11 +224,6 @@ impl Detector for JsdDetector {
         let pr = softmax_rows_with_temperature(&logits_r, self.temperature)?;
         jsd_rows(px.as_slice(), pr.as_slice(), k)
     }
-
-    fn resolve_models<'m>(&'m self, ids: &mut ModelIds<'m>) {
-        ids.autoencoder(&self.ae);
-        ids.classifier(&self.classifier);
-    }
 }
 
 #[cfg(test)]
@@ -259,7 +251,7 @@ mod tests {
 
     #[test]
     fn flags_require_calibration() {
-        let mut det = ReconstructionDetector::new(toy_ae(), ReconstructionNorm::L2);
+        let mut det = ReconstructionDetector::new(Arc::new(toy_ae()), ReconstructionNorm::L2);
         let x = toy_batch(2, 1.0);
         assert!(matches!(
             det.flags(&x),
@@ -271,7 +263,7 @@ mod tests {
 
     #[test]
     fn calibration_hits_fpr_budget() {
-        let mut det = ReconstructionDetector::new(toy_ae(), ReconstructionNorm::L1);
+        let mut det = ReconstructionDetector::new(Arc::new(toy_ae()), ReconstructionNorm::L1);
         let clean = toy_batch(200, 1.0);
         det.calibrate(&clean, 0.1).unwrap();
         let flags = det.flags(&clean).unwrap();
@@ -281,7 +273,7 @@ mod tests {
 
     #[test]
     fn scores_are_nonnegative() {
-        let det = ReconstructionDetector::new(toy_ae(), ReconstructionNorm::L2);
+        let det = ReconstructionDetector::new(Arc::new(toy_ae()), ReconstructionNorm::L2);
         assert!(det
             .scores(&toy_batch(8, 1.0))
             .unwrap()
@@ -291,8 +283,9 @@ mod tests {
 
     #[test]
     fn jsd_detector_scores_bounded() {
-        let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 3).unwrap();
-        let det = JsdDetector::new(toy_ae(), classifier, 10.0).unwrap();
+        let classifier =
+            Arc::new(Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 3).unwrap());
+        let det = JsdDetector::new(Arc::new(toy_ae()), classifier, 10.0).unwrap();
         let scores = det.scores(&toy_batch(6, 1.0)).unwrap();
         assert_eq!(scores.len(), 6);
         assert!(scores
@@ -302,18 +295,20 @@ mod tests {
 
     #[test]
     fn jsd_detector_rejects_bad_temperature() {
-        let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 3).unwrap();
-        assert!(JsdDetector::new(toy_ae(), classifier, 0.0).is_err());
+        let classifier =
+            Arc::new(Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 3).unwrap());
+        assert!(JsdDetector::new(Arc::new(toy_ae()), classifier, 0.0).is_err());
     }
 
     #[test]
     fn detector_names_are_stable() {
-        let d1 = ReconstructionDetector::new(toy_ae(), ReconstructionNorm::L1);
-        let d2 = ReconstructionDetector::new(toy_ae(), ReconstructionNorm::L2);
+        let d1 = ReconstructionDetector::new(Arc::new(toy_ae()), ReconstructionNorm::L1);
+        let d2 = ReconstructionDetector::new(Arc::new(toy_ae()), ReconstructionNorm::L2);
         assert_eq!(d1.name(), "recon-l1");
         assert_eq!(d2.name(), "recon-l2");
-        let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 3).unwrap();
-        let d3 = JsdDetector::new(toy_ae(), classifier, 40.0).unwrap();
+        let classifier =
+            Arc::new(Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 3).unwrap());
+        let d3 = JsdDetector::new(Arc::new(toy_ae()), classifier, 40.0).unwrap();
         assert_eq!(d3.name(), "jsd-t40");
     }
 
@@ -329,7 +324,7 @@ mod tests {
             (1.0 - d / 5.0).clamp(0.0, 1.0)
         });
         ae.train(&blobs, 30, 16, 0.01, 1).unwrap();
-        let det = ReconstructionDetector::new(ae, ReconstructionNorm::L2);
+        let det = ReconstructionDetector::new(Arc::new(ae), ReconstructionNorm::L2);
         let clean_mean: f32 = det.scores(&blobs).unwrap().iter().sum::<f32>() / 64.0;
         let noise = Tensor::from_fn(Shape::nchw(64, 1, 8, 8), |i| {
             ((i as u64).wrapping_mul(2_654_435_761) % 101) as f32 / 101.0

@@ -53,7 +53,7 @@ pub use defense::{
 };
 pub use detector::{Detector, JsdDetector, ReconstructionDetector, ReconstructionNorm};
 pub use error::MagnetError;
-pub use fused::{InferenceCache, ModelIds};
+pub use fused::InferenceCache;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, MagnetError>;

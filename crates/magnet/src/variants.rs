@@ -23,6 +23,7 @@ use crate::Result;
 use adv_nn::loss::ReconstructionLoss;
 use adv_nn::Sequential;
 use adv_tensor::Tensor;
+use std::sync::Arc;
 
 /// Hyperparameters for training defensive auto-encoders.
 #[derive(Debug, Clone, Copy)]
@@ -191,7 +192,8 @@ pub fn train_cifar_autoencoder_checkpointed(
 ///
 /// `jsd_temperatures` is empty for the default variant and `[10, 40]` for
 /// the `+JSD` variants. `fpr` is the per-detector false-positive budget on
-/// the clean validation set.
+/// the clean validation set. Each model is copied once and shared by every
+/// role that runs it, so a pass computes each of its results once.
 ///
 /// # Errors
 ///
@@ -204,24 +206,26 @@ pub fn assemble_mnist_defense(
     valid_images: &Tensor,
     fpr: f32,
 ) -> Result<MagnetDefense> {
+    let ae_one = Arc::new(aes.ae_one.clone());
+    let classifier = Arc::new(classifier.clone());
     let mut detectors: Vec<Box<dyn Detector>> = vec![
         Box::new(ReconstructionDetector::new(
-            aes.ae_one.clone(),
+            Arc::clone(&ae_one),
             ReconstructionNorm::L2,
         )),
         Box::new(ReconstructionDetector::new(
-            aes.ae_two.clone(),
+            Arc::new(aes.ae_two.clone()),
             ReconstructionNorm::L1,
         )),
     ];
     for &t in jsd_temperatures {
         detectors.push(Box::new(JsdDetector::new(
-            aes.ae_one.clone(),
-            classifier.clone(),
+            Arc::clone(&ae_one),
+            Arc::clone(&classifier),
             t,
         )?));
     }
-    let mut defense = MagnetDefense::new(name, detectors, aes.ae_one.clone(), classifier.clone());
+    let mut defense = MagnetDefense::new(name, detectors, ae_one, classifier);
     defense.calibrate_detectors(valid_images, fpr)?;
     Ok(defense)
 }
@@ -229,7 +233,8 @@ pub fn assemble_mnist_defense(
 /// Assembles (and calibrates) a CIFAR MagNet from one trained auto-encoder.
 ///
 /// The paper's CIFAR default already includes the JSD detectors, so
-/// `jsd_temperatures` defaults to `[10, 40]` at call sites.
+/// `jsd_temperatures` defaults to `[10, 40]` at call sites. As in
+/// [`assemble_mnist_defense`], every role shares one copy of each model.
 ///
 /// # Errors
 ///
@@ -242,24 +247,26 @@ pub fn assemble_cifar_defense(
     valid_images: &Tensor,
     fpr: f32,
 ) -> Result<MagnetDefense> {
+    let ae = Arc::new(ae.clone());
+    let classifier = Arc::new(classifier.clone());
     let mut detectors: Vec<Box<dyn Detector>> = vec![
         Box::new(ReconstructionDetector::new(
-            ae.clone(),
+            Arc::clone(&ae),
             ReconstructionNorm::L1,
         )),
         Box::new(ReconstructionDetector::new(
-            ae.clone(),
+            Arc::clone(&ae),
             ReconstructionNorm::L2,
         )),
     ];
     for &t in jsd_temperatures {
         detectors.push(Box::new(JsdDetector::new(
-            ae.clone(),
-            classifier.clone(),
+            Arc::clone(&ae),
+            Arc::clone(&classifier),
             t,
         )?));
     }
-    let mut defense = MagnetDefense::new(name, detectors, ae.clone(), classifier.clone());
+    let mut defense = MagnetDefense::new(name, detectors, ae, classifier);
     defense.calibrate_detectors(valid_images, fpr)?;
     Ok(defense)
 }
@@ -331,6 +338,44 @@ mod tests {
             .classify(&toy_images(4, 1, 8), DefenseScheme::Full)
             .unwrap();
         assert_eq!(verdicts.len(), 4);
+    }
+
+    /// Hits and misses of a `Full` pass replayed through one cache: every
+    /// detector, then the reformer, then the classifier on the reformed
+    /// batch.
+    fn full_pass_counts(defense: &MagnetDefense, x: &Tensor) -> (usize, usize) {
+        let mut cache = crate::InferenceCache::new();
+        for det in defense.detectors() {
+            det.scores_fused(x, &mut cache).unwrap();
+        }
+        let reformed = cache.reconstruction(defense.reformer(), x).unwrap();
+        cache.logits(defense.classifier(), &reformed).unwrap();
+        (cache.misses(), cache.hits())
+    }
+
+    #[test]
+    fn assemblies_share_each_model_between_its_roles() {
+        let train = toy_images(48, 1, 8);
+        let aes = train_mnist_autoencoders(1, &tiny_spec(), &train).unwrap();
+        let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 3).unwrap();
+        let defense =
+            assemble_mnist_defense("D+JSD", &aes, &classifier, &[10.0, 40.0], &train, 0.05)
+                .unwrap();
+        // Misses: AE-I(x), AE-II(x), logits(x), logits(AE-I(x)). Hits: AE-I
+        // twice in the JSD detectors and once in the reformer, logits(x)
+        // once and logits(AE-I(x)) twice.
+        assert_eq!(full_pass_counts(&defense, &toy_images(4, 1, 8)), (4, 6));
+
+        let train = toy_images(48, 3, 8);
+        let ae = train_cifar_autoencoder(3, &tiny_spec(), &train).unwrap();
+        let classifier = Sequential::from_specs(&mnist_classifier(8, 3, 2, 4, 8, 10), 3).unwrap();
+        let defense =
+            assemble_cifar_defense("default", &ae, &classifier, &[10.0, 40.0], &train, 0.05)
+                .unwrap();
+        // Misses: AE(x), logits(x), logits(AE(x)). Hits: AE three times in
+        // the detectors and once in the reformer, logits(x) once and
+        // logits(AE(x)) twice.
+        assert_eq!(full_pass_counts(&defense, &toy_images(4, 3, 8)), (3, 7));
     }
 
     #[test]

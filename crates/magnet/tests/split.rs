@@ -73,25 +73,28 @@ type Calls = Arc<Mutex<Vec<(ThreadId, usize)>>>;
 /// reformer. The last detector flags nothing, so the OR must carry the
 /// others' flags.
 fn defense(panic_off: Option<ThreadId>) -> (MagnetDefense, Calls) {
-    let ae = Autoencoder::new(
-        &mnist_ae_two(1, 3),
-        ReconstructionLoss::MeanSquaredError,
-        0.0,
-        1,
-    )
-    .unwrap();
+    let ae = Arc::new(
+        Autoencoder::new(
+            &mnist_ae_two(1, 3),
+            ReconstructionLoss::MeanSquaredError,
+            0.0,
+            1,
+        )
+        .unwrap(),
+    );
     // Seed 4: an untrained classifier whose predictions vary by input.
-    let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 4).unwrap();
+    let classifier =
+        Arc::new(Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 4).unwrap());
     let calls = Calls::default();
     let spy = Spy {
-        inner: ReconstructionDetector::new(ae.clone(), ReconstructionNorm::L2),
+        inner: ReconstructionDetector::new(Arc::clone(&ae), ReconstructionNorm::L2),
         calls: calls.clone(),
         panic_off,
     };
     let mut detectors: Vec<Box<dyn Detector>> = vec![
         Box::new(spy),
-        Box::new(JsdDetector::new(ae.clone(), classifier.clone(), 10.0).unwrap()),
-        Box::new(JsdDetector::new(ae.clone(), classifier.clone(), 40.0).unwrap()),
+        Box::new(JsdDetector::new(Arc::clone(&ae), Arc::clone(&classifier), 10.0).unwrap()),
+        Box::new(JsdDetector::new(Arc::clone(&ae), Arc::clone(&classifier), 40.0).unwrap()),
     ];
     for det in &mut detectors {
         det.calibrate(&batch(64, |_| true), 0.05).unwrap();

@@ -220,22 +220,6 @@ impl Sequential {
             .collect()
     }
 
-    /// `true` when `other` computes the same function as `self`: identical
-    /// architecture specs and bit-identical parameter values.
-    ///
-    /// Construction seeds and any cached activations are ignored — two
-    /// networks that agree here produce bit-identical
-    /// [`infer`](Self::infer) outputs for every input, which is what the
-    /// fused defense pipeline keys its memoisation on.
-    pub fn same_function(&self, other: &Sequential) -> bool {
-        if self.specs != other.specs {
-            return false;
-        }
-        let a = self.params();
-        let b = other.params();
-        a.len() == b.len() && a.iter().zip(&b).all(|(p, q)| p.value == q.value)
-    }
-
     /// Predicted class per batch row (argmax of the output logits), in
     /// evaluation mode.
     ///

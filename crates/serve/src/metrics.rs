@@ -12,8 +12,8 @@ use adv_obs::{Counter, Gauge, Histogram, Registry, Snapshot};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Point-in-time view of the engine's counters, computed by
-/// [`ServeMetrics::snapshot`].
+/// Point-in-time view of the engine's counters, from
+/// [`ServeEngine::metrics`](crate::ServeEngine::metrics).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Requests accepted onto the queue.

@@ -1,7 +1,7 @@
 //! Variant routing: the seam between the network front door and whatever
 //! serves requests behind it.
 //!
-//! A single [`ServeEngine`](crate::ServeEngine) hosts exactly one defense
+//! A single [`ServeEngine`] hosts exactly one defense
 //! pipeline. The model zoo (`adv-zoo`) hosts one engine shard per variant
 //! behind an epoch-counted routing table. Both sit behind this trait so
 //! `adv-net`'s listener, the probes, and the load generator are agnostic

@@ -22,16 +22,19 @@ const CLASSIFIER_SEED: u64 = 10;
 
 /// A small calibrated defense over 8×8 single-channel inputs.
 fn toy_defense() -> MagnetDefense {
-    let ae = Autoencoder::new(
-        &mnist_ae_two(1, 3),
-        ReconstructionLoss::MeanSquaredError,
-        0.0,
-        1,
-    )
-    .unwrap();
-    let classifier =
-        Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), CLASSIFIER_SEED).unwrap();
-    let det = ReconstructionDetector::new(ae.clone(), ReconstructionNorm::L2);
+    let ae = Arc::new(
+        Autoencoder::new(
+            &mnist_ae_two(1, 3),
+            ReconstructionLoss::MeanSquaredError,
+            0.0,
+            1,
+        )
+        .unwrap(),
+    );
+    let classifier = Arc::new(
+        Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), CLASSIFIER_SEED).unwrap(),
+    );
+    let det = ReconstructionDetector::new(Arc::clone(&ae), ReconstructionNorm::L2);
     let mut defense = MagnetDefense::new("serve-toy", vec![Box::new(det)], ae, classifier);
     defense.calibrate_detectors(&corpus(64, 0), 0.05).unwrap();
     defense
@@ -39,25 +42,28 @@ fn toy_defense() -> MagnetDefense {
 
 /// Like [`toy_defense`], but with the paper's D+JSD redundancy: the same AE
 /// serves a reconstruction detector, two JSD detectors, and the reformer,
-/// and the JSD detectors carry clones of the protected classifier — the
+/// and the JSD detectors share the protected classifier — the
 /// configuration the engine's fused pass deduplicates hardest.
 fn jsd_defense() -> MagnetDefense {
-    let ae = Autoencoder::new(
-        &mnist_ae_two(1, 3),
-        ReconstructionLoss::MeanSquaredError,
-        0.0,
-        1,
-    )
-    .unwrap();
-    let classifier =
-        Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), CLASSIFIER_SEED).unwrap();
+    let ae = Arc::new(
+        Autoencoder::new(
+            &mnist_ae_two(1, 3),
+            ReconstructionLoss::MeanSquaredError,
+            0.0,
+            1,
+        )
+        .unwrap(),
+    );
+    let classifier = Arc::new(
+        Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), CLASSIFIER_SEED).unwrap(),
+    );
     let detectors: Vec<Box<dyn Detector>> = vec![
         Box::new(ReconstructionDetector::new(
-            ae.clone(),
+            Arc::clone(&ae),
             ReconstructionNorm::L2,
         )),
-        Box::new(JsdDetector::new(ae.clone(), classifier.clone(), 10.0).unwrap()),
-        Box::new(JsdDetector::new(ae.clone(), classifier.clone(), 40.0).unwrap()),
+        Box::new(JsdDetector::new(Arc::clone(&ae), Arc::clone(&classifier), 10.0).unwrap()),
+        Box::new(JsdDetector::new(Arc::clone(&ae), Arc::clone(&classifier), 40.0).unwrap()),
     ];
     let mut defense = MagnetDefense::new("serve-toy-jsd", detectors, ae, classifier);
     defense.calibrate_detectors(&corpus(64, 0), 0.05).unwrap();

@@ -13,15 +13,18 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn toy_defense() -> MagnetDefense {
-    let ae = Autoencoder::new(
-        &mnist_ae_two(1, 3),
-        ReconstructionLoss::MeanSquaredError,
-        0.0,
-        1,
-    )
-    .unwrap();
-    let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap();
-    let det = ReconstructionDetector::new(ae.clone(), ReconstructionNorm::L2);
+    let ae = Arc::new(
+        Autoencoder::new(
+            &mnist_ae_two(1, 3),
+            ReconstructionLoss::MeanSquaredError,
+            0.0,
+            1,
+        )
+        .unwrap(),
+    );
+    let classifier =
+        Arc::new(Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap());
+    let det = ReconstructionDetector::new(Arc::clone(&ae), ReconstructionNorm::L2);
     let mut defense = MagnetDefense::new("observe-toy", vec![Box::new(det)], ae, classifier);
     defense.calibrate_detectors(&corpus(64), 0.05).unwrap();
     defense

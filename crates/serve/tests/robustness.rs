@@ -40,15 +40,18 @@ fn silence_injected_panics() {
 
 /// A small calibrated defense over 8×8 single-channel inputs.
 fn toy_defense() -> Arc<MagnetDefense> {
-    let ae = Autoencoder::new(
-        &mnist_ae_two(1, 3),
-        ReconstructionLoss::MeanSquaredError,
-        0.0,
-        1,
-    )
-    .unwrap();
-    let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap();
-    let det = ReconstructionDetector::new(ae.clone(), ReconstructionNorm::L2);
+    let ae = Arc::new(
+        Autoencoder::new(
+            &mnist_ae_two(1, 3),
+            ReconstructionLoss::MeanSquaredError,
+            0.0,
+            1,
+        )
+        .unwrap(),
+    );
+    let classifier =
+        Arc::new(Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap());
+    let det = ReconstructionDetector::new(Arc::clone(&ae), ReconstructionNorm::L2);
     let mut defense = MagnetDefense::new("robust-toy", vec![Box::new(det)], ae, classifier);
     defense.calibrate_detectors(&corpus(64, 0), 0.05).unwrap();
     Arc::new(defense)
@@ -409,16 +412,19 @@ impl Detector for PanicsOnHelper {
 #[test]
 fn a_panic_in_a_helper_chunk_answers_the_batch_with_worker_panic() {
     silence_injected_panics();
-    let ae = Autoencoder::new(
-        &mnist_ae_two(1, 3),
-        ReconstructionLoss::MeanSquaredError,
-        0.0,
-        1,
-    )
-    .unwrap();
-    let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap();
+    let ae = Arc::new(
+        Autoencoder::new(
+            &mnist_ae_two(1, 3),
+            ReconstructionLoss::MeanSquaredError,
+            0.0,
+            1,
+        )
+        .unwrap(),
+    );
+    let classifier =
+        Arc::new(Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap());
     let det = PanicsOnHelper(ReconstructionDetector::new(
-        ae.clone(),
+        Arc::clone(&ae),
         ReconstructionNorm::L2,
     ));
     let mut defense = MagnetDefense::new("helper-panic", vec![Box::new(det)], ae, classifier);

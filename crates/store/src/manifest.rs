@@ -2,7 +2,7 @@
 //!
 //! `reproduce_all` executes a dozen independent stages (tables, figures),
 //! each minutes long. A [`RunManifest`] records every completed stage in an
-//! append-only [`Journal`](crate::Journal) keyed by a context fingerprint of
+//! append-only [`Journal`] keyed by a context fingerprint of
 //! the run configuration; a rerun after a kill skips the stages already
 //! recorded and resumes at the first unfinished one. Changing the
 //! configuration changes the context, which resets the manifest — stale

@@ -25,7 +25,7 @@
 //!   serving, so a response pays one row build and one `try_send`.
 //!   [`TelemetrySink`] implements `adv_serve::ResponseObserver`, so
 //!   plugging telemetry into a `ServeEngine` is one config field.
-//! * [`query`] — time-indexed range queries with chunk pruning via column
+//! * [`mod@query`] — time-indexed range queries with chunk pruning via column
 //!   stats, plus streaming windowed aggregation ([`drift_windows`]): row
 //!   counts, detected/degraded rates, and fixed-bucket quantile sketches of
 //!   detector scores per window.

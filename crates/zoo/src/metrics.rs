@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use adv_obs::{Counter, Gauge, Registry, Snapshot};
 
-/// Point-in-time view of the zoo counters, from [`ZooMetrics::snapshot`].
+/// Point-in-time view of the zoo counters, from
+/// [`ModelZoo::stats`](crate::ModelZoo::stats).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ZooStats {
     /// Promotions that reached Live (the routing table flipped).

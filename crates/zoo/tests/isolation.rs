@@ -43,15 +43,18 @@ fn silence_chaos_panics() {
 }
 
 fn toy_defense(name: &str) -> Arc<MagnetDefense> {
-    let ae = Autoencoder::new(
-        &mnist_ae_two(1, 3),
-        ReconstructionLoss::MeanSquaredError,
-        0.0,
-        1,
-    )
-    .unwrap();
-    let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap();
-    let det = ReconstructionDetector::new(ae.clone(), ReconstructionNorm::L2);
+    let ae = Arc::new(
+        Autoencoder::new(
+            &mnist_ae_two(1, 3),
+            ReconstructionLoss::MeanSquaredError,
+            0.0,
+            1,
+        )
+        .unwrap(),
+    );
+    let classifier =
+        Arc::new(Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap());
+    let det = ReconstructionDetector::new(Arc::clone(&ae), ReconstructionNorm::L2);
     let mut defense = MagnetDefense::new(name, vec![Box::new(det)], ae, classifier);
     let calib = Tensor::from_fn(Shape::nchw(64, 1, 8, 8), |i| ((i * 7) % 23) as f32 / 23.0);
     defense.calibrate_detectors(&calib, 0.05).unwrap();

@@ -13,6 +13,7 @@ use magnet_l1::magnet::{Detector, JsdDetector, ReconstructionDetector, Reconstru
 use magnet_l1::nn::optim::Adam;
 use magnet_l1::nn::train::{fit_classifier, gather0, TrainConfig};
 use magnet_l1::nn::Sequential;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let train = mnist_like(1500, 21);
@@ -74,25 +75,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         outcome.success_rate() * 100.0
     );
 
+    let ae_one = Arc::new(aes.ae_one);
+    let classifier = Arc::new(classifier);
     let mut detectors: Vec<Box<dyn Detector>> = vec![
         Box::new(ReconstructionDetector::new(
-            aes.ae_one.clone(),
+            Arc::clone(&ae_one),
             ReconstructionNorm::L2,
         )),
         Box::new(ReconstructionDetector::new(
-            aes.ae_two.clone(),
+            Arc::new(aes.ae_two),
             ReconstructionNorm::L1,
         )),
         Box::new(JsdDetector::new(
-            aes.ae_one.clone(),
-            classifier.clone(),
+            Arc::clone(&ae_one),
+            Arc::clone(&classifier),
             10.0,
         )?),
-        Box::new(JsdDetector::new(
-            aes.ae_one.clone(),
-            classifier.clone(),
-            40.0,
-        )?),
+        Box::new(JsdDetector::new(ae_one, classifier, 40.0)?),
     ];
 
     println!(

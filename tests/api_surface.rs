@@ -73,16 +73,18 @@ fn attack_trait_objects_compose() {
 fn detectors_compose_as_trait_objects() {
     use magnet_l1::magnet::{Detector, ReconstructionDetector, ReconstructionNorm};
     use magnet_l1::nn::loss::ReconstructionLoss;
-    let ae = Autoencoder::new(
-        &magnet_l1::magnet::arch::mnist_ae_two(1, 2),
-        ReconstructionLoss::MeanSquaredError,
-        0.1,
-        0,
-    )
-    .unwrap();
+    let ae = std::sync::Arc::new(
+        Autoencoder::new(
+            &magnet_l1::magnet::arch::mnist_ae_two(1, 2),
+            ReconstructionLoss::MeanSquaredError,
+            0.1,
+            0,
+        )
+        .unwrap(),
+    );
     let detectors: Vec<Box<dyn Detector>> = vec![
         Box::new(ReconstructionDetector::new(
-            ae.clone(),
+            std::sync::Arc::clone(&ae),
             ReconstructionNorm::L1,
         )),
         Box::new(ReconstructionDetector::new(ae, ReconstructionNorm::L2)),
