@@ -15,10 +15,9 @@ use crate::{AttackError, Result};
 use adv_nn::Differentiable;
 use adv_profile::StageScope;
 use adv_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// C&W attack hyperparameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CwConfig {
     /// Confidence margin κ ≥ 0.
     pub kappa: f32,

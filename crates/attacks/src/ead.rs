@@ -22,7 +22,6 @@ use crate::{AttackError, Result};
 use adv_nn::Differentiable;
 use adv_profile::StageScope;
 use adv_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Cached `adv-obs` counters for one attack run; `None` when metrics are
 /// disabled so the per-iteration path costs one relaxed load.
@@ -59,7 +58,7 @@ impl AttackObs {
 }
 
 /// How EAD selects the final adversarial example among successful iterates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionRule {
     /// Minimize the elastic-net distance `‖δ‖₂² + β‖δ‖₁` (the attack's own
     /// objective).
@@ -79,7 +78,7 @@ impl DecisionRule {
 }
 
 /// EAD hyperparameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EadConfig {
     /// Confidence margin κ ≥ 0 (paper eq. 3).
     pub kappa: f32,

@@ -1,6 +1,7 @@
 //! Generates `EXPERIMENTS.md` from the CSVs under `results/` (produced by
 //! `reproduce_all`), placing measured numbers side-by-side with the paper's
-//! published values for every table, plus per-figure qualitative checks.
+//! published values for every table, plus per-figure qualitative checks and
+//! the extension studies' tables.
 //! It reads the CSVs of the `adv_eval::artifacts::SUMMARISED` rows, under
 //! the file names the artifact table gives them.
 //!
@@ -81,6 +82,50 @@ const PAPER_T7: &[(&str, &str, &[f32])] = &[
     ("L1", "0.1", &[79.8, 93.7]),
 ];
 
+/// The extension studies: artifact, section title, what it measures, and
+/// the column headers of its CSV.
+const EXTENSIONS: &[(&str, &str, &str, &[&str])] = &[
+    (
+        "graybox",
+        "Oblivious vs gray-box crafting",
+        "The Figure 2–3 attacks crafted on the classifier alone (oblivious) and\n\
+         through the default reformer, `F(AE(x))` (gray-box, Carlini & Wagner,\n\
+         arXiv:1711.08478), each scored against the default MagNet.",
+        &[
+            "attack",
+            "κ",
+            "oblivious crafted %",
+            "oblivious defended ASR %",
+            "gray-box crafted %",
+            "gray-box defended ASR %",
+        ],
+    ),
+    (
+        "ablation_ista",
+        "EAD optimizer and budget",
+        "EAD-EN (β = 0.01, κ = 10) on the undefended classifier: plain ISTA\n\
+         (paper eq. 4, the default here) against FISTA (the EAD reference code)\n\
+         at equal budgets, then ISTA with one binary-search step and with half\n\
+         the iterations.",
+        &[
+            "variant",
+            "iterations × steps",
+            "ASR %",
+            "mean L1",
+            "mean L2",
+        ],
+    ),
+    (
+        "detector_breakdown",
+        "Per-detector detection rates",
+        "The share of successful C&W and EAD-EN (β = 0.1) examples each detector\n\
+         flags (MNIST: D+JSD, so all four detectors appear). The paper's\n\
+         mechanism shows as a higher rate for C&W than for EAD on the same\n\
+         detector.",
+        &["attack", "κ", "detector", "detection %"],
+    ),
+];
+
 /// The rows of each CSV `experiments_md` reads, by artifact and scenario.
 type Inputs = HashMap<(&'static str, Scenario), Vec<Vec<String>>>;
 
@@ -112,18 +157,27 @@ fn read_inputs(dir: &Path, summarised: &[&'static Artifact]) -> Result<Inputs, V
 /// cells, skipping the header.
 fn read_csv(path: &Path) -> Option<Vec<Vec<String>>> {
     let content = std::fs::read_to_string(path).ok()?;
-    let mut rows = Vec::new();
-    for line in content.lines().skip(1) {
-        if line.trim().is_empty() {
-            continue;
+    let rows = content.lines().skip(1).filter(|l| !l.trim().is_empty());
+    Some(rows.map(split_csv_line).collect())
+}
+
+/// Splits one CSV line into cells, unquoting `"…"` cells (`""` is a quote).
+fn split_csv_line(line: &str) -> Vec<String> {
+    let (mut cells, mut cell, mut quoted) = (Vec::new(), String::new(), false);
+    let mut chars = line.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' if quoted && chars.peek() == Some(&'"') => {
+                chars.next();
+                cell.push('"');
+            }
+            '"' => quoted = !quoted,
+            ',' if !quoted => cells.push(std::mem::take(&mut cell)),
+            _ => cell.push(c),
         }
-        rows.push(
-            line.split(',')
-                .map(|c| c.trim_matches('"').to_string())
-                .collect(),
-        );
     }
-    Some(rows)
+    cells.push(cell);
+    cells
 }
 
 /// The accuracies of `curve` in `panel` of a figure CSV, in κ order.
@@ -359,6 +413,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         md,
         "\n(Checked boxes = the paper's qualitative claim holds on this substrate.)\n"
     )?;
+
+    // ---------------- Extensions --------------------------------------------
+    writeln!(md, "## Extensions (beyond the paper)\n")?;
+    writeln!(
+        md,
+        "Studies the paper does not run, so there are no paper columns. Each is\n\
+         a `reproduce_all` row: `--only {}`.\n",
+        EXTENSIONS
+            .iter()
+            .map(|(name, ..)| *name)
+            .collect::<Vec<_>>()
+            .join(",")
+    )?;
+    for (name, title, about, headers) in EXTENSIONS {
+        writeln!(md, "### {title}\n\n{about}\n")?;
+        writeln!(md, "| scenario | {} |", headers.join(" | "))?;
+        writeln!(md, "|---|{}", "---|".repeat(headers.len()))?;
+        for scenario in [Mnist, Cifar] {
+            for row in inputs.get(&(*name, scenario)).into_iter().flatten() {
+                writeln!(md, "| {} | {} |", scenario.name(), row.join(" | "))?;
+            }
+        }
+        writeln!(md)?;
+    }
 
     writeln!(md, "## Reproduction notes\n")?;
     writeln!(

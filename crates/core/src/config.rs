@@ -13,10 +13,10 @@
 //! Binaries accept `--scale smoke|quick|paper` plus individual overrides.
 
 use crate::error::EvalError;
-use serde::{Deserialize, Serialize};
+use crate::zoo::Scenario;
 
 /// All experiment-size knobs in one place.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     /// Training-set size per scenario.
     pub train_size: usize,
@@ -178,6 +178,14 @@ impl Scale {
             "quick" => Some(Self::quick()),
             "paper" => Some(Self::paper()),
             _ => None,
+        }
+    }
+
+    /// The factor from the paper's κ axis to `scenario`'s logit scale.
+    pub fn kappa_unit(&self, scenario: Scenario) -> f32 {
+        match scenario {
+            Scenario::Mnist => self.kappa_unit_mnist,
+            Scenario::Cifar => self.kappa_unit_cifar,
         }
     }
 

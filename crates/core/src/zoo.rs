@@ -411,10 +411,7 @@ impl Zoo {
         // JSD temperatures live on the victim's logit scale, exactly like κ
         // (see Scale::kappa_unit_*): the paper's T = 10/40 assume logits in
         // the tens; on this substrate they are scaled by the same unit.
-        let unit = match scenario {
-            Scenario::Mnist => self.scale.kappa_unit_mnist,
-            Scenario::Cifar => self.scale.kappa_unit_cifar,
-        };
+        let unit = self.scale.kappa_unit(scenario);
         let scaled = [10.0 * unit, 40.0 * unit];
         let jsd_temps: &[f32] = if scenario == Scenario::Cifar || with_jsd {
             // CIFAR's default MagNet already deploys the JSD detectors.

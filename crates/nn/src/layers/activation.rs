@@ -1,13 +1,12 @@
 use crate::layer::{Layer, Mode};
 use crate::{NnError, Result};
 use adv_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// The pointwise nonlinearities used across the reproduction.
 ///
 /// MagNet's auto-encoders are sigmoid end-to-end (paper Tables II and V);
 /// the victim classifiers use ReLU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// `max(0, x)`.
     Relu,

@@ -10,10 +10,9 @@
 use crate::softmax::{log_softmax_rows, softmax_rows};
 use crate::{NnError, Result};
 use adv_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Which reconstruction loss an auto-encoder trains with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReconstructionLoss {
     /// Mean squared error — MagNet's default.
     MeanSquaredError,

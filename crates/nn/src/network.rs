@@ -6,14 +6,13 @@ use crate::layers::{
 use crate::{NnError, Result};
 use adv_tensor::ops::{Conv2dSpec, Pool2dSpec};
 use adv_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A declarative layer description.
 ///
 /// Networks are built from a `Vec<LayerSpec>` plus a seed, which makes
 /// architectures serializable (see [`crate::serialize`]) and reconstruction
 /// deterministic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LayerSpec {
     /// Fully connected layer.
     Dense {

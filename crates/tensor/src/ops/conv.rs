@@ -20,7 +20,6 @@ use crate::ops::isa::Isa;
 use crate::ops::matmul::matmul_at_b;
 use crate::{Result, Shape, Tensor, TensorError};
 use adv_profile::{KernelKind, KernelScope, Work};
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a 2-D convolution.
 ///
@@ -34,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(spec.output_hw(28, 28)?, (28, 28));
 /// # Ok::<(), adv_tensor::TensorError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conv2dSpec {
     /// Input channel count.
     pub in_channels: usize,

@@ -27,10 +27,9 @@
 
 use crate::{Result, Shape, Tensor, TensorError};
 use adv_profile::{KernelKind, KernelScope, Work};
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a 2-D pooling window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool2dSpec {
     /// Window height.
     pub kh: usize,

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A validated list of tensor dimensions.
@@ -15,7 +14,7 @@ use std::fmt;
 /// assert_eq!(s.volume(), 24);
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape(Vec<usize>);
 
 impl Shape {

@@ -1,23 +1,5 @@
-//! Small statistics helpers used by detector calibration and the evaluation
-//! harness (percentiles, means over successful attacks, histograms).
-
-/// Mean of a slice (0 when empty).
-pub fn mean(xs: &[f32]) -> f32 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f32>() / xs.len() as f32
-    }
-}
-
-/// Sample standard deviation (0 when fewer than two values).
-pub fn std_dev(xs: &[f32]) -> f32 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|&x| (x - m) * (x - m)).sum::<f32>() / (xs.len() - 1) as f32).sqrt()
-}
+//! Small statistics helpers used by detector calibration: a score
+//! quantile and the share of scores above a threshold.
 
 /// The `q`-th quantile (`0.0..=1.0`) with linear interpolation, or `None`
 /// when the slice is empty or `q` out of range.
@@ -45,63 +27,9 @@ pub fn fraction_above(xs: &[f32], threshold: f32) -> f32 {
     xs.iter().filter(|&&x| x > threshold).count() as f32 / xs.len() as f32
 }
 
-/// A fixed-width histogram over `[lo, hi]` for quick terminal summaries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f32,
-    hi: f32,
-    counts: Vec<usize>,
-    total: usize,
-}
-
-impl Histogram {
-    /// Creates an empty histogram with `bins` buckets spanning `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f32, hi: f32, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Adds a value; out-of-range values clamp to the edge bins.
-    pub fn add(&mut self, x: f32) {
-        let bins = self.counts.len();
-        let t = ((x - self.lo) / (self.hi - self.lo)).clamp(0.0, 1.0);
-        let idx = ((t * bins as f32) as usize).min(bins - 1);
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[usize] {
-        &self.counts
-    }
-
-    /// Number of values added.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_and_std() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(std_dev(&[1.0]), 0.0);
-        assert!((std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) - 2.138).abs() < 0.01);
-    }
 
     #[test]
     fn quantile_endpoints_and_median() {
@@ -130,21 +58,5 @@ mod tests {
         assert_eq!(fraction_above(&xs, 2.5), 0.5);
         assert_eq!(fraction_above(&xs, 10.0), 0.0);
         assert_eq!(fraction_above(&[], 0.0), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_values() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        for x in [0.1, 0.3, 0.6, 0.9, 1.5, -0.2] {
-            h.add(x);
-        }
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.counts(), &[2, 1, 1, 2]); // clamped extremes land on edges
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_rejects_zero_bins() {
-        let _ = Histogram::new(0.0, 1.0, 0);
     }
 }

@@ -1,6 +1,5 @@
 use crate::{Result, Shape, TensorError};
 use adv_profile::{KernelKind, KernelScope, Work};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major, `f32` n-dimensional array.
@@ -21,7 +20,7 @@ use std::fmt;
 /// assert_eq!(y.as_slice(), &[1.0, 0.0, 3.0]);
 /// # Ok::<(), adv_tensor::TensorError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,
