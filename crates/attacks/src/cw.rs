@@ -165,7 +165,9 @@ impl CarliniWagnerL2 {
                 if let Some(obs) = &obs {
                     obs.iterations.incr();
                 }
-                let x = w.map(|wi| 0.5 * (wi.tanh() + 1.0));
+                // tanh(w), once per pixel: it gives both x and dx/dw.
+                let tw = w.map(f32::tanh);
+                let x = tw.map(|ti| 0.5 * (ti + 1.0));
                 let logits = model.forward(&x)?;
                 let margins = if targeted {
                     target_margins(&logits, labels)?
@@ -201,10 +203,7 @@ impl CarliniWagnerL2 {
                 dx.add_scaled_assign(&x, 2.0)?;
                 dx.add_scaled_assign(x0, -2.0)?;
                 // dL/dw = dL/dx · ½(1 − tanh²(w))
-                let dw = dx.zip_map(&w, |g, wi| {
-                    let t = wi.tanh();
-                    g * 0.5 * (1.0 - t * t)
-                })?;
+                let dw = dx.zip_map(&tw, |g, t| g * 0.5 * (1.0 - t * t))?;
 
                 // Adam update on w.
                 let t_step = (k + 1) as i32;

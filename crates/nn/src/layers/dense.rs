@@ -1,12 +1,17 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::{NnError, Result};
-use adv_tensor::ops::{matmul, matmul_a_bt, matmul_at_b};
+use adv_tensor::ops::{matmul, matmul_at_b};
 use adv_tensor::{init, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A fully connected layer: `y = x·W + b` with `x: [batch, in]`,
 /// `W: [in, out]`, `b: [out]`.
+///
+/// The input gradient `dy·Wᵀ` is a [`matmul()`] against a transposed copy of
+/// `W`, so its inner loop runs along rows. The copy is made on the first
+/// backward pass and dropped by [`Layer::params_mut`], the only way to
+/// change `W`.
 #[derive(Debug)]
 pub struct Dense {
     weight: Param,
@@ -14,6 +19,7 @@ pub struct Dense {
     inputs: usize,
     outputs: usize,
     cache: Option<Tensor>,
+    weight_t: Option<Tensor>,
 }
 
 impl Dense {
@@ -28,6 +34,7 @@ impl Dense {
             inputs,
             outputs,
             cache: None,
+            weight_t: None,
         }
     }
 
@@ -52,6 +59,18 @@ impl Dense {
             }
         }
         Ok(y)
+    }
+
+    /// `dx = dy·Wᵀ`: each element sums over the outputs in ascending order
+    /// from +0, as a dot product with a row of `W` does. `matmul` skips the
+    /// exact zeros of `dy`, which add ±0 and change no such sum for finite
+    /// weights.
+    fn input_grad(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        let wt = match &mut self.weight_t {
+            Some(wt) => wt,
+            empty => empty.insert(self.weight.value.transpose()?),
+        };
+        Ok(matmul(grad_out, wt)?)
     }
 }
 
@@ -80,15 +99,14 @@ impl Layer for Dense {
                 *g += v;
             }
         }
-        // dx = dy·Wᵀ
-        Ok(matmul_a_bt(grad_out, &self.weight.value)?)
+        self.input_grad(grad_out)
     }
 
     fn backward_input(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         if self.cache.is_none() {
             return Err(NnError::NoForwardCache { layer: "dense" });
         }
-        Ok(matmul_a_bt(grad_out, &self.weight.value)?)
+        self.input_grad(grad_out)
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -96,6 +114,7 @@ impl Layer for Dense {
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.weight_t = None;
         vec![&mut self.weight, &mut self.bias]
     }
 
@@ -153,6 +172,31 @@ mod tests {
             .iter()
             .all(|p| p.grad.map(f32::abs).sum() == 0.0));
         assert_eq!(dx, layer.backward(&dy).unwrap());
+    }
+
+    /// The cached `Wᵀ` follows `W`: after a weight change through
+    /// `params_mut`, the next dx is `dy·Wᵀ` of the new weights, bit for bit.
+    #[test]
+    fn input_gradient_follows_weights_changed_through_params_mut() {
+        let mut layer = Dense::new(11, 9, 3);
+        let x = Tensor::from_fn(Shape::matrix(2, 11), |i| (i as f32 - 9.0) * 0.1);
+        let y = layer.forward(&x, Mode::Train).unwrap();
+        let dy = Tensor::from_fn(y.shape().clone(), |i| ((i % 5) as f32 - 2.0) * 0.3);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for step in 0..3 {
+            let dx = layer.backward_input(&dy).unwrap();
+            let w = &layer.params()[0].value;
+            let expected = adv_tensor::ops::matmul_a_bt(&dy, w).unwrap();
+            assert_eq!(bits(&dx), bits(&expected), "step {step}");
+            for (i, v) in layer.params_mut()[0]
+                .value
+                .as_mut_slice()
+                .iter_mut()
+                .enumerate()
+            {
+                *v = *v * -1.5 + (i % 7) as f32 * 0.01 * step as f32;
+            }
+        }
     }
 
     #[test]

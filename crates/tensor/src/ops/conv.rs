@@ -2,19 +2,23 @@
 //! and an `im2col`-based weight gradient.
 //!
 //! Tensors use NCHW layout. Weights are `[out_channels, in_channels, kh, kw]`.
-//! The forward pass accumulates each output plane straight from the input
-//! rows and builds no intermediate matrix. The input gradient is a direct
-//! transposed convolution over a zero-padded copy of `dy`
-//! ([`conv2d_backward_input`]). Only the weight gradient still uses
-//! `im2col`, which arranges every receptive field as a row, so `dW` becomes
-//! a matrix product.
+//! The forward pass builds no patch matrix. It copies each image into a
+//! zero-padded buffer and works in register blocks: a block of outputs
+//! for up to four output channels stays in registers from +0 through the
+//! whole `(c, kh, kw)` reduction, then gets the bias as it is copied out.
+//! The weights are packed once per call so that one tap's weights for a
+//! channel group are adjacent. The input gradient is a direct transposed
+//! convolution over a zero-padded copy of `dy` ([`conv2d_backward_input`]).
+//! Only the weight gradient still uses `im2col`, which arranges every
+//! receptive field as a row, so `dW` becomes a matrix product.
 //!
 //! The forward and input-gradient loops run each output's sum in scalar
 //! order and vectorize across outputs. They are compiled for baseline
 //! x86-64 and again with AVX2, and the CPU picks the copy at run time
 //! (`ops::isa`). Both copies give bit-identical results, since the
 //! compiler neither reassociates the sums nor fuses `a * b + c` into one
-//! rounding.
+//! rounding. Register blocks never span two images, so a batch gives each
+//! image the bits it gets alone.
 
 use crate::ops::isa::Isa;
 use crate::ops::matmul::matmul_at_b;
@@ -254,10 +258,11 @@ fn check_weight(weight: &Tensor, spec: &Conv2dSpec) -> Result<()> {
 /// and the result is `[n, oc, ho, wo]`.
 ///
 /// Computed directly, with no patch matrix. Each image is copied into a
-/// zero-padded buffer; each output plane starts at zero, gains one product
-/// per tap in ascending `(c, kh, kw)` order, and gets the bias last. That
-/// is the same sequence of floating-point operations as the `im2col` dot
-/// product formulation, so the result is bit-identical to it.
+/// zero-padded buffer; each output starts at +0 in a register block,
+/// gains one product per tap in ascending `(c, kh, kw)` order, and gets
+/// the bias last. That is the same sequence of floating-point operations
+/// as the `im2col` dot-product formulation, so the result is
+/// bit-identical to it.
 ///
 /// # Errors
 ///
@@ -282,21 +287,50 @@ fn conv2d_on(
     }
     let (n, h, w) = spec.validate_input(input)?;
     let (ho, wo) = spec.output_hw(h, w)?;
-    let (c, oc, pad) = (spec.in_channels, spec.out_channels, spec.padding);
-    let (khw, hp, wp) = (spec.kh * spec.kw, h + 2 * pad, w + 2 * pad);
-    // An output plane accumulates `wp` wide: output `(oh, ow)` sits at
-    // `i = oh·wp + ow` and its tap at padded-input offset `off` reads
-    // `xpad[off + stride·i]`, so each tap is one pass over an evenly strided
-    // run. The `wp − wo` slots past each row's end are scratch.
+    let (c, oc, pad, stride) = (
+        spec.in_channels,
+        spec.out_channels,
+        spec.padding,
+        spec.stride,
+    );
+    let (patch, hp, wp) = (spec.patch_len(), h + 2 * pad, w + 2 * pad);
+    // Outputs are laid out `wp` wide: output `(oh, ow)` is `i = oh·wp + ow`,
+    // and its tap at padded-input offset `off` reads `xpad[off + stride·i]`.
+    // The `wp − wo` slots past each row's end are scratch, and so is the
+    // tail that rounds the `span` outputs up to whole blocks: at most
+    // `BLOCK − 1` more. `xpad` is long enough for the last block's deepest
+    // read.
     let span = (ho - 1) * wp + wo;
-    let taps: Vec<usize> = (0..khw).map(|t| t / spec.kw * wp + t % spec.kw).collect();
-    let mut xpad = vec![0.0f32; c * hp * wp];
-    let mut acc = vec![0.0f32; span];
+    let rounded = span + BLOCK - 1;
+    let mut offs = Vec::with_capacity(patch);
+    for ch in 0..c {
+        for ky in 0..spec.kh {
+            offs.extend((0..spec.kw).map(|kx| ch * hp * wp + ky * wp + kx));
+        }
+    }
+    let reach = offs
+        .last()
+        .map_or(0, |&off| off + stride * (rounded - 1) + 1);
+    // The output is allocated before the short-lived buffers, so they are
+    // freed from above it rather than leaving holes beneath it; in `craft`
+    // this order measured 0.6 MB less peak RSS.
     let mut y = vec![0.0f32; n * oc * ho * wo];
-    let _prof = KernelScope::enter(KernelKind::Conv2d, || {
-        Work::matmul(n * ho * wo, spec.patch_len(), oc)
-    });
+    let mut xpad = vec![0.0f32; reach.max(c * hp * wp)];
+    let mut packed = vec![0.0f32; oc * patch];
+    let mut planes = vec![0.0f32; oc.min(QUAD) * rounded];
+    let _prof = KernelScope::enter(KernelKind::Conv2d, || Work::matmul(n * ho * wo, patch, oc));
     let (x, wv, bv) = (input.as_slice(), weight.as_slice(), bias.as_slice());
+    // Channel group `o0..o0 + q` keeps its weights as `[patch, q]` at
+    // `packed[o0·patch..]`, so each tap's `q` weights are adjacent.
+    for o0 in (0..oc).step_by(QUAD) {
+        let q = (oc - o0).min(QUAD);
+        let group = &mut packed[o0 * patch..][..q * patch];
+        for (t, ws) in group.chunks_exact_mut(q).enumerate() {
+            for (j, wt) in ws.iter_mut().enumerate() {
+                *wt = wv[(o0 + j) * patch + t];
+            }
+        }
+    }
     isa.run(
         #[inline(always)]
         || {
@@ -308,20 +342,23 @@ fn conv2d_on(
                         dst[iy * wp..iy * wp + w].copy_from_slice(&src[iy * w..(iy + 1) * w]);
                     }
                 }
-                for o in 0..oc {
-                    acc.fill(0.0);
-                    for ch in 0..c {
-                        let xp = &xpad[ch * hp * wp..(ch + 1) * hp * wp];
-                        let wc = &wv[(o * c + ch) * khw..][..khw];
-                        for (ws, offs) in wc.chunks(3).zip(taps.chunks(3)) {
-                            add_taps(&mut acc, xp, offs, ws, spec.stride);
-                        }
+                for o0 in (0..oc).step_by(QUAD) {
+                    let q = (oc - o0).min(QUAD);
+                    let ws = &packed[o0 * patch..][..q * patch];
+                    let planes = &mut planes[..q * rounded];
+                    // A stride of 1 is passed as a literal, for `conv_block`.
+                    if stride == 1 {
+                        conv_group(q, &xpad, &offs, ws, 1, span, planes);
+                    } else {
+                        conv_group(q, &xpad, &offs, ws, stride, span, planes);
                     }
-                    let plane = &mut y[(b * oc + o) * ho * wo..][..ho * wo];
-                    for oh in 0..ho {
-                        let out = &mut plane[oh * wo..(oh + 1) * wo];
-                        for (yv, &a) in out.iter_mut().zip(&acc[oh * wp..]) {
-                            *yv = a + bv[o];
+                    for (j, acc) in planes.chunks_exact(rounded).enumerate() {
+                        let o = o0 + j;
+                        let out = &mut y[(b * oc + o) * ho * wo..][..ho * wo];
+                        for (oh, row) in out.chunks_exact_mut(wo).enumerate() {
+                            for (yv, &a) in row.iter_mut().zip(&acc[oh * wp..]) {
+                                *yv = a + bv[o];
+                            }
                         }
                     }
                 }
@@ -331,24 +368,91 @@ fn conv2d_on(
     Tensor::from_vec(y, Shape::nchw(n, oc, ho, wo))
 }
 
-/// Adds a run of kernel taps to a wide accumulator, in tap order:
-/// `acc[i] += x[off + stride·i] · wt` for each `(off, wt)` of `offs`/`ws`.
-/// A stride-1 run of three taps goes in one pass, keeping `acc[i]` in a
-/// register between its three additions.
+/// The most output channels one register block carries.
+const QUAD: usize = 4;
+/// The widest register block, in outputs per channel.
+const BLOCK: usize = 64;
+
+/// Computes the `span` outputs of a group of `q` (1 to [`QUAD`]) output
+/// channels into `planes`, one plane of `span + BLOCK − 1` per channel,
+/// with the block widths that suit `q`.
+///
+/// A block of `Q` channels × `L` outputs holds 64 or 72 sums, 8 or 9 AVX2
+/// registers: enough independent additions in flight to cover their
+/// latency, with registers left for the inputs and weights. A block of
+/// half as many sums or fewer waits on that latency and costs about half
+/// as much, whatever its width, so a remainder that fits one such `T`-wide
+/// block takes one.
 #[inline(always)]
-fn add_taps(acc: &mut [f32], x: &[f32], offs: &[usize], ws: &[f32], stride: usize) {
-    let len = acc.len();
-    if let (1, &[w0, w1, w2]) = (stride, ws) {
-        let run = |k: usize| &x[offs[k]..offs[k] + len];
-        for (((a, &x0), &x1), &x2) in acc.iter_mut().zip(run(0)).zip(run(1)).zip(run(2)) {
-            *a = *a + x0 * w0 + x1 * w1 + x2 * w2;
-        }
-        return;
+fn conv_group(
+    q: usize,
+    xpad: &[f32],
+    offs: &[usize],
+    ws: &[f32],
+    stride: usize,
+    span: usize,
+    planes: &mut [f32],
+) {
+    match q {
+        4 => conv_blocks::<4, 16, 8>(xpad, offs, ws, stride, span, planes),
+        3 => conv_blocks::<3, 24, 8>(xpad, offs, ws, stride, span, planes),
+        2 => conv_blocks::<2, 32, 16>(xpad, offs, ws, stride, span, planes),
+        _ => conv_blocks::<1, 64, 32>(xpad, offs, ws, stride, span, planes),
     }
-    for (&off, &wt) in offs.iter().zip(ws) {
-        for (a, &xv) in acc.iter_mut().zip(x[off..].iter().step_by(stride)) {
-            *a += xv * wt;
+}
+
+/// Tiles `span` outputs with `L`-wide blocks and, when the remainder fits
+/// one, a last `T`-wide block; see [`conv_group`].
+#[inline(always)]
+fn conv_blocks<const Q: usize, const L: usize, const T: usize>(
+    xpad: &[f32],
+    offs: &[usize],
+    ws: &[f32],
+    stride: usize,
+    span: usize,
+    planes: &mut [f32],
+) {
+    let full = span - span % L;
+    for i0 in (0..full).step_by(L) {
+        conv_block::<Q, L>(xpad, offs, ws, stride, i0, planes);
+    }
+    if span - full > T {
+        conv_block::<Q, L>(xpad, offs, ws, stride, full, planes);
+    } else if span > full {
+        conv_block::<Q, T>(xpad, offs, ws, stride, full, planes);
+    }
+}
+
+/// The forward body: a block of `W` outputs `i = i0 + l` of each of `Q`
+/// output channels stays in registers from +0 through every `(c, kh, kw)`
+/// tap in ascending order, `acc[j][l] += xpad[offs[t] + stride·i] ·
+/// ws[t·Q + j]`, and is then stored to `planes[j·plane + i]`, where
+/// `plane = planes.len() / Q`.
+///
+/// `Q` and `W` are literals at each call site, and so is a stride of 1,
+/// so the compiler unrolls the channels and reads each tap's inputs as
+/// one vector run.
+#[inline(always)]
+fn conv_block<const Q: usize, const W: usize>(
+    xpad: &[f32],
+    offs: &[usize],
+    ws: &[f32],
+    stride: usize,
+    i0: usize,
+    planes: &mut [f32],
+) {
+    let run = (W - 1) * stride + 1;
+    let mut acc = [[0.0f32; W]; Q];
+    for (&off, wq) in offs.iter().zip(ws.chunks_exact(Q)) {
+        let xs = &xpad[off + i0 * stride..][..run];
+        for (a, &wt) in acc.iter_mut().zip(wq) {
+            for (l, av) in a.iter_mut().enumerate() {
+                *av += xs[l * stride] * wt;
+            }
         }
+    }
+    for (plane, a) in planes.chunks_exact_mut(planes.len() / Q).zip(&acc) {
+        plane[i0..][..W].copy_from_slice(a);
     }
 }
 
@@ -661,12 +765,27 @@ mod tests {
         col2im(&matmul(&rows, &wmat).unwrap(), n, h, w, spec).unwrap()
     }
 
-    /// `[batch, in, out, h, w, kh, kw, stride, padding]`: stride 1–3,
-    /// padding 0–2, kh ≠ kw, and empty batches and channels.
-    const GEOMETRIES: [[usize; 9]; 14] = [
+    /// `[batch, in, out, h, w, kh, kw, stride, padding]`: every 3×3 "same"
+    /// convolution the model zoo builds (the MNIST and CIFAR auto-encoders'
+    /// 1→3, 3→3, 3→1 and 3→3 layers, the victims' 1→8, 8→16, 3→8 and
+    /// 8→16), output channel counts 5, 6 and 7 that leave a register block
+    /// of 1, 2 and 3 channels after one of 4, then stride 1–3, padding 0–2,
+    /// kh ≠ kw, and empty batches and channels.
+    const GEOMETRIES: [[usize; 9]; 25] = [
         [3, 1, 3, 28, 28, 3, 3, 1, 1],
         [2, 3, 3, 28, 28, 3, 3, 1, 1],
+        [2, 3, 1, 28, 28, 3, 3, 1, 1],
+        [2, 1, 3, 14, 14, 3, 3, 1, 1],
+        [2, 3, 3, 14, 14, 3, 3, 1, 1],
+        [2, 3, 1, 14, 14, 3, 3, 1, 1],
+        [2, 1, 8, 28, 28, 3, 3, 1, 1],
         [2, 8, 16, 14, 14, 3, 3, 1, 1],
+        [2, 3, 3, 16, 16, 3, 3, 1, 1],
+        [2, 3, 8, 16, 16, 3, 3, 1, 1],
+        [2, 8, 16, 8, 8, 3, 3, 1, 1],
+        [2, 3, 5, 9, 11, 3, 3, 1, 1],
+        [2, 2, 6, 10, 7, 3, 3, 1, 1],
+        [2, 4, 7, 12, 9, 3, 3, 2, 1],
         [1, 2, 4, 9, 9, 3, 3, 2, 1],
         [2, 3, 2, 11, 10, 3, 3, 3, 0],
         [1, 2, 3, 7, 7, 5, 5, 1, 2],
@@ -749,6 +868,31 @@ mod tests {
             let x = Tensor::from_fn(Shape::nchw(n, c, h, w), |i| i as f32 * 0.01);
             let (dx, _, _) = conv2d_backward(&x, &wt, &dy, &spec).unwrap();
             assert_bits_eq(&dx, &oracle, &what);
+        }
+    }
+
+    /// A batch gives, image for image, the bits each image gives alone, so
+    /// no register block reads or writes across an image boundary.
+    #[test]
+    fn forward_and_input_gradient_are_batch_invariant() {
+        for g @ [n, c, oc, h, w, ..] in GEOMETRIES {
+            let spec = spec_of(g);
+            let (x, wt, dy) = (
+                input_of(n, c, h, w),
+                weight_of(&spec),
+                dy_of(n, h, w, &spec),
+            );
+            let b = Tensor::from_fn(Shape::vector(oc), |i| (i as f32 - 1.5) * 0.37);
+            let y = conv2d(&x, &wt, &b, &spec).unwrap();
+            let dx = conv2d_backward_input(&wt, &dy, n, h, w, &spec).unwrap();
+            for r in 0..n {
+                let row = |t: &Tensor| Tensor::stack(&[t.index_axis0(r).unwrap()]).unwrap();
+                let what = format!("{spec:?} h={h} w={w} image {r} of {n}");
+                let alone = conv2d(&row(&x), &wt, &b, &spec).unwrap();
+                assert_bits_eq(&row(&y), &alone, &format!("forward {what}"));
+                let alone = conv2d_backward_input(&wt, &row(&dy), 1, h, w, &spec).unwrap();
+                assert_bits_eq(&row(&dx), &alone, &format!("dx {what}"));
+            }
         }
     }
 

@@ -1,19 +1,21 @@
 //! Blocked dense matrix multiplication.
 //!
-//! Three entry points cover the products backprop needs without materializing
-//! transposes:
+//! Three entry points cover the products backprop needs:
 //!
-//! - [`matmul`]: `C = A·B`
+//! - [`matmul`]: `C = A·B`, the dense forward pass and, against a cached
+//!   transposed copy of the weights, the dense input gradient `dy·Wᵀ`
 //! - [`matmul_at_b`]: `C = Aᵀ·B` (weight gradients)
-//! - [`matmul_a_bt`]: `C = A·Bᵀ` (input gradients)
+//! - [`matmul_a_bt`]: `C = A·Bᵀ`, kept as a reference: the tests check the
+//!   direct conv forward and the dense input gradient against it, and no
+//!   production path calls it
 //!
 //! `matmul` and `matmul_at_b` are written i-k-j with a fixed block size so
 //! the inner loop is a contiguous axpy, vectorized across output columns.
-//! `matmul_a_bt` keeps one dot product per output, eight outputs per pass.
-//! Each body is compiled for baseline x86-64 and again with AVX2, and the
-//! CPU picks the copy at run time (`ops::isa`). Every output keeps its
-//! scalar summation order and no `a * b + c` is fused, so the two copies
-//! give bit-identical results.
+//! `matmul_a_bt` keeps one dot product per output, eight outputs per pass,
+//! which gathers across rows of `B`. Each body is compiled for baseline
+//! x86-64 and again with AVX2, and the CPU picks the copy at run time
+//! (`ops::isa`). Every output keeps its scalar summation order and no
+//! `a * b + c` is fused, so the two copies give bit-identical results.
 
 use crate::ops::isa::Isa;
 use crate::{Result, Shape, Tensor, TensorError};
@@ -329,6 +331,30 @@ mod tests {
                         "{name} ({m},{n},{k}) at {i}: {x} vs {y}"
                     );
                 }
+            }
+        }
+    }
+
+    /// The dense layers' input gradient `dy·Wᵀ` is `matmul(dy, Wᵀ)`: each
+    /// row of a batch's product has the bits of that row's product alone.
+    #[test]
+    fn matmul_rows_are_batch_invariant() {
+        for (m, k, n) in [(4, 10, 64), (3, 64, 784), (5, 70, 9)] {
+            // Every 211th element of `a` is an exact zero, which `matmul` skips.
+            let a = Tensor::from_fn(Shape::matrix(m, k), |i| {
+                ((i * 7919 % 211) as f32 - 105.0) * 0.013
+            });
+            let b = Tensor::from_fn(Shape::matrix(k, n), |i| {
+                ((i * 104729 % 97) as f32 - 48.0) * 0.021
+            });
+            let c = matmul(&a, &b).unwrap();
+            for r in 0..m {
+                let row = Tensor::stack(&[a.index_axis0(r).unwrap()]).unwrap();
+                let alone = matmul(&row, &b).unwrap();
+                let whole = c.index_axis0(r).unwrap();
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&whole), bits(&alone), "({m},{k},{n}) row {r}");
             }
         }
     }
