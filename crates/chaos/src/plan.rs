@@ -184,12 +184,7 @@ impl FaultPlan {
 /// FNV-1a hash of a site name; mixed into the per-hit decision stream so
 /// sites draw independent sequences from the same seed.
 pub(crate) fn site_hash(site: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in site.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    adv_store::codec::fnv64(site.as_bytes())
 }
 
 #[cfg(test)]

@@ -27,7 +27,6 @@ type AnyError = Box<dyn std::error::Error>;
 /// another.
 fn run_context(args: &CliArgs, selected: &[&Artifact]) -> u64 {
     let names: Vec<&str> = selected.iter().map(|a| a.name).collect();
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let key = format!(
         "{:?}|{}|{}|{}",
         args.scale,
@@ -35,11 +34,7 @@ fn run_context(args: &CliArgs, selected: &[&Artifact]) -> u64 {
         args.out_dir,
         names.join(",")
     );
-    for b in key.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    adv_store::codec::fnv64(key.as_bytes())
 }
 
 fn usage_exit(err: &adv_eval::EvalError) -> ! {

@@ -11,6 +11,7 @@
 
 use crate::{EvalError, Result};
 use adv_attacks::AttackOutcome;
+use adv_store::codec::{fnv64, DecodeError, Reader, Writer};
 use adv_tensor::{Shape, Tensor};
 use std::path::{Path, PathBuf};
 
@@ -38,23 +39,10 @@ pub fn slug(s: &str) -> String {
 /// different arrangement (`[2, 8]` vs `[4, 4]`, or a transposed layout that
 /// happens to serialize identically) must not collide.
 pub fn content_fingerprint(images: &Tensor) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |byte: u8| {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    mix(images.shape().rank() as u8);
-    for &d in images.shape().dims() {
-        for b in (d as u64).to_le_bytes() {
-            mix(b);
-        }
-    }
-    for &v in images.as_slice() {
-        for b in v.to_le_bytes() {
-            mix(b);
-        }
-    }
-    hash
+    let dims = images.shape().dims();
+    let mut w = Writer::with_capacity(1 + dims.len() * 8 + images.len() * 4);
+    w.u8(dims.len() as u8).usizes(dims).f32s(images.as_slice());
+    fnv64(&w.into_vec())
 }
 
 /// The cache file path for an attack run.
@@ -83,17 +71,15 @@ pub fn attack_cache_path(
 /// Serializes an attack outcome's adversarial tensor and success flags.
 pub fn encode_outcome(outcome: &AttackOutcome) -> Vec<u8> {
     let t = &outcome.adversarial;
-    let mut buf = Vec::with_capacity(16 + t.len() * 4 + outcome.success.len());
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&(t.shape().rank() as u32).to_le_bytes());
-    for &d in t.shape().dims() {
-        buf.extend_from_slice(&(d as u64).to_le_bytes());
+    let mut w = Writer::with_capacity(16 + t.len() * 4 + outcome.success.len());
+    w.bytes(MAGIC)
+        .u32(t.shape().rank() as u32)
+        .usizes(t.shape().dims())
+        .f32s(t.as_slice());
+    for &s in &outcome.success {
+        w.u8(u8::from(s));
     }
-    for &v in t.as_slice() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    buf.extend(outcome.success.iter().map(|&s| s as u8));
-    buf
+    w.into_vec()
 }
 
 /// Decodes a cache entry back into `(adversarial, success)`.
@@ -102,37 +88,24 @@ pub fn encode_outcome(outcome: &AttackOutcome) -> Vec<u8> {
 ///
 /// Returns [`EvalError::InvalidConfig`] for malformed or truncated entries.
 pub fn decode_outcome(data: &[u8]) -> Result<(Tensor, Vec<bool>)> {
-    let fail = |msg: &str| EvalError::InvalidConfig(format!("attack cache: {msg}"));
-    if data.len() < 12 || &data[..8] != MAGIC {
-        return Err(fail("bad magic"));
-    }
-    let rank = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes")) as usize;
-    if rank > 8 {
-        return Err(fail("implausible rank"));
-    }
-    let mut off = 12;
-    let mut dims = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        let bytes: [u8; 8] = data
-            .get(off..off + 8)
-            .ok_or_else(|| fail("truncated dims"))?
-            .try_into()
-            .expect("8 bytes");
-        dims.push(u64::from_le_bytes(bytes) as usize);
-        off += 8;
-    }
-    let shape = Shape::new(dims);
-    let vol = shape.volume();
-    let n = shape.dims().first().copied().unwrap_or(0);
-    if data.len() != off + vol * 4 + n {
-        return Err(fail("length mismatch"));
-    }
-    let mut values = Vec::with_capacity(vol);
-    for chunk in data[off..off + vol * 4].chunks_exact(4) {
-        values.push(f32::from_le_bytes(chunk.try_into().expect("4 bytes")));
-    }
-    let success = data[off + vol * 4..].iter().map(|&b| b != 0).collect();
+    let (shape, values, success) =
+        read_outcome(data).map_err(|e| EvalError::InvalidConfig(format!("attack cache: {e}")))?;
     Ok((Tensor::from_vec(values, shape)?, success))
+}
+
+fn read_outcome(data: &[u8]) -> std::result::Result<(Shape, Vec<f32>, Vec<bool>), DecodeError> {
+    let mut r = Reader::new(data);
+    r.magic(MAGIC, "cache magic ADVATK01")?;
+    let rank = r.u32()? as usize;
+    if rank > 8 {
+        return Err(r.fail("a rank of at most 8"));
+    }
+    let shape = Shape::new(r.dims(rank)?);
+    let values = r.f32s(shape.volume())?;
+    let n = shape.dims().first().copied().unwrap_or(0);
+    let success = r.bytes(n)?.iter().map(|&b| b != 0).collect();
+    r.finish()?;
+    Ok((shape, values, success))
 }
 
 /// Records a rejected cache entry: bumps `store.cache_rejects` and logs the
@@ -248,11 +221,13 @@ mod tests {
     fn corrupted_entries_rejected() {
         let (_, outcome) = sample_outcome();
         let bytes = encode_outcome(&outcome);
-        assert!(decode_outcome(&bytes[..10]).is_err());
         assert!(decode_outcome(b"NOTMAGIC1234").is_err());
-        let mut truncated = bytes.clone();
-        truncated.pop();
-        assert!(decode_outcome(&truncated).is_err());
+        for cut in 0..bytes.len() {
+            assert!(decode_outcome(&bytes[..cut]).is_err(), "prefix {cut}");
+        }
+        for bad in adv_store::codec::single_bit_flips(&bytes) {
+            let _ = decode_outcome(&bad);
+        }
     }
 
     #[test]
@@ -338,5 +313,28 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn encoded_bytes_and_fingerprint_are_pinned() {
+        let (orig, outcome) = sample_outcome();
+        let hash = adv_store::codec::fnv64(&encode_outcome(&outcome));
+        assert_eq!(hash, 0xbc78_9d73_33b6_ed7e, "{hash:#018x}");
+        let fingerprint = content_fingerprint(&orig);
+        assert_eq!(fingerprint, 0x84a3_dd86_d7f9_ac0b, "{fingerprint:#018x}");
+    }
+
+    /// A rank-`dims.len()` cache header with no data behind it.
+    fn crafted_entry(dims: &[u64]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.bytes(MAGIC).u32(dims.len() as u32).u64s(dims);
+        w.into_vec()
+    }
+
+    #[test]
+    fn a_tensor_header_past_the_input_is_rejected() {
+        assert!(decode_outcome(&crafted_entry(&[1 << 62])).is_err());
+        let err = decode_outcome(&crafted_entry(&[1 << 32, 1 << 32])).unwrap_err();
+        assert!(err.to_string().contains("dims"), "{err}");
     }
 }

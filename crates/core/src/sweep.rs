@@ -16,6 +16,7 @@ use adv_attacks::{
 };
 use adv_magnet::{DefenseScheme, MagnetDefense};
 use adv_nn::Sequential;
+use adv_store::codec::{DecodeError, Reader, Writer};
 use adv_tensor::{Shape, Tensor};
 
 /// An attack family to sweep (κ is supplied per point).
@@ -211,7 +212,6 @@ impl SweepRunner {
     ) -> Result<AttackOutcome> {
         let n = self.set.labels.len();
         let item = self.set.images.shape().volume() / n.max(1);
-        let record_len = 4 + 1 + item * 4;
         let jpath = cache_path.with_extension("atk.journal");
         let context = crate::cache::content_fingerprint(&self.set.images);
         let mut journal = adv_store::Journal::open(&jpath, context)?;
@@ -221,19 +221,18 @@ impl SweepRunner {
         let mut done = 0usize;
         let mut stale = false;
         for rec in journal.records() {
-            let idx_ok = rec.len() == record_len
-                && done < n
-                && u32::from_le_bytes(rec[..4].try_into().unwrap_or([0; 4])) as usize == done;
-            if !idx_ok {
-                stale = true;
-                break;
+            match decode_record(rec, item) {
+                Ok((index, ok, values)) if index == done && done < n => {
+                    success[done] = ok;
+                    adversarial.as_mut_slice()[done * item..(done + 1) * item]
+                        .copy_from_slice(&values);
+                    done += 1;
+                }
+                _ => {
+                    stale = true;
+                    break;
+                }
             }
-            success[done] = rec[4] != 0;
-            let dst = &mut adversarial.as_mut_slice()[done * item..(done + 1) * item];
-            for (v, chunk) in dst.iter_mut().zip(rec[5..].chunks_exact(4)) {
-                *v = f32::from_le_bytes(chunk.try_into().unwrap_or([0; 4]));
-            }
-            done += 1;
         }
         if stale {
             // Out-of-sequence or malformed payload: the journal predates a
@@ -259,14 +258,7 @@ impl SweepRunner {
             *succ = out.success.first().copied().unwrap_or(false);
             let dst = &mut adversarial.as_mut_slice()[i * item..(i + 1) * item];
             dst.copy_from_slice(out.adversarial.as_slice());
-
-            let mut rec = Vec::with_capacity(record_len);
-            rec.extend_from_slice(&(i as u32).to_le_bytes());
-            rec.push(*succ as u8);
-            for &v in out.adversarial.as_slice() {
-                rec.extend_from_slice(&v.to_le_bytes());
-            }
-            journal.append(&rec)?;
+            journal.append(&encode_record(i, *succ, out.adversarial.as_slice()))?;
         }
 
         let outcome = AttackOutcome::from_images(&self.set.images, adversarial, success)?;
@@ -368,6 +360,24 @@ impl SweepRunner {
     }
 }
 
+/// One journaled sample: `index u32 | success u8 | values f32…`.
+fn encode_record(index: usize, success: bool, values: &[f32]) -> Vec<u8> {
+    let mut w = Writer::with_capacity(4 + 1 + values.len() * 4);
+    w.u32(index as u32).u8(u8::from(success)).f32s(values);
+    w.into_vec()
+}
+
+/// Decodes a record of `item` values written by [`encode_record`].
+fn decode_record(
+    rec: &[u8],
+    item: usize,
+) -> std::result::Result<(usize, bool, Vec<f32>), DecodeError> {
+    let mut r = Reader::new(rec);
+    let record = (r.u32()? as usize, r.u8()? != 0, r.f32s(item)?);
+    r.finish()?;
+    Ok(record)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,13 +460,10 @@ mod tests {
         let k = n / 2;
         let mut journal = adv_store::Journal::open(&jpath, fp).unwrap();
         for i in 0..k {
-            let mut rec = Vec::new();
-            rec.extend_from_slice(&(i as u32).to_le_bytes());
-            rec.push(full.success[i] as u8);
-            for &v in &full.adversarial.as_slice()[i * item..(i + 1) * item] {
-                rec.extend_from_slice(&v.to_le_bytes());
-            }
-            journal.append(&rec).unwrap();
+            let values = &full.adversarial.as_slice()[i * item..(i + 1) * item];
+            journal
+                .append(&encode_record(i, full.success[i], values))
+                .unwrap();
         }
         drop(journal);
 
@@ -496,5 +503,24 @@ mod tests {
         let curves = runner.scheme_curves(&kind, &[0.0], &mut defense).unwrap();
         assert_eq!(curves.len(), 4);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn journal_record_bytes_are_pinned_and_every_prefix_is_rejected() {
+        let values = [0.0, 0.5, -1.25, 3.0e-7];
+        let bytes = encode_record(3, true, &values);
+        let hash = adv_store::codec::fnv64(&bytes);
+        assert_eq!(hash, 0xd2d4_e3dd_f739_a1e5, "{hash:#018x}");
+        assert_eq!(decode_record(&bytes, 4), Ok((3, true, values.to_vec())));
+        assert!(
+            decode_record(&bytes, 3).is_err(),
+            "a record longer than an item"
+        );
+        for cut in 0..bytes.len() {
+            assert!(decode_record(&bytes[..cut], 4).is_err(), "prefix {cut}");
+        }
+        for bad in adv_store::codec::single_bit_flips(&bytes) {
+            let _ = decode_record(&bad, 4);
+        }
     }
 }

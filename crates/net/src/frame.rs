@@ -31,6 +31,7 @@
 
 use adv_magnet::{DefenseScheme, Verdict};
 use adv_serve::{EngineHealth, RouteInfo};
+use adv_store::codec::{DecodeError, Reader, Writer};
 use adv_store::crc32;
 
 /// The frame magic (8 bytes, NUL-padded).
@@ -119,14 +120,16 @@ fn health_from_wire(b: u8) -> Result<EngineHealth, FrameError> {
     }
 }
 
-fn encode_routes(p: &mut Vec<u8>, routes: &[RouteInfo]) {
+fn encode_routes<'w>(w: &'w mut Writer, routes: &[RouteInfo]) -> &'w mut Writer {
     let count = routes.len().min(MAX_ROUTES);
-    p.extend_from_slice(&(count as u16).to_le_bytes());
-    for route in routes.iter().take(count) {
-        p.extend_from_slice(&route.variant.to_le_bytes());
-        p.extend_from_slice(&route.version.to_le_bytes());
-        p.push(health_to_wire(route.health));
-    }
+    routes
+        .iter()
+        .take(count)
+        .fold(w.u16(count as u16), |w, route| {
+            w.u32(route.variant)
+                .u32(route.version)
+                .u8(health_to_wire(route.health))
+        })
 }
 
 fn decode_routes(r: &mut Reader<'_>) -> Result<Vec<RouteInfo>, FrameError> {
@@ -329,35 +332,30 @@ impl Frame {
     /// Serializes the frame (header + payload) into a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
         let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(FRAME_MAGIC);
-        out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-        out.push(self.kind());
-        out.push(0); // flags, reserved
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        let mut w = Writer::with_capacity(HEADER_LEN + payload.len());
+        w.bytes(FRAME_MAGIC)
+            .u32(PROTOCOL_VERSION)
+            .u8(self.kind())
+            .u8(0) // flags, reserved
+            .u32(payload.len() as u32)
+            .u32(crc32(&payload))
+            .bytes(&payload);
+        w.into_vec()
     }
 
     fn encode_payload(&self) -> Vec<u8> {
-        let mut p = Vec::new();
+        let mut w = Writer::new();
         match self {
-            Frame::Hello { tenant, key } => {
-                p.extend_from_slice(&tenant.to_le_bytes());
-                p.extend_from_slice(&key.to_le_bytes());
-            }
+            Frame::Hello { tenant, key } => w.u32(*tenant).u64(*key),
             Frame::Welcome {
                 version,
                 max_frame,
                 health,
                 routes,
-            } => {
-                p.extend_from_slice(&version.to_le_bytes());
-                p.extend_from_slice(&max_frame.to_le_bytes());
-                p.push(health_to_wire(*health));
-                encode_routes(&mut p, routes);
-            }
+            } => encode_routes(
+                w.u32(*version).u32(*max_frame).u8(health_to_wire(*health)),
+                routes,
+            ),
             Frame::Request {
                 id,
                 deadline_ms,
@@ -366,20 +364,15 @@ impl Frame {
                 variant,
                 dims,
                 data,
-            } => {
-                p.extend_from_slice(&id.to_le_bytes());
-                p.extend_from_slice(&deadline_ms.to_le_bytes());
-                p.extend_from_slice(&route.to_le_bytes());
-                p.extend_from_slice(&sample.to_le_bytes());
-                p.extend_from_slice(&variant.to_le_bytes());
-                p.push(dims.len() as u8);
-                for d in dims {
-                    p.extend_from_slice(&d.to_le_bytes());
-                }
-                for v in data {
-                    p.extend_from_slice(&v.to_le_bytes());
-                }
-            }
+            } => w
+                .u64(*id)
+                .u32(*deadline_ms)
+                .u32(*route)
+                .u32(*sample)
+                .u32(*variant)
+                .u8(dims.len() as u8)
+                .u32s(dims)
+                .f32s(data),
             Frame::Response {
                 id,
                 verdict,
@@ -389,53 +382,40 @@ impl Frame {
                 infer_ns,
                 batch,
             } => {
-                p.extend_from_slice(&id.to_le_bytes());
-                match verdict {
-                    Verdict::Detected => {
-                        p.push(0);
-                        p.extend_from_slice(&0u32.to_le_bytes());
-                    }
-                    Verdict::Classified(class) => {
-                        p.push(1);
-                        p.extend_from_slice(&(*class as u32).to_le_bytes());
-                    }
-                }
-                p.push(scheme_to_wire(*scheme));
-                p.push(u8::from(*degraded));
-                p.extend_from_slice(&queue_ns.to_le_bytes());
-                p.extend_from_slice(&infer_ns.to_le_bytes());
-                p.extend_from_slice(&batch.to_le_bytes());
+                let (tag, class) = match verdict {
+                    Verdict::Detected => (0, 0),
+                    Verdict::Classified(class) => (1, *class as u32),
+                };
+                w.u64(*id)
+                    .u8(tag)
+                    .u32(class)
+                    .u8(scheme_to_wire(*scheme))
+                    .u8(u8::from(*degraded))
+                    .u64(*queue_ns)
+                    .u64(*infer_ns)
+                    .u32(*batch)
             }
             Frame::Busy {
                 id,
                 reason,
                 retry_after_ms,
-            } => {
-                p.extend_from_slice(&id.to_le_bytes());
-                p.push(reason.to_wire());
-                p.extend_from_slice(&retry_after_ms.to_le_bytes());
-            }
+            } => w.u64(*id).u8(reason.to_wire()).u32(*retry_after_ms),
             Frame::Error { id, code, message } => {
-                p.extend_from_slice(&id.to_le_bytes());
-                p.push(code.to_wire());
                 let msg = message.as_bytes();
                 let len = msg.len().min(u16::MAX as usize);
-                p.extend_from_slice(&(len as u16).to_le_bytes());
-                p.extend_from_slice(msg.get(..len).unwrap_or_default());
+                w.u64(*id)
+                    .u8(code.to_wire())
+                    .u16(len as u16)
+                    .bytes(msg.get(..len).unwrap_or_default())
             }
-            Frame::Bye => {}
-            Frame::StatusQuery => {}
+            Frame::Bye | Frame::StatusQuery => &mut w,
             Frame::Status {
                 health,
                 epoch,
                 routes,
-            } => {
-                p.push(health_to_wire(*health));
-                p.extend_from_slice(&epoch.to_le_bytes());
-                encode_routes(&mut p, routes);
-            }
-        }
-        p
+            } => encode_routes(w.u8(health_to_wire(*health)).u64(*epoch), routes),
+        };
+        w.into_vec()
     }
 
     /// Parses exactly one frame from `buf`, which must contain the whole
@@ -446,7 +426,7 @@ impl Frame {
     /// A typed [`FrameError`] for any malformation; see the module docs for
     /// the strictness contract.
     pub fn decode(buf: &[u8]) -> Result<Frame, FrameError> {
-        let (kind, payload_len) = decode_header(buf)?;
+        let (kind, payload_len, stored_crc) = decode_header(buf)?;
         let payload = buf.get(HEADER_LEN..).unwrap_or_default();
         if payload.len() != payload_len {
             return Err(FrameError::LengthMismatch {
@@ -454,7 +434,6 @@ impl Frame {
                 actual: payload.len() as u64,
             });
         }
-        let stored_crc = read_u32(buf, 18)?;
         decode_body(kind, payload, stored_crc)
     }
 
@@ -493,7 +472,7 @@ pub fn read_frame<R: std::io::Read + ?Sized>(
 ) -> crate::Result<Frame> {
     let mut header = [0u8; HEADER_LEN];
     fill(r, &mut header, true)?;
-    let (kind, payload_len) = decode_header(&header)?;
+    let (kind, payload_len, stored_crc) = decode_header(&header)?;
     if payload_len > max_payload {
         return Err(FrameError::TooLarge {
             len: payload_len as u64,
@@ -503,7 +482,6 @@ pub fn read_frame<R: std::io::Read + ?Sized>(
     }
     let mut payload = vec![0u8; payload_len];
     fill(r, &mut payload, false)?;
-    let stored_crc = read_u32(&header, 18)?;
     Ok(Frame::decode_body(kind, &payload, stored_crc)?)
 }
 
@@ -533,36 +511,35 @@ fn fill<R: std::io::Read + ?Sized>(
     Ok(())
 }
 
-/// Validates the fixed header, returning `(kind, payload_len)`.
+/// Validates the fixed header, returning `(kind, payload_len, crc32)`.
 ///
 /// # Errors
 ///
 /// Typed [`FrameError`] on truncation, bad magic/version/flags, or an
 /// unknown kind.
-pub fn decode_header(buf: &[u8]) -> Result<(u8, usize), FrameError> {
+pub fn decode_header(buf: &[u8]) -> Result<(u8, usize, u32), FrameError> {
     if buf.len() < HEADER_LEN {
         return Err(FrameError::Truncated {
             have: buf.len(),
             need: HEADER_LEN,
         });
     }
-    if buf.get(..8) != Some(FRAME_MAGIC.as_slice()) {
-        return Err(FrameError::BadMagic);
-    }
-    let version = read_u32(buf, 8)?;
+    let mut r = Reader::new(buf);
+    r.magic(FRAME_MAGIC, "frame magic")
+        .map_err(|_| FrameError::BadMagic)?;
+    let version = r.u32()?;
     if version != PROTOCOL_VERSION {
         return Err(FrameError::BadVersion(version));
     }
-    let kind = *buf.get(12).unwrap_or(&0);
+    let kind = r.u8()?;
     if !(1..=9).contains(&kind) {
         return Err(FrameError::BadKind(kind));
     }
-    let flags = *buf.get(13).unwrap_or(&0);
+    let flags = r.u8()?;
     if flags != 0 {
         return Err(FrameError::BadFlags(flags));
     }
-    let payload_len = read_u32(buf, 14)? as usize;
-    Ok((kind, payload_len))
+    Ok((kind, r.u32()? as usize, r.u32()?))
 }
 
 fn decode_body(kind: u8, payload: &[u8], stored_crc: u32) -> Result<Frame, FrameError> {
@@ -595,25 +572,19 @@ fn decode_body(kind: u8, payload: &[u8], stored_crc: u32) -> Result<Frame, Frame
             if rank == 0 || rank > 8 {
                 return Err(FrameError::BadField("tensor rank"));
             }
-            let mut dims = Vec::with_capacity(rank);
-            let mut volume: u64 = 1;
-            for _ in 0..rank {
-                let d = r.u32()?;
-                if d == 0 {
-                    return Err(FrameError::BadField("zero tensor dim"));
-                }
-                volume = volume.saturating_mul(u64::from(d));
-                dims.push(d);
+            let dims = r.u32s(rank)?;
+            if dims.contains(&0) {
+                return Err(FrameError::BadField("zero tensor dim"));
             }
             // The remaining payload must carry exactly `volume` f32s; the
             // byte budget was already capped by the reader's max length.
+            let volume = dims
+                .iter()
+                .fold(1u64, |v, &d| v.saturating_mul(u64::from(d)));
             if volume.saturating_mul(4) != r.remaining() as u64 {
                 return Err(FrameError::BadField("tensor data length"));
             }
-            let mut data = Vec::with_capacity(volume as usize);
-            for _ in 0..volume {
-                data.push(f32::from_le_bytes(r.u32()?.to_le_bytes()));
-            }
+            let data = r.f32s(r.remaining() / 4)?;
             Frame::Request {
                 id,
                 deadline_ms,
@@ -671,81 +642,9 @@ fn decode_body(kind: u8, payload: &[u8], stored_crc: u32) -> Result<Frame, Frame
         },
         other => return Err(FrameError::BadKind(other)),
     };
-    r.finish()?;
-    Ok(frame)
-}
-
-fn read_u32(buf: &[u8], offset: usize) -> Result<u32, FrameError> {
-    buf.get(offset..offset + 4)
-        .and_then(|s| <[u8; 4]>::try_from(s).ok())
-        .map(u32::from_le_bytes)
-        .ok_or(FrameError::Truncated {
-            have: buf.len(),
-            need: offset + 4,
-        })
-}
-
-/// Bounds-checked little-endian cursor over a payload slice.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        let end = self.pos.checked_add(n).ok_or(FrameError::Truncated {
-            have: self.buf.len(),
-            need: usize::MAX,
-        })?;
-        let s = self.buf.get(self.pos..end).ok_or(FrameError::Truncated {
-            have: self.buf.len(),
-            need: end,
-        })?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        self.bytes(1).map(|s| *s.first().unwrap_or(&0))
-    }
-
-    fn u16(&mut self) -> Result<u16, FrameError> {
-        let s = self.bytes(2)?;
-        <[u8; 2]>::try_from(s)
-            .map(u16::from_le_bytes)
-            .map_err(|_| FrameError::BadField("u16"))
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        let s = self.bytes(4)?;
-        <[u8; 4]>::try_from(s)
-            .map(u32::from_le_bytes)
-            .map_err(|_| FrameError::BadField("u32"))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        let s = self.bytes(8)?;
-        <[u8; 8]>::try_from(s)
-            .map(u64::from_le_bytes)
-            .map_err(|_| FrameError::BadField("u64"))
-    }
-
-    fn finish(self) -> Result<(), FrameError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(FrameError::TrailingBytes {
-                extra: self.buf.len() - self.pos,
-            })
-        }
+    match r.remaining() {
+        0 => Ok(frame),
+        extra => Err(FrameError::TrailingBytes { extra }),
     }
 }
 
@@ -755,9 +654,10 @@ impl<'a> Reader<'a> {
 pub enum FrameError {
     /// Fewer bytes than the structure requires.
     Truncated {
-        /// Bytes available.
+        /// Bytes available (for a payload: those before the field that ran
+        /// short).
         have: usize,
-        /// Bytes required.
+        /// Bytes required (for a payload: a lower bound, one more).
         need: usize,
     },
     /// The first 8 bytes are not [`FRAME_MAGIC`].
@@ -832,6 +732,17 @@ impl std::fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
+
+/// Inside a frame the codec's reader fails only when the payload ends in
+/// the middle of a field; every format-level check has its own variant.
+impl From<DecodeError> for FrameError {
+    fn from(e: DecodeError) -> Self {
+        FrameError::Truncated {
+            have: e.offset,
+            need: e.offset + 1,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -918,10 +829,19 @@ mod tests {
 
     #[test]
     fn every_kind_roundtrips() {
+        let mut all = Vec::new();
         for frame in sample_frames() {
             let bytes = frame.encode();
             assert_eq!(Frame::decode(&bytes).unwrap(), frame, "{frame:?}");
+            // The CRC rejects every flip of a sealed frame, so each flipped
+            // payload is resealed to reach the parser, which must not panic.
+            for bad in adv_store::codec::single_bit_flips(&bytes[HEADER_LEN..]) {
+                let _ = Frame::decode_body(frame.kind(), &bad, crc32(&bad));
+            }
+            all.extend(bytes);
         }
+        let hash = adv_store::codec::fnv64(&all);
+        assert_eq!(hash, 0xd6d7_fdd5_c799_5d9b, "{hash:#018x}");
     }
 
     #[test]
@@ -992,5 +912,15 @@ mod tests {
             Frame::Error { message, .. } => assert_eq!(message.len(), u16::MAX as usize),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_short_payload_is_truncated() {
+        let bytes = Frame::Hello { tenant: 1, key: 2 }.encode();
+        let payload = &bytes[HEADER_LEN..bytes.len() - 1];
+        assert_eq!(
+            Frame::decode_body(1, payload, crc32(payload)),
+            Err(FrameError::Truncated { have: 4, need: 5 })
+        );
     }
 }

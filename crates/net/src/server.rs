@@ -794,7 +794,7 @@ fn read_frame_bounded<S: NetStream>(
             Err(_) => return Err(ReadEnd::Io),
         }
     }
-    let (kind, payload_len) = decode_header(&header).map_err(ReadEnd::Frame)?;
+    let (kind, payload_len, stored_crc) = decode_header(&header).map_err(ReadEnd::Frame)?;
     if payload_len > shared.cfg.max_frame_bytes {
         return Err(ReadEnd::Frame(FrameError::TooLarge {
             len: payload_len as u64,
@@ -823,12 +823,6 @@ fn read_frame_bounded<S: NetStream>(
             Err(_) => return Err(ReadEnd::Io),
         }
     }
-    let stored_crc = u32::from_le_bytes([
-        *header.get(18).unwrap_or(&0),
-        *header.get(19).unwrap_or(&0),
-        *header.get(20).unwrap_or(&0),
-        *header.get(21).unwrap_or(&0),
-    ]);
     Frame::decode_body(kind, &payload, stored_crc).map_err(ReadEnd::Frame)
 }
 

@@ -27,7 +27,7 @@
 
 use crate::train::EpochStats;
 use crate::{NnError, Result};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use adv_store::codec::{fnv64, Reader, Writer};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"ADVCKPT1";
@@ -65,96 +65,57 @@ pub(crate) struct TrainCheckpoint {
 
 /// FNV-1a over a list of config words — the checkpoint digest.
 pub(crate) fn digest_parts(parts: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for part in parts {
-        for b in part.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    let mut w = Writer::with_capacity(parts.len() * 8);
+    w.u64s(parts);
+    fnv64(&w.into_vec())
 }
 
 fn encode(ckpt: &TrainCheckpoint) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u64_le(ckpt.digest);
-    buf.put_u64_le(ckpt.epochs_done as u64);
-    buf.put_u64_le(ckpt.model.len() as u64);
-    buf.put_slice(&ckpt.model);
-    buf.put_u64_le(ckpt.optimizer.len() as u64);
-    buf.put_slice(&ckpt.optimizer);
-    buf.put_u32_le(ckpt.history.len() as u32);
+    let mut w = Writer::new();
+    w.bytes(MAGIC)
+        .u64(ckpt.digest)
+        .usize(ckpt.epochs_done)
+        .usize(ckpt.model.len())
+        .bytes(&ckpt.model)
+        .usize(ckpt.optimizer.len())
+        .bytes(&ckpt.optimizer)
+        .u32(ckpt.history.len() as u32);
     for s in &ckpt.history {
-        buf.put_u64_le(s.epoch as u64);
-        buf.put_f32_le(s.loss);
-        match s.accuracy {
-            Some(acc) => {
-                buf.put_u8(1);
-                buf.put_f32_le(acc);
-            }
-            None => {
-                buf.put_u8(0);
-                buf.put_f32_le(0.0);
-            }
-        }
+        w.usize(s.epoch)
+            .f32(s.loss)
+            .u8(u8::from(s.accuracy.is_some()))
+            .f32(s.accuracy.unwrap_or(0.0));
     }
-    buf.to_vec()
-}
-
-fn get_blob(buf: &mut Bytes, what: &str) -> Result<Vec<u8>> {
-    if buf.remaining() < 8 {
-        return Err(NnError::Serialization(format!("truncated {what} length")));
-    }
-    let len = buf.get_u64_le() as usize;
-    if buf.remaining() < len {
-        return Err(NnError::Serialization(format!("truncated {what} bytes")));
-    }
-    Ok(buf.split_to(len).to_vec())
+    w.into_vec()
 }
 
 fn decode(data: &[u8]) -> Result<TrainCheckpoint> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.remaining() < 8 || &buf.split_to(8)[..] != MAGIC {
-        return Err(NnError::Serialization("bad checkpoint magic".into()));
-    }
-    if buf.remaining() < 16 {
-        return Err(NnError::Serialization("truncated checkpoint header".into()));
-    }
-    let digest = buf.get_u64_le();
-    let epochs_done = buf.get_u64_le() as usize;
-    let model = get_blob(&mut buf, "checkpoint model")?;
-    let optimizer = get_blob(&mut buf, "checkpoint optimizer state")?;
-    if buf.remaining() < 4 {
-        return Err(NnError::Serialization("truncated history count".into()));
-    }
-    let count = buf.get_u32_le() as usize;
+    let mut r = Reader::new(data);
+    r.magic(MAGIC, "checkpoint magic ADVCKPT1")?;
+    let digest = r.u64()?;
+    let epochs_done = r.usize()?;
+    let len = r.usize()?;
+    let model = r.bytes(len)?.to_vec();
+    let len = r.usize()?;
+    let optimizer = r.bytes(len)?.to_vec();
+    let count = r.u32()?;
     if count > 1_000_000 {
-        return Err(NnError::Serialization(format!(
-            "implausible history length {count}"
-        )));
+        return Err(r.fail("a history of at most 1000000 epochs").into());
     }
-    let mut history = Vec::with_capacity(count);
-    for _ in 0..count {
-        if buf.remaining() < 8 + 4 + 1 + 4 {
-            return Err(NnError::Serialization("truncated history entry".into()));
-        }
-        let epoch = buf.get_u64_le() as usize;
-        let loss = buf.get_f32_le();
-        let has_acc = buf.get_u8();
-        let acc = buf.get_f32_le();
-        history.push(EpochStats {
-            epoch,
-            loss,
-            accuracy: if has_acc == 1 { Some(acc) } else { None },
-        });
-    }
-    if buf.remaining() != 0 {
-        return Err(NnError::Serialization(format!(
-            "{} trailing bytes after checkpoint",
-            buf.remaining()
-        )));
-    }
+    let history = (0..count)
+        .map(|_| {
+            let epoch = r.usize()?;
+            let loss = r.f32()?;
+            let has_acc = r.u8()?;
+            let acc = r.f32()?;
+            Ok(EpochStats {
+                epoch,
+                loss,
+                accuracy: (has_acc == 1).then_some(acc),
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    r.finish()?;
     Ok(TrainCheckpoint {
         digest,
         epochs_done,
@@ -255,6 +216,9 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(decode(&padded).is_err(), "trailing byte accepted");
+        for bad in adv_store::codec::single_bit_flips(&bytes) {
+            let _ = decode(&bad);
+        }
     }
 
     #[test]
@@ -293,5 +257,13 @@ mod tests {
     fn digest_is_order_sensitive() {
         assert_ne!(digest_parts(&[1, 2]), digest_parts(&[2, 1]));
         assert_ne!(digest_parts(&[]), digest_parts(&[0]));
+    }
+
+    #[test]
+    fn encoded_bytes_and_digest_are_pinned() {
+        let hash = adv_store::codec::fnv64(&encode(&sample()));
+        assert_eq!(hash, 0x3796_c075_dccc_c016, "{hash:#018x}");
+        let digest = digest_parts(&[1, 2, u64::MAX]);
+        assert_eq!(digest, 0x2759_b163_7a57_8d9e, "{digest:#018x}");
     }
 }

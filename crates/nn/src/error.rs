@@ -70,6 +70,12 @@ impl From<std::io::Error> for NnError {
     }
 }
 
+impl From<adv_store::codec::DecodeError> for NnError {
+    fn from(e: adv_store::codec::DecodeError) -> Self {
+        NnError::Serialization(e.to_string())
+    }
+}
+
 impl From<adv_store::StoreError> for NnError {
     fn from(e: adv_store::StoreError) -> Self {
         NnError::Store(e)

@@ -8,8 +8,8 @@
 
 use crate::layer::Param;
 use crate::{NnError, Result};
+use adv_store::codec::{Reader, Writer};
 use adv_tensor::Tensor;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// A gradient-based parameter update rule.
 pub trait Optimizer {
@@ -57,57 +57,20 @@ pub trait Optimizer {
 }
 
 /// Encodes a list of state tensors as `count u32 | tensors…`.
-fn tensors_to_bytes(tag: u8, tensors: &[Tensor]) -> BytesMut {
-    let mut buf = BytesMut::new();
-    buf.put_u8(tag);
-    buf.put_u32_le(tensors.len() as u32);
+fn put_tensors(w: &mut Writer, tensors: &[Tensor]) {
+    w.u32(tensors.len() as u32);
     for t in tensors {
-        crate::serialize::put_tensor(&mut buf, t);
+        crate::serialize::put_tensor(w, t);
     }
-    buf
 }
 
-/// Decodes a tensor list written by [`tensors_to_bytes`].
-fn tensors_from_bytes(buf: &mut Bytes) -> Result<Vec<Tensor>> {
-    if buf.remaining() < 4 {
-        return Err(NnError::Serialization(
-            "truncated state tensor count".into(),
-        ));
-    }
-    let n = buf.get_u32_le() as usize;
+/// Decodes a tensor list written by [`put_tensors`].
+fn get_tensors(r: &mut Reader<'_>) -> Result<Vec<Tensor>> {
+    let n = r.u32()?;
     if n > 100_000 {
-        return Err(NnError::Serialization(format!(
-            "implausible state tensor count {n}"
-        )));
+        return Err(r.fail("at most 100000 state tensors").into());
     }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(crate::serialize::get_tensor(buf)?);
-    }
-    Ok(out)
-}
-
-fn expect_tag(buf: &mut Bytes, want: u8, kind: &str) -> Result<()> {
-    if buf.remaining() < 1 {
-        return Err(NnError::Serialization(format!("empty {kind} state")));
-    }
-    let got = buf.get_u8();
-    if got != want {
-        return Err(NnError::Serialization(format!(
-            "state tag {got} is not {kind} state"
-        )));
-    }
-    Ok(())
-}
-
-fn expect_consumed(buf: &Bytes, kind: &str) -> Result<()> {
-    if buf.remaining() != 0 {
-        return Err(NnError::Serialization(format!(
-            "{} trailing bytes after {kind} state",
-            buf.remaining()
-        )));
-    }
-    Ok(())
+    (0..n).map(|_| crate::serialize::get_tensor(r)).collect()
 }
 
 const SGD_STATE_TAG: u8 = 1;
@@ -166,14 +129,17 @@ impl Optimizer for Sgd {
     }
 
     fn state_bytes(&self) -> Vec<u8> {
-        tensors_to_bytes(SGD_STATE_TAG, &self.velocity).to_vec()
+        let mut w = Writer::new();
+        w.u8(SGD_STATE_TAG);
+        put_tensors(&mut w, &self.velocity);
+        w.into_vec()
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut buf = Bytes::copy_from_slice(bytes);
-        expect_tag(&mut buf, SGD_STATE_TAG, "SGD")?;
-        let velocity = tensors_from_bytes(&mut buf)?;
-        expect_consumed(&buf, "SGD")?;
+        let mut r = Reader::new(bytes);
+        r.magic(&[SGD_STATE_TAG], "the SGD state tag")?;
+        let velocity = get_tensors(&mut r)?;
+        r.finish()?;
         self.velocity = velocity;
         Ok(())
     }
@@ -263,27 +229,21 @@ impl Optimizer for Adam {
     }
 
     fn state_bytes(&self) -> Vec<u8> {
-        let mut buf = tensors_to_bytes(ADAM_STATE_TAG, &self.m);
-        buf.put_u64_le(self.t);
-        let mut vbuf = BytesMut::new();
-        vbuf.put_u32_le(self.v.len() as u32);
-        for t in &self.v {
-            crate::serialize::put_tensor(&mut vbuf, t);
-        }
-        buf.put_slice(&vbuf.to_vec());
-        buf.to_vec()
+        let mut w = Writer::new();
+        w.u8(ADAM_STATE_TAG);
+        put_tensors(&mut w, &self.m);
+        w.u64(self.t);
+        put_tensors(&mut w, &self.v);
+        w.into_vec()
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut buf = Bytes::copy_from_slice(bytes);
-        expect_tag(&mut buf, ADAM_STATE_TAG, "Adam")?;
-        let m = tensors_from_bytes(&mut buf)?;
-        if buf.remaining() < 8 {
-            return Err(NnError::Serialization("truncated Adam step count".into()));
-        }
-        let t = buf.get_u64_le();
-        let v = tensors_from_bytes(&mut buf)?;
-        expect_consumed(&buf, "Adam")?;
+        let mut r = Reader::new(bytes);
+        r.magic(&[ADAM_STATE_TAG], "the Adam state tag")?;
+        let m = get_tensors(&mut r)?;
+        let t = r.u64()?;
+        let v = get_tensors(&mut r)?;
+        r.finish()?;
         if m.len() != v.len() {
             return Err(NnError::Serialization(format!(
                 "Adam moment lists disagree: {} vs {}",
@@ -448,5 +408,63 @@ mod tests {
         padded.push(0);
         let mut fresh = Adam::with_defaults(0.1);
         assert!(fresh.restore_state(&padded).is_err());
+        // So is every prefix of SGD state, and no single-bit corruption of
+        // either state panics either restore.
+        let mut sgd = Sgd::new(0.1, 0.9);
+        sgd.step(&mut [&mut p]).unwrap();
+        let sgd_state = sgd.state_bytes();
+        for cut in 0..sgd_state.len() {
+            let mut fresh = Sgd::new(0.1, 0.9);
+            assert!(fresh.restore_state(&sgd_state[..cut]).is_err(), "{cut}");
+        }
+        let flips = adv_store::codec::single_bit_flips(&state);
+        for bad in flips.chain(adv_store::codec::single_bit_flips(&sgd_state)) {
+            let _ = Adam::with_defaults(0.1).restore_state(&bad);
+            let _ = Sgd::new(0.1, 0.9).restore_state(&bad);
+        }
+    }
+
+    #[test]
+    fn state_bytes_are_pinned() {
+        let tensor = |n: usize, k: f32| Tensor::from_fn(Shape::vector(n), |i| i as f32 * k - 0.5);
+        let sgd = Sgd {
+            lr: 0.1,
+            momentum: 0.9,
+            velocity: vec![tensor(3, 0.25), tensor(2, -1.5)],
+        };
+        let adam = Adam {
+            t: 5,
+            m: vec![tensor(2, 0.125)],
+            v: vec![tensor(2, 2.0)],
+            ..Adam::with_defaults(0.1)
+        };
+        let mut bytes = sgd.state_bytes();
+        bytes.extend(adam.state_bytes());
+        let hash = adv_store::codec::fnv64(&bytes);
+        assert_eq!(hash, 0x939a_b3cc_91f4_d7df, "{hash:#018x}");
+    }
+
+    /// SGD state with one velocity tensor whose header is `rank` then
+    /// `dims`, and no values.
+    fn crafted_sgd_state(rank: u32, dims: &[u64]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u8(SGD_STATE_TAG).u32(1).u32(rank).u64s(dims);
+        w.into_vec()
+    }
+
+    #[test]
+    fn a_tensor_header_past_the_input_is_rejected() {
+        let state = crafted_sgd_state(1, &[1 << 62]);
+        assert!(Sgd::new(0.1, 0.9).restore_state(&state).is_err());
+    }
+
+    #[test]
+    fn dims_whose_volume_overflows_are_rejected() {
+        let mut sgd = Sgd::new(0.1, 0.9);
+        let err = sgd
+            .restore_state(&crafted_sgd_state(2, &[1 << 32, 1 << 32]))
+            .unwrap_err();
+        assert!(err.to_string().contains("dims"), "{err}");
+        assert!(sgd.velocity.is_empty());
     }
 }

@@ -1,4 +1,4 @@
-//! A small self-contained binary codec for trained models.
+//! The `ADVNN001` model format, encoded through `adv_store::codec`.
 //!
 //! The format stores the architecture ([`LayerSpec`] list), the construction
 //! seed, and every parameter tensor, little-endian:
@@ -16,189 +16,116 @@
 
 use crate::layers::Activation;
 use crate::{LayerSpec, NnError, Result, Sequential};
+use adv_store::codec::{Reader, Writer};
 use adv_tensor::ops::Conv2dSpec;
 use adv_tensor::{Shape, Tensor};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"ADVNN001";
 
-fn put_usize(buf: &mut BytesMut, v: usize) {
-    buf.put_u64_le(v as u64);
-}
-
-fn get_usize(buf: &mut Bytes) -> Result<usize> {
-    if buf.remaining() < 8 {
-        return Err(NnError::Serialization("truncated integer".into()));
-    }
-    Ok(buf.get_u64_le() as usize)
-}
-
-fn put_spec(buf: &mut BytesMut, spec: &LayerSpec) {
+fn put_spec(w: &mut Writer, spec: &LayerSpec) {
     match spec {
-        LayerSpec::Dense { inputs, outputs } => {
-            buf.put_u8(0);
-            put_usize(buf, *inputs);
-            put_usize(buf, *outputs);
-        }
-        LayerSpec::Conv2d(c) => {
-            buf.put_u8(1);
-            put_usize(buf, c.in_channels);
-            put_usize(buf, c.out_channels);
-            put_usize(buf, c.kh);
-            put_usize(buf, c.kw);
-            put_usize(buf, c.stride);
-            put_usize(buf, c.padding);
-        }
-        LayerSpec::Activation(a) => {
-            buf.put_u8(2);
-            buf.put_u8(match a {
-                Activation::Relu => 0,
-                Activation::Sigmoid => 1,
-                Activation::Tanh => 2,
-            });
-        }
-        LayerSpec::MaxPool2d { k } => {
-            buf.put_u8(3);
-            put_usize(buf, *k);
-        }
-        LayerSpec::AvgPool2d { k } => {
-            buf.put_u8(4);
-            put_usize(buf, *k);
-        }
-        LayerSpec::Upsample2d { factor } => {
-            buf.put_u8(5);
-            put_usize(buf, *factor);
-        }
-        LayerSpec::Flatten => buf.put_u8(6),
-        LayerSpec::Reshape { item_shape } => {
-            buf.put_u8(7);
-            put_usize(buf, item_shape.len());
-            for &d in item_shape {
-                put_usize(buf, d);
-            }
-        }
-        LayerSpec::Dropout { p } => {
-            buf.put_u8(8);
-            buf.put_f32_le(*p);
-        }
-    }
+        LayerSpec::Dense { inputs, outputs } => w.u8(0).usize(*inputs).usize(*outputs),
+        LayerSpec::Conv2d(c) => w
+            .u8(1)
+            .usize(c.in_channels)
+            .usize(c.out_channels)
+            .usize(c.kh)
+            .usize(c.kw)
+            .usize(c.stride)
+            .usize(c.padding),
+        LayerSpec::Activation(a) => w.u8(2).u8(match a {
+            Activation::Relu => 0,
+            Activation::Sigmoid => 1,
+            Activation::Tanh => 2,
+        }),
+        LayerSpec::MaxPool2d { k } => w.u8(3).usize(*k),
+        LayerSpec::AvgPool2d { k } => w.u8(4).usize(*k),
+        LayerSpec::Upsample2d { factor } => w.u8(5).usize(*factor),
+        LayerSpec::Flatten => w.u8(6),
+        LayerSpec::Reshape { item_shape } => w.u8(7).usize(item_shape.len()).usizes(item_shape),
+        LayerSpec::Dropout { p } => w.u8(8).f32(*p),
+    };
 }
 
-fn get_spec(buf: &mut Bytes) -> Result<LayerSpec> {
-    if buf.remaining() < 1 {
-        return Err(NnError::Serialization("truncated layer spec".into()));
-    }
-    Ok(match buf.get_u8() {
+fn get_spec(r: &mut Reader<'_>) -> Result<LayerSpec> {
+    Ok(match r.u8()? {
         0 => LayerSpec::Dense {
-            inputs: get_usize(buf)?,
-            outputs: get_usize(buf)?,
+            inputs: r.usize()?,
+            outputs: r.usize()?,
         },
         1 => LayerSpec::Conv2d(Conv2dSpec {
-            in_channels: get_usize(buf)?,
-            out_channels: get_usize(buf)?,
-            kh: get_usize(buf)?,
-            kw: get_usize(buf)?,
-            stride: get_usize(buf)?,
-            padding: get_usize(buf)?,
+            in_channels: r.usize()?,
+            out_channels: r.usize()?,
+            kh: r.usize()?,
+            kw: r.usize()?,
+            stride: r.usize()?,
+            padding: r.usize()?,
         }),
-        2 => {
-            if buf.remaining() < 1 {
-                return Err(NnError::Serialization("truncated activation".into()));
-            }
-            LayerSpec::Activation(match buf.get_u8() {
-                0 => Activation::Relu,
-                1 => Activation::Sigmoid,
-                2 => Activation::Tanh,
-                t => {
-                    return Err(NnError::Serialization(format!(
-                        "unknown activation tag {t}"
-                    )))
-                }
-            })
-        }
-        3 => LayerSpec::MaxPool2d { k: get_usize(buf)? },
-        4 => LayerSpec::AvgPool2d { k: get_usize(buf)? },
-        5 => LayerSpec::Upsample2d {
-            factor: get_usize(buf)?,
-        },
+        2 => LayerSpec::Activation(match r.u8()? {
+            0 => Activation::Relu,
+            1 => Activation::Sigmoid,
+            2 => Activation::Tanh,
+            _ => return Err(r.fail("an activation tag 0..=2").into()),
+        }),
+        3 => LayerSpec::MaxPool2d { k: r.usize()? },
+        4 => LayerSpec::AvgPool2d { k: r.usize()? },
+        5 => LayerSpec::Upsample2d { factor: r.usize()? },
         6 => LayerSpec::Flatten,
         7 => {
-            let n = get_usize(buf)?;
+            let n = r.usize()?;
             if n > 16 {
-                return Err(NnError::Serialization(format!(
-                    "implausible reshape rank {n}"
-                )));
+                return Err(r.fail("a reshape rank of at most 16").into());
             }
-            let mut item_shape = Vec::with_capacity(n);
-            for _ in 0..n {
-                item_shape.push(get_usize(buf)?);
-            }
-            LayerSpec::Reshape { item_shape }
-        }
-        8 => {
-            if buf.remaining() < 4 {
-                return Err(NnError::Serialization("truncated dropout".into()));
-            }
-            LayerSpec::Dropout {
-                p: buf.get_f32_le(),
+            LayerSpec::Reshape {
+                item_shape: r.dims(n)?,
             }
         }
-        t => return Err(NnError::Serialization(format!("unknown layer tag {t}"))),
+        8 => LayerSpec::Dropout { p: r.f32()? },
+        _ => return Err(r.fail("a layer tag 0..=8").into()),
     })
 }
 
-pub(crate) fn put_tensor(buf: &mut BytesMut, t: &Tensor) {
-    buf.put_u32_le(t.shape().rank() as u32);
-    for &d in t.shape().dims() {
-        put_usize(buf, d);
-    }
-    for &v in t.as_slice() {
-        buf.put_f32_le(v);
+/// Parameter values `spec` allocates; `None` when the count overflows.
+fn param_values(spec: &LayerSpec) -> Option<usize> {
+    match spec {
+        LayerSpec::Dense { inputs, outputs } => inputs.checked_mul(*outputs)?.checked_add(*outputs),
+        LayerSpec::Conv2d(c) => [c.in_channels, c.kh, c.kw]
+            .iter()
+            .try_fold(c.out_channels, |n, &d| n.checked_mul(d))?
+            .checked_add(c.out_channels),
+        _ => Some(0),
     }
 }
 
-pub(crate) fn get_tensor(buf: &mut Bytes) -> Result<Tensor> {
-    if buf.remaining() < 4 {
-        return Err(NnError::Serialization("truncated tensor header".into()));
-    }
-    let rank = buf.get_u32_le() as usize;
+pub(crate) fn put_tensor(w: &mut Writer, t: &Tensor) {
+    let dims = t.shape().dims();
+    w.u32(dims.len() as u32).usizes(dims).f32s(t.as_slice());
+}
+
+pub(crate) fn get_tensor(r: &mut Reader<'_>) -> Result<Tensor> {
+    let rank = r.u32()? as usize;
     if rank > 8 {
-        return Err(NnError::Serialization(format!(
-            "implausible tensor rank {rank}"
-        )));
+        return Err(r.fail("a tensor rank of at most 8").into());
     }
-    let mut dims = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        dims.push(get_usize(buf)?);
-    }
-    let shape = Shape::new(dims);
-    let n = shape.volume();
-    if buf.remaining() < n * 4 {
-        return Err(NnError::Serialization("truncated tensor data".into()));
-    }
-    let mut data = Vec::with_capacity(n);
-    for _ in 0..n {
-        data.push(buf.get_f32_le());
-    }
+    let shape = Shape::new(r.dims(rank)?);
+    let data = r.f32s(shape.volume())?;
     Tensor::from_vec(data, shape).map_err(NnError::Tensor)
 }
 
 /// Serializes a network (architecture + weights) to bytes.
 pub fn model_to_bytes(net: &Sequential) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u64_le(net.seed());
-    buf.put_u32_le(net.specs().len() as u32);
+    let mut w = Writer::new();
+    w.bytes(MAGIC).u64(net.seed()).u32(net.specs().len() as u32);
     for spec in net.specs() {
-        put_spec(&mut buf, spec);
+        put_spec(&mut w, spec);
     }
     let params = net.params();
-    buf.put_u32_le(params.len() as u32);
+    w.u32(params.len() as u32);
     for p in params {
-        put_tensor(&mut buf, &p.value);
+        put_tensor(&mut w, &p.value);
     }
-    buf.to_vec()
+    w.into_vec()
 }
 
 /// Reconstructs a network from bytes produced by [`model_to_bytes`].
@@ -208,29 +135,30 @@ pub fn model_to_bytes(net: &Sequential) -> Vec<u8> {
 /// Returns [`NnError::Serialization`] on truncated or corrupted input, or
 /// when the stored parameter tensors disagree with the architecture.
 pub fn model_from_bytes(data: &[u8]) -> Result<Sequential> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.remaining() < 8 || &buf.split_to(8)[..] != MAGIC {
-        return Err(NnError::Serialization("bad magic".into()));
-    }
-    if buf.remaining() < 12 {
-        return Err(NnError::Serialization("truncated header".into()));
-    }
-    let seed = buf.get_u64_le();
-    let spec_count = buf.get_u32_le() as usize;
+    let mut r = Reader::new(data);
+    r.magic(MAGIC, "model magic ADVNN001")?;
+    let seed = r.u64()?;
+    let spec_count = r.u32()? as usize;
     if spec_count > 10_000 {
-        return Err(NnError::Serialization(format!(
-            "implausible layer count {spec_count}"
-        )));
+        return Err(r.fail("a layer count of at most 10000").into());
     }
-    let mut specs = Vec::with_capacity(spec_count);
-    for _ in 0..spec_count {
-        specs.push(get_spec(&mut buf)?);
+    let specs = (0..spec_count)
+        .map(|_| get_spec(&mut r))
+        .collect::<Result<Vec<_>>>()?;
+    // The parameters the specs would allocate must be backed by the bytes
+    // that remain, so a corrupt size cannot make `from_specs` allocate what
+    // the file does not hold.
+    let values = specs
+        .iter()
+        .try_fold(0usize, |n, spec| n.checked_add(param_values(spec)?));
+    if values
+        .and_then(|n| n.checked_mul(4))
+        .is_none_or(|b| b > r.remaining())
+    {
+        return Err(r.fail("parameters for the layer specs").into());
     }
     let mut net = Sequential::from_specs(&specs, seed)?;
-    if buf.remaining() < 4 {
-        return Err(NnError::Serialization("truncated parameter count".into()));
-    }
-    let param_count = buf.get_u32_le() as usize;
+    let param_count = r.u32()? as usize;
     {
         let mut params = net.params_mut();
         if params.len() != param_count {
@@ -240,7 +168,7 @@ pub fn model_from_bytes(data: &[u8]) -> Result<Sequential> {
             )));
         }
         for p in params.iter_mut() {
-            let t = get_tensor(&mut buf)?;
+            let t = get_tensor(&mut r)?;
             if t.shape() != p.value.shape() {
                 return Err(NnError::Serialization(format!(
                     "parameter shape {} does not match architecture {}",
@@ -255,12 +183,7 @@ pub fn model_from_bytes(data: &[u8]) -> Result<Sequential> {
     // bytes mean the file was not produced by `model_to_bytes` (appended
     // garbage, a concatenation accident, or corruption the checksum layer
     // did not cover) — reject rather than silently ignore them.
-    if buf.remaining() != 0 {
-        return Err(NnError::Serialization(format!(
-            "{} trailing bytes after final parameter tensor",
-            buf.remaining()
-        )));
-    }
+    r.finish()?;
     Ok(net)
 }
 
@@ -355,18 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn truncation_rejected_everywhere() {
-        let bytes = model_to_bytes(&sample_net());
-        // Chop the file at several points; every prefix must fail cleanly.
-        for cut in [4usize, 10, 20, bytes.len() / 2, bytes.len() - 3] {
-            assert!(
-                model_from_bytes(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes unexpectedly parsed"
-            );
-        }
-    }
-
-    #[test]
     fn file_roundtrip() {
         let dir = std::env::temp_dir().join("adv_nn_serialize_test");
         std::fs::remove_dir_all(&dir).ok();
@@ -409,6 +320,10 @@ mod tests {
                 "prefix of {cut}/{} bytes unexpectedly parsed",
                 bytes.len()
             );
+        }
+        // Nor may any single-bit corruption panic it.
+        for bad in adv_store::codec::single_bit_flips(&bytes) {
+            let _ = model_from_bytes(&bad);
         }
     }
 
@@ -453,5 +368,39 @@ mod tests {
         // First spec tag sits right after magic(8) + seed(8) + count(4).
         bytes[20] = 250;
         assert!(model_from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        // Parameters are overwritten with fixed values so the pin does not
+        // depend on the host's libm through the random initializer.
+        let mut net = sample_net();
+        for (k, p) in net.params_mut().into_iter().enumerate() {
+            for (i, v) in p.value.as_mut_slice().iter_mut().enumerate() {
+                *v = (k * 31 + i) as f32 / 64.0 - 1.0;
+            }
+        }
+        let bytes = model_to_bytes(&net);
+        let hash = adv_store::codec::fnv64(&bytes);
+        assert_eq!(hash, 0xc00b_6ef1_ab56_287a, "{hash:#018x}");
+    }
+
+    #[test]
+    fn a_tensor_header_past_the_input_is_rejected() {
+        let dense = |inputs, outputs| {
+            let mut w = Writer::new();
+            w.bytes(MAGIC).u64(7).u32(1);
+            put_spec(&mut w, &LayerSpec::Dense { inputs, outputs });
+            w.u32(2);
+            w
+        };
+        // A parameter of rank 1 and dim 2^62, with no values behind it.
+        let mut w = dense(1, 1);
+        w.u32(1).u64(1 << 62);
+        let err = model_from_bytes(&w.into_vec()).unwrap_err();
+        assert!(matches!(err, NnError::Serialization(_)), "{err}");
+        // Specs whose parameters the input cannot hold are not built.
+        let err = model_from_bytes(&dense(1 << 40, 1 << 20).into_vec()).unwrap_err();
+        assert!(err.to_string().contains("parameters"), "{err}");
     }
 }

@@ -15,6 +15,7 @@
 //! all reject the file. Combined with the atomic writer this means a stored
 //! artifact is either exactly what was written or detectably corrupt.
 
+use crate::codec::{DecodeError, Reader, Writer};
 use crate::crc::crc32;
 use crate::obs;
 
@@ -29,63 +30,40 @@ pub const ENVELOPE_OVERHEAD: usize = 8 + 4 + 8 + 4;
 
 /// Wraps `payload` in a sealed envelope.
 pub fn seal_envelope(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ENVELOPE_OVERHEAD + payload.len());
-    out.extend_from_slice(ENVELOPE_MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    let mut w = Writer::with_capacity(ENVELOPE_OVERHEAD + payload.len());
+    w.bytes(ENVELOPE_MAGIC)
+        .u32(VERSION)
+        .usize(payload.len())
+        .u32(crc32(payload))
+        .bytes(payload);
+    w.into_vec()
 }
 
 /// Validates an envelope and returns a view of the payload.
 ///
 /// # Errors
 ///
-/// A human-readable reason string; CRC mismatches additionally bump the
-/// `store.crc_failures` counter.
-// lint-ok(crate-error-types): the reason string is deliberately path-free —
-// `load_artifact` folds it into `StoreError::Corrupt` with the file path,
-// which this pure validator does not know.
-pub fn open_envelope(data: &[u8]) -> Result<&[u8], String> {
-    if data.len() < ENVELOPE_OVERHEAD {
-        return Err(format!(
-            "truncated envelope: {} bytes, header needs {ENVELOPE_OVERHEAD}",
-            data.len()
-        ));
+/// A [`DecodeError`] naming the rejected field; CRC mismatches additionally
+/// bump the `store.crc_failures` counter. The error is path-free:
+/// [`crate::load_artifact`] folds it into [`crate::StoreError::Corrupt`]
+/// together with the file path.
+pub fn open_envelope(data: &[u8]) -> Result<&[u8], DecodeError> {
+    let mut r = Reader::new(data);
+    r.magic(ENVELOPE_MAGIC, "envelope magic ADVSTOR1")?;
+    if r.u32()? != VERSION {
+        return Err(r.fail("envelope version 1"));
     }
-    let (magic, rest) = data.split_at(8);
-    if magic != ENVELOPE_MAGIC {
-        return Err("bad envelope magic".into());
+    let length = r.u64()?;
+    let stored_crc = r.u32()?;
+    if r.remaining() as u64 != length {
+        return Err(r.fail("a payload of the header's length"));
     }
-    let version = u32::from_le_bytes(field::<4>(rest, 0)?);
-    if version != VERSION {
-        return Err(format!("unsupported envelope version {version}"));
-    }
-    let length = u64::from_le_bytes(field::<8>(rest, 4)?);
-    let payload = &rest[16..];
-    if payload.len() as u64 != length {
-        return Err(format!(
-            "length mismatch: header says {length}, file carries {}",
-            payload.len()
-        ));
-    }
-    let stored_crc = u32::from_le_bytes(field::<4>(rest, 12)?);
-    let actual_crc = crc32(payload);
-    if stored_crc != actual_crc {
+    let payload = r.bytes(r.remaining())?;
+    if crc32(payload) != stored_crc {
         obs::bump(crate::metric_names::CRC_FAILURES);
-        return Err(format!(
-            "crc mismatch: stored {stored_crc:08x}, computed {actual_crc:08x}"
-        ));
+        return Err(r.fail("a payload matching the header's crc32"));
     }
     Ok(payload)
-}
-
-/// Reads `N` bytes at `offset` of `data` as a fixed array.
-fn field<const N: usize>(data: &[u8], offset: usize) -> Result<[u8; N], String> {
-    data.get(offset..offset + N)
-        .and_then(|s| s.try_into().ok())
-        .ok_or_else(|| "truncated envelope header".to_string())
 }
 
 #[cfg(test)]
@@ -104,24 +82,36 @@ mod tests {
     fn wrong_magic_rejected() {
         let mut sealed = seal_envelope(b"abc");
         sealed[0] = b'X';
-        assert!(open_envelope(&sealed).unwrap_err().contains("magic"));
+        assert!(open_envelope(&sealed)
+            .unwrap_err()
+            .expected
+            .contains("magic"));
     }
 
     #[test]
     fn wrong_version_rejected() {
         let mut sealed = seal_envelope(b"abc");
         sealed[8] = 9;
-        assert!(open_envelope(&sealed).unwrap_err().contains("version"));
+        assert!(open_envelope(&sealed)
+            .unwrap_err()
+            .expected
+            .contains("version"));
     }
 
     #[test]
     fn truncation_and_extension_rejected() {
         let sealed = seal_envelope(b"some payload");
         let short = &sealed[..sealed.len() - 1];
-        assert!(open_envelope(short).unwrap_err().contains("length"));
+        assert!(open_envelope(short)
+            .unwrap_err()
+            .expected
+            .contains("length"));
         let mut long = sealed.clone();
         long.push(0);
-        assert!(open_envelope(&long).unwrap_err().contains("length"));
+        assert!(open_envelope(&long)
+            .unwrap_err()
+            .expected
+            .contains("length"));
     }
 
     #[test]
@@ -129,6 +119,12 @@ mod tests {
         let mut sealed = seal_envelope(b"some payload");
         let last = sealed.len() - 1;
         sealed[last] ^= 1;
-        assert!(open_envelope(&sealed).unwrap_err().contains("crc"));
+        assert!(open_envelope(&sealed).unwrap_err().expected.contains("crc"));
+    }
+
+    #[test]
+    fn sealed_bytes_are_pinned() {
+        let hash = crate::codec::fnv64(&seal_envelope(b"pinned payload \x00\xff"));
+        assert_eq!(hash, 0x70ed_7f30_ff2d_cb9f, "{hash:#018x}");
     }
 }

@@ -19,6 +19,7 @@
 //! a journal whose context differs resets it — records crafted against a
 //! different configuration must never be replayed into the current one.
 
+use crate::codec::{DecodeError, Reader, Writer};
 use crate::crc::crc32;
 use crate::faults::{self, WriteFault};
 use crate::{Result, StoreError};
@@ -70,16 +71,14 @@ impl Journal {
         };
         if valid_len == 0 {
             // Fresh or reset journal: write a clean header.
-            let mut header = Vec::with_capacity(HEADER_LEN);
-            header.extend_from_slice(MAGIC);
-            header.extend_from_slice(&VERSION.to_le_bytes());
-            header.extend_from_slice(&context.to_le_bytes());
+            let mut header = Writer::with_capacity(HEADER_LEN);
+            header.bytes(MAGIC).u32(VERSION).u64(context);
             let mut f = OpenOptions::new()
                 .write(true)
                 .create(true)
                 .truncate(true)
                 .open(&path)?;
-            f.write_all(&header)?;
+            f.write_all(&header.into_vec())?;
             f.sync_all()?;
             drop(f);
         } else {
@@ -169,10 +168,11 @@ impl Journal {
     ///
     /// Filesystem errors and injected transient write faults.
     pub fn append(&mut self, payload: &[u8]) -> Result<()> {
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let mut w = Writer::with_capacity(FRAME_HEADER_LEN + payload.len());
+        w.u32(payload.len() as u32)
+            .u32(crc32(payload))
+            .bytes(payload);
+        let frame = w.into_vec();
         let fault = faults::decide(&self.path, frame.len());
         if fault == WriteFault::TransientError {
             return Err(StoreError::InjectedWriteFault {
@@ -204,54 +204,40 @@ impl Journal {
 }
 
 fn header_matches(bytes: &[u8], context: u64) -> bool {
-    if bytes.len() < HEADER_LEN || &bytes[..8] != MAGIC {
-        return false;
-    }
-    let version = bytes
-        .get(8..12)
-        .and_then(|s| s.try_into().ok())
-        .map(u32::from_le_bytes);
-    let ctx = bytes
-        .get(12..20)
-        .and_then(|s| s.try_into().ok())
-        .map(u64::from_le_bytes);
-    version == Some(VERSION) && ctx == Some(context)
+    let mut r = Reader::new(bytes);
+    r.magic(MAGIC, "journal magic ADVJRNL1").is_ok()
+        && r.u32() == Ok(VERSION)
+        && r.u64() == Ok(context)
 }
 
 /// Parses the valid record prefix; returns the records and the byte length
 /// of the valid region (header included).
 fn parse_records(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
     let mut records = Vec::new();
-    let mut off = HEADER_LEN;
-    while let Some(header) = bytes.get(off..off + FRAME_HEADER_LEN) {
-        let Some(len) = header
-            .get(..4)
-            .and_then(|s| s.try_into().ok())
-            .map(u32::from_le_bytes)
-        else {
-            break;
-        };
-        let Some(stored_crc) = header
-            .get(4..8)
-            .and_then(|s| s.try_into().ok())
-            .map(u32::from_le_bytes)
-        else {
-            break;
-        };
-        if len > MAX_RECORD_LEN {
-            break;
-        }
-        let start = off + FRAME_HEADER_LEN;
-        let Some(payload) = bytes.get(start..start + len as usize) else {
-            break;
-        };
-        if crc32(payload) != stored_crc {
-            break;
-        }
-        records.push(payload.to_vec());
-        off = start + len as usize;
+    let mut r = Reader::new(bytes);
+    if r.bytes(HEADER_LEN).is_err() {
+        return (records, 0);
     }
-    (records, off)
+    let mut valid = r.offset();
+    while let Ok(payload) = next_record(&mut r) {
+        records.push(payload.to_vec());
+        valid = r.offset();
+    }
+    (records, valid)
+}
+
+/// Reads one frame; any error marks the torn or corrupt tail.
+fn next_record<'a>(r: &mut Reader<'a>) -> std::result::Result<&'a [u8], DecodeError> {
+    let len = r.u32()?;
+    let stored_crc = r.u32()?;
+    if len > MAX_RECORD_LEN {
+        return Err(r.fail("a record length within the bound"));
+    }
+    let payload = r.bytes(len as usize)?;
+    if crc32(payload) != stored_crc {
+        return Err(r.fail("a record matching its crc32"));
+    }
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -377,5 +363,28 @@ mod tests {
         drop(j);
         let j = Journal::open(&path, 5).unwrap();
         assert_eq!(j.records(), &[b"one".to_vec(), b"two".to_vec()]);
+    }
+
+    #[test]
+    fn file_bytes_are_pinned_and_no_corruption_reads_past_it() {
+        let (path, context) = (tmp("pinned"), 0x0123_4567_89ab_cdef);
+        let written = [b"alpha".to_vec(), Vec::new(), b"gamma\x00\xff".to_vec()];
+        let mut j = Journal::open(&path, context).unwrap();
+        for record in &written {
+            j.append(record).unwrap();
+        }
+        drop(j);
+        let full = std::fs::read(&path).unwrap();
+        let hash = crate::codec::fnv64(&full);
+        assert_eq!(hash, 0x686e_8d1f_3a61_9876, "{hash:#018x}");
+        let read = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            Journal::read_records(&path, context).unwrap()
+        };
+        assert!((0..=HEADER_LEN).all(|cut| read(&full[..cut]).is_empty()));
+        for bad in crate::codec::single_bit_flips(&full) {
+            let records = read(&bad);
+            assert!(records.len() < written.len() && written.starts_with(&records));
+        }
     }
 }

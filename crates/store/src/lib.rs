@@ -7,6 +7,9 @@
 //! half-trust. This crate makes every artifact **either bit-for-bit valid
 //! or detectably corrupt**:
 //!
+//! * [`codec`] — the little-endian [`codec::Writer`] and bounds-checked
+//!   [`codec::Reader`] every binary format of the workspace encodes and
+//!   decodes through, with one typed [`codec::DecodeError`].
 //! * [`envelope`] — a versioned envelope (`ADVSTOR1`) carrying a CRC32 of
 //!   the payload. One flipped bit anywhere in the file is caught on load.
 //! * [`atomic`] — the classic durable-write sequence: write a temp file in
@@ -41,6 +44,7 @@
 )]
 
 pub mod atomic;
+pub mod codec;
 pub mod envelope;
 pub mod faults;
 pub mod journal;
@@ -178,11 +182,11 @@ pub fn load_artifact(path: impl AsRef<Path>) -> Result<Vec<u8>> {
     let data = std::fs::read(path)?;
     match open_envelope(&data) {
         Ok(payload) => Ok(payload.to_vec()),
-        Err(reason) => {
+        Err(e) => {
             quarantine(path);
             Err(StoreError::Corrupt {
                 path: path.to_path_buf(),
-                reason,
+                reason: e.to_string(),
             })
         }
     }
@@ -267,6 +271,7 @@ mod tests {
                 "prefix of {cut} bytes unexpectedly validated"
             );
         }
+        assert!(codec::single_bit_flips(&full).all(|bad| open_envelope(&bad).is_err()));
         std::fs::remove_dir_all(&dir).ok();
     }
 

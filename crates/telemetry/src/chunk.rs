@@ -27,6 +27,7 @@
 
 use crate::row::{scheme_code, scheme_from_code, verdict_code, verdict_from_code};
 use crate::{TelemetryRow, MAX_DETECTORS};
+use adv_store::codec::{DecodeError, Reader, Writer};
 
 /// Magic prefix of a sealed chunk payload.
 pub const CHUNK_MAGIC: &[u8; 8] = b"ADVTCHK1";
@@ -82,75 +83,54 @@ pub struct ChunkStats {
 pub(crate) const STATS_BYTES: usize = 4 + 8 + 8 + 4 + 4 + 4 + 4 + 4 + 4 + 1 + 1 + 8 * MAX_DETECTORS;
 
 impl ChunkStats {
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.rows.to_le_bytes());
-        out.extend_from_slice(&self.tick_min.to_le_bytes());
-        out.extend_from_slice(&self.tick_max.to_le_bytes());
-        out.extend_from_slice(&self.tenant_min.to_le_bytes());
-        out.extend_from_slice(&self.tenant_max.to_le_bytes());
-        out.extend_from_slice(&self.route_min.to_le_bytes());
-        out.extend_from_slice(&self.route_max.to_le_bytes());
-        out.extend_from_slice(&self.variant_min.to_le_bytes());
-        out.extend_from_slice(&self.variant_max.to_le_bytes());
-        out.push(self.scheme_mask);
+    pub(crate) fn encode_into(&self, w: &mut Writer) {
         let flags = u8::from(self.any_degraded)
             | u8::from(self.all_degraded) << 1
             | u8::from(self.any_detected) << 2
             | u8::from(self.all_detected) << 3;
-        out.push(flags);
-        for s in &self.score_min {
-            out.extend_from_slice(&s.to_le_bytes());
-        }
-        for s in &self.score_max {
-            out.extend_from_slice(&s.to_le_bytes());
-        }
+        w.u32(self.rows)
+            .u64(self.tick_min)
+            .u64(self.tick_max)
+            .u32(self.tenant_min)
+            .u32(self.tenant_max)
+            .u32(self.route_min)
+            .u32(self.route_max)
+            .u32(self.variant_min)
+            .u32(self.variant_max)
+            .u8(self.scheme_mask)
+            .u8(flags)
+            .f32s(&self.score_min)
+            .f32s(&self.score_max);
     }
 
-    pub(crate) fn decode(bytes: &[u8]) -> Result<ChunkStats, String> {
-        if bytes.len() != STATS_BYTES {
-            return Err(format!(
-                "stats record is {} bytes, expected {STATS_BYTES}",
-                bytes.len()
-            ));
-        }
-        let mut cur = Cursor::new(bytes);
-        let rows = cur.u32()?;
-        let tick_min = cur.u64()?;
-        let tick_max = cur.u64()?;
-        let tenant_min = cur.u32()?;
-        let tenant_max = cur.u32()?;
-        let route_min = cur.u32()?;
-        let route_max = cur.u32()?;
-        let variant_min = cur.u32()?;
-        let variant_max = cur.u32()?;
-        let scheme_mask = cur.u8()?;
-        let flags = cur.u8()?;
-        let mut score_min = [0f32; MAX_DETECTORS];
-        let mut score_max = [0f32; MAX_DETECTORS];
-        for s in &mut score_min {
-            *s = cur.f32()?;
-        }
-        for s in &mut score_max {
-            *s = cur.f32()?;
-        }
-        Ok(ChunkStats {
-            rows,
-            tick_min,
-            tick_max,
-            tenant_min,
-            tenant_max,
-            route_min,
-            route_max,
-            variant_min,
-            variant_max,
-            scheme_mask,
-            any_degraded: flags & 1 != 0,
-            all_degraded: flags & 2 != 0,
-            any_detected: flags & 4 != 0,
-            all_detected: flags & 8 != 0,
-            score_min,
-            score_max,
-        })
+    /// Reads the [`STATS_BYTES`] written by `encode_into`.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<ChunkStats, DecodeError> {
+        let mut stats = ChunkStats {
+            rows: r.u32()?,
+            tick_min: r.u64()?,
+            tick_max: r.u64()?,
+            tenant_min: r.u32()?,
+            tenant_max: r.u32()?,
+            route_min: r.u32()?,
+            route_max: r.u32()?,
+            variant_min: r.u32()?,
+            variant_max: r.u32()?,
+            scheme_mask: r.u8()?,
+            any_degraded: false,
+            all_degraded: false,
+            any_detected: false,
+            all_detected: false,
+            score_min: [0.0; MAX_DETECTORS],
+            score_max: [0.0; MAX_DETECTORS],
+        };
+        let flags = r.u8()?;
+        stats.any_degraded = flags & 1 != 0;
+        stats.all_degraded = flags & 2 != 0;
+        stats.any_detected = flags & 4 != 0;
+        stats.all_detected = flags & 8 != 0;
+        stats.score_min.copy_from_slice(&r.f32s(MAX_DETECTORS)?);
+        stats.score_max.copy_from_slice(&r.f32s(MAX_DETECTORS)?);
+        Ok(stats)
     }
 }
 
@@ -318,46 +298,26 @@ impl Chunk {
     /// Serializes the chunk as an `ADVTCHK1` payload (see module docs).
     pub fn encode(&self) -> Vec<u8> {
         let rows = self.len();
-        let mut out = Vec::with_capacity(HEADER_LEN + rows * ROW_BYTES);
-        out.extend_from_slice(CHUNK_MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(rows as u32).to_le_bytes());
-        for v in &self.tick {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in &self.tenant {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in &self.route {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in &self.sample {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in &self.variant {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&self.scheme);
-        out.extend_from_slice(&self.degraded);
-        for v in &self.verdict {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in &self.queue_ns {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in &self.infer_ns {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in &self.trace {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&self.nscores);
+        let mut w = Writer::with_capacity(HEADER_LEN + rows * ROW_BYTES);
+        w.bytes(CHUNK_MAGIC)
+            .u32(VERSION)
+            .u32(rows as u32)
+            .u64s(&self.tick)
+            .u32s(&self.tenant)
+            .u32s(&self.route)
+            .u32s(&self.sample)
+            .u32s(&self.variant)
+            .bytes(&self.scheme)
+            .bytes(&self.degraded)
+            .i32s(&self.verdict)
+            .u64s(&self.queue_ns)
+            .u64s(&self.infer_ns)
+            .u64s(&self.trace)
+            .bytes(&self.nscores);
         for col in &self.scores {
-            for v in col {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            w.f32s(col);
         }
-        out
+        w.into_vec()
     }
 
     /// Decodes a sealed payload, validating magic, version, row count,
@@ -365,146 +325,58 @@ impl Chunk {
     ///
     /// # Errors
     ///
-    /// A human-readable reason; the caller is responsible for quarantining
-    /// the source file.
-    // lint-ok(crate-error-types): the reason string is context for the caller, which wraps it in `TelemetryError::Corrupt` together with the source path the codec cannot know.
-    pub fn decode(payload: &[u8]) -> Result<Chunk, String> {
-        if payload.len() < HEADER_LEN {
-            return Err(format!(
-                "truncated chunk header: {} bytes, need {HEADER_LEN}",
-                payload.len()
-            ));
+    /// A [`DecodeError`] naming the rejected field; the caller wraps it in
+    /// `TelemetryError::Corrupt` with the source path and quarantines the
+    /// file.
+    pub fn decode(payload: &[u8]) -> Result<Chunk, DecodeError> {
+        let mut r = Reader::new(payload);
+        r.magic(CHUNK_MAGIC, "chunk magic ADVTCHK1")?;
+        if r.u32()? != VERSION {
+            return Err(r.fail("chunk version 3"));
         }
-        let (magic, rest) = payload.split_at(8);
-        if magic != CHUNK_MAGIC {
-            return Err("bad chunk magic".into());
+        let rows = r.u32()? as usize;
+        if rows.checked_mul(ROW_BYTES) != Some(r.remaining()) {
+            return Err(r.fail("a payload length matching the row count"));
         }
-        let mut cur = Cursor::new(rest);
-        let version = cur.u32()?;
-        if version != VERSION {
-            return Err(format!("unsupported chunk version {version}"));
-        }
-        let rows = cur.u32()? as usize;
-        let expect = HEADER_LEN + rows * ROW_BYTES;
-        if payload.len() != expect {
-            return Err(format!(
-                "length mismatch: {rows} rows need {expect} bytes, file carries {}",
-                payload.len()
-            ));
-        }
-        let mut chunk = Chunk::with_capacity(rows);
-        chunk.tick = cur.u64_vec(rows)?;
-        chunk.tenant = cur.u32_vec(rows)?;
-        chunk.route = cur.u32_vec(rows)?;
-        chunk.sample = cur.u32_vec(rows)?;
-        chunk.variant = cur.u32_vec(rows)?;
-        chunk.scheme = cur.u8_vec(rows)?;
-        chunk.degraded = cur.u8_vec(rows)?;
-        chunk.verdict = cur.i32_vec(rows)?;
-        chunk.queue_ns = cur.u64_vec(rows)?;
-        chunk.infer_ns = cur.u64_vec(rows)?;
-        chunk.trace = cur.u64_vec(rows)?;
-        chunk.nscores = cur.u8_vec(rows)?;
+        let mut chunk = Chunk {
+            tick: r.u64s(rows)?,
+            tenant: r.u32s(rows)?,
+            route: r.u32s(rows)?,
+            sample: r.u32s(rows)?,
+            variant: r.u32s(rows)?,
+            scheme: r.bytes(rows)?.to_vec(),
+            degraded: r.bytes(rows)?.to_vec(),
+            verdict: r.i32s(rows)?,
+            queue_ns: r.u64s(rows)?,
+            infer_ns: r.u64s(rows)?,
+            trace: r.u64s(rows)?,
+            nscores: r.bytes(rows)?.to_vec(),
+            scores: Default::default(),
+        };
         for col in &mut chunk.scores {
-            *col = cur.f32_vec(rows)?;
+            *col = r.f32s(rows)?;
         }
-        if !cur.is_done() {
-            return Err("trailing bytes after columns".into());
+        r.finish()?;
+        // The scheme column follows the u64 tick and four u32 columns; the
+        // degraded column follows it.
+        let scheme_at = HEADER_LEN + rows * (8 + 4 * 4);
+        if let Some(i) = chunk
+            .scheme
+            .iter()
+            .position(|&c| scheme_from_code(c).is_none())
+        {
+            return Err(DecodeError {
+                offset: scheme_at + i,
+                expected: "a known scheme code",
+            });
         }
-        for &code in &chunk.scheme {
-            if scheme_from_code(code).is_none() {
-                return Err(format!("unknown scheme code {code}"));
-            }
-        }
-        for &d in &chunk.degraded {
-            if d > 1 {
-                return Err(format!("non-boolean degraded byte {d}"));
-            }
+        if let Some(i) = chunk.degraded.iter().position(|&d| d > 1) {
+            return Err(DecodeError {
+                offset: scheme_at + rows + i,
+                expected: "a boolean degraded byte",
+            });
         }
         Ok(chunk)
-    }
-}
-
-/// A bounds-checked little-endian reader over a byte slice.
-pub(crate) struct Cursor<'a> {
-    data: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> Cursor<'a> {
-        Cursor { data, off: 0 }
-    }
-
-    pub(crate) fn is_done(&self) -> bool {
-        self.off == self.data.len()
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let slice = self
-            .data
-            .get(self.off..self.off + n)
-            .ok_or_else(|| "unexpected end of data".to_string())?;
-        self.off += n;
-        Ok(slice)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
-        self.take(N)?
-            .try_into()
-            .map_err(|_| "unexpected end of data".to_string())
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.array::<1>()?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    pub(crate) fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_le_bytes(self.array()?))
-    }
-
-    fn u8_vec(&mut self, n: usize) -> Result<Vec<u8>, String> {
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn u32_vec(&mut self, n: usize) -> Result<Vec<u32>, String> {
-        self.take(n * 4).map(|s| {
-            s.chunks_exact(4)
-                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect()
-        })
-    }
-
-    fn i32_vec(&mut self, n: usize) -> Result<Vec<i32>, String> {
-        self.take(n * 4).map(|s| {
-            s.chunks_exact(4)
-                .map(|c| i32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect()
-        })
-    }
-
-    fn u64_vec(&mut self, n: usize) -> Result<Vec<u64>, String> {
-        self.take(n * 8).map(|s| {
-            s.chunks_exact(8)
-                .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-                .collect()
-        })
-    }
-
-    fn f32_vec(&mut self, n: usize) -> Result<Vec<f32>, String> {
-        self.take(n * 4).map(|s| {
-            s.chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect()
-        })
     }
 }
 
@@ -563,6 +435,9 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(Chunk::decode(&long).is_err());
+        for bad in adv_store::codec::single_bit_flips(&bytes) {
+            let _ = Chunk::decode(&bad);
+        }
     }
 
     #[test]
@@ -570,15 +445,20 @@ mod tests {
         let good = filled(3).encode();
         let mut bad = good.clone();
         bad[0] = b'X';
-        assert!(Chunk::decode(&bad).unwrap_err().contains("magic"));
+        assert!(Chunk::decode(&bad).unwrap_err().expected.contains("magic"));
         let mut bad = good.clone();
         bad[8] = 7;
-        assert!(Chunk::decode(&bad).unwrap_err().contains("version"));
+        assert!(Chunk::decode(&bad)
+            .unwrap_err()
+            .expected
+            .contains("version"));
         // Corrupt the first scheme byte to an unknown code.
         let scheme_off = HEADER_LEN + 3 * (8 + 4 + 4 + 4 + 4);
         let mut bad = good.clone();
         bad[scheme_off] = 200;
-        assert!(Chunk::decode(&bad).unwrap_err().contains("scheme"));
+        let err = Chunk::decode(&bad).unwrap_err();
+        assert!(err.expected.contains("scheme"), "{err}");
+        assert_eq!(err.offset, scheme_off);
     }
 
     #[test]
@@ -603,11 +483,14 @@ mod tests {
     #[test]
     fn stats_encode_roundtrip() {
         let stats = filled(9).stats();
-        let mut buf = Vec::new();
-        stats.encode_into(&mut buf);
+        let mut w = Writer::new();
+        stats.encode_into(&mut w);
+        let buf = w.into_vec();
         assert_eq!(buf.len(), STATS_BYTES);
-        assert_eq!(ChunkStats::decode(&buf).unwrap(), stats);
-        assert!(ChunkStats::decode(&buf[..buf.len() - 1]).is_err());
+        let mut r = Reader::new(&buf);
+        assert_eq!(ChunkStats::decode(&mut r).unwrap(), stats);
+        r.finish().unwrap();
+        assert!(ChunkStats::decode(&mut Reader::new(&buf[..buf.len() - 1])).is_err());
     }
 
     #[test]
@@ -615,5 +498,15 @@ mod tests {
         let chunk = filled(6);
         let ticks: Vec<u64> = chunk.rows().map(|r| r.tick).collect();
         assert_eq!(ticks, vec![1000, 1010, 1020, 1030, 1040, 1050]);
+    }
+
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        let chunk = filled(5);
+        let mut w = Writer::new();
+        w.bytes(&chunk.encode());
+        chunk.stats().encode_into(&mut w);
+        let hash = adv_store::codec::fnv64(&w.into_vec());
+        assert_eq!(hash, 0x60ff_f5de_682a_041a, "{hash:#018x}");
     }
 }

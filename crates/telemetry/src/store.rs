@@ -21,9 +21,10 @@
 //! drift, garbage, stats mismatch) is quarantined here with a logged
 //! reason — both paths bump `telemetry.crc_failures`.
 
-use crate::chunk::{Chunk, ChunkStats, Cursor, STATS_BYTES};
+use crate::chunk::{Chunk, ChunkStats, STATS_BYTES};
 use crate::row::TelemetryRow;
 use crate::{metric_names, obs, Result, TelemetryError};
+use adv_store::codec::{DecodeError, Reader, Writer};
 use adv_store::Journal;
 use std::path::{Path, PathBuf};
 
@@ -54,17 +55,20 @@ pub struct ManifestEntry {
 
 impl ManifestEntry {
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + STATS_BYTES);
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        self.stats.encode_into(&mut out);
-        out
+        let mut w = Writer::with_capacity(8 + STATS_BYTES);
+        w.u64(self.seq);
+        self.stats.encode_into(&mut w);
+        w.into_vec()
     }
 
-    fn decode(record: &[u8]) -> std::result::Result<ManifestEntry, String> {
-        let mut cur = Cursor::new(record);
-        let seq = cur.u64()?;
-        let stats = ChunkStats::decode(record.get(8..).unwrap_or(&[]))?;
-        Ok(ManifestEntry { seq, stats })
+    fn decode(record: &[u8]) -> std::result::Result<ManifestEntry, DecodeError> {
+        let mut r = Reader::new(record);
+        let entry = ManifestEntry {
+            seq: r.u64()?,
+            stats: ChunkStats::decode(&mut r)?,
+        };
+        r.finish()?;
+        Ok(entry)
     }
 }
 
@@ -275,7 +279,7 @@ impl ChunkReader {
                 reason,
             }
         };
-        let chunk = Chunk::decode(&payload).map_err(&reject)?;
+        let chunk = Chunk::decode(&payload).map_err(|e| reject(e.to_string()))?;
         let stats = chunk.stats();
         if stats.rows != entry.stats.rows
             || stats.tick_min != entry.stats.tick_min
@@ -414,5 +418,26 @@ mod tests {
         }
         store.flush().unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_entry_bytes_are_pinned_and_every_prefix_is_rejected() {
+        let mut chunk = Chunk::with_capacity(4);
+        (0..4).for_each(|i| chunk.push(&row(i)));
+        let stats = chunk.stats();
+        let bytes = ManifestEntry { seq: 7, stats }.encode();
+        let hash = adv_store::codec::fnv64(&bytes);
+        assert_eq!(hash, 0xcf0f_5f92_af5d_e9f5, "{hash:#018x}");
+        assert_eq!(
+            ManifestEntry::decode(&bytes),
+            Ok(ManifestEntry { seq: 7, stats })
+        );
+        for cut in 0..bytes.len() {
+            assert!(ManifestEntry::decode(&bytes[..cut]).is_err(), "{cut}");
+        }
+        assert!(ManifestEntry::decode(&[&bytes[..], &[0]].concat()).is_err());
+        for bad in adv_store::codec::single_bit_flips(&bytes) {
+            let _ = ManifestEntry::decode(&bad);
+        }
     }
 }

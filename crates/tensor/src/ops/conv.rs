@@ -694,8 +694,9 @@ pub fn conv2d_backward(
             }
         }
     }
-    // db = column sums of dyrows.
-    for row in dyrows.chunks_exact(oc) {
+    // db = column sums of dyrows, row by row (`max(1)`: with no output
+    // channels there are no rows to sum).
+    for row in dyrows.chunks_exact(oc.max(1)) {
         for (d, &v) in db.iter_mut().zip(row.iter()) {
             *d += v;
         }
@@ -736,7 +737,7 @@ mod tests {
         let rows = matmul_a_bt(&cols, &wmat).unwrap();
         let (oc, hw) = (spec.out_channels, ho * wo);
         let mut y = vec![0.0f32; n * oc * hw];
-        for (r, row) in rows.as_slice().chunks_exact(oc).enumerate() {
+        for (r, row) in rows.as_slice().chunks_exact(oc.max(1)).enumerate() {
             let (b, p) = (r / hw, r % hw);
             for (ch, &v) in row.iter().enumerate() {
                 y[(b * oc + ch) * hw + p] = v + bias.as_slice()[ch];
@@ -770,8 +771,8 @@ mod tests {
     /// 1→3, 3→3, 3→1 and 3→3 layers, the victims' 1→8, 8→16, 3→8 and
     /// 8→16), output channel counts 5, 6 and 7 that leave a register block
     /// of 1, 2 and 3 channels after one of 4, then stride 1–3, padding 0–2,
-    /// kh ≠ kw, and empty batches and channels.
-    const GEOMETRIES: [[usize; 9]; 25] = [
+    /// kh ≠ kw, and empty batches, input channels and output channels.
+    const GEOMETRIES: [[usize; 9]; 26] = [
         [3, 1, 3, 28, 28, 3, 3, 1, 1],
         [2, 3, 3, 28, 28, 3, 3, 1, 1],
         [2, 3, 1, 28, 28, 3, 3, 1, 1],
@@ -797,6 +798,7 @@ mod tests {
         [1, 3, 2, 13, 5, 5, 3, 3, 2],
         [0, 2, 3, 5, 5, 3, 3, 1, 1],
         [2, 0, 3, 4, 4, 3, 3, 1, 1],
+        [2, 3, 0, 6, 6, 3, 3, 1, 1],
     ];
 
     fn spec_of([_, c, oc, _, _, kh, kw, stride, padding]: [usize; 9]) -> Conv2dSpec {

@@ -12,6 +12,7 @@
 
 use std::path::{Path, PathBuf};
 
+use adv_store::codec::{DecodeError, Reader, Writer};
 use adv_store::Journal;
 
 use crate::{Result, ZooError};
@@ -95,30 +96,25 @@ pub struct PromotionRecord {
 
 impl PromotionRecord {
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(RECORD_BYTES);
-        out.push(self.stage.to_wire());
-        out.extend_from_slice(&self.variant.to_le_bytes());
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&self.crc.to_le_bytes());
-        out
+        let mut w = Writer::with_capacity(RECORD_BYTES);
+        w.u8(self.stage.to_wire())
+            .u32(self.variant)
+            .u32(self.version)
+            .u32(self.crc);
+        w.into_vec()
     }
 
-    fn decode(bytes: &[u8]) -> Option<PromotionRecord> {
-        if bytes.len() != RECORD_BYTES {
-            return None;
-        }
-        let take_u32 = |range: std::ops::Range<usize>| -> Option<u32> {
-            bytes
-                .get(range)
-                .and_then(|s| <[u8; 4]>::try_from(s).ok())
-                .map(u32::from_le_bytes)
+    fn decode(bytes: &[u8]) -> std::result::Result<PromotionRecord, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let stage = PromotionStage::from_wire(r.u8()?).ok_or(r.fail("a promotion stage tag"))?;
+        let record = PromotionRecord {
+            stage,
+            variant: r.u32()?,
+            version: r.u32()?,
+            crc: r.u32()?,
         };
-        Some(PromotionRecord {
-            stage: PromotionStage::from_wire(*bytes.first()?)?,
-            variant: take_u32(1..5)?,
-            version: take_u32(5..9)?,
-            crc: take_u32(9..13)?,
-        })
+        r.finish()?;
+        Ok(record)
     }
 }
 
@@ -169,8 +165,8 @@ impl PromotionLog {
             .records()
             .iter()
             .map(|raw| {
-                PromotionRecord::decode(raw).ok_or_else(|| ZooError::JournalSchema {
-                    detail: format!("unparseable {}-byte record", raw.len()),
+                PromotionRecord::decode(raw).map_err(|e| ZooError::JournalSchema {
+                    detail: format!("unparseable {}-byte record: {e}", raw.len()),
                 })
             })
             .collect()
@@ -226,6 +222,7 @@ mod tests {
 
     #[test]
     fn every_stage_tag_roundtrips() {
+        let mut bytes = Vec::new();
         for stage in [
             PromotionStage::Staged,
             PromotionStage::Warming,
@@ -233,16 +230,26 @@ mod tests {
             PromotionStage::Retired,
             PromotionStage::Aborted,
         ] {
-            let r = rec(stage, 7, 9);
-            assert_eq!(PromotionRecord::decode(&r.encode()), Some(r));
+            let r = rec(stage, 7, 0x0102_0304);
+            let encoded = r.encode();
+            assert_eq!(PromotionRecord::decode(&encoded), Ok(r));
+            for cut in 0..encoded.len() {
+                assert!(PromotionRecord::decode(&encoded[..cut]).is_err());
+            }
+            for bad in adv_store::codec::single_bit_flips(&encoded) {
+                let _ = PromotionRecord::decode(&bad);
+            }
+            bytes.extend(encoded);
         }
+        let hash = adv_store::codec::fnv64(&bytes);
+        assert_eq!(hash, 0xccb2_105a_d4b9_a791, "{hash:#018x}");
     }
 
     #[test]
     fn foreign_bytes_do_not_decode() {
-        assert_eq!(PromotionRecord::decode(&[0u8; RECORD_BYTES]), None);
-        assert_eq!(PromotionRecord::decode(&[1u8; RECORD_BYTES - 1]), None);
-        assert_eq!(PromotionRecord::decode(&[99u8; RECORD_BYTES]), None);
+        assert!(PromotionRecord::decode(&[0u8; RECORD_BYTES]).is_err());
+        assert!(PromotionRecord::decode(&[1u8; RECORD_BYTES - 1]).is_err());
+        assert!(PromotionRecord::decode(&[99u8; RECORD_BYTES]).is_err());
     }
 
     #[test]
