@@ -23,23 +23,23 @@ use adv_nn::Differentiable;
 use adv_profile::StageScope;
 use adv_tensor::Tensor;
 
-/// Cached `adv-obs` counters for one attack run; `None` when metrics are
+/// Cached `adv-profile` counters for one attack run; `None` when metrics are
 /// disabled so the per-iteration path costs one relaxed load.
 pub(crate) struct AttackObs {
-    pub(crate) iterations: std::sync::Arc<adv_obs::Counter>,
-    pub(crate) search_steps: std::sync::Arc<adv_obs::Counter>,
-    pub(crate) examples: std::sync::Arc<adv_obs::Counter>,
-    pub(crate) converged: std::sync::Arc<adv_obs::Counter>,
+    pub(crate) iterations: std::sync::Arc<adv_profile::Counter>,
+    pub(crate) search_steps: std::sync::Arc<adv_profile::Counter>,
+    pub(crate) examples: std::sync::Arc<adv_profile::Counter>,
+    pub(crate) converged: std::sync::Arc<adv_profile::Counter>,
 }
 
 impl AttackObs {
     /// `kind` is `"ead"` or `"cw"`; `iter_name` names the inner loop
     /// (`"ista_iterations"` / `"adam_iterations"`).
     pub(crate) fn resolve(kind: &str, iter_name: &str) -> Option<AttackObs> {
-        if !adv_obs::metrics_enabled() {
+        if !adv_profile::metrics_enabled() {
             return None;
         }
-        let r = adv_obs::global();
+        let r = adv_profile::global();
         Some(AttackObs {
             iterations: r.counter(&format!("{kind}.{iter_name}")),
             search_steps: r.counter(&format!("{kind}.binary_search_steps")),

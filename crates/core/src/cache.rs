@@ -111,7 +111,7 @@ fn read_outcome(data: &[u8]) -> std::result::Result<(Shape, Vec<f32>, Vec<bool>)
 /// Records a rejected cache entry: bumps `store.cache_rejects` and logs the
 /// reason, so a silent recraft is always explainable from the run log.
 fn reject_cache(path: &Path, reason: &str) {
-    adv_store::bump_counter(adv_store::metric_names::CACHE_REJECTS);
+    adv_profile::count(adv_store::metric_names::CACHE_REJECTS, 1);
     eprintln!(
         "attack cache: rejecting {} ({reason}); recrafting",
         path.display()

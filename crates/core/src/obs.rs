@@ -1,6 +1,6 @@
 //! `--obs` session support for the experiment binaries.
 //!
-//! An [`ObsSession`] turns on full telemetry ([`adv_obs::ObsLevel::Trace`]:
+//! An [`ObsSession`] turns on full telemetry ([`adv_profile::ObsLevel::Trace`]:
 //! metrics, stage spans and kernel accounting) for the process, and at
 //! experiment end dumps into the chosen directory:
 //!
@@ -41,7 +41,7 @@ impl ObsSession {
 
     /// Starts a session dumping into `dir`.
     ///
-    /// Raises the process level to [`adv_obs::ObsLevel::Trace`] unless the
+    /// Raises the process level to [`adv_profile::ObsLevel::Trace`] unless the
     /// `ADV_OBS` environment variable is set, which then takes precedence.
     #[expect(
         clippy::disallowed_methods,
@@ -49,7 +49,7 @@ impl ObsSession {
     )]
     pub fn start(dir: impl Into<PathBuf>) -> ObsSession {
         if std::env::var_os("ADV_OBS").is_none() {
-            adv_obs::set_level(adv_obs::ObsLevel::Trace);
+            adv_profile::set_level(adv_profile::ObsLevel::Trace);
         }
         ObsSession {
             dir: dir.into(),
@@ -64,7 +64,7 @@ impl ObsSession {
 
     /// Writes `metrics.json`, `metrics.prom` and `trace.jsonl` into the
     /// session directory (plus `profile_kernels.txt` and
-    /// `profile_collapsed.folded` when [`adv_profile::enabled`]), prints the
+    /// `profile_collapsed.folded` when [`adv_profile::trace_enabled`]), prints the
     /// frame summary table to stderr, and returns the written paths.
     ///
     /// # Errors
@@ -74,11 +74,11 @@ impl ObsSession {
     pub fn finish(self) -> std::io::Result<Vec<PathBuf>> {
         let wall = self.started.elapsed();
         std::fs::create_dir_all(&self.dir)?;
-        let profiled = adv_profile::enabled();
+        let profiled = adv_profile::trace_enabled();
         if profiled {
-            adv_profile::publish_to(adv_obs::global());
+            adv_profile::publish_to(adv_profile::global());
         }
-        let snapshot = adv_obs::global().snapshot();
+        let snapshot = adv_profile::global().snapshot();
         let spans = adv_profile::take_spans();
         let mut artifacts = vec![
             ("metrics.json", snapshot.to_json()),
@@ -132,20 +132,20 @@ mod tests {
         // Other adv-eval tests don't change the level; this one raises it
         // only for its own duration.
         let _serial = level_lock();
-        let before = adv_obs::level();
-        let dir = std::env::temp_dir().join(format!("adv_obs_session_{}", std::process::id()));
+        let before = adv_profile::level();
+        let dir = std::env::temp_dir().join(format!("obs_session_{}", std::process::id()));
         let session = ObsSession::start(&dir);
-        adv_obs::set_level(adv_obs::ObsLevel::Trace);
+        adv_profile::set_level(adv_profile::ObsLevel::Trace);
         adv_profile::reset();
         {
             let _stage = adv_profile::StageScope::enter("test/obs_session");
             let _k = adv_profile::KernelScope::enter(adv_profile::KernelKind::MatMul, || {
                 adv_profile::Work::matmul(4, 4, 4)
             });
-            adv_obs::global().counter("test.obs_session").incr();
+            adv_profile::global().counter("test.obs_session").incr();
         }
         let written = session.finish().unwrap();
-        adv_obs::set_level(before);
+        adv_profile::set_level(before);
         assert_eq!(written.len(), 5);
         let json = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
         assert!(json.contains("test.obs_session"));
@@ -162,17 +162,17 @@ mod tests {
     #[test]
     fn finish_below_trace_skips_profile_artifacts() {
         let _serial = level_lock();
-        let before = adv_obs::level();
-        let dir = std::env::temp_dir().join(format!("adv_obs_session_met_{}", std::process::id()));
+        let before = adv_profile::level();
+        let dir = std::env::temp_dir().join(format!("obs_session_met_{}", std::process::id()));
         let session = ObsSession::start(&dir);
-        adv_obs::set_level(adv_obs::ObsLevel::Metrics);
+        adv_profile::set_level(adv_profile::ObsLevel::Metrics);
         adv_profile::reset();
         {
             let _stage = adv_profile::StageScope::enter("test/obs_metrics");
-            adv_obs::global().counter("test.obs_metrics").incr();
+            adv_profile::global().counter("test.obs_metrics").incr();
         }
         let written = session.finish().unwrap();
-        adv_obs::set_level(before);
+        adv_profile::set_level(before);
         assert_eq!(written.len(), 3);
         let json = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
         assert!(json.contains("test.obs_metrics"));

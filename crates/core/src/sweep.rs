@@ -243,7 +243,7 @@ impl SweepRunner {
             journal = adv_store::Journal::open_fresh(&jpath, context)?;
         }
         if done > 0 && done < n {
-            adv_store::bump_counter(adv_store::metric_names::RESUMES);
+            adv_profile::count(adv_store::metric_names::RESUMES, 1);
             eprintln!("sweep: resuming {} at sample {done}/{n}", jpath.display());
         }
 

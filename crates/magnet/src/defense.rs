@@ -16,10 +16,10 @@ use std::time::Duration;
 /// - `magnet.verdicts`: defended classifications rendered.
 /// - `magnet.detected`: inputs rejected by any MagNet detector.
 fn record_verdicts(verdicts: &[Verdict]) {
-    if !adv_obs::metrics_enabled() {
+    if !adv_profile::metrics_enabled() {
         return;
     }
-    let r = adv_obs::global();
+    let r = adv_profile::global();
     r.counter("magnet.verdicts").add(verdicts.len() as u64);
     let detected = verdicts
         .iter()

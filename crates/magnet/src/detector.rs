@@ -9,16 +9,16 @@ use adv_tensor::Tensor;
 use std::fmt;
 use std::sync::Arc;
 
-/// Feeds per-item anomaly scores into the global `adv-obs` registry under
+/// Feeds per-item anomaly scores into the global `adv-profile` registry under
 /// `magnet.detector_score.<name>` (score-ladder buckets). No-op unless
 /// metrics are enabled; never alters the scores.
 pub(crate) fn record_scores(name: &str, scores: &[f32]) {
-    if !adv_obs::metrics_enabled() {
+    if !adv_profile::metrics_enabled() {
         return;
     }
-    let hist = adv_obs::global().histogram_with(
+    let hist = adv_profile::global().histogram_with(
         &format!("magnet.detector_score.{name}"),
-        adv_obs::SCORE_BOUNDS,
+        adv_profile::SCORE_BOUNDS,
     );
     for &s in scores {
         hist.record(f64::from(s));

@@ -9,7 +9,7 @@
 //! scoped helper threads at the same time.
 
 use crate::defense::STAGE_CHUNK;
-use adv_obs::sync::lock_unpoisoned;
+use adv_profile::sync::lock_unpoisoned;
 use adv_profile::StageScope;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};

@@ -336,11 +336,11 @@ fn a_panic_in_a_helper_chunk_unwinds_the_caller_and_returns_the_cores() {
 #[test]
 fn verdict_and_score_metrics_count_each_row_once() {
     let _l = lock();
-    let before = adv_obs::level();
-    adv_obs::set_level(adv_obs::ObsLevel::Metrics);
+    let before = adv_profile::level();
+    adv_profile::set_level(adv_profile::ObsLevel::Metrics);
     let (d, _) = defense(None);
     let x = mixed(ROWS);
-    let r = adv_obs::global();
+    let r = adv_profile::global();
     let count = |name: &str| {
         r.snapshot()
             .histogram(&format!("magnet.detector_score.{name}"))
@@ -361,7 +361,7 @@ fn verdict_and_score_metrics_count_each_row_once() {
         let same = names.iter().filter(|n| *n == name).count() as u64;
         assert_eq!(count(name) - was, 3 * ROWS as u64 * same, "{name}");
     }
-    adv_obs::set_level(before);
+    adv_profile::set_level(before);
 }
 
 #[test]

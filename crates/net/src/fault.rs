@@ -198,7 +198,7 @@ mod tests {
             if self.shut {
                 return Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "shut"));
             }
-            adv_obs::sync::lock_unpoisoned(&self.outgoing).extend_from_slice(buf);
+            adv_profile::sync::lock_unpoisoned(&self.outgoing).extend_from_slice(buf);
             Ok(buf.len())
         }
 
@@ -235,7 +235,7 @@ mod tests {
         assert_eq!(s.read(&mut buf).unwrap(), 3);
         assert_eq!(buf, [1, 2, 3]);
         s.write_all(&[9, 8]).unwrap();
-        assert_eq!(*adv_obs::sync::lock_unpoisoned(&out), vec![9, 8]);
+        assert_eq!(*adv_profile::sync::lock_unpoisoned(&out), vec![9, 8]);
     }
 
     #[test]
@@ -250,7 +250,7 @@ mod tests {
         let mut s = FaultyStream::new(mem, plan, 0);
         let payload = vec![0xAAu8; 64];
         assert!(s.write(&payload).is_err(), "torn write must error");
-        let sent = adv_obs::sync::lock_unpoisoned(&out).len();
+        let sent = adv_profile::sync::lock_unpoisoned(&out).len();
         assert!(sent < 64, "sent {sent} of 64");
         // Severed: later writes fail, later reads report EOF.
         assert!(s.write(&payload).is_err());
@@ -270,7 +270,7 @@ mod tests {
         let mut s = FaultyStream::new(mem, plan, 0);
         let payload = vec![0u8; 32];
         assert_eq!(s.write(&payload).unwrap(), 32, "flip reports full length");
-        let sent = adv_obs::sync::lock_unpoisoned(&out).clone();
+        let sent = adv_profile::sync::lock_unpoisoned(&out).clone();
         let flipped: u32 = sent.iter().map(|b| b.count_ones()).sum();
         assert_eq!(flipped, 1, "exactly one bit must differ");
     }

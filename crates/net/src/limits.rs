@@ -100,7 +100,7 @@ impl TokenBucket {
     ///
     /// `Err(retry_after_ms)` when the bucket is empty.
     pub fn try_take(&self, now_ns: u64) -> Result<(), u32> {
-        let mut s = adv_obs::sync::unpoison(self.state.lock());
+        let mut s = adv_profile::sync::unpoison(self.state.lock());
         let elapsed_ns = now_ns.saturating_sub(s.last_ns);
         s.last_ns = now_ns;
         let refill = elapsed_ns as f64 * 1e-9 * self.rate_per_sec;
@@ -157,7 +157,7 @@ impl TenantTable {
                 (*rate_per_sec, *burst)
             }
         };
-        let mut buckets = adv_obs::sync::unpoison(self.buckets.lock());
+        let mut buckets = adv_profile::sync::unpoison(self.buckets.lock());
         Some(
             buckets
                 .entry(tenant)

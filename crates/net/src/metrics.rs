@@ -1,4 +1,4 @@
-//! Front-door metrics on a private `adv-obs` registry, mirroring the
+//! Front-door metrics on a private `adv-profile` registry, mirroring the
 //! engine's `ServeMetrics` discipline: always recorded (they back the
 //! server's own snapshot API), never shared between two servers in one
 //! process.
@@ -18,7 +18,7 @@
 //! failures, malformed frames — never enter the engine and sit outside the
 //! identity.
 
-use adv_obs::{Counter, Gauge, Registry, Snapshot};
+use adv_profile::{Counter, Gauge, Registry, Snapshot};
 use std::sync::Arc;
 
 /// Point-in-time view of the front door's counters.
@@ -66,7 +66,7 @@ impl NetMetricsSnapshot {
 }
 
 /// Shared counters updated by the accept loop and handler threads, living
-/// on a private `adv-obs` [`Registry`].
+/// on a private `adv-profile` [`Registry`].
 #[derive(Debug)]
 pub struct NetMetrics {
     registry: Arc<Registry>,
@@ -165,7 +165,7 @@ impl NetMetrics {
         self.active_connections.set(n as f64);
     }
 
-    /// Raw `adv-obs` snapshot of the server registry, for the Prometheus
+    /// Raw `adv-profile` snapshot of the server registry, for the Prometheus
     /// and JSON exporters.
     pub fn obs_snapshot(&self) -> Snapshot {
         self.registry.snapshot()

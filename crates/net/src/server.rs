@@ -217,7 +217,7 @@ impl NetServer {
             let _ = handle.join();
         }
         let handles: Vec<JoinHandle<()>> = {
-            let mut guard = adv_obs::sync::lock_unpoisoned(&self.shared.handlers);
+            let mut guard = adv_profile::sync::lock_unpoisoned(&self.shared.handlers);
             guard.drain(..).collect()
         };
         for handle in handles {
@@ -304,7 +304,7 @@ fn refuse_or_spawn(shared: &Arc<ServerShared>, mut stream: TcpStream, conn: u64)
     };
     match handle {
         Ok(handle) => {
-            let mut guard = adv_obs::sync::lock_unpoisoned(&shared.handlers);
+            let mut guard = adv_profile::sync::lock_unpoisoned(&shared.handlers);
             // Reap finished handlers so a long-lived server doesn't hoard
             // dead thread stacks; live ones stay for the shutdown join.
             let mut keep = Vec::with_capacity(guard.len() + 1);

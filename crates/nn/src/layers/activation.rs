@@ -162,6 +162,34 @@ mod tests {
         }
     }
 
+    /// Each activation's forward and backward pass over a whole batch
+    /// equals, bit for bit and row for row, the pass over that row alone.
+    #[test]
+    fn activations_are_batch_invariant() {
+        let shape = Shape::nchw(4, 3, 5, 5);
+        let x = Tensor::from_fn(shape.clone(), |i| ((i * 7919 % 211) as f32 - 105.0) * 0.037);
+        let dy = Tensor::from_fn(shape, |i| ((i * 104729 % 97) as f32 - 48.0) * 0.021);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for act in [Activation::Relu, Activation::Sigmoid, Activation::Tanh] {
+            let pass = |x: &Tensor, dy: &Tensor| {
+                let mut l = ActivationLayer::new(act);
+                let y = l.forward(x, Mode::Train).unwrap();
+                vec![y, l.backward(dy).unwrap()]
+            };
+            let batch = pass(&x, &dy);
+            for r in 0..x.shape().dim(0) {
+                let row = |t: &Tensor| t.slice_axis0(r, r + 1).unwrap();
+                for (i, (whole, alone)) in batch.iter().zip(pass(&row(&x), &row(&dy))).enumerate() {
+                    assert_eq!(
+                        bits(&row(whole)),
+                        bits(&alone),
+                        "{act:?} output {i}, row {r}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn backward_before_forward_errors() {
         let mut l = ActivationLayer::new(Activation::Sigmoid);

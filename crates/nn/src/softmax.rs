@@ -144,6 +144,33 @@ mod tests {
         }
     }
 
+    /// Each row-wise kernel run on a whole batch equals, bit for bit and
+    /// row for row, the kernel run on that row alone, at the JSD
+    /// detectors' temperatures too.
+    #[test]
+    fn row_kernels_are_batch_invariant() {
+        let (n, k) = (6, 10);
+        let logits = Tensor::from_fn(Shape::matrix(n, k), |i| {
+            ((i * 7919 % 211) as f32 - 105.0) * 0.07
+        });
+        let kernels = |l: &Tensor| {
+            vec![
+                softmax_rows(l).unwrap(),
+                softmax_rows_with_temperature(l, 10.0).unwrap(),
+                softmax_rows_with_temperature(l, 40.0).unwrap(),
+                log_softmax_rows(l).unwrap(),
+            ]
+        };
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let batch = kernels(&logits);
+        for r in 0..n {
+            let row = |t: &Tensor| t.slice_axis0(r, r + 1).unwrap();
+            for (i, (whole, alone)) in batch.iter().zip(kernels(&row(&logits))).enumerate() {
+                assert_eq!(bits(&row(whole)), bits(&alone), "kernel {i}, row {r}");
+            }
+        }
+    }
+
     #[test]
     fn rejects_bad_temperature_and_rank() {
         let l = Tensor::zeros(Shape::matrix(1, 2));

@@ -16,26 +16,26 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-/// Cached `adv-obs` handles for one training loop, resolved once so the
+/// Cached `adv-profile` handles for one training loop, resolved once so the
 /// per-batch path never touches the registry map. `None` when metrics are
 /// disabled; recording never perturbs the numerics (it only reads clocks
 /// and bumps atomics).
 struct TrainObs {
-    loss: std::sync::Arc<adv_obs::Gauge>,
-    accuracy: std::sync::Arc<adv_obs::Gauge>,
-    epochs: std::sync::Arc<adv_obs::Counter>,
-    batches: std::sync::Arc<adv_obs::Counter>,
-    epoch_ns: std::sync::Arc<adv_obs::Histogram>,
-    batch_ns: std::sync::Arc<adv_obs::Histogram>,
+    loss: std::sync::Arc<adv_profile::Gauge>,
+    accuracy: std::sync::Arc<adv_profile::Gauge>,
+    epochs: std::sync::Arc<adv_profile::Counter>,
+    batches: std::sync::Arc<adv_profile::Counter>,
+    epoch_ns: std::sync::Arc<adv_profile::Histogram>,
+    batch_ns: std::sync::Arc<adv_profile::Histogram>,
 }
 
 impl TrainObs {
     /// `kind` is `"classifier"` or `"autoencoder"`.
     fn resolve(kind: &str) -> Option<TrainObs> {
-        if !adv_obs::metrics_enabled() {
+        if !adv_profile::metrics_enabled() {
             return None;
         }
-        let r = adv_obs::global();
+        let r = adv_profile::global();
         Some(TrainObs {
             loss: r.gauge(&format!("train.{kind}.loss")),
             accuracy: r.gauge(&format!("train.{kind}.accuracy")),
@@ -137,7 +137,7 @@ fn try_resume(
     let mut history = saved.history;
     history.truncate(start);
     if start > 0 {
-        adv_store::bump_counter(adv_store::metric_names::RESUMES);
+        adv_profile::count(adv_store::metric_names::RESUMES, 1);
         if cfg.verbose {
             eprintln!("resumed from checkpoint at epoch {start}");
         }

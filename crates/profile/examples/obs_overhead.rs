@@ -2,7 +2,7 @@
 //! points switched on, timed in one process.
 //!
 //! Below `ObsLevel::Trace` every [`StageScope::enter`], and below
-//! `ObsLevel::Metrics` every `adv_obs::metrics_enabled()` gate, is one
+//! `ObsLevel::Metrics` every `adv_profile::metrics_enabled()` gate, is one
 //! relaxed load and a predictable branch: cheap enough to leave in the EAD
 //! ISTA loop and the training batch loop. Each round times every side's
 //! 4096-call loop once, so host drift reaches all four alike. The program
@@ -11,7 +11,7 @@
 //!
 //! `cargo run --release -p adv-profile --example obs_overhead`
 
-use adv_obs::ObsLevel;
+use adv_profile::ObsLevel;
 use adv_profile::StageScope;
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -28,14 +28,14 @@ const METRICS_LIMIT: f64 = 0.25;
     reason = "timing the instrumentation points is this program's purpose"
 )]
 fn time(level: ObsLevel, body: &dyn Fn()) -> f64 {
-    adv_obs::set_level(level);
+    adv_profile::set_level(level);
     let start = Instant::now();
     body();
     start.elapsed().as_nanos() as f64
 }
 
 fn main() -> ExitCode {
-    let counter = adv_obs::global().counter("bench.obs_overhead");
+    let counter = adv_profile::global().counter("bench.obs_overhead");
     let spans = || {
         for _ in 0..CALLS {
             let _guard = StageScope::enter(black_box("bench/span"));
@@ -43,7 +43,7 @@ fn main() -> ExitCode {
     };
     let gate = || {
         for _ in 0..CALLS {
-            if adv_obs::metrics_enabled() {
+            if adv_profile::metrics_enabled() {
                 counter.incr();
             }
         }
@@ -62,7 +62,7 @@ fn main() -> ExitCode {
         // Drained outside the timed loops, so the span sink never saturates.
         black_box(adv_profile::take_spans());
     }
-    adv_obs::set_level(ObsLevel::Off);
+    adv_profile::set_level(ObsLevel::Off);
 
     let mut median = Vec::new();
     for (samples, (name, ..)) in ns.iter_mut().zip(&sides) {

@@ -18,8 +18,8 @@
 //! rather than stalls the worker. Explicit flushes and thread exit wait
 //! for the lock, so a joined thread's tail is never lost.
 
+use crate::sync::lock_unpoisoned;
 use crate::trace::TraceSpan;
-use adv_obs::sync::lock_unpoisoned;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -244,7 +244,7 @@ pub(crate) fn stack_sink() -> &'static StackSink {
 /// The instant all span offsets are measured from (first use wins).
 #[expect(
     clippy::disallowed_methods,
-    reason = "reached only from frame entry/exit and record_event, all behind the enabled() gate; profiling timestamps are the feature."
+    reason = "reached only from frame entry/exit and record_event, all behind the trace_enabled() gate; profiling timestamps are the feature."
 )]
 pub(crate) fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -252,7 +252,7 @@ pub(crate) fn epoch() -> Instant {
 }
 
 /// Locks `mutex`: waiting when `wait`, otherwise only if uncontended
-/// (poison is recovered either way, see `adv_obs::sync`).
+/// (poison is recovered either way, see `crate::sync`).
 pub(crate) fn acquire<T>(mutex: &Mutex<T>, wait: bool) -> Option<MutexGuard<'_, T>> {
     if wait {
         return Some(lock_unpoisoned(mutex));
@@ -358,7 +358,7 @@ thread_local! {
 #[inline(never)]
 #[expect(
     clippy::disallowed_methods,
-    reason = "behind the enabled() gate at every scope entry; frame timing IS the feature here."
+    reason = "behind the trace_enabled() gate at every scope entry; frame timing IS the feature here."
 )]
 fn enter_frame(name: &'static str, kind: Option<KernelKind>, work: Work) -> bool {
     THREAD_PROF
@@ -521,10 +521,10 @@ pub struct KernelScope {
 
 impl KernelScope {
     /// Opens a kernel scope; a no-op (one relaxed load) below
-    /// [`adv_obs::ObsLevel::Trace`].
+    /// [`crate::ObsLevel::Trace`].
     #[inline]
     pub fn enter(kind: KernelKind, work: impl FnOnce() -> Work) -> KernelScope {
-        if !crate::enabled() {
+        if !crate::trace_enabled() {
             return KernelScope { active: false };
         }
         KernelScope {
@@ -559,10 +559,10 @@ pub struct StageScope {
 
 impl StageScope {
     /// Opens a stage frame; a no-op (one relaxed load) below
-    /// [`adv_obs::ObsLevel::Trace`].
+    /// [`crate::ObsLevel::Trace`].
     #[inline]
     pub fn enter(name: &'static str) -> StageScope {
-        if !crate::enabled() {
+        if !crate::trace_enabled() {
             return StageScope { active: false };
         }
         StageScope {
@@ -593,7 +593,7 @@ mod tests {
     fn disabled_scopes_record_nothing() {
         let _guard = test_enabled_lock();
         // Disabling wins over a trace level set by `ADV_OBS` or `--obs`.
-        adv_obs::set_level(adv_obs::ObsLevel::Trace);
+        crate::set_level(crate::ObsLevel::Trace);
         crate::set_enabled(false);
         crate::reset();
         {

@@ -1,10 +1,10 @@
 //! Profile exports: the per-kernel achieved-rate table, the per-frame
 //! self/total/count summary, the collapsed-stack (flamegraph-compatible)
-//! dump, and gauges published into an `adv-obs` registry.
+//! dump, and gauges published into a [`Registry`].
 
 use crate::kernel::{self, KernelKind, StackMap};
-use adv_obs::sync::lock_unpoisoned;
-use adv_obs::Registry;
+use crate::sync::lock_unpoisoned;
+use crate::Registry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;

@@ -19,7 +19,7 @@
 //! resolves to a concrete span tree via [`spans_for`]/[`render_trace`]
 //! instead of a bucket count.
 
-use adv_obs::sync::lock_unpoisoned;
+use crate::sync::lock_unpoisoned;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +37,7 @@ const SPAN_LOCAL_CAP: usize = 4096;
 pub const MAX_TRACE_LINKS: usize = 1 << 14;
 
 /// A causal trace identity. `0` is the null id ("not traced"): minting is
-/// gated on [`crate::enabled`], so untraced deployments pay one relaxed
+/// gated on [`crate::trace_enabled`], so untraced deployments pay one relaxed
 /// load per submit and every id stays 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TraceId(u64);
@@ -83,7 +83,7 @@ pub struct TraceSpan {
 /// Mints a fresh trace id, or [`TraceId::NONE`] while profiling is off.
 #[inline]
 pub fn next_trace_id() -> TraceId {
-    if !crate::enabled() {
+    if !crate::trace_enabled() {
         return TraceId::NONE;
     }
     static NEXT: AtomicU64 = AtomicU64::new(1);
@@ -166,7 +166,7 @@ pub fn link(request: TraceId, batch: TraceId) {
 /// Records one explicit event of `dur_ns` ending roughly now (e.g. a
 /// request's queue wait) into `trace`. No-op for the null id.
 pub fn record_event(trace: TraceId, name: &'static str, dur_ns: u64) {
-    if trace.is_none() || !crate::enabled() {
+    if trace.is_none() || !crate::trace_enabled() {
         return;
     }
     let now_ns = crate::kernel::epoch().elapsed().as_nanos() as u64;
@@ -193,7 +193,7 @@ pub struct TraceGuard {
 /// kernel/stage scope completing on this thread is also recorded as a
 /// [`TraceSpan`] of `trace`. Null ids (or profiling off) activate nothing.
 pub fn record_into(trace: TraceId) -> TraceGuard {
-    if trace.is_none() || !crate::enabled() {
+    if trace.is_none() || !crate::trace_enabled() {
         return TraceGuard {
             previous: 0,
             active: false,
@@ -210,7 +210,7 @@ pub fn record_into(trace: TraceId) -> TraceGuard {
 /// helper threads passes it to their own [`record_into`], so their spans
 /// join the caller's trace.
 pub fn active_trace() -> TraceId {
-    if !crate::enabled() {
+    if !crate::trace_enabled() {
         return TraceId::NONE;
     }
     TraceId(crate::kernel::thread_trace())
@@ -227,7 +227,7 @@ impl Drop for TraceGuard {
 fn exemplar_slots() -> &'static [AtomicU64] {
     static SLOTS: OnceLock<Vec<AtomicU64>> = OnceLock::new();
     SLOTS.get_or_init(|| {
-        (0..=adv_obs::DURATION_BOUNDS_NS.len())
+        (0..=crate::DURATION_BOUNDS_NS.len())
             .map(|_| AtomicU64::new(0))
             .collect()
     })
@@ -241,7 +241,7 @@ pub fn observe_latency(latency_ns: u64, trace: TraceId) {
         return;
     }
     let v = latency_ns as f64;
-    let idx = adv_obs::DURATION_BOUNDS_NS.partition_point(|&b| b < v);
+    let idx = crate::DURATION_BOUNDS_NS.partition_point(|&b| b < v);
     if let Some(slot) = exemplar_slots().get(idx) {
         // lint-ok(ordering-justified): last-writer-wins exemplar cell; the
         // id is self-contained and readers tolerate any published value.
@@ -263,7 +263,7 @@ pub fn latency_exemplars() -> Vec<(f64, u64)> {
             if id == 0 {
                 return None;
             }
-            let le = adv_obs::DURATION_BOUNDS_NS
+            let le = crate::DURATION_BOUNDS_NS
                 .get(i)
                 .copied()
                 .unwrap_or(f64::INFINITY);
@@ -360,7 +360,7 @@ pub fn spans_to_jsonl(spans: &[TraceSpan]) -> String {
         let _ = writeln!(
             out,
             "{{\"name\":{},\"trace\":{},\"thread\":{},\"depth\":{},\"start_ns\":{},\"duration_ns\":{}}}",
-            adv_obs::registry::json_string(s.name),
+            crate::registry::json_string(s.name),
             s.trace,
             s.thread,
             s.depth,

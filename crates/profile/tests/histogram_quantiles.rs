@@ -3,7 +3,7 @@
 //! p0/p100 extremes — the inputs where bucketed quantiles are easiest to
 //! get off by one.
 
-use adv_obs::{Histogram, DURATION_BOUNDS_NS, SCORE_BOUNDS};
+use adv_profile::{Histogram, DURATION_BOUNDS_NS, SCORE_BOUNDS};
 
 #[test]
 fn empty_histogram_reports_zero_everywhere() {

@@ -1,5 +1,5 @@
 //! Model checks for the metrics registry's lock-free record paths, run with
-//! `RUSTFLAGS="--cfg loom" cargo test -p adv-obs --test loom`.
+//! `RUSTFLAGS="--cfg loom" cargo test -p adv-profile --test loom`.
 //!
 //! The registry's handles are Relaxed atomics on the record path (every
 //! site carries a `lint-ok(ordering-justified)` rationale); these checks
@@ -9,7 +9,7 @@
 
 #![cfg(loom)]
 
-use adv_obs::Registry;
+use adv_profile::Registry;
 use std::sync::Arc;
 
 /// Concurrent `add`s on one counter always sum exactly: the saturating

@@ -17,7 +17,7 @@
 //! * Each [`ServeResponse`] carries the verdict plus the batch's per-stage
 //!   [`adv_magnet::StageTimings`] and queue wait; engine-wide counters
 //!   (throughput, rejects, p50/p99 latency, queue depth) come from
-//!   [`ServeEngine::metrics`]. The counters live on a private `adv-obs`
+//!   [`ServeEngine::metrics`]. The counters live on a private `adv-profile`
 //!   registry, so [`ServeEngine::metrics_prometheus`] /
 //!   [`ServeEngine::metrics_json`] export them through the same pipeline
 //!   the training and attack telemetry uses; with `ADV_OBS=trace` the

@@ -1,14 +1,14 @@
-//! Serving metrics on the shared `adv-obs` registry: atomic counters on the
+//! Serving metrics on the shared `adv-profile` registry: atomic counters on the
 //! hot path, one fixed-bucket histogram sample per completed request.
 //!
 //! The engine owns a private [`Registry`] (so two engines in one process
 //! never cross-count) and always records into it regardless of the global
-//! `adv-obs` level — these counters back the engine's own
+//! `adv-profile` level — these counters back the engine's own
 //! [`MetricsSnapshot`] API, they are not optional telemetry. Latency
 //! percentiles come from the registry histogram's nearest-rank quantiles:
 //! accurate to one power-of-two bucket, exact at the observed extremes.
 
-use adv_obs::{Counter, Gauge, Histogram, Registry, Snapshot};
+use adv_profile::{Counter, Gauge, Histogram, Registry, Snapshot};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -62,7 +62,7 @@ pub struct MetricsSnapshot {
 }
 
 /// Shared counters updated by submitters and workers, living on a private
-/// `adv-obs` [`Registry`].
+/// `adv-profile` [`Registry`].
 #[derive(Debug)]
 pub(crate) struct ServeMetrics {
     registry: Arc<Registry>,
@@ -182,7 +182,7 @@ impl ServeMetrics {
         self.breaker_closed.incr();
     }
 
-    /// Raw `adv-obs` snapshot of the engine registry, for the Prometheus and
+    /// Raw `adv-profile` snapshot of the engine registry, for the Prometheus and
     /// JSON exporters.
     pub fn obs_snapshot(&self) -> Snapshot {
         self.registry.snapshot()

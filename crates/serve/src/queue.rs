@@ -11,7 +11,7 @@
 //! batch up behind it. Each batch comes with a [`Pass`] guard that counts
 //! as running until it drops.
 
-use adv_obs::sync::unpoison;
+use adv_profile::sync::unpoison;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 

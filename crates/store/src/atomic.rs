@@ -14,7 +14,6 @@
 //! of the same artifact cleans up.
 
 use crate::faults::{self, WriteFault};
-use crate::obs;
 use crate::{metric_names, Result, StoreError};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -77,7 +76,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<()> {
     })();
     match result {
         Ok(()) => {
-            obs::bump(metric_names::ATOMIC_RENAMES);
+            adv_profile::count(metric_names::ATOMIC_RENAMES, 1);
             Ok(())
         }
         Err(e) => {

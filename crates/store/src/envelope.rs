@@ -17,7 +17,6 @@
 
 use crate::codec::{DecodeError, Reader, Writer};
 use crate::crc::crc32;
-use crate::obs;
 
 /// The envelope magic.
 pub const ENVELOPE_MAGIC: &[u8; 8] = b"ADVSTOR1";
@@ -60,7 +59,7 @@ pub fn open_envelope(data: &[u8]) -> Result<&[u8], DecodeError> {
     }
     let payload = r.bytes(r.remaining())?;
     if crc32(payload) != stored_crc {
-        obs::bump(crate::metric_names::CRC_FAILURES);
+        adv_profile::count(crate::metric_names::CRC_FAILURES, 1);
         return Err(r.fail("a payload matching the header's crc32"));
     }
     Ok(payload)

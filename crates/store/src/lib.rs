@@ -29,7 +29,7 @@
 //!   transient error) used by `adv-chaos` to prove, under seeded fault
 //!   schedules, that no injected corruption goes undetected.
 //!
-//! The crate has no dependencies beyond `adv-obs` and performs no clock
+//! The crate has no dependencies beyond `adv-profile` and performs no clock
 //! reads; the fault-hook check costs each write one uncontended read lock.
 
 #![forbid(unsafe_code)]
@@ -51,7 +51,6 @@ pub mod journal;
 pub mod manifest;
 
 mod crc;
-mod obs;
 
 pub use atomic::atomic_write;
 pub use crc::crc32;
@@ -63,7 +62,9 @@ pub use manifest::RunManifest;
 use std::path::{Path, PathBuf};
 
 /// Metric names this crate (and the callers it serves) publish through
-/// `adv-obs`. Exported so CI schema checks and tests can grep for them.
+/// [`adv_profile::count`]. Exported so CI schema checks and tests can grep
+/// for them, and so the crates that own a counter's semantics (e.g.
+/// `store.resumes` in the training loop) report through the same names.
 pub mod metric_names {
     /// Successful atomic temp-write-fsync-rename sequences.
     pub const ATOMIC_RENAMES: &str = "store.atomic_renames";
@@ -77,13 +78,6 @@ pub mod metric_names {
     pub const STAGES_SKIPPED: &str = "store.stages_skipped";
     /// Cache entries rejected on load (corrupt, undecodable or mismatched).
     pub const CACHE_REJECTS: &str = "store.cache_rejects";
-}
-
-/// Bumps a `store.*` counter when metrics are enabled. Public so the crates
-/// that own the *semantics* of a counter (e.g. `store.resumes` in the
-/// training loop) can report through the same names.
-pub fn bump_counter(name: &str) {
-    obs::bump(name);
 }
 
 /// Errors surfaced by the artifact store.
@@ -204,7 +198,7 @@ pub fn quarantine(path: &Path) {
     name.push(".corrupt");
     let target = path.with_file_name(name);
     if std::fs::rename(path, &target).is_ok() {
-        obs::bump(metric_names::QUARANTINED);
+        adv_profile::count(metric_names::QUARANTINED, 1);
     }
 }
 

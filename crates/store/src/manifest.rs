@@ -80,7 +80,7 @@ impl RunManifest {
         E: From<crate::StoreError>,
     {
         if self.is_done(stage) {
-            crate::bump_counter(metric_names::STAGES_SKIPPED);
+            adv_profile::count(metric_names::STAGES_SKIPPED, 1);
             return Ok(true);
         }
         f()?;

@@ -57,8 +57,6 @@ pub mod replay;
 pub mod row;
 pub mod store;
 
-mod obs;
-
 pub use chunk::{Chunk, ChunkStats};
 pub use query::{drift_windows, query, QueryResult, RowFilter, ScoreSketch, WindowAggregate};
 pub use recorder::{RecorderConfig, TelemetryRecorder, TelemetrySink};
@@ -68,7 +66,7 @@ pub use store::{ChunkReader, ChunkStore, ManifestEntry};
 
 use std::path::PathBuf;
 
-/// Metric names this crate publishes through `adv-obs`. Exported so CI
+/// Metric names this crate publishes through `adv-profile`. Exported so CI
 /// schema checks and tests can grep for them.
 pub mod metric_names {
     /// Rows appended to the open chunk by the writer.

@@ -11,7 +11,7 @@
 use crate::chunk::ChunkStats;
 use crate::row::scheme_code;
 use crate::store::ChunkReader;
-use crate::{metric_names, obs, Result, TelemetryError, TelemetryRow, MAX_DETECTORS};
+use crate::{metric_names, Result, TelemetryError, TelemetryRow, MAX_DETECTORS};
 use adv_magnet::{DefenseScheme, Verdict};
 use std::ops::Range;
 
@@ -132,7 +132,7 @@ where
     for entry in reader.entries() {
         if filter.prunes(&entry.stats, range) {
             out.chunks_pruned += 1;
-            obs::bump(metric_names::QUERY_CHUNKS_PRUNED);
+            adv_profile::count(metric_names::QUERY_CHUNKS_PRUNED, 1);
             continue;
         }
         let chunk = match reader.load_chunk(entry) {
@@ -156,8 +156,8 @@ where
     Ok(())
 }
 
-/// A fixed-bucket quantile sketch of detector scores on `adv-obs`'s 1–2–5
-/// decade ladder ([`adv_obs::SCORE_BOUNDS`]). Nearest-rank quantiles come
+/// A fixed-bucket quantile sketch of detector scores on `adv-profile`'s 1–2–5
+/// decade ladder ([`adv_profile::SCORE_BOUNDS`]). Nearest-rank quantiles come
 /// back as the upper bound of the selected bucket, clamped to the observed
 /// min/max — the same contract as the obs histograms, cheap enough to keep
 /// one per window per detector.
@@ -172,7 +172,7 @@ pub struct ScoreSketch {
 impl Default for ScoreSketch {
     fn default() -> ScoreSketch {
         ScoreSketch {
-            counts: vec![0; adv_obs::SCORE_BOUNDS.len() + 1],
+            counts: vec![0; adv_profile::SCORE_BOUNDS.len() + 1],
             total: 0,
             min: f32::INFINITY,
             max: f32::NEG_INFINITY,
@@ -183,10 +183,10 @@ impl Default for ScoreSketch {
 impl ScoreSketch {
     /// Records one score.
     pub fn record(&mut self, score: f32) {
-        let bucket = adv_obs::SCORE_BOUNDS
+        let bucket = adv_profile::SCORE_BOUNDS
             .iter()
             .position(|&b| f64::from(score) <= b)
-            .unwrap_or(adv_obs::SCORE_BOUNDS.len());
+            .unwrap_or(adv_profile::SCORE_BOUNDS.len());
         if let Some(slot) = self.counts.get_mut(bucket) {
             *slot += 1;
         }
@@ -222,7 +222,7 @@ impl ScoreSketch {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                let upper = adv_obs::SCORE_BOUNDS
+                let upper = adv_profile::SCORE_BOUNDS
                     .get(i)
                     .copied()
                     .unwrap_or(f64::from(self.max)) as f32;

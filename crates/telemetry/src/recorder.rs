@@ -13,7 +13,7 @@
 //! and counted rather than letting memory grow without bound.
 
 use crate::store::ChunkStore;
-use crate::{metric_names, obs, Result, TelemetryError, TelemetryRow};
+use crate::{metric_names, Result, TelemetryError, TelemetryRow};
 use adv_serve::{ResponseObserver, ServedRecord};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,7 +69,7 @@ impl TelemetrySink {
             // counter with no other state depending on its value; Relaxed
             // suffices.
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            obs::bump(metric_names::ROWS_DROPPED);
+            adv_profile::count(metric_names::ROWS_DROPPED, 1);
         }
     }
 
@@ -224,7 +224,7 @@ fn writer_loop(mut store: ChunkStore, rx: &mpsc::Receiver<Msg>, chunk_rows: usiz
                     eprintln!("[adv-telemetry] seal failed (will retry): {e}");
                     if store.open_rows() >= cap {
                         let lost = store.discard_open();
-                        obs::add(metric_names::ROWS_DROPPED, lost as u64);
+                        adv_profile::count(metric_names::ROWS_DROPPED, lost as u64);
                         eprintln!(
                             "[adv-telemetry] open chunk exceeded {cap} rows under seal failures; dropped {lost} buffered rows"
                         );

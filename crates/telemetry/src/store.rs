@@ -23,7 +23,7 @@
 
 use crate::chunk::{Chunk, ChunkStats, STATS_BYTES};
 use crate::row::TelemetryRow;
-use crate::{metric_names, obs, Result, TelemetryError};
+use crate::{metric_names, Result, TelemetryError};
 use adv_store::codec::{DecodeError, Reader, Writer};
 use adv_store::Journal;
 use std::path::{Path, PathBuf};
@@ -80,7 +80,7 @@ fn decode_manifest(records: &[Vec<u8>], path: &Path) -> Vec<ManifestEntry> {
         match ManifestEntry::decode(record) {
             Ok(entry) => entries.push(entry),
             Err(reason) => {
-                obs::bump(metric_names::CRC_FAILURES);
+                adv_profile::count(metric_names::CRC_FAILURES, 1);
                 eprintln!(
                     "[adv-telemetry] rejecting manifest record {i} in {}: {reason}",
                     path.display()
@@ -158,7 +158,7 @@ impl ChunkStore {
     /// bounded-retry policy.
     pub fn append(&mut self, row: &TelemetryRow) -> Result<()> {
         self.open.push(row);
-        obs::bump(metric_names::ROWS_RECORDED);
+        adv_profile::count(metric_names::ROWS_RECORDED, 1);
         if self.open.len() >= self.chunk_rows {
             self.seal()?;
         }
@@ -189,7 +189,7 @@ impl ChunkStore {
         self.next_seq = seq + 1;
         self.sealed += 1;
         self.open = Chunk::with_capacity(self.chunk_rows);
-        obs::bump(metric_names::CHUNKS_SEALED);
+        adv_profile::count(metric_names::CHUNKS_SEALED, 1);
         Ok(Some(seq))
     }
 
@@ -259,7 +259,7 @@ impl ChunkReader {
         let path = chunk_path(&self.dir, entry.seq);
         let payload = adv_store::load_artifact(&path).map_err(|e| {
             if matches!(e, adv_store::StoreError::Corrupt { .. }) {
-                obs::bump(metric_names::CRC_FAILURES);
+                adv_profile::count(metric_names::CRC_FAILURES, 1);
                 eprintln!(
                     "[adv-telemetry] chunk {} failed envelope validation: {e}",
                     path.display()
@@ -268,7 +268,7 @@ impl ChunkReader {
             TelemetryError::Store(e)
         })?;
         let reject = |reason: String| {
-            obs::bump(metric_names::CRC_FAILURES);
+            adv_profile::count(metric_names::CRC_FAILURES, 1);
             adv_store::quarantine(&path);
             eprintln!(
                 "[adv-telemetry] quarantining undecodable chunk {}: {reason}",

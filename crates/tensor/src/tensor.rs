@@ -714,6 +714,40 @@ mod tests {
         assert!(t.slice_axis0(3, 2).is_err());
     }
 
+    /// Every elementwise kernel run on a whole batch equals, bit for bit and
+    /// row for row, the kernel run on that row alone. A row holds 75
+    /// elements, so a vectorized body with a scalar tail would split the
+    /// batch and a lone row at different elements.
+    #[test]
+    fn elementwise_kernels_are_batch_invariant() {
+        let shape = Shape::nchw(5, 3, 5, 5);
+        let x = Tensor::from_fn(shape.clone(), |i| ((i * 7919 % 211) as f32 - 105.0) * 0.013);
+        let y = Tensor::from_fn(shape, |i| ((i * 104729 % 97) as f32 - 48.0) * 0.021);
+        let kernels = |x: &Tensor, y: &Tensor| {
+            let mut axpy = x.clone();
+            axpy.add_scaled_assign(y, -0.37).unwrap();
+            let mut scaled = x.clone();
+            scaled.scale_assign(1.7);
+            vec![
+                x.map(|v| 1.0 / (1.0 + (-v).exp())),
+                x.map(f32::tanh),
+                x.clamp(-0.5, 0.5),
+                x.zip_map(y, |a, b| a * b + b).unwrap(),
+                axpy,
+                scaled,
+            ]
+        };
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let batch = kernels(&x, &y);
+        for r in 0..x.shape().dim(0) {
+            let row = |t: &Tensor| t.slice_axis0(r, r + 1).unwrap();
+            let alone = kernels(&row(&x), &row(&y));
+            for (i, (whole, alone)) in batch.iter().zip(&alone).enumerate() {
+                assert_eq!(bits(&row(whole)), bits(alone), "kernel {i}, row {r}");
+            }
+        }
+    }
+
     #[test]
     fn concat0_joins_batches() {
         let a = t(&[1.0, 2.0], &[1, 2]);

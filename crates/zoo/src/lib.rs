@@ -29,7 +29,7 @@
 //!   engine and a full zoo are interchangeable behind the wire protocol.
 //!
 //! `zoo.*` metrics (promotions, rollbacks, shadow mismatches, blob
-//! rejects, routing epoch) live on a private `adv-obs` registry; per-
+//! rejects, routing epoch) live on a private `adv-profile` registry; per-
 //! request serving counters stay on each shard's own `serve.*` registry,
 //! and per-variant accounting identities survive hot swaps via retired-
 //! shard totals ([`adv_serve::VariantRouter::variant_metrics`]).

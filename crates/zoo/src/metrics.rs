@@ -1,4 +1,4 @@
-//! Zoo-level counters on a private `adv-obs` registry: promotion outcomes,
+//! Zoo-level counters on a private `adv-profile` registry: promotion outcomes,
 //! shadow parity, blob hygiene, and routing-table state.
 //!
 //! Per-request serving counters stay on each shard's own engine registry
@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use adv_obs::{Counter, Gauge, Registry, Snapshot};
+use adv_profile::{Counter, Gauge, Registry, Snapshot};
 
 /// Point-in-time view of the zoo counters, from
 /// [`ModelZoo::stats`](crate::ModelZoo::stats).
@@ -73,7 +73,7 @@ impl Default for ZooMetrics {
 }
 
 impl ZooMetrics {
-    /// Raw `adv-obs` snapshot, for the Prometheus/JSON exporters.
+    /// Raw `adv-profile` snapshot, for the Prometheus/JSON exporters.
     pub(crate) fn obs_snapshot(&self) -> Snapshot {
         self.registry.snapshot()
     }

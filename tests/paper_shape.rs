@@ -2,9 +2,10 @@
 //!
 //! The smoke-scale tests assert only what is stable at tiny scale (attacks
 //! craft, pipelines run, curves are well-formed). The `#[ignore]`d test runs
-//! at the default `quick` scale (~10 minutes on one core) and asserts the
-//! actual paper shape — run it manually with
-//! `cargo test --release --test paper_shape -- --ignored`.
+//! at the default `quick` scale and asserts the actual paper shape. Under the
+//! test profile it takes ~28 s on 2 vCPUs when it trains from an empty
+//! `models/` cache — run it manually with
+//! `cargo test --test paper_shape -- --ignored`.
 
 use magnet_l1::eval::config::Scale;
 use magnet_l1::eval::sweep::{AttackKind, SweepRunner};
@@ -65,7 +66,7 @@ fn smoke_ead_crafts_adversarial_examples() {
 /// MagNet holds C&W above the level it holds EAD to, with a real gap at the
 /// medium confidence levels.
 #[test]
-#[ignore = "quick-scale: ~10 minutes on one core; run with -- --ignored"]
+#[ignore = "quick-scale: ~28 s on 2 vCPUs from an empty models/ cache; run with -- --ignored"]
 fn mnist_ead_beats_cw_against_default_magnet() {
     let zoo = Zoo::new("models", Scale::quick());
     let mut runner = SweepRunner::new(&zoo, Scenario::Mnist).unwrap();
