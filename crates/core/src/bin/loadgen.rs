@@ -30,7 +30,6 @@
 //! Knobs: `LOADGEN_TENANTS` (default 1000), `LOADGEN_THREADS` (default
 //! 16), `LOADGEN_SEED` (default 7), plus the usual `--scale`/`--models`.
 
-use adv_chaos::{FaultInjector, FaultPlan, FaultyDefense, SiteFaults, SITE_REFORM};
 use adv_eval::config::CliArgs;
 use adv_eval::sweep::{AttackKind, SweepRunner};
 use adv_eval::zoo::{Scenario, Variant, Zoo};
@@ -39,7 +38,10 @@ use adv_net::{
     derived_key, BusyReason, ClientConfig, NetClient, NetMetricsSnapshot, NetServer,
     NetServerConfig, Reply, TenantPolicy,
 };
-use adv_serve::{ServeConfig, ServeEngine, VariantRouter, DEFAULT_VARIANT};
+use adv_serve::{
+    FaultInjector, FaultPlan, FaultyDefense, ServeConfig, ServeEngine, SiteFaults, VariantRouter,
+    DEFAULT_VARIANT, SITE_REFORM,
+};
 use adv_tensor::Tensor;
 use adv_zoo::{ModelZoo, NullLoader, ZooConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -24,9 +24,8 @@
 //! function of blob seed and input), so parity across kill/recover cycles
 //! is exact and needs no model files.
 
-use adv_chaos::{FaultInjector, FaultPlan, SiteFaults};
 use adv_magnet::{DefensePipeline, DefenseScheme, StageTimings, Verdict};
-use adv_serve::{RequestTag, ServeConfig, VariantRouter};
+use adv_serve::{FaultInjector, FaultPlan, RequestTag, ServeConfig, SiteFaults, VariantRouter};
 use adv_tensor::{Shape, Tensor};
 use adv_zoo::{ModelZoo, PipelineLoader, PromotionStage, WeightBlob, ZooConfig, ZooError};
 use std::path::PathBuf;

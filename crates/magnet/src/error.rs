@@ -17,7 +17,7 @@ pub enum MagnetError {
     /// An invalid configuration (e.g. FPR outside `(0, 1)`).
     InvalidArgument(String),
     /// A named pipeline stage failed while executing a batch (used by
-    /// pipeline wrappers, e.g. deterministic fault injection in `adv-chaos`).
+    /// pipeline wrappers, e.g. deterministic fault injection in `adv-serve`).
     Stage {
         /// The stage (injection site) that failed, e.g. `magnet/reform`.
         stage: String,

@@ -25,9 +25,9 @@
 //!   engine's `Draining` health state).
 //! * [`NetClient`] — the matching blocking client used by the tests, the
 //!   `loadgen` binary, and the roundtrip bench.
-//! * [`FaultyStream`] — the chaos seam: wraps any stream and applies an
-//!   [`adv_chaos::NetFaultPlan`]'s seeded schedule of torn frames, bit
-//!   flips, stalls, and disconnects.
+//! * [`FaultyStream`] — the chaos seam: wraps any stream and applies a
+//!   [`NetFaultPlan`]'s seeded schedule of torn frames, bit flips, stalls,
+//!   and disconnects.
 //!
 //! Accounting identity, asserted by the net-chaos soak: every request the
 //! server *accepts* (admits into the engine) is answered exactly once —
@@ -56,7 +56,7 @@ mod metrics;
 mod server;
 
 pub use client::{ClientConfig, NetClient, Reply, ServerStatus};
-pub use fault::{FaultyStream, NetStream};
+pub use fault::{FaultyStream, NetFault, NetFaultPlan, NetFaultStats, NetStream};
 pub use frame::{
     decode_header, read_frame, write_frame, BusyReason, Frame, FrameError, WireErrorCode,
     FRAME_MAGIC, HEADER_LEN, MAX_ROUTES, PROTOCOL_VERSION,

@@ -26,12 +26,11 @@
 //! evicted. Idle connections (no first byte) are evicted after the idle
 //! timeout; both bounds also double as the drain-responsiveness bound.
 
-use crate::fault::{FaultyStream, NetStream};
+use crate::fault::{FaultyStream, NetFaultPlan, NetStream};
 use crate::frame::{decode_header, write_frame, Frame, FrameError, HEADER_LEN, PROTOCOL_VERSION};
 use crate::limits::{TenantPolicy, TenantTable, TokenBucket};
 use crate::metrics::{NetMetrics, NetMetricsSnapshot};
 use crate::{BusyReason, NetError, WireErrorCode};
-use adv_chaos::NetFaultPlan;
 use adv_serve::{EngineHealth, RequestTag, ServeError, VariantRouter};
 use adv_tensor::{Shape, Tensor};
 use std::net::{SocketAddr, TcpListener, TcpStream};

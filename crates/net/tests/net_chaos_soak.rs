@@ -1,5 +1,5 @@
 //! Seeded network-chaos soak: the real server loop behind a
-//! [`adv_chaos::NetFaultPlan`]-wrapped socket, hammered by tenant threads
+//! [`adv_net::NetFaultPlan`]-wrapped socket, hammered by tenant threads
 //! that tolerate torn frames, bit flips, stalls, and mid-request
 //! disconnects. Invariants checked after the storm:
 //!
@@ -22,9 +22,9 @@
 
 mod common;
 
-use adv_chaos::NetFaultPlan;
 use adv_net::{
-    derived_key, ClientConfig, NetClient, NetServer, NetServerConfig, Reply, TenantPolicy,
+    derived_key, ClientConfig, NetClient, NetFaultPlan, NetServer, NetServerConfig, Reply,
+    TenantPolicy,
 };
 use adv_serve::{ServeConfig, ServeEngine};
 use common::{item, stub_verdict, StubPipeline};

@@ -28,13 +28,13 @@
 //!   `None`, a single never-taken branch on the hot path.
 
 use crate::breaker::{BatchRole, Breaker, BreakerEvent};
+use crate::fault::FaultInjector;
 use crate::health::HealthState;
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::observe::{RequestTag, ResponseObserver, ServedRecord};
 use crate::queue::{BoundedQueue, PushError};
 use crate::{DegradePolicy, EngineHealth, RestartPolicy};
 use crate::{Result, ServeError};
-use adv_chaos::FaultInjector;
 use adv_magnet::{DefensePipeline, DefenseScheme, StageTimings, Verdict};
 use adv_profile::StageScope;
 use adv_profile::TraceId;

@@ -33,10 +33,9 @@
 //!   ([`DegradePolicy`]) degrades the defense scheme one
 //!   [`adv_magnet::DefenseScheme::fallback`] step at a time instead of
 //!   failing outright. [`ServeEngine::health`] summarises all of it as
-//!   Healthy / Degraded / Failed, and an `adv-chaos`
-//!   [`adv_chaos::FaultInjector`] can be plumbed in via
-//!   [`ServeConfig::injector`] to exercise every one of these paths
-//!   deterministically.
+//!   Healthy / Degraded / Failed, and a seeded [`FaultInjector`] (the
+//!   [`fault`] module) can be plumbed in via [`ServeConfig::injector`] to
+//!   exercise every one of these paths deterministically.
 //!
 //! Batching is exact, not approximate: a batch of `N` requests yields
 //! bit-identical verdicts to `N` serial
@@ -58,6 +57,7 @@
 
 mod breaker;
 mod engine;
+pub mod fault;
 mod health;
 mod metrics;
 pub mod observe;
@@ -66,6 +66,10 @@ pub mod router;
 
 pub use breaker::DegradePolicy;
 pub use engine::{PendingVerdict, ServeConfig, ServeEngine, ServeResponse, SITE_POLL};
+pub use fault::{
+    FaultAction, FaultError, FaultInjector, FaultPlan, FaultStats, FaultyDefense, SiteFaults,
+    PANIC_MARKER, SITE_CLASSIFY, SITE_DETECT, SITE_REFORM,
+};
 pub use health::{EngineHealth, RestartPolicy};
 pub use metrics::MetricsSnapshot;
 pub use observe::{RequestTag, ResponseObserver, ServedRecord};

@@ -20,15 +20,14 @@
 //! `CHAOS_METRICS_PATH` set, the final per-seed metrics JSON is written
 //! there for the CI artifact.
 
-use adv_chaos::{
-    FaultInjector, FaultPlan, FaultyDefense, PANIC_MARKER, SITE_CLASSIFY, SITE_DETECT, SITE_REFORM,
-};
 use adv_magnet::arch::{mnist_ae_two, mnist_classifier};
 use adv_magnet::{Autoencoder, MagnetDefense, ReconstructionDetector, ReconstructionNorm};
 use adv_nn::loss::ReconstructionLoss;
 use adv_nn::Sequential;
 use adv_serve::{
-    DegradePolicy, EngineHealth, RestartPolicy, ServeConfig, ServeEngine, ServeError, SITE_POLL,
+    DegradePolicy, EngineHealth, FaultInjector, FaultPlan, FaultyDefense, RestartPolicy,
+    ServeConfig, ServeEngine, ServeError, PANIC_MARKER, SITE_CLASSIFY, SITE_DETECT, SITE_POLL,
+    SITE_REFORM,
 };
 use adv_tensor::{Shape, Tensor};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -1,11 +1,8 @@
 //! Fault-tolerance behaviour of the serving engine, driven by the
-//! deterministic `adv-chaos` injector: deadline shedding, worker panic
+//! deterministic `adv_serve::fault` injector: deadline shedding, worker panic
 //! supervision and respawn, restart-budget exhaustion, abandoned-receiver
 //! accounting, and circuit-breaker degradation with probe recovery.
 
-use adv_chaos::{
-    FaultInjector, FaultPlan, FaultyDefense, SiteFaults, PANIC_MARKER, SITE_CLASSIFY, SITE_REFORM,
-};
 use adv_magnet::arch::{mnist_ae_two, mnist_classifier};
 use adv_magnet::{
     Autoencoder, DefenseScheme, Detector, InferenceCache, MagnetDefense, ReconstructionDetector,
@@ -14,7 +11,9 @@ use adv_magnet::{
 use adv_nn::loss::ReconstructionLoss;
 use adv_nn::Sequential;
 use adv_serve::{
-    DegradePolicy, EngineHealth, RestartPolicy, ServeConfig, ServeEngine, ServeError, SITE_POLL,
+    DegradePolicy, EngineHealth, FaultInjector, FaultPlan, FaultyDefense, RestartPolicy,
+    ServeConfig, ServeEngine, ServeError, SiteFaults, PANIC_MARKER, SITE_CLASSIFY, SITE_POLL,
+    SITE_REFORM,
 };
 use adv_tensor::{Shape, Tensor};
 use std::sync::{Arc, Once};

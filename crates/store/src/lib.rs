@@ -26,8 +26,9 @@
 //! * [`RunManifest`] — a journal of completed pipeline stages, letting
 //!   `reproduce_all` skip finished stages on rerun.
 //! * [`faults`] — an injectable I/O fault hook (torn write, bit flip,
-//!   transient error) used by `adv-chaos` to prove, under seeded fault
-//!   schedules, that no injected corruption goes undetected.
+//!   transient error) and [`IoFaultPlan`], its seeded schedule, which prove
+//!   that no injected corruption goes undetected; plus the seeded draw the
+//!   serving and socket fault plans share.
 //!
 //! The crate has no dependencies beyond `adv-profile` and performs no clock
 //! reads; the fault-hook check costs each write one uncontended read lock.
@@ -55,7 +56,9 @@ mod crc;
 pub use atomic::atomic_write;
 pub use crc::crc32;
 pub use envelope::{open_envelope, seal_envelope, ENVELOPE_MAGIC, ENVELOPE_OVERHEAD};
-pub use faults::{install_fault_hook, FaultHookGuard, IoFaultHook, WriteFault};
+pub use faults::{
+    install_fault_hook, FaultHookGuard, IoFaultHook, IoFaultPlan, IoFaultStats, WriteFault,
+};
 pub use journal::Journal;
 pub use manifest::RunManifest;
 

@@ -12,14 +12,13 @@
 //! Each test installs its plan for its own directory, so the tests can run
 //! in parallel.
 
-use adv_chaos::IoFaultPlan;
-use adv_store::{install_fault_hook, Journal, StoreError};
+use adv_store::{install_fault_hook, IoFaultPlan, Journal, StoreError};
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("adv_chaos_io_soak_{tag}"));
+    let dir = std::env::temp_dir().join(format!("adv_store_io_soak_{tag}"));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir

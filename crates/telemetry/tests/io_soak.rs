@@ -14,9 +14,8 @@
 //!
 //! Each test that injects faults installs its plan for its own directory.
 
-use adv_chaos::IoFaultPlan;
 use adv_magnet::{DefenseScheme, Verdict};
-use adv_store::install_fault_hook;
+use adv_store::{install_fault_hook, IoFaultPlan};
 use adv_telemetry::{ChunkReader, ChunkStore, TelemetryError, TelemetryRow};
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -36,11 +36,10 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use adv_chaos::FaultInjector;
 use adv_magnet::DefensePipeline;
 use adv_serve::{
-    EngineHealth, MetricsSnapshot, PendingVerdict, RequestTag, RouteInfo, ServeConfig, ServeEngine,
-    ServeError, VariantRouter,
+    EngineHealth, FaultInjector, MetricsSnapshot, PendingVerdict, RequestTag, RouteInfo,
+    ServeConfig, ServeEngine, ServeError, VariantRouter,
 };
 use adv_tensor::Tensor;
 

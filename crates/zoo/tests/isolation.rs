@@ -8,13 +8,13 @@
 #[expect(dead_code, reason = "this test uses a subset of the shared helpers")]
 mod common;
 
-use adv_chaos::{FaultInjector, FaultPlan, FaultyDefense, PANIC_MARKER, SITE_REFORM};
 use adv_magnet::arch::{mnist_ae_two, mnist_classifier};
 use adv_magnet::{Autoencoder, MagnetDefense, ReconstructionDetector, ReconstructionNorm, Verdict};
 use adv_nn::loss::ReconstructionLoss;
 use adv_nn::Sequential;
 use adv_serve::{
-    DegradePolicy, EngineHealth, RequestTag, RestartPolicy, ServeConfig, VariantRouter,
+    DegradePolicy, EngineHealth, FaultInjector, FaultPlan, FaultyDefense, RequestTag,
+    RestartPolicy, ServeConfig, SiteFaults, VariantRouter, PANIC_MARKER, SITE_REFORM,
 };
 use adv_tensor::{Shape, Tensor};
 use adv_zoo::{ModelZoo, ZooConfig};
@@ -147,11 +147,7 @@ fn faulted_variant_never_contaminates_its_neighbors() {
     let zoo = ModelZoo::open(Arc::new(common::StubLoader), cfg).unwrap();
     zoo.install(CLEAN, toy_defense("isolation-clean")).unwrap();
 
-    let plan = FaultPlan::new(0xBAD_5EED).with(
-        adv_chaos::SiteFaults::at(SITE_REFORM)
-            .errors(0.6)
-            .panics(0.4),
-    );
+    let plan = FaultPlan::new(0xBAD_5EED).with(SiteFaults::at(SITE_REFORM).errors(0.6).panics(0.4));
     let injector = Arc::new(FaultInjector::new(plan).unwrap());
     let faulty = Arc::new(FaultyDefense::new(
         toy_defense("isolation-faulty"),

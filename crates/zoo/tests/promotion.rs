@@ -7,9 +7,10 @@
 
 mod common;
 
-use adv_chaos::{FaultInjector, FaultPlan, SiteFaults};
 use adv_magnet::Verdict;
-use adv_serve::{EngineHealth, RequestTag, ServeConfig, VariantRouter};
+use adv_serve::{
+    EngineHealth, FaultInjector, FaultPlan, RequestTag, ServeConfig, SiteFaults, VariantRouter,
+};
 use adv_zoo::{
     ModelZoo, PromotionStage, RollbackReason, ZooConfig, ZooError, SITE_FLIP, SITE_STAGE, SITE_WARM,
 };
