@@ -1,6 +1,6 @@
 use crate::autoencoder::Autoencoder;
 use crate::detector::Detector;
-use crate::fork::{fork_join, CoreClaim};
+use crate::fork::{fork_stages, CoreClaim};
 use crate::fused::InferenceCache;
 use crate::Result;
 use adv_nn::Sequential;
@@ -74,12 +74,23 @@ pub const STAGE_CHUNK: &str = "magnet/chunk";
 /// above the cost of a spawn and of sharing a core with those threads.
 pub const MIN_CHUNK_ROWS: usize = 8;
 
-/// One contiguous row range of a pass, with its own cache and, once the
-/// reformer has run, its reformed rows.
+/// One contiguous row range of a pass, with its own cache and what each
+/// stage has computed for it so far.
 struct Chunk<'x, 'm> {
     x: Cow<'x, Tensor>,
     cache: InferenceCache<'m>,
+    /// Each detector's scores, in deployment order.
+    scores: Vec<Vec<f32>>,
     reformed: Option<Tensor>,
+    preds: Vec<usize>,
+}
+
+/// A stage of the pass, as a chunk runs it.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    Detect,
+    Reform,
+    Classify,
 }
 
 impl<'x, 'm> Chunk<'x, 'm> {
@@ -89,7 +100,9 @@ impl<'x, 'm> Chunk<'x, 'm> {
         let chunk = |x| Chunk {
             x,
             cache: InferenceCache::new(),
+            scores: Vec::new(),
             reformed: None,
+            preds: Vec::new(),
         };
         if k < 2 {
             return Ok(vec![chunk(Cow::Borrowed(x))]);
@@ -102,6 +115,30 @@ impl<'x, 'm> Chunk<'x, 'm> {
                 )))
             })
             .collect()
+    }
+
+    /// Runs `stage` of `defense` on this chunk's rows.
+    fn run(&mut self, defense: &'m MagnetDefense, stage: Stage) -> Result<()> {
+        match stage {
+            Stage::Detect => {
+                self.scores = defense
+                    .detectors
+                    .iter()
+                    .map(|det| det.scores_fused(&self.x, &mut self.cache))
+                    .collect::<Result<_>>()?;
+            }
+            Stage::Reform => {
+                self.reformed = Some(self.cache.reconstruction(&defense.reformer, &self.x)?);
+            }
+            Stage::Classify => {
+                let input = self.reformed.as_ref().unwrap_or(&self.x);
+                self.preds = self
+                    .cache
+                    .logits(&defense.classifier, input)?
+                    .argmax_rows()?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -370,11 +407,14 @@ impl MagnetDefense {
     ///
     /// A batch of at least `2 × MIN_CHUNK_ROWS` rows is split into
     /// contiguous row chunks, one per core that [`CoreClaim`] grants (at most
-    /// `rows / MIN_CHUNK_ROWS`). Within each stage chunk 0 runs on the
-    /// calling thread and the others on helper threads at the same time;
-    /// the hook runs once per stage, on the calling thread, before any
-    /// chunk starts. Each row's result does not depend on the rows batched
-    /// with it, so the joined results equal the unsplit pass bit for bit.
+    /// `rows / MIN_CHUNK_ROWS`). Chunk 0 runs on the calling thread and each
+    /// other chunk on a helper thread spawned once for the pass
+    /// ([`fork_stages`](crate::fork::fork_stages)), which runs its chunk's
+    /// stages in step with the calling thread: the hook runs once per
+    /// stage, on the calling thread, before any chunk enters that stage,
+    /// and a hook error stops and joins the helpers. Each row's result does
+    /// not depend on the rows batched with it, so the joined results equal
+    /// the unsplit pass bit for bit.
     ///
     /// Each chunk runs through one [`InferenceCache`] of its own, so
     /// sub-computations shared between detectors, reformer and classifier
@@ -407,69 +447,58 @@ impl MagnetDefense {
         let claim = CoreClaim::take(rows / MIN_CHUNK_ROWS);
         let mut chunks = Chunk::split(x, claim.granted())?;
         let mut timings = StageTimings::default();
-        let mut detected = vec![false; rows];
-        let mut det_scores: Vec<Vec<f32>> = Vec::new();
-
-        if detect {
-            timings.detect = timed_stage(STAGE_DETECT, before_stage, || {
-                let thresholds = self
-                    .detectors
-                    .iter()
-                    .map(|det| {
-                        det.threshold()
-                            .ok_or_else(|| crate::MagnetError::Uncalibrated {
-                                detector: det.name(),
+        let mut thresholds = Vec::new();
+        fork_stages(
+            &mut chunks,
+            |stage, c: &mut Chunk<'_, '_>| c.run(self, stage),
+            |crew| -> Result<()> {
+                if detect {
+                    timings.detect = timed_stage(STAGE_DETECT, before_stage, || {
+                        thresholds = self
+                            .detectors
+                            .iter()
+                            .map(|det| {
+                                det.threshold()
+                                    .ok_or_else(|| crate::MagnetError::Uncalibrated {
+                                        detector: det.name(),
+                                    })
                             })
-                    })
-                    .collect::<Result<Vec<f32>>>()?;
-                det_scores = vec![Vec::new(); self.detectors.len()];
-                for part in fork_join(&mut chunks, |c| {
-                    self.detectors
-                        .iter()
-                        .map(|det| det.scores_fused(&c.x, &mut c.cache))
-                        .collect::<Result<Vec<_>>>()
-                }) {
-                    for (all, scores) in det_scores.iter_mut().zip(part?) {
-                        all.extend(scores);
-                    }
+                            .collect::<Result<Vec<f32>>>()?;
+                        crew.run(Stage::Detect).into_iter().collect::<Result<()>>()
+                    })?
+                    .1;
                 }
-                for ((det, scores), threshold) in
-                    self.detectors.iter().zip(&det_scores).zip(thresholds)
-                {
-                    crate::detector::record_scores(&det.name(), scores);
-                    for (c, s) in detected.iter_mut().zip(scores) {
-                        *c |= *s > threshold;
-                    }
+                if reform {
+                    timings.reform = timed_stage(STAGE_REFORM, before_stage, || {
+                        crew.run(Stage::Reform).into_iter().collect::<Result<()>>()
+                    })?
+                    .1;
                 }
+                timings.classify = timed_stage(STAGE_CLASSIFY, before_stage, || {
+                    crew.run(Stage::Classify)
+                        .into_iter()
+                        .collect::<Result<()>>()
+                })?
+                .1;
                 Ok(())
-            })?
-            .1;
-        }
+            },
+        )?;
 
-        if reform {
-            timings.reform = timed_stage(STAGE_REFORM, before_stage, || {
-                for done in fork_join(&mut chunks, |c| -> Result<()> {
-                    c.reformed = Some(c.cache.reconstruction(&self.reformer, &c.x)?);
-                    Ok(())
-                }) {
-                    done?;
-                }
-                Ok(())
-            })?
-            .1;
-        }
-
-        let (preds, t) = timed_stage(STAGE_CLASSIFY, before_stage, || {
-            let mut preds = Vec::with_capacity(rows);
-            for part in fork_join(&mut chunks, |c| -> Result<Vec<usize>> {
-                let input = c.reformed.as_ref().unwrap_or(&c.x);
-                Ok(c.cache.logits(&self.classifier, input)?.argmax_rows()?)
-            }) {
-                preds.extend(part?);
+        let mut det_scores = vec![Vec::new(); if detect { self.detectors.len() } else { 0 }];
+        let mut preds = Vec::with_capacity(rows);
+        for c in chunks {
+            for (all, scores) in det_scores.iter_mut().zip(c.scores) {
+                all.extend(scores);
             }
-            Ok(preds)
-        })?;
-        timings.classify = t;
+            preds.extend(c.preds);
+        }
+        let mut detected = vec![false; rows];
+        for ((det, scores), threshold) in self.detectors.iter().zip(&det_scores).zip(thresholds) {
+            crate::detector::record_scores(&det.name(), scores);
+            for (c, s) in detected.iter_mut().zip(scores) {
+                *c |= *s > threshold;
+            }
+        }
 
         let verdicts: Vec<Verdict> = detected
             .into_iter()

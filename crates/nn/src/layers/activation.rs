@@ -1,6 +1,6 @@
 use crate::layer::{Layer, Mode};
 use crate::{NnError, Result};
-use adv_tensor::Tensor;
+use adv_tensor::{math, Tensor};
 
 /// The pointwise nonlinearities used across the reproduction.
 ///
@@ -10,7 +10,7 @@ use adv_tensor::Tensor;
 pub enum Activation {
     /// `max(0, x)`.
     Relu,
-    /// `1 / (1 + e^{−x})`.
+    /// `1 / (1 + e^{−x})`, through [`math::exp`].
     Sigmoid,
     /// Hyperbolic tangent.
     Tanh,
@@ -21,7 +21,7 @@ impl Activation {
     pub fn apply(self, x: f32) -> f32 {
         match self {
             Activation::Relu => x.max(0.0),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+            Activation::Sigmoid => math::sigmoid(x),
             Activation::Tanh => x.tanh(),
         }
     }
@@ -84,8 +84,13 @@ impl Layer for ActivationLayer {
     }
 
     fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        let a = self.activation;
-        Ok(input.map(|v| a.apply(v)))
+        // One loop per activation, with the activation fixed in each: ReLU's
+        // loop vectorizes, and sigmoid runs its slice kernel.
+        Ok(match self.activation {
+            Activation::Relu => input.map(|v| Activation::Relu.apply(v)),
+            Activation::Sigmoid => input.sigmoid(),
+            Activation::Tanh => input.map(|v| Activation::Tanh.apply(v)),
+        })
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -188,6 +193,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The sigmoid layer's vectorized kernel gives `Activation::apply`'s
+    /// bits on `exp`'s special cases and their edges, each value and its
+    /// negation, in every vector lane and in the scalar tail.
+    #[test]
+    fn sigmoid_layer_matches_apply_on_special_values() {
+        let special: [u32; 15] = [
+            0x0000_0000, // +0
+            0x7f80_0000, // +∞
+            0x7fc0_0000, // quiet NaN
+            0x7f80_0001, // signalling NaN
+            0x42b1_7217, // the largest x with a finite e^x
+            0x42b1_7218,
+            0xc2cf_f1b4, // the smallest x with a nonzero e^x
+            0xc2cf_f1b5,
+            0xc2cf_f1b3,
+            0x0000_0001, // subnormals
+            0x0040_0000,
+            0x007f_ffff,
+            0x4202_422f, // where glibc's FMA expf differs from its baseline
+            0xc27c_65d9,
+            0x3f80_0000, // 1.0
+        ];
+        let values: Vec<f32> = special
+            .iter()
+            .flat_map(|&b| [f32::from_bits(b), -f32::from_bits(b)])
+            .collect();
+        // 30 values a round, 9 rounds and 3 more: each value meets every
+        // lane of an 8-wide body, and the last three land in the tail.
+        let data: Vec<f32> = values
+            .iter()
+            .cycle()
+            .take(9 * values.len() + 3)
+            .copied()
+            .collect();
+        let x = t(&data);
+        let y = ActivationLayer::new(Activation::Sigmoid)
+            .forward(&x, Mode::Eval)
+            .unwrap();
+        for (&v, &got) in x.as_slice().iter().zip(y.as_slice()) {
+            let want = Activation::Sigmoid.apply(v);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "sigmoid({:#010x})",
+                v.to_bits()
+            );
+        }
+        let at = |b: u32| Activation::Sigmoid.apply(f32::from_bits(b));
+        assert_eq!(at(0x0000_0000), 0.5);
+        assert_eq!(at(0xff80_0000), 0.0);
+        assert_eq!(at(0x7f80_0000), 1.0);
+        assert!(at(0x7fc0_0000).is_nan());
     }
 
     #[test]

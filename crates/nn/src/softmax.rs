@@ -6,7 +6,7 @@
 
 use crate::{NnError, Result};
 use adv_profile::{KernelKind, KernelScope, Work};
-use adv_tensor::{Shape, Tensor};
+use adv_tensor::{math, Shape, Tensor};
 
 /// Row-wise softmax of a `[batch, classes]` logit matrix.
 ///
@@ -52,7 +52,7 @@ pub fn softmax_rows_with_temperature(logits: &Tensor, temperature: f32) -> Resul
         let max = row_in.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;
         for (o, &v) in row_out.iter_mut().zip(row_in.iter()) {
-            let e = ((v - max) / temperature).exp();
+            let e = math::exp((v - max) / temperature);
             *o = e;
             sum += e;
         }
@@ -84,7 +84,7 @@ pub fn log_softmax_rows(logits: &Tensor) -> Result<Tensor> {
         .zip(out.chunks_exact_mut(k))
     {
         let max = row_in.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let log_sum = row_in.iter().map(|&v| (v - max).exp()).sum::<f32>().ln();
+        let log_sum = row_in.iter().map(|&v| math::exp(v - max)).sum::<f32>().ln();
         for (o, &v) in row_out.iter_mut().zip(row_in.iter()) {
             *o = v - max - log_sum;
         }

@@ -11,7 +11,8 @@
 //! - blocked matrix multiplication in [`ops::matmul()`],
 //! - distortion norms (L0/L1/L2/L∞) in [`norms`] — the metrics the paper
 //!   reports in Table I,
-//! - seeded weight initializers in [`init`].
+//! - seeded weight initializers in [`init`],
+//! - `f32` transcendentals with host-independent bits in [`math`].
 //!
 //! Everything is deterministic given a seed; no global state is used.
 //!
@@ -43,6 +44,7 @@ mod shape;
 mod tensor;
 
 pub mod init;
+pub mod math;
 pub mod norms;
 pub mod ops;
 pub mod stats;

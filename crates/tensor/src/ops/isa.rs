@@ -17,6 +17,28 @@
 //! it calls: a helper left out of line is compiled once, for the baseline,
 //! and the AVX2 copy would call it unchanged. On other architectures only
 //! the baseline copy exists.
+//!
+//! A body that compiles is not yet a vectorized body. A loop whose element
+//! work sits behind a data-dependent branch stays scalar in both copies:
+//! in `math::exp`, selecting the special cases in the same loop as the
+//! main path let LLVM sink the main path, table load included, behind the
+//! special cases' branch, and the AVX2 copy came out scalar and slower
+//! than libm (a `static` table did the same). The slice kernels in
+//! `math` therefore compute the main path in one pass and select the
+//! special cases in a second, and their table is a `const`. To check a
+//! copy, disassemble the newest build of the library and count `ymm`
+//! registers in the `isa::avx2` instance the kernel calls (here
+//! `sigmoid_into`'s):
+//!
+//! ```text
+//! cargo build --release -p adv-tensor
+//! objdump -dr --no-show-raw-insn $(ls -t target/release/deps/libadv_tensor-*.rlib | head -1) > tensor.asm
+//! grep -A60 '<_ZN10adv_tensor4math12sigmoid_into' tensor.asm | grep -om1 '_ZN10adv_tensor3ops3isa4avx2[0-9a-z]*E'
+//! awk '$2 == "<SYMBOL>:" {p=1} p && /^$/ {exit} p' tensor.asm | grep -c ymm
+//! ```
+//!
+//! with `SYMBOL` the name the third line printed. Zero means the copy is
+//! scalar.
 
 /// The instruction set a kernel body runs with: the baseline, or AVX2 when
 /// the CPU has it. An AVX2 `Isa` comes only from [`Isa::detected`], which

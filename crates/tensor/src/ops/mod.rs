@@ -6,7 +6,7 @@ pub mod conv;
     unsafe_code,
     reason = "the one call into a kernel body's AVX2 copy, made after the CPU reported AVX2"
 )]
-mod isa;
+pub(crate) mod isa;
 pub mod matmul;
 pub mod pool;
 
