@@ -15,13 +15,13 @@
 //! 3. renders the slowest latency-bucket exemplar's causal trace — queue
 //!    wait, batch stages, kernels — as an indented span tree;
 //! 4. prints how many helper chunks (`magnet/chunk` scopes) ran, and
-//!    **fails (exit 1)** when less than `PROFILE_MIN_ATTRIBUTION` (default
-//!    0.80) of that denominator is attributed to named kernel scopes — the
-//!    CI guard that instrumentation coverage never rots.
+//!    **fails (exit 1)** when less than `MIN_ATTRIBUTION` (80%) of that
+//!    denominator is attributed to named kernel scopes — the CI guard that
+//!    instrumentation coverage never rots.
 //!
 //! Usage: `profile_probe [--scale smoke|quick|paper] [--models <dir>]
 //! [--out <dir>] …`; `PROFILE_REQUESTS` overrides the request volume
-//! (default 4000) and `PROFILE_MIN_ATTRIBUTION` the gate floor.
+//! (default 4000).
 
 use adv_eval::config::CliArgs;
 use adv_eval::sweep::{AttackKind, SweepRunner};
@@ -39,20 +39,13 @@ const PER_ATTACK: usize = 32;
 const DEFAULT_REQUESTS: usize = 4_000;
 /// Concurrent in-flight submissions per wave.
 const WAVE: usize = 256;
-/// Default attribution floor: ≥80% of serving wall time must land in
-/// named kernel scopes.
-const DEFAULT_MIN_ATTRIBUTION: f64 = 0.80;
+/// Attribution floor: ≥80% of serving wall time must land in named kernel
+/// scopes.
+const MIN_ATTRIBUTION: f64 = 0.80;
 
 struct Sample {
     input: Tensor,
     attack: u32,
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(default)
 }
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -137,7 +130,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let obs = adv_eval::obs::ObsSession::from_args(&args);
     args.scale.attack_count = PER_ATTACK;
     let total = env_usize("PROFILE_REQUESTS", DEFAULT_REQUESTS);
-    let min_attribution = env_f64("PROFILE_MIN_ATTRIBUTION", DEFAULT_MIN_ATTRIBUTION);
 
     // Corpus construction runs unprofiled: the gate is about the serving
     // path, and attack generation would drown it in the report.
@@ -158,7 +150,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "profile_probe: {} | corpus {} | {total} requests in waves of {WAVE} | floor {:.0}%",
         defense.name(),
         corpus.len(),
-        min_attribution * 100.0
+        MIN_ATTRIBUTION * 100.0
     );
 
     adv_profile::set_enabled(true);
@@ -218,7 +210,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let folded_path = profile_dir.join("profile_collapsed.folded");
     std::fs::write(&folded_path, adv_profile::collapsed())?;
     let report = format!(
-        "{{\n  \"requests\": {total},\n  \"elapsed_s\": {:.4},\n  \"wall_ns\": {wall_ns},\n  \"helper_chunks\": {helper_chunks},\n  \"helper_chunk_wall_ns\": {chunk_ns},\n  \"kernel_self_ns\": {self_ns},\n  \"attribution\": {attribution:.4},\n  \"min_attribution\": {min_attribution:.4},\n  \"dropped_stacks\": {},\n  \"dropped_spans\": {},\n  \"kernels\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"requests\": {total},\n  \"elapsed_s\": {:.4},\n  \"wall_ns\": {wall_ns},\n  \"helper_chunks\": {helper_chunks},\n  \"helper_chunk_wall_ns\": {chunk_ns},\n  \"kernel_self_ns\": {self_ns},\n  \"attribution\": {attribution:.4},\n  \"min_attribution\": {MIN_ATTRIBUTION:.4},\n  \"dropped_stacks\": {},\n  \"dropped_spans\": {},\n  \"kernels\": [\n    {}\n  ]\n}}\n",
         elapsed.as_secs_f64(),
         adv_profile::dropped_stacks(),
         adv_profile::dropped_spans(),
@@ -239,18 +231,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(obs) = obs {
         obs.finish()?;
     }
-    if attribution < min_attribution {
+    if attribution < MIN_ATTRIBUTION {
         eprintln!(
             "FAIL: only {:.1}% of serving and helper-chunk wall time attributed to named kernel scopes (floor {:.1}%)",
             attribution * 100.0,
-            min_attribution * 100.0
+            MIN_ATTRIBUTION * 100.0
         );
         std::process::exit(1);
     }
     println!(
         "PASS: {:.1}% ≥ {:.1}% of serving and helper-chunk wall time attributed to named kernels",
         attribution * 100.0,
-        min_attribution * 100.0
+        MIN_ATTRIBUTION * 100.0
     );
     Ok(())
 }

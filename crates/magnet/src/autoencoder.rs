@@ -35,25 +35,13 @@ impl Autoencoder {
         noise_std: f32,
         seed: u64,
     ) -> Result<Self> {
-        Ok(Autoencoder {
-            net: Sequential::from_specs(specs, seed)?,
-            loss,
-            corruption: if noise_std > 0.0 {
-                Corruption::Gaussian(noise_std)
-            } else {
-                Corruption::None
-            },
-        })
+        let net = Sequential::from_specs(specs, seed)?;
+        Ok(Autoencoder::from_network(net, loss, noise_std))
     }
 
     /// Overrides the training-input corruption model (see [`Corruption`]).
     pub fn set_corruption(&mut self, corruption: Corruption) {
         self.corruption = corruption;
-    }
-
-    /// The corruption model used during training.
-    pub fn corruption(&self) -> Corruption {
-        self.corruption
     }
 
     /// Wraps an already-trained network (e.g. loaded from disk).

@@ -1,8 +1,9 @@
 use crate::autoencoder::Autoencoder;
-use crate::detector::Detector;
+use crate::detector::{record_scores, Detector};
 use crate::fork::{fork_stages, CoreClaim};
-use crate::fused::InferenceCache;
-use crate::Result;
+use crate::plan::{Chunk, PassPlan, Stage};
+use crate::threshold::threshold_for_fpr;
+use crate::{MagnetError, Result};
 use adv_nn::Sequential;
 use adv_profile::StageScope;
 use adv_tensor::Tensor;
@@ -42,12 +43,12 @@ fn no_hook(_stage: &'static str) -> Result<()> {
 }
 
 /// Runs one pipeline stage inside its [`StageScope`], `before_stage` first,
-/// and returns the stage's output with its wall-clock time.
-fn timed_stage<T>(
+/// and returns its wall-clock time.
+fn timed_stage(
     name: &'static str,
     before_stage: &dyn Fn(&'static str) -> Result<()>,
-    run: impl FnOnce() -> Result<T>,
-) -> Result<(T, Duration)> {
+    run: impl FnOnce() -> Result<()>,
+) -> Result<Duration> {
     #[expect(
         clippy::disallowed_methods,
         reason = "StageTimings is part of the pipeline API; the clock read is the feature."
@@ -55,8 +56,8 @@ fn timed_stage<T>(
     let started = std::time::Instant::now();
     let _stage = StageScope::enter(name);
     before_stage(name)?;
-    let out = run()?;
-    Ok((out, started.elapsed()))
+    run()?;
+    Ok(started.elapsed())
 }
 
 /// Name of the [`StageScope`] each helper chunk of a split pass runs in.
@@ -73,74 +74,6 @@ pub const STAGE_CHUNK: &str = "magnet/chunk";
 /// runs each side). At 8 rows a chunk's work is about a millisecond, well
 /// above the cost of a spawn and of sharing a core with those threads.
 pub const MIN_CHUNK_ROWS: usize = 8;
-
-/// One contiguous row range of a pass, with its own cache and what each
-/// stage has computed for it so far.
-struct Chunk<'x, 'm> {
-    x: Cow<'x, Tensor>,
-    cache: InferenceCache<'m>,
-    /// Each detector's scores, in deployment order.
-    scores: Vec<Vec<f32>>,
-    reformed: Option<Tensor>,
-    preds: Vec<usize>,
-}
-
-/// A stage of the pass, as a chunk runs it.
-#[derive(Debug, Clone, Copy)]
-enum Stage {
-    Detect,
-    Reform,
-    Classify,
-}
-
-impl<'x, 'm> Chunk<'x, 'm> {
-    /// Splits `x` into `k` contiguous chunks of near-equal size, each with
-    /// an empty cache; with `k < 2`, one chunk that borrows `x`.
-    fn split(x: &'x Tensor, k: usize) -> Result<Vec<Self>> {
-        let chunk = |x| Chunk {
-            x,
-            cache: InferenceCache::new(),
-            scores: Vec::new(),
-            reformed: None,
-            preds: Vec::new(),
-        };
-        if k < 2 {
-            return Ok(vec![chunk(Cow::Borrowed(x))]);
-        }
-        let rows = x.shape().dim(0);
-        (0..k)
-            .map(|i| {
-                Ok(chunk(Cow::Owned(
-                    x.slice_axis0(i * rows / k, (i + 1) * rows / k)?,
-                )))
-            })
-            .collect()
-    }
-
-    /// Runs `stage` of `defense` on this chunk's rows.
-    fn run(&mut self, defense: &'m MagnetDefense, stage: Stage) -> Result<()> {
-        match stage {
-            Stage::Detect => {
-                self.scores = defense
-                    .detectors
-                    .iter()
-                    .map(|det| det.scores_fused(&self.x, &mut self.cache))
-                    .collect::<Result<_>>()?;
-            }
-            Stage::Reform => {
-                self.reformed = Some(self.cache.reconstruction(&defense.reformer, &self.x)?);
-            }
-            Stage::Classify => {
-                let input = self.reformed.as_ref().unwrap_or(&self.x);
-                self.preds = self
-                    .cache
-                    .logits(&defense.classifier, input)?
-                    .argmax_rows()?;
-            }
-        }
-        Ok(())
-    }
-}
 
 /// Which parts of MagNet are active — the four defense schemes compared in
 /// the paper's supplementary figures.
@@ -234,7 +167,7 @@ impl StageTimings {
 ///
 /// The serving engine (`adv-serve`) drives whatever implements this trait —
 /// normally [`MagnetDefense`] itself, but also wrappers that decorate the
-/// pipeline (the chaos crate's `FaultyDefense` injects faults into its
+/// pipeline (`adv_serve::fault::FaultyDefense` injects faults into its
 /// stages through [`MagnetDefense::classify_staged`]). Implementations must
 /// be safe to share across worker threads.
 pub trait DefensePipeline: Send + Sync + std::fmt::Debug {
@@ -309,26 +242,31 @@ pub struct MagnetDefense {
     detectors: Vec<Box<dyn Detector>>,
     reformer: Arc<Autoencoder>,
     classifier: Arc<Sequential>,
+    /// Which networks a pass runs, worked out from the roles' models.
+    plan: PassPlan,
     name: String,
 }
 
 impl MagnetDefense {
-    /// Assembles a defense.
+    /// Assembles a defense and plans its pass.
     ///
     /// Detectors must already be calibrated (or be calibrated afterwards via
-    /// [`calibrate_detectors`](Self::calibrate_detectors)). A detector that
-    /// holds an [`Arc::clone`] of `reformer` or `classifier` shares its
-    /// results with those stages within a pass ([`InferenceCache`]).
+    /// [`calibrate_detectors`](Self::calibrate_detectors)). Roles that hold
+    /// [`Arc::clone`]s of one model share its output, which a pass computes
+    /// once; a deep copy runs again. The plan is fixed here, so the
+    /// detectors' [`models`](Detector::models) must not change afterwards.
     pub fn new(
         name: impl Into<String>,
         detectors: Vec<Box<dyn Detector>>,
         reformer: Arc<Autoencoder>,
         classifier: Arc<Sequential>,
     ) -> Self {
+        let plan = PassPlan::new(&detectors, &reformer, &classifier);
         MagnetDefense {
             detectors,
             reformer,
             classifier,
+            plan,
             name: name.into(),
         }
     }
@@ -343,46 +281,60 @@ impl MagnetDefense {
         self.detectors.len()
     }
 
-    /// Calibrates every detector to `fpr` on clean validation data.
+    /// Calibrates every detector to `fpr` on clean validation data, as
+    /// [`Detector::calibrate`] does, from one planned detector stage.
     ///
     /// # Errors
     ///
     /// Propagates detector scoring/calibration errors.
     pub fn calibrate_detectors(&mut self, clean: &Tensor, fpr: f32) -> Result<Vec<f32>> {
-        self.detectors
-            .iter_mut()
-            .map(|d| d.calibrate(clean, fpr))
+        let scores = self.detector_scores(clean)?;
+        (self.detectors.iter_mut().zip(scores))
+            .map(|(det, scores)| {
+                record_scores(&det.name(), &scores);
+                let t = threshold_for_fpr(&scores, fpr)?;
+                det.set_threshold(t);
+                Ok(t)
+            })
             .collect()
     }
 
-    /// OR-combined detector flags for a batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns an uncalibrated-detector error or scoring errors.
-    pub fn detect(&self, x: &Tensor) -> Result<Vec<bool>> {
-        let n = x.shape().dim(0);
-        let mut combined = vec![false; n];
-        for det in &self.detectors {
-            for (c, f) in combined.iter_mut().zip(det.flags(x)?) {
-                *c |= f;
-            }
-        }
-        Ok(combined)
-    }
-
-    /// Per-detector flags for a batch, labelled by detector name — the
-    /// breakdown behind [`detect`](Self::detect)'s OR. Useful for attributing
-    /// which detector family catches which attack.
+    /// Per-detector flags for a batch, labelled by detector name, from one
+    /// planned detector stage: the breakdown behind the stage's OR. Useful
+    /// for attributing which detector family catches which attack.
     ///
     /// # Errors
     ///
     /// Returns an uncalibrated-detector error or scoring errors.
     pub fn detect_breakdown(&self, x: &Tensor) -> Result<Vec<(String, Vec<bool>)>> {
+        let thresholds = self.thresholds()?;
+        let scores = self.detector_scores(x)?;
+        let names = self.detectors.iter().map(|det| det.name());
+        Ok((names.zip(thresholds).zip(scores))
+            .map(|((name, threshold), scores)| {
+                record_scores(&name, &scores);
+                (name, scores.into_iter().map(|s| s > threshold).collect())
+            })
+            .collect())
+    }
+
+    /// Every detector's threshold, in deployment order.
+    fn thresholds(&self) -> Result<Vec<f32>> {
         self.detectors
             .iter()
-            .map(|d| Ok((d.name(), d.flags(x)?)))
+            .map(|det| {
+                det.threshold().ok_or_else(|| MagnetError::Uncalibrated {
+                    detector: det.name(),
+                })
+            })
             .collect()
+    }
+
+    /// Every detector's scores for `x`: the detector stage, unsplit.
+    fn detector_scores(&self, x: &Tensor) -> Result<Vec<Vec<f32>>> {
+        let mut chunk = Chunk::new(&self.plan, Cow::Borrowed(x));
+        chunk.run(&self.plan, &self.detectors, Stage::Detect)?;
+        Ok(chunk.scores)
     }
 
     /// Runs the pipeline under a scheme and returns one verdict per input.
@@ -416,16 +368,15 @@ impl MagnetDefense {
     /// not depend on the rows batched with it, so the joined results equal
     /// the unsplit pass bit for bit.
     ///
-    /// Each chunk runs through one [`InferenceCache`] of its own, so
-    /// sub-computations shared between detectors, reformer and classifier
-    /// execute once per chunk. That is MagNet's own redundancy: the paper's
-    /// assemblies reuse one auto-encoder as both detector and reformer, and
-    /// JSD detectors re-run the protected classifier. The cache reuses a
-    /// result only for the same model allocation and a bit-identical input,
-    /// so every verdict and score equals the one each stage computes on its
-    /// own. Roles share an allocation when the defense was built with
-    /// [`Arc::clone`]s of one model, as [`variants`](crate::variants)'
-    /// assemblies do.
+    /// Each chunk runs the plan [`new`](Self::new) made, so a network that
+    /// detectors, reformer and classifier share runs once per chunk, in the
+    /// first stage that reads it. That is MagNet's own redundancy: the
+    /// paper's assemblies reuse one auto-encoder as both detector and
+    /// reformer, and JSD detectors re-run the protected classifier. Roles
+    /// share a network when they hold [`Arc::clone`]s of one model, as
+    /// [`variants`](crate::variants)' assemblies do. Inference is
+    /// deterministic, so every verdict and score equals the one each stage
+    /// computes alone.
     ///
     /// # Errors
     ///
@@ -445,41 +396,29 @@ impl MagnetDefense {
         let reform = matches!(scheme, DefenseScheme::ReformerOnly | DefenseScheme::Full);
         let rows = x.shape().dim(0);
         let claim = CoreClaim::take(rows / MIN_CHUNK_ROWS);
-        let mut chunks = Chunk::split(x, claim.granted())?;
+        let mut chunks = Chunk::split(&self.plan, x, claim.granted())?;
         let mut timings = StageTimings::default();
         let mut thresholds = Vec::new();
         fork_stages(
             &mut chunks,
-            |stage, c: &mut Chunk<'_, '_>| c.run(self, stage),
+            |stage, c: &mut Chunk<'_>| c.run(&self.plan, &self.detectors, stage),
             |crew| -> Result<()> {
                 if detect {
                     timings.detect = timed_stage(STAGE_DETECT, before_stage, || {
-                        thresholds = self
-                            .detectors
-                            .iter()
-                            .map(|det| {
-                                det.threshold()
-                                    .ok_or_else(|| crate::MagnetError::Uncalibrated {
-                                        detector: det.name(),
-                                    })
-                            })
-                            .collect::<Result<Vec<f32>>>()?;
+                        thresholds = self.thresholds()?;
                         crew.run(Stage::Detect).into_iter().collect::<Result<()>>()
-                    })?
-                    .1;
+                    })?;
                 }
                 if reform {
                     timings.reform = timed_stage(STAGE_REFORM, before_stage, || {
                         crew.run(Stage::Reform).into_iter().collect::<Result<()>>()
-                    })?
-                    .1;
+                    })?;
                 }
                 timings.classify = timed_stage(STAGE_CLASSIFY, before_stage, || {
-                    crew.run(Stage::Classify)
+                    crew.run(Stage::Classify(reform))
                         .into_iter()
                         .collect::<Result<()>>()
-                })?
-                .1;
+                })?;
                 Ok(())
             },
         )?;
@@ -494,7 +433,7 @@ impl MagnetDefense {
         }
         let mut detected = vec![false; rows];
         for ((det, scores), threshold) in self.detectors.iter().zip(&det_scores).zip(thresholds) {
-            crate::detector::record_scores(&det.name(), scores);
+            record_scores(&det.name(), scores);
             for (c, s) in detected.iter_mut().zip(scores) {
                 *c |= *s > threshold;
             }
@@ -520,8 +459,16 @@ impl MagnetDefense {
     ///
     /// # Errors
     ///
-    /// Propagates pipeline errors; the label count must match the batch.
+    /// Returns [`MagnetError::InvalidArgument`] unless there is one label
+    /// per row, and propagates pipeline errors.
     pub fn accuracy(&self, x: &Tensor, labels: &[usize], scheme: DefenseScheme) -> Result<f32> {
+        let rows = x.shape().dim(0);
+        if labels.len() != rows {
+            return Err(MagnetError::InvalidArgument(format!(
+                "{} labels for a batch of {rows} rows",
+                labels.len()
+            )));
+        }
         let verdicts = self.classify(x, scheme)?;
         if verdicts.is_empty() {
             return Ok(0.0);
@@ -579,6 +526,31 @@ mod tests {
         Tensor::from_fn(Shape::nchw(n, 1, 8, 8), |i| ((i * 7) % 11) as f32 / 11.0)
     }
 
+    impl MagnetDefense {
+        /// Networks the plan lists.
+        pub(crate) fn networks(&self) -> usize {
+            self.plan.networks()
+        }
+
+        /// Networks a one-chunk pass of `x` under `scheme` runs: the plan
+        /// nodes that `classify_staged`'s stages, replayed on one chunk,
+        /// fill.
+        pub(crate) fn network_runs(&self, x: &Tensor, scheme: DefenseScheme) -> usize {
+            let detect = matches!(scheme, DefenseScheme::DetectorOnly | DefenseScheme::Full);
+            let reform = matches!(scheme, DefenseScheme::ReformerOnly | DefenseScheme::Full);
+            let mut chunk = Chunk::new(&self.plan, Cow::Borrowed(x));
+            let stages = [
+                (detect, Stage::Detect),
+                (reform, Stage::Reform),
+                (true, Stage::Classify(reform)),
+            ];
+            for (_, stage) in stages.into_iter().filter(|(on, _)| *on) {
+                chunk.run(&self.plan, &self.detectors, stage).unwrap();
+            }
+            chunk.runs()
+        }
+    }
+
     #[test]
     fn verdict_semantics() {
         assert!(Verdict::Detected.defends(3));
@@ -617,24 +589,45 @@ mod tests {
         // Saturated checkerboard is far from anything the random AE maps well;
         // reconstruction error should be large relative to clean scores.
         let weird = Tensor::from_fn(Shape::nchw(4, 1, 8, 8), |i| ((i / 3) % 2) as f32);
-        let flags = d.detect(&weird).unwrap();
-        // At least the pipeline runs and returns per-item flags.
-        assert_eq!(flags.len(), 4);
+        let verdicts = d.classify(&weird, DefenseScheme::DetectorOnly).unwrap();
+        // At least the pipeline runs and returns per-item verdicts.
+        assert_eq!(verdicts.len(), 4);
     }
 
     #[test]
     fn breakdown_matches_combined_detection() {
-        let mut d = toy_defense();
+        let mut d = jsd_defense();
         d.calibrate_detectors(&toy_batch(64), 0.05).unwrap();
-        let x = toy_batch(6);
-        let combined = d.detect(&x).unwrap();
+        let x = mixed_batch();
         let breakdown = d.detect_breakdown(&x).unwrap();
         assert_eq!(breakdown.len(), d.num_detectors());
-        for i in 0..6 {
+        for ((name, flags), det) in breakdown.iter().zip(d.detectors()) {
+            assert_eq!(*name, det.name());
+            assert_eq!(*flags, det.flags(&x).unwrap(), "{name}");
+        }
+        assert!(breakdown.iter().any(|(_, flags)| flags.contains(&true)));
+        let combined = d.classify(&x, DefenseScheme::DetectorOnly).unwrap();
+        for (i, verdict) in combined.iter().enumerate() {
             let any = breakdown.iter().any(|(_, flags)| flags[i]);
-            assert_eq!(any, combined[i], "item {i}");
+            assert_eq!(any, *verdict == Verdict::Detected, "item {i}");
         }
         assert_eq!(breakdown[0].0, "recon-l2");
+    }
+
+    #[test]
+    fn planned_calibration_equals_each_detector_alone() {
+        let mut planned = jsd_defense();
+        let got = planned.calibrate_detectors(&toy_batch(64), 0.05).unwrap();
+        let mut alone = jsd_defense();
+        let want: Vec<f32> = alone
+            .detectors
+            .iter_mut()
+            .map(|det| det.calibrate(&toy_batch(64), 0.05).unwrap())
+            .collect();
+        assert_eq!(
+            bits(&[got, planned.thresholds().unwrap()]),
+            bits(&[want.clone(), want])
+        );
     }
 
     #[test]
@@ -652,9 +645,11 @@ mod tests {
     }
 
     #[test]
-    fn labels_shorter_than_batch_are_partial() {
-        // zip() semantics: extra verdicts are ignored; documents the contract.
+    fn labels_shorter_than_batch_are_rejected() {
+        // Unlabelled rows would otherwise count as not defended.
         let d = toy_defense();
+        let short = d.accuracy(&toy_batch(3), &[0, 0], DefenseScheme::None);
+        assert!(matches!(short, Err(MagnetError::InvalidArgument(_))));
         let acc = d
             .accuracy(&toy_batch(3), &[0, 0, 0], DefenseScheme::None)
             .unwrap();
@@ -692,7 +687,7 @@ mod tests {
     }
 
     /// The pipeline composed stage by stage with no sharing: each detector
-    /// scores on its own cache, then `reformer().reconstruct`, then
+    /// scores on its own ([`Detector::scores`]), then `reformer().reconstruct`, then
     /// `classifier().infer` and argmax. Returns verdicts and per-detector
     /// scores in the runner's layout.
     fn unshared_reference(
@@ -819,25 +814,74 @@ mod tests {
     }
 
     #[test]
-    fn fused_pass_actually_deduplicates_shared_work() {
-        // Replay a Full pass through one cache and count network executions.
-        // Unshared, this defense runs the shared AE four times (recon
-        // detector, two JSD detectors, reformer) and the classifier five
-        // times (x and AE(x) per JSD detector, plus the final pass on the
-        // reformed batch) — 9 network runs for only 3 distinct computations.
-        let mut d = jsd_defense();
-        d.calibrate_detectors(&toy_batch(64), 0.05).unwrap();
+    fn planned_pass_runs_each_shared_network_once() {
+        // Role by role, a Full pass over this defense runs the shared AE
+        // four times (recon detector, two JSD detectors, reformer) and the
+        // classifier five times (x and AE(x) per JSD detector, plus the
+        // final pass on the reformed batch): 9 network runs for 3 distinct
+        // networks, AE(x), logits(x) and logits(AE(x)).
+        let d = jsd_defense();
+        assert_eq!(d.networks(), 3);
         let x = toy_batch(4);
-        let mut cache = InferenceCache::new();
-        for det in &d.detectors {
-            det.scores_fused(&x, &mut cache).unwrap();
+        let runs = DefenseScheme::ALL.map(|scheme| d.network_runs(&x, scheme));
+        // None: logits(x). DetectorOnly: all three, the classifier stage
+        // reading the detectors' logits(x). ReformerOnly: AE(x) and
+        // logits(AE(x)).
+        assert_eq!(runs, [1, 3, 2, 3]);
+    }
+
+    #[test]
+    fn a_detector_holding_a_deep_copy_of_the_reformer_runs_it_again() {
+        let ae = Arc::new(
+            Autoencoder::new(
+                &mnist_ae_two(1, 3),
+                ReconstructionLoss::MeanSquaredError,
+                0.0,
+                1,
+            )
+            .unwrap(),
+        );
+        let classifier =
+            Arc::new(Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 4).unwrap());
+        let build = |recon_ae: Arc<Autoencoder>| {
+            let detectors: Vec<Box<dyn Detector>> = vec![
+                Box::new(ReconstructionDetector::new(
+                    recon_ae,
+                    ReconstructionNorm::L2,
+                )),
+                Box::new(
+                    crate::detector::JsdDetector::new(
+                        Arc::clone(&ae),
+                        Arc::clone(&classifier),
+                        10.0,
+                    )
+                    .unwrap(),
+                ),
+            ];
+            let mut d = MagnetDefense::new(
+                "toy-copy",
+                detectors,
+                Arc::clone(&ae),
+                Arc::clone(&classifier),
+            );
+            d.calibrate_detectors(&toy_batch(64), 0.05).unwrap();
+            d
+        };
+        let shared = build(Arc::clone(&ae));
+        let copied = build(Arc::new(Autoencoder::clone(&ae)));
+        // The copy is a network of its own: AE(x), logits(x), logits(AE(x)),
+        // and the copy's AE(x).
+        assert_eq!(shared.networks(), 3);
+        assert_eq!(copied.networks(), 4);
+        let x = mixed_batch();
+        assert_eq!(copied.network_runs(&x, DefenseScheme::Full), 4);
+        for scheme in DefenseScheme::ALL {
+            let (want, want_scores, _) = shared.classify_staged(&x, scheme, &no_hook).unwrap();
+            let (got, got_scores, _) = copied.classify_staged(&x, scheme, &no_hook).unwrap();
+            assert_eq!(got, want, "{scheme:?}");
+            assert_eq!(bits(&got_scores), bits(&want_scores), "{scheme:?}");
+            assert_eq!(got, unshared_reference(&copied, &x, scheme).0, "{scheme:?}");
         }
-        let reformed = cache.reconstruction(&d.reformer, &x).unwrap();
-        cache.logits(&d.classifier, &reformed).unwrap();
-        // Unshared work: 4 AE passes + 5 classifier passes = 9 network runs.
-        // Distinct: AE(x), logits(x), logits(AE(x)) = 3.
-        assert_eq!(cache.misses(), 3, "distinct sub-computations");
-        assert_eq!(cache.hits(), 6, "deduplicated sub-computations");
     }
 
     #[test]

@@ -1,5 +1,4 @@
 use crate::autoencoder::Autoencoder;
-use crate::fused::InferenceCache;
 use crate::jsd::jsd_rows;
 use crate::threshold::threshold_for_fpr;
 use crate::{MagnetError, Result};
@@ -46,24 +45,40 @@ pub trait Detector: Send + Sync + fmt::Debug {
     /// Human-readable detector name (appears in reports and errors).
     fn name(&self) -> String;
 
-    /// Per-item anomaly scores for an NCHW batch (higher = more anomalous),
-    /// reusing sub-computations (auto-encoder reconstructions, classifier
-    /// logits) from `cache` and depositing its own for the stages that run
-    /// later in the same pass.
+    /// The models this detector reads: its auto-encoder, and the classifier
+    /// of a detector that compares predictions. They must not change once a
+    /// [`MagnetDefense`](crate::MagnetDefense) has planned its pass from them.
+    fn models(&self) -> (Arc<Autoencoder>, Option<Arc<Sequential>>);
+
+    /// Per-item anomaly scores (higher = more anomalous) from what the
+    /// [`models`](Self::models) computed for an NCHW batch `x`: `AE(x)`, and
+    /// for a classifier `(logits(x), logits(AE(x)))`.
+    ///
+    /// # Errors
+    ///
+    /// Returns shape errors, and [`MagnetError::InvalidArgument`] for
+    /// missing logits the detector needs.
+    fn scores_from(
+        &self,
+        x: &Tensor,
+        recon: &Tensor,
+        logits: Option<(&Tensor, &Tensor)>,
+    ) -> Result<Vec<f32>>;
+
+    /// Per-item anomaly scores for an NCHW batch, scored on its own: runs
+    /// the detector's [`models`](Self::models), then
+    /// [`scores_from`](Self::scores_from).
     ///
     /// # Errors
     ///
     /// Returns shape errors when `x` does not match the detector's models.
-    fn scores_fused<'m>(&'m self, x: &Tensor, cache: &mut InferenceCache<'m>) -> Result<Vec<f32>>;
-
-    /// Per-item anomaly scores for an NCHW batch, scored on its own
-    /// ([`InferenceCache::unshared`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`scores_fused`](Self::scores_fused).
     fn scores(&self, x: &Tensor) -> Result<Vec<f32>> {
-        self.scores_fused(x, &mut InferenceCache::unshared())
+        let (ae, classifier) = self.models();
+        let recon = ae.reconstruct(x)?;
+        match classifier {
+            Some(net) => self.scores_from(x, &recon, Some((&net.infer(x)?, &net.infer(&recon)?))),
+            None => self.scores_from(x, &recon, None),
+        }
     }
 
     /// The calibrated threshold, or `None` before calibration.
@@ -122,11 +137,6 @@ impl ReconstructionDetector {
             threshold: None,
         }
     }
-
-    /// The norm in use.
-    pub fn norm(&self) -> ReconstructionNorm {
-        self.norm
-    }
 }
 
 impl Detector for ReconstructionDetector {
@@ -145,13 +155,21 @@ impl Detector for ReconstructionDetector {
         self.threshold = Some(threshold);
     }
 
-    fn scores_fused<'m>(&'m self, x: &Tensor, cache: &mut InferenceCache<'m>) -> Result<Vec<f32>> {
+    fn models(&self) -> (Arc<Autoencoder>, Option<Arc<Sequential>>) {
+        (Arc::clone(&self.ae), None)
+    }
+
+    fn scores_from(
+        &self,
+        x: &Tensor,
+        recon: &Tensor,
+        _: Option<(&Tensor, &Tensor)>,
+    ) -> Result<Vec<f32>> {
         let p = match self.norm {
             ReconstructionNorm::L1 => 1,
             ReconstructionNorm::L2 => 2,
         };
-        let recon = cache.reconstruction(&self.ae, x)?;
-        Ok(Autoencoder::errors_against(x, &recon, p))
+        Ok(Autoencoder::errors_against(x, recon, p))
     }
 }
 
@@ -192,11 +210,6 @@ impl JsdDetector {
             threshold: None,
         })
     }
-
-    /// The softmax temperature.
-    pub fn temperature(&self) -> f32 {
-        self.temperature
-    }
 }
 
 impl Detector for JsdDetector {
@@ -215,13 +228,21 @@ impl Detector for JsdDetector {
         self.threshold = Some(threshold);
     }
 
-    fn scores_fused<'m>(&'m self, x: &Tensor, cache: &mut InferenceCache<'m>) -> Result<Vec<f32>> {
-        let recon = cache.reconstruction(&self.ae, x)?;
-        let logits_x = cache.logits(&self.classifier, x)?;
-        let logits_r = cache.logits(&self.classifier, &recon)?;
+    fn models(&self) -> (Arc<Autoencoder>, Option<Arc<Sequential>>) {
+        (Arc::clone(&self.ae), Some(Arc::clone(&self.classifier)))
+    }
+
+    fn scores_from(
+        &self,
+        _: &Tensor,
+        _: &Tensor,
+        logits: Option<(&Tensor, &Tensor)>,
+    ) -> Result<Vec<f32>> {
+        let missing = || MagnetError::InvalidArgument("a JSD detector scores from logits".into());
+        let (logits_x, logits_r) = logits.ok_or_else(missing)?;
         let k = logits_x.shape().dim(1);
-        let px = softmax_rows_with_temperature(&logits_x, self.temperature)?;
-        let pr = softmax_rows_with_temperature(&logits_r, self.temperature)?;
+        let px = softmax_rows_with_temperature(logits_x, self.temperature)?;
+        let pr = softmax_rows_with_temperature(logits_r, self.temperature)?;
         jsd_rows(px.as_slice(), pr.as_slice(), k)
     }
 }

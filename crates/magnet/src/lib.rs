@@ -21,6 +21,9 @@
 //! correctly classified after reforming. [`variants`] builds the exact
 //! defense configurations the paper evaluates (default, D+JSD, D+256,
 //! D+256+JSD, and MAE-trained auto-encoders).
+//!
+//! Their roles share models, so [`MagnetDefense::new`] plans the pass once
+//! from the models each [`Detector`] names, and runs each shared one once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +40,7 @@ mod autoencoder;
 mod defense;
 mod detector;
 mod error;
-mod fused;
+mod plan;
 
 pub mod arch;
 pub mod fork;
@@ -53,7 +56,6 @@ pub use defense::{
 };
 pub use detector::{Detector, JsdDetector, ReconstructionDetector, ReconstructionNorm};
 pub use error::MagnetError;
-pub use fused::InferenceCache;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, MagnetError>;

@@ -275,6 +275,7 @@ pub fn assemble_cifar_defense(
 mod tests {
     use super::*;
     use crate::arch::mnist_classifier;
+    use crate::DefenseScheme;
     use adv_tensor::Shape;
 
     fn tiny_spec() -> TrainSpec {
@@ -328,7 +329,6 @@ mod tests {
 
     #[test]
     fn assembled_defense_classifies() {
-        use crate::defense::DefenseScheme;
         let train = toy_images(48, 1, 8);
         let aes = train_mnist_autoencoders(1, &tiny_spec(), &train).unwrap();
         let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 3).unwrap();
@@ -340,19 +340,6 @@ mod tests {
         assert_eq!(verdicts.len(), 4);
     }
 
-    /// Hits and misses of a `Full` pass replayed through one cache: every
-    /// detector, then the reformer, then the classifier on the reformed
-    /// batch.
-    fn full_pass_counts(defense: &MagnetDefense, x: &Tensor) -> (usize, usize) {
-        let mut cache = crate::InferenceCache::new();
-        for det in defense.detectors() {
-            det.scores_fused(x, &mut cache).unwrap();
-        }
-        let reformed = cache.reconstruction(defense.reformer(), x).unwrap();
-        cache.logits(defense.classifier(), &reformed).unwrap();
-        (cache.misses(), cache.hits())
-    }
-
     #[test]
     fn assemblies_share_each_model_between_its_roles() {
         let train = toy_images(48, 1, 8);
@@ -361,10 +348,14 @@ mod tests {
         let defense =
             assemble_mnist_defense("D+JSD", &aes, &classifier, &[10.0, 40.0], &train, 0.05)
                 .unwrap();
-        // Misses: AE-I(x), AE-II(x), logits(x), logits(AE-I(x)). Hits: AE-I
-        // twice in the JSD detectors and once in the reformer, logits(x)
-        // once and logits(AE-I(x)) twice.
-        assert_eq!(full_pass_counts(&defense, &toy_images(4, 1, 8)), (4, 6));
+        // AE-I(x), AE-II(x), logits(x), logits(AE-I(x)): AE-I serves the L2
+        // detector, both JSD detectors and the reformer.
+        assert_eq!(defense.networks(), 4);
+        let x = toy_images(4, 1, 8);
+        let runs = DefenseScheme::ALL.map(|scheme| defense.network_runs(&x, scheme));
+        // None: logits(x). DetectorOnly: all four. ReformerOnly: AE-I(x)
+        // and logits(AE-I(x)). Full: all four.
+        assert_eq!(runs, [1, 4, 2, 4]);
 
         let train = toy_images(48, 3, 8);
         let ae = train_cifar_autoencoder(3, &tiny_spec(), &train).unwrap();
@@ -372,10 +363,11 @@ mod tests {
         let defense =
             assemble_cifar_defense("default", &ae, &classifier, &[10.0, 40.0], &train, 0.05)
                 .unwrap();
-        // Misses: AE(x), logits(x), logits(AE(x)). Hits: AE three times in
-        // the detectors and once in the reformer, logits(x) once and
-        // logits(AE(x)) twice.
-        assert_eq!(full_pass_counts(&defense, &toy_images(4, 3, 8)), (3, 7));
+        // AE(x), logits(x), logits(AE(x)): one AE serves all four detectors
+        // and the reformer.
+        assert_eq!(defense.networks(), 3);
+        let runs = defense.network_runs(&toy_images(4, 3, 8), DefenseScheme::Full);
+        assert_eq!(runs, 3);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use adv_magnet::arch::{mnist_ae_two, mnist_classifier};
 use adv_magnet::fork::{cores, CoreClaim};
 use adv_magnet::{
-    Autoencoder, DefenseScheme, Detector, InferenceCache, JsdDetector, MagnetDefense, MagnetError,
+    Autoencoder, DefenseScheme, Detector, JsdDetector, MagnetDefense, MagnetError,
     ReconstructionDetector, ReconstructionNorm, Verdict, MIN_CHUNK_ROWS, STAGE_CHUNK,
     STAGE_CLASSIFY, STAGE_DETECT, STAGE_REFORM,
 };
@@ -44,17 +44,22 @@ impl Detector for Spy {
         self.inner.name()
     }
 
-    fn scores_fused<'m>(
-        &'m self,
+    fn models(&self) -> (Arc<Autoencoder>, Option<Arc<Sequential>>) {
+        self.inner.models()
+    }
+
+    fn scores_from(
+        &self,
         x: &Tensor,
-        cache: &mut InferenceCache<'m>,
+        recon: &Tensor,
+        logits: Option<(&Tensor, &Tensor)>,
     ) -> adv_magnet::Result<Vec<f32>> {
         let me = std::thread::current().id();
         self.calls.lock().unwrap().push((me, x.shape().dim(0)));
         if self.panic_off.is_some_and(|home| home != me) {
             panic!("{SPY_PANIC}");
         }
-        self.inner.scores_fused(x, cache)
+        self.inner.scores_from(x, recon, logits)
     }
 
     fn threshold(&self) -> Option<f32> {

@@ -5,8 +5,7 @@
 
 use adv_magnet::arch::{mnist_ae_two, mnist_classifier};
 use adv_magnet::{
-    Autoencoder, DefenseScheme, Detector, InferenceCache, MagnetDefense, ReconstructionDetector,
-    ReconstructionNorm,
+    Autoencoder, DefenseScheme, Detector, MagnetDefense, ReconstructionDetector, ReconstructionNorm,
 };
 use adv_nn::loss::ReconstructionLoss;
 use adv_nn::Sequential;
@@ -388,15 +387,20 @@ impl Detector for PanicsOnHelper {
         self.0.name()
     }
 
-    fn scores_fused<'m>(
-        &'m self,
+    fn models(&self) -> (Arc<Autoencoder>, Option<Arc<Sequential>>) {
+        self.0.models()
+    }
+
+    fn scores_from(
+        &self,
         x: &Tensor,
-        cache: &mut InferenceCache<'m>,
+        recon: &Tensor,
+        logits: Option<(&Tensor, &Tensor)>,
     ) -> adv_magnet::Result<Vec<f32>> {
         if std::thread::current().name().is_none() {
             panic!("{PANIC_MARKER} detector on a helper chunk");
         }
-        self.0.scores_fused(x, cache)
+        self.0.scores_from(x, recon, logits)
     }
 
     fn threshold(&self) -> Option<f32> {
