@@ -126,7 +126,9 @@ pub fn successful_examples(
     Ok(Some((images, lbls)))
 }
 
-/// Evaluates one attack outcome against one defense under all four schemes.
+/// Evaluates one attack outcome against one defense under all four schemes,
+/// from one pass over its successful examples
+/// ([`MagnetDefense::accuracies`]).
 ///
 /// # Errors
 ///
@@ -144,9 +146,7 @@ pub fn evaluate_defense(
         (DefenseScheme::Full, 1.0),
     ];
     if let Some((adv, lbls)) = successful_examples(outcome, labels)? {
-        for (scheme, acc) in accuracy.iter_mut() {
-            *acc = defense.accuracy(&adv, &lbls, *scheme)?;
-        }
+        accuracy = defense.accuracies(&adv, &lbls)?;
     }
     Ok(DefenseEvaluation {
         undefended_asr,

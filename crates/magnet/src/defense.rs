@@ -108,6 +108,16 @@ impl DefenseScheme {
         }
     }
 
+    /// Whether the scheme runs the detectors.
+    pub(crate) fn detects(self) -> bool {
+        matches!(self, DefenseScheme::DetectorOnly | DefenseScheme::Full)
+    }
+
+    /// Whether the scheme classifies the reformer's output.
+    pub(crate) fn reforms(self) -> bool {
+        matches!(self, DefenseScheme::ReformerOnly | DefenseScheme::Full)
+    }
+
     /// The next-cheaper scheme the serving engine degrades to when a stage
     /// keeps failing: drop the reformer first (`Full → DetectorOnly`), then
     /// the detectors (`DetectorOnly → None`, i.e. classifier-only).
@@ -230,6 +240,47 @@ impl DefensePipeline for MagnetDefense {
     }
 }
 
+/// Each row's verdict: [`Verdict::Detected`] where `detected`, else its
+/// prediction.
+fn verdicts(detected: impl IntoIterator<Item = bool>, preds: &[usize]) -> Vec<Verdict> {
+    detected
+        .into_iter()
+        .zip(preds)
+        .map(|(d, &p)| {
+            if d {
+                Verdict::Detected
+            } else {
+                Verdict::Classified(p)
+            }
+        })
+        .collect()
+}
+
+/// Checks that `labels` has one label per row of `x`.
+fn check_labels(x: &Tensor, labels: &[usize]) -> Result<()> {
+    let rows = x.shape().dim(0);
+    if labels.len() != rows {
+        return Err(MagnetError::InvalidArgument(format!(
+            "{} labels for a batch of {rows} rows",
+            labels.len()
+        )));
+    }
+    Ok(())
+}
+
+/// The share of `verdicts` that defend against their `labels`, 0 for none.
+fn share_defended(verdicts: &[Verdict], labels: &[usize]) -> f32 {
+    if verdicts.is_empty() {
+        return 0.0;
+    }
+    let defended = verdicts
+        .iter()
+        .zip(labels)
+        .filter(|(v, &t)| v.defends(t))
+        .count();
+    defended as f32 / verdicts.len() as f32
+}
+
 /// The assembled MagNet defense: a set of calibrated detectors, a reformer
 /// auto-encoder, and the protected classifier.
 ///
@@ -334,7 +385,21 @@ impl MagnetDefense {
     fn detector_scores(&self, x: &Tensor) -> Result<Vec<Vec<f32>>> {
         let mut chunk = Chunk::new(&self.plan, Cow::Borrowed(x));
         chunk.run(&self.plan, &self.detectors, Stage::Detect)?;
-        Ok(chunk.scores)
+        Ok(Chunk::join(vec![chunk]).0)
+    }
+
+    /// Whether any detector flags each of `rows` rows, from every
+    /// detector's `scores` (none under a scheme that skips the detectors)
+    /// and `thresholds`. Records the scores.
+    fn flagged(&self, scores: &[Vec<f32>], thresholds: &[f32], rows: usize) -> Vec<bool> {
+        let mut detected = vec![false; rows];
+        for ((det, scores), threshold) in self.detectors.iter().zip(scores).zip(thresholds) {
+            record_scores(&det.name(), scores);
+            for (c, s) in detected.iter_mut().zip(scores) {
+                *c |= *s > *threshold;
+            }
+        }
+        detected
     }
 
     /// Runs the pipeline under a scheme and returns one verdict per input.
@@ -364,7 +429,9 @@ impl MagnetDefense {
     /// ([`fork_stages`](crate::fork::fork_stages)), which runs its chunk's
     /// stages in step with the calling thread: the hook runs once per
     /// stage, on the calling thread, before any chunk enters that stage,
-    /// and a hook error stops and joins the helpers. Each row's result does
+    /// and a hook error stops and joins the helpers. A stage whose networks
+    /// an earlier stage already ran (the plan knows which) stays on the
+    /// calling thread for every chunk. Each row's result does
     /// not depend on the rows batched with it, so the joined results equal
     /// the unsplit pass bit for bit.
     ///
@@ -392,66 +459,56 @@ impl MagnetDefense {
         scheme: DefenseScheme,
         before_stage: &dyn Fn(&'static str) -> Result<()>,
     ) -> Result<(Vec<Verdict>, Vec<Vec<f32>>, StageTimings)> {
-        let detect = matches!(scheme, DefenseScheme::DetectorOnly | DefenseScheme::Full);
-        let reform = matches!(scheme, DefenseScheme::ReformerOnly | DefenseScheme::Full);
-        let rows = x.shape().dim(0);
-        let claim = CoreClaim::take(rows / MIN_CHUNK_ROWS);
+        let (chunks, thresholds, timings) = self.run_pass(x, &Stage::of(scheme), before_stage)?;
+        let (det_scores, preds) = Chunk::join(chunks);
+        let detected = self.flagged(&det_scores, &thresholds, x.shape().dim(0));
+        let verdicts = verdicts(detected, &preds[usize::from(scheme.reforms())]);
+        record_verdicts(&verdicts);
+        Ok((verdicts, det_scores, timings))
+    }
+
+    /// Runs `stages` over `x` as [`classify_staged`](Self::classify_staged)
+    /// describes, and returns the chunks, every detector's threshold when
+    /// the stages detect, and each stage's time. A stage that runs no
+    /// network ([`PassPlan::runs_network`]) runs every chunk on the calling
+    /// thread: waking the helpers would cost more than it computes.
+    fn run_pass<'x>(
+        &self,
+        x: &'x Tensor,
+        stages: &[Stage],
+        before_stage: &dyn Fn(&'static str) -> Result<()>,
+    ) -> Result<(Vec<Chunk<'x>>, Vec<f32>, StageTimings)> {
+        let claim = CoreClaim::take(x.shape().dim(0) / MIN_CHUNK_ROWS);
         let mut chunks = Chunk::split(&self.plan, x, claim.granted())?;
         let mut timings = StageTimings::default();
         let mut thresholds = Vec::new();
+        let hand_off = self.plan.runs_network(stages);
         fork_stages(
             &mut chunks,
             |stage, c: &mut Chunk<'_>| c.run(&self.plan, &self.detectors, stage),
             |crew| -> Result<()> {
-                if detect {
-                    timings.detect = timed_stage(STAGE_DETECT, before_stage, || {
-                        thresholds = self.thresholds()?;
-                        crew.run(Stage::Detect).into_iter().collect::<Result<()>>()
+                for (&stage, &hand_off) in stages.iter().zip(&hand_off) {
+                    let (name, time) = match stage {
+                        Stage::Detect => (STAGE_DETECT, &mut timings.detect),
+                        Stage::Reform => (STAGE_REFORM, &mut timings.reform),
+                        Stage::Classify(_) => (STAGE_CLASSIFY, &mut timings.classify),
+                    };
+                    *time = timed_stage(name, before_stage, || {
+                        if let Stage::Detect = stage {
+                            thresholds = self.thresholds()?;
+                        }
+                        let done = if hand_off {
+                            crew.run(stage)
+                        } else {
+                            crew.run_here(stage)
+                        };
+                        done.into_iter().collect()
                     })?;
                 }
-                if reform {
-                    timings.reform = timed_stage(STAGE_REFORM, before_stage, || {
-                        crew.run(Stage::Reform).into_iter().collect::<Result<()>>()
-                    })?;
-                }
-                timings.classify = timed_stage(STAGE_CLASSIFY, before_stage, || {
-                    crew.run(Stage::Classify(reform))
-                        .into_iter()
-                        .collect::<Result<()>>()
-                })?;
                 Ok(())
             },
         )?;
-
-        let mut det_scores = vec![Vec::new(); if detect { self.detectors.len() } else { 0 }];
-        let mut preds = Vec::with_capacity(rows);
-        for c in chunks {
-            for (all, scores) in det_scores.iter_mut().zip(c.scores) {
-                all.extend(scores);
-            }
-            preds.extend(c.preds);
-        }
-        let mut detected = vec![false; rows];
-        for ((det, scores), threshold) in self.detectors.iter().zip(&det_scores).zip(thresholds) {
-            record_scores(&det.name(), scores);
-            for (c, s) in detected.iter_mut().zip(scores) {
-                *c |= *s > threshold;
-            }
-        }
-
-        let verdicts: Vec<Verdict> = detected
-            .into_iter()
-            .zip(preds)
-            .map(|(d, p)| {
-                if d {
-                    Verdict::Detected
-                } else {
-                    Verdict::Classified(p)
-                }
-            })
-            .collect();
-        record_verdicts(&verdicts);
-        Ok((verdicts, det_scores, timings))
+        Ok((chunks, thresholds, timings))
     }
 
     /// The paper's *classification accuracy* of the defense on a batch with
@@ -462,23 +519,32 @@ impl MagnetDefense {
     /// Returns [`MagnetError::InvalidArgument`] unless there is one label
     /// per row, and propagates pipeline errors.
     pub fn accuracy(&self, x: &Tensor, labels: &[usize], scheme: DefenseScheme) -> Result<f32> {
-        let rows = x.shape().dim(0);
-        if labels.len() != rows {
-            return Err(MagnetError::InvalidArgument(format!(
-                "{} labels for a batch of {rows} rows",
-                labels.len()
-            )));
-        }
-        let verdicts = self.classify(x, scheme)?;
-        if verdicts.is_empty() {
-            return Ok(0.0);
-        }
-        let defended = verdicts
-            .iter()
-            .zip(labels)
-            .filter(|(v, &t)| v.defends(t))
-            .count();
-        Ok(defended as f32 / verdicts.len() as f32)
+        check_labels(x, labels)?;
+        Ok(share_defended(&self.classify(x, scheme)?, labels))
+    }
+
+    /// [`accuracy`](Self::accuracy) under each scheme of
+    /// [`DefenseScheme::ALL`], in that order, from one pass: it runs every
+    /// plan node once (the detectors' networks, the reformer, and the
+    /// classifier on the input and on the reformer's output), and each
+    /// scheme's verdicts combine the detectors' flags with one of the two
+    /// predictions. Each accuracy equals `accuracy` under its scheme bit
+    /// for bit.
+    ///
+    /// # Errors
+    ///
+    /// As [`accuracy`](Self::accuracy).
+    pub fn accuracies(&self, x: &Tensor, labels: &[usize]) -> Result<[(DefenseScheme, f32); 4]> {
+        check_labels(x, labels)?;
+        let (chunks, thresholds, _) = self.run_pass(x, &Stage::EVERY_SCHEME, &no_hook)?;
+        let (det_scores, preds) = Chunk::join(chunks);
+        let flagged = self.flagged(&det_scores, &thresholds, x.shape().dim(0));
+        Ok(DefenseScheme::ALL.map(|scheme| {
+            let detected = flagged.iter().map(|&f| f && scheme.detects());
+            let verdicts = verdicts(detected, &preds[usize::from(scheme.reforms())]);
+            record_verdicts(&verdicts);
+            (scheme, share_defended(&verdicts, labels))
+        }))
     }
 
     /// Shared access to the protected classifier.
@@ -536,15 +602,8 @@ mod tests {
         /// nodes that `classify_staged`'s stages, replayed on one chunk,
         /// fill.
         pub(crate) fn network_runs(&self, x: &Tensor, scheme: DefenseScheme) -> usize {
-            let detect = matches!(scheme, DefenseScheme::DetectorOnly | DefenseScheme::Full);
-            let reform = matches!(scheme, DefenseScheme::ReformerOnly | DefenseScheme::Full);
             let mut chunk = Chunk::new(&self.plan, Cow::Borrowed(x));
-            let stages = [
-                (detect, Stage::Detect),
-                (reform, Stage::Reform),
-                (true, Stage::Classify(reform)),
-            ];
-            for (_, stage) in stages.into_iter().filter(|(on, _)| *on) {
+            for stage in Stage::of(scheme) {
                 chunk.run(&self.plan, &self.detectors, stage).unwrap();
             }
             chunk.runs()
@@ -792,6 +851,32 @@ mod tests {
     }
 
     #[test]
+    fn one_pass_accuracies_equal_each_scheme_alone() {
+        for mut d in [toy_defense(), jsd_defense()] {
+            d.calibrate_detectors(&toy_batch(64), 0.05).unwrap();
+            // Twice the mixed batch, so that it splits on two cores; labels
+            // that the schemes get right at different rates.
+            let x = Tensor::concat0(&[mixed_batch(), mixed_batch()]).unwrap();
+            let labels: Vec<usize> = (0..24).map(|i| i % 3).collect();
+            let got = d.accuracies(&x, &labels).unwrap();
+            let want =
+                DefenseScheme::ALL.map(|scheme| (scheme, d.accuracy(&x, &labels, scheme).unwrap()));
+            assert_eq!(
+                got.map(|(s, acc)| (s, acc.to_bits())),
+                want.map(|(s, acc)| (s, acc.to_bits())),
+                "{}",
+                d.name()
+            );
+            let distinct: std::collections::BTreeSet<u32> =
+                want.iter().map(|(_, acc)| acc.to_bits()).collect();
+            assert!(distinct.len() > 1, "{}: {want:?}", d.name());
+        }
+        let d = toy_defense();
+        let short = d.accuracies(&toy_batch(3), &[0, 0]);
+        assert!(matches!(short, Err(MagnetError::InvalidArgument(_))));
+    }
+
+    #[test]
     fn hook_sees_each_executed_stage_in_order() {
         let mut d = jsd_defense();
         d.calibrate_detectors(&toy_batch(64), 0.05).unwrap();
@@ -828,6 +913,27 @@ mod tests {
         // reading the detectors' logits(x). ReformerOnly: AE(x) and
         // logits(AE(x)).
         assert_eq!(runs, [1, 3, 2, 3]);
+    }
+
+    #[test]
+    fn only_stages_that_run_a_network_are_handed_off() {
+        let hand_off = |d: &MagnetDefense| {
+            DefenseScheme::ALL.map(|scheme| d.plan.runs_network(&Stage::of(scheme)))
+        };
+        // D+JSD: the detectors run all three networks, so a Full or
+        // DetectorOnly pass has nothing left for its later stages.
+        let want: [&[bool]; 4] = [
+            &[true],
+            &[true, false],
+            &[true, true],
+            &[true, false, false],
+        ];
+        assert_eq!(hand_off(&jsd_defense()), want);
+        // One reconstruction detector: AE(x) is shared, logits(AE(x)) not.
+        let want: [&[bool]; 4] = [&[true], &[true, true], &[true, true], &[true, false, true]];
+        assert_eq!(hand_off(&toy_defense()), want);
+        let every = jsd_defense().plan.runs_network(&Stage::EVERY_SCHEME);
+        assert_eq!(every, [true, false, false, false]);
     }
 
     #[test]

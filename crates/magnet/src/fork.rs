@@ -76,6 +76,7 @@ impl Drop for CoreClaim {
 /// whatever `drive` does between stages (a fault hook, an early return)
 /// happens before any item enters the next stage. When `drive` returns,
 /// the helpers are stopped and joined before `fork_stages` returns.
+/// [`Crew::run_here`] runs a stage on the calling thread alone.
 ///
 /// Each helper records into the caller's active trace and runs each stage
 /// inside a [`STAGE_CHUNK`] [`StageScope`], so its kernels join the
@@ -192,6 +193,20 @@ impl<T, S: Copy, R> Crew<'_, '_, T, S, R> {
                     std::panic::resume_unwind(payload);
                 }
             }
+            out.push((self.work)(stage, &mut lock_unpoisoned(helper.cell)));
+        }
+        out
+    }
+
+    /// Runs `stage` on every item on the calling thread, in item order, and
+    /// returns the results: for a stage too small to pay for waking the
+    /// helpers, which stay parked.
+    pub fn run_here(&mut self, stage: S) -> Vec<R> {
+        let mut out = Vec::with_capacity(self.helpers.len() + 1);
+        if let Some(first) = self.first.as_deref_mut() {
+            out.push((self.work)(stage, first));
+        }
+        for helper in &self.helpers {
             out.push((self.work)(stage, &mut lock_unpoisoned(helper.cell)));
         }
         out

@@ -2,11 +2,12 @@
 //!
 //! [`PassPlan`] lists each network application of a pass once: roles that
 //! hold the same model allocation ([`Arc::ptr_eq`]) and read the same node
-//! share it. A chunk of a pass fills a node the first time a stage reads it.
+//! share it. A chunk of a pass fills a node the first time a stage reads it,
+//! and a stage whose nodes an earlier stage filled runs no network.
 
 use crate::autoencoder::Autoencoder;
 use crate::detector::Detector;
-use crate::{MagnetError, Result};
+use crate::{DefenseScheme, MagnetError, Result};
 use adv_nn::Sequential;
 use adv_tensor::Tensor;
 use std::borrow::Cow;
@@ -70,6 +71,40 @@ impl PassPlan {
         }
     }
 
+    /// Whether each of `stages`, run in order from a fresh chunk, runs a
+    /// network: a stage whose every node an earlier stage filled runs none,
+    /// and computes only its verdict inputs (scores or an argmax) from them.
+    pub(crate) fn runs_network(&self, stages: &[Stage]) -> Vec<bool> {
+        let mut filled = vec![false; self.nodes.len()];
+        filled[INPUT] = true;
+        stages
+            .iter()
+            .map(|&stage| {
+                let reads = self.reads(stage);
+                let runs = reads.iter().any(|&i| !filled[i]);
+                for i in reads {
+                    filled[i] = true;
+                }
+                runs
+            })
+            .collect()
+    }
+
+    /// The nodes `stage` reads.
+    fn reads(&self, stage: Stage) -> Vec<usize> {
+        match stage {
+            Stage::Detect => self
+                .detectors
+                .iter()
+                .flat_map(|&(recon, logits)| {
+                    std::iter::once(recon).chain(logits.into_iter().flat_map(|(a, b)| [a, b]))
+                })
+                .collect(),
+            Stage::Reform => vec![self.reformed],
+            Stage::Classify(reformed) => vec![self.logits[usize::from(reformed)]],
+        }
+    }
+
     /// Networks the plan lists: its nodes besides the input.
     #[cfg(test)]
     pub(crate) fn networks(&self) -> usize {
@@ -99,6 +134,29 @@ pub(crate) enum Stage {
     Classify(bool),
 }
 
+impl Stage {
+    /// The stages of a `scheme` pass, in order.
+    pub(crate) fn of(scheme: DefenseScheme) -> Vec<Stage> {
+        let mut stages = Vec::with_capacity(3);
+        if scheme.detects() {
+            stages.push(Stage::Detect);
+        }
+        if scheme.reforms() {
+            stages.push(Stage::Reform);
+        }
+        stages.push(Stage::Classify(scheme.reforms()));
+        stages
+    }
+
+    /// The stages of one pass that gives every scheme's verdicts.
+    pub(crate) const EVERY_SCHEME: [Stage; 4] = [
+        Stage::Detect,
+        Stage::Reform,
+        Stage::Classify(false),
+        Stage::Classify(true),
+    ];
+}
+
 /// One contiguous row range of a pass: a slot per plan node, and what each
 /// stage has concluded for these rows so far.
 pub(crate) struct Chunk<'x> {
@@ -106,8 +164,9 @@ pub(crate) struct Chunk<'x> {
     /// it reads that node.
     values: Vec<Option<Cow<'x, Tensor>>>,
     /// Each detector's scores, in deployment order.
-    pub(crate) scores: Vec<Vec<f32>>,
-    pub(crate) preds: Vec<usize>,
+    scores: Vec<Vec<f32>>,
+    /// The predictions on the input, and on the reformer's output.
+    preds: [Vec<usize>; 2],
 }
 
 impl<'x> Chunk<'x> {
@@ -118,8 +177,25 @@ impl<'x> Chunk<'x> {
         Chunk {
             values,
             scores: Vec::new(),
-            preds: Vec::new(),
+            preds: [Vec::new(), Vec::new()],
         }
+    }
+
+    /// Joins the chunks of a pass in row order: each detector's scores, and
+    /// the predictions on the input and on the reformer's output. Each is
+    /// empty where the pass skipped its stage.
+    pub(crate) fn join(chunks: Vec<Self>) -> (Vec<Vec<f32>>, [Vec<usize>; 2]) {
+        let mut scores = vec![Vec::new(); chunks.first().map_or(0, |c| c.scores.len())];
+        let mut preds = [Vec::new(), Vec::new()];
+        for c in chunks {
+            for (all, part) in scores.iter_mut().zip(c.scores) {
+                all.extend(part);
+            }
+            for (all, part) in preds.iter_mut().zip(c.preds) {
+                all.extend(part);
+            }
+        }
+        (scores, preds)
     }
 
     /// Splits `x` into `k` contiguous chunks of near-equal size; with
@@ -165,7 +241,7 @@ impl<'x> Chunk<'x> {
             Stage::Classify(reformed) => {
                 let logits = plan.logits[usize::from(reformed)];
                 self.fill(plan, logits)?;
-                self.preds = self.value(logits)?.argmax_rows()?;
+                self.preds[usize::from(reformed)] = self.value(logits)?.argmax_rows()?;
             }
         }
         Ok(())

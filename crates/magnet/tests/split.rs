@@ -395,6 +395,8 @@ fn helper_kernels_join_the_batch_trace() {
         return;
     }
     assert!(kernel_threads.len() >= 2, "{kernel_threads:?}");
-    // One helper chunk per helper per stage.
-    assert_eq!(chunks, 3 * (expected_chunks(ROWS) - 1), "{spans:?}");
+    // One helper chunk per helper per pass: only the detect stage runs a
+    // network. The reform and classify stages read the nodes it filled, so
+    // they stay on the calling thread.
+    assert_eq!(chunks, expected_chunks(ROWS) - 1, "{spans:?}");
 }

@@ -8,8 +8,8 @@
 //! rounded once to `f32`. glibc's x86-64 build also carries an FMA copy,
 //! which it picks on CPUs with FMA; that copy differs from the baseline on
 //! exactly two inputs, `0x4202422f` and `0xc27c65d9`. The port computes the
-//! baseline's bits on every CPU, in the scalar form and in both copies of
-//! the slice kernels (baseline and AVX2, see `ops/isa.rs`).
+//! baseline's bits on every CPU, in the scalar form and in every copy of
+//! the slice kernels (baseline, AVX2 and AVX-512, see `ops/isa.rs`).
 //!
 //! Every operation rounds as the C source does: Rust never contracts
 //! `a * b + c` into a fused multiply-add, and each `f64` step is an IEEE
@@ -196,13 +196,13 @@ mod tests {
         }
     }
 
-    /// Both copies of the sigmoid kernel give the scalar form's bits, on
-    /// every 251st input and on a tail shorter than a vector.
+    /// Every copy of the sigmoid kernel that the CPU runs gives the scalar
+    /// form's bits, on every 251st input and on a tail shorter than a
+    /// vector.
     #[test]
     fn sigmoid_copies_match_the_scalar_form() {
         let xs: Vec<f32> = (0..=u32::MAX).step_by(251).map(f32::from_bits).collect();
-        let isas = std::iter::once(Isa::BASELINE).chain(Isa::wider_than_baseline());
-        for isa in isas {
+        for isa in Isa::every_runnable() {
             for xs in [&xs[..], &xs[..5]] {
                 let mut out = vec![0.0; xs.len()];
                 sigmoid_into(isa, xs, &mut out);
@@ -481,21 +481,22 @@ mod tests {
         0x4dd2b300d1622325,
     ];
 
-    /// Every `f32` input, without libm: the scalar [`exp`], the baseline
-    /// slice body and (on an AVX2 CPU) the AVX2 slice body agree bit for
-    /// bit, and each block of outputs hashes to its committed value.
+    /// Every `f32` input, without libm: the scalar [`exp`] and the slice
+    /// body of every copy the CPU runs (baseline, AVX2, AVX-512) agree bit
+    /// for bit, and each block of outputs hashes to its committed value.
     #[test]
     fn exp_is_pinned_on_every_input() {
-        let wide = Isa::wider_than_baseline();
+        let isas = Isa::every_runnable();
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
         let blocks: Vec<u32> = (0..256).collect();
         let hashes: Vec<(u32, u64)> = std::thread::scope(|s| {
             let workers: Vec<_> = blocks
                 .chunks(256usize.div_ceil(threads))
                 .map(|mine| {
+                    let isas = &isas;
                     s.spawn(move || {
                         mine.iter()
-                            .map(|&b| (b, hash_block(b, wide)))
+                            .map(|&b| (b, hash_block(b, isas)))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -515,12 +516,14 @@ mod tests {
         }
     }
 
-    /// Hashes block `b`'s outputs, asserting the slice bodies on the way.
-    fn hash_block(b: u32, wide: Option<Isa>) -> u64 {
+    /// Hashes block `b`'s outputs, asserting each copy's slice body on the
+    /// way.
+    fn hash_block(b: u32, isas: &[Isa]) -> u64 {
         const STEP: u32 = 1 << 16;
         let mut h: u64 = 0xcbf29ce484222325;
         let mut xs = vec![0.0f32; STEP as usize];
-        let (mut base, mut avx2) = (xs.clone(), xs.clone());
+        let mut want = vec![0u32; STEP as usize];
+        let mut outs = vec![xs.clone(); isas.len()];
         for start in (0..1u32 << 24)
             .step_by(STEP as usize)
             .map(|i| (b << 24) | i)
@@ -528,21 +531,19 @@ mod tests {
             for (i, x) in xs.iter_mut().enumerate() {
                 *x = f32::from_bits(start + i as u32);
             }
-            two_pass(Isa::BASELINE, &xs, &mut base, exp_main, exp_special);
-            if let Some(wide) = wide {
-                two_pass(wide, &xs, &mut avx2, exp_main, exp_special);
+            for (y, &x) in want.iter_mut().zip(&xs) {
+                *y = exp(x).to_bits();
             }
-            for (i, &x) in xs.iter().enumerate() {
-                let y = exp(x).to_bits();
-                assert_eq!(
-                    base[i].to_bits(),
-                    y,
-                    "baseline slice at {:#010x}",
-                    x.to_bits()
+            for (&isa, out) in isas.iter().zip(&mut outs) {
+                two_pass(isa, &xs, out, exp_main, exp_special);
+                let bad = out.iter().zip(&want).position(|(o, &y)| o.to_bits() != y);
+                assert!(
+                    bad.is_none(),
+                    "{isa:?} slice at {:#010x}",
+                    bad.map_or(0, |i| xs[i].to_bits())
                 );
-                if wide.is_some() {
-                    assert_eq!(avx2[i].to_bits(), y, "AVX2 slice at {:#010x}", x.to_bits());
-                }
+            }
+            for &y in &want {
                 h = (h ^ u64::from(y)).wrapping_mul(0x100000001b3);
             }
         }

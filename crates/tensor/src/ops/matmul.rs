@@ -13,9 +13,10 @@
 //! the inner loop is a contiguous axpy, vectorized across output columns.
 //! `matmul_a_bt` keeps one dot product per output, eight outputs per pass,
 //! which gathers across rows of `B`. Each body is compiled for baseline
-//! x86-64 and again with AVX2, and the CPU picks the copy at run time
-//! (`ops::isa`). Every output keeps its scalar summation order and no
-//! `a * b + c` is fused, so the two copies give bit-identical results.
+//! x86-64, again with AVX2 and again with AVX-512, and the CPU picks the
+//! widest copy it runs (`ops::isa`). Every output keeps its scalar
+//! summation order and no `a * b + c` is fused, so the three copies give
+//! bit-identical results.
 
 use crate::ops::isa::Isa;
 use crate::{Result, Shape, Tensor, TensorError};
@@ -295,12 +296,10 @@ mod tests {
     }
 
     /// The other tests run whichever copy the CPU selects; this one runs
-    /// the baseline copy beside the AVX2 copy, on the shapes above.
+    /// every copy the CPU can run beside the baseline copy, on the shapes
+    /// above.
     #[test]
-    fn baseline_and_avx2_copies_are_bit_identical() {
-        let Some(wide) = Isa::wider_than_baseline() else {
-            return;
-        };
+    fn every_copy_is_bit_identical_to_the_baseline() {
         type Kernel = fn(Isa, &Tensor, &Tensor) -> Result<Tensor>;
         let kernels: [(&str, Kernel); 3] = [
             ("matmul", matmul_on),
@@ -319,17 +318,14 @@ mod tests {
                 let b = Tensor::from_fn(Shape::matrix(br, bc), |i| {
                     ((i * 104729 % 97) as f32 - 48.0) * 0.021
                 });
-                let (wide, base) = (
-                    kernel(wide, &a, &b).unwrap(),
-                    kernel(Isa::BASELINE, &a, &b).unwrap(),
-                );
-                assert_eq!(wide.shape(), base.shape(), "{name} ({m},{n},{k})");
-                for (i, (x, y)) in wide.as_slice().iter().zip(base.as_slice()).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "{name} ({m},{n},{k}) at {i}: {x} vs {y}"
-                    );
+                let base = kernel(Isa::BASELINE, &a, &b).unwrap();
+                for isa in Isa::every_runnable() {
+                    let got = kernel(isa, &a, &b).unwrap();
+                    let what = format!("{isa:?} {name} ({m},{n},{k})");
+                    assert_eq!(got.shape(), base.shape(), "{what}");
+                    for (i, (x, y)) in got.as_slice().iter().zip(base.as_slice()).enumerate() {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{what} at {i}: {x} vs {y}");
+                    }
                 }
             }
         }

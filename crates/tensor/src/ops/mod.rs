@@ -4,7 +4,7 @@
 pub mod conv;
 #[expect(
     unsafe_code,
-    reason = "the one call into a kernel body's AVX2 copy, made after the CPU reported AVX2"
+    reason = "the one call into a kernel body's AVX2 or AVX-512 copy, made after the CPU reported its features"
 )]
 pub(crate) mod isa;
 pub mod matmul;
